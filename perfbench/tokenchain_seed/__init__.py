@@ -1,0 +1,142 @@
+"""Markov-chain view of next-token models.
+
+Build the transition matrix induced by any next-token probability source
+on the space of bounded-length token sequences, analyze its stationary
+behavior and mixing, generate reference chain families, measure
+estimation risks of in-context predictors, and evaluate the associated
+concentration-bound constants.
+"""
+
+__version__ = "0.1.0"
+
+from .states import VocabSpec, StateSpace, enumerate_states, successors, is_incompatible
+from .chains import TransitionMatrix, StructureReport, build_qf, validate_structure, recurrent_block
+from .oracles import (
+    Oracle,
+    OracleError,
+    TrainingDivergedError,
+    ChainOracle,
+    UniformOracle,
+    RandomLogitOracle,
+    NgramOracle,
+    ToyModel,
+    ToyModelConfig,
+    apply_temperature,
+    softmax_floor,
+    validate_distribution,
+    fit_ngram,
+    train_toy,
+    parity_sequence,
+    parity_spec,
+    windowed_examples,
+)
+from .spectral import (
+    StationaryResult,
+    ConvergenceProfile,
+    MixingReport,
+    classify_states,
+    stationary,
+    doeblin_epsilon,
+    envelope,
+    convergence_profile,
+    mixing_time,
+    t_min,
+    mixing_report,
+    sweep_temperature,
+)
+from .generators import (
+    ChainSpec,
+    build_chain,
+    random_chain,
+    constrained_walk,
+    polygonal_walk,
+    clique_rim,
+    simulate_process,
+    discretize,
+)
+from .estimation import (
+    Trajectory,
+    FrequentistEstimator,
+    NgramEstimator,
+    RiskCurve,
+    PowerLawFit,
+    sample_trajectory,
+    frequentist_estimate,
+    tv_distance,
+    kl_divergence,
+    tv_risk,
+    kl_risk,
+    expected_tv_risk,
+    icl_risk_curve,
+    oracle_divergence,
+    fit_power_law,
+)
+from .bounds import (
+    PretrainBoundParams,
+    IclBoundParams,
+    DepthBoundParams,
+    ModelCard,
+    BoundOverflowError,
+    pretrain_constant,
+    icl_constant,
+    icl_gap,
+    layer_bound,
+    depth_constant,
+    generalization_gap,
+    approximation_error,
+    sample_complexity,
+    builtin_model_cards,
+    predictor_table,
+    predictor_csv,
+    mcdiarmid_tail,
+    mcdiarmid_markov_tail,
+    mc_verify,
+    log_ratio_checks,
+)
+from .remote import (
+    RemoteOracleConfig,
+    RemoteOracle,
+    RemoteOracleError,
+    OpenAIRemoteOracle,
+    MockOracleServer,
+    probs_from_openai_response,
+)
+
+__all__ = [
+    "__version__",
+    # states
+    "VocabSpec", "StateSpace", "enumerate_states", "successors",
+    "is_incompatible",
+    # chains
+    "TransitionMatrix", "StructureReport", "build_qf", "validate_structure",
+    "recurrent_block",
+    # oracles
+    "Oracle", "OracleError", "TrainingDivergedError", "ChainOracle",
+    "UniformOracle", "RandomLogitOracle", "NgramOracle", "ToyModel",
+    "ToyModelConfig", "apply_temperature", "softmax_floor",
+    "validate_distribution", "fit_ngram", "train_toy", "parity_sequence",
+    "parity_spec", "windowed_examples",
+    # spectral
+    "StationaryResult", "ConvergenceProfile", "MixingReport",
+    "classify_states", "stationary", "doeblin_epsilon", "envelope",
+    "convergence_profile", "mixing_time", "t_min", "mixing_report",
+    "sweep_temperature",
+    # generators
+    "ChainSpec", "build_chain", "random_chain", "constrained_walk",
+    "polygonal_walk", "clique_rim", "simulate_process", "discretize",
+    # estimation
+    "Trajectory", "FrequentistEstimator", "NgramEstimator", "RiskCurve",
+    "PowerLawFit", "sample_trajectory", "frequentist_estimate",
+    "tv_distance", "kl_divergence", "tv_risk", "kl_risk", "expected_tv_risk",
+    "icl_risk_curve", "oracle_divergence", "fit_power_law",
+    # bounds
+    "PretrainBoundParams", "IclBoundParams", "DepthBoundParams", "ModelCard",
+    "BoundOverflowError", "pretrain_constant", "icl_constant", "icl_gap",
+    "layer_bound", "depth_constant", "generalization_gap",
+    "approximation_error", "sample_complexity", "builtin_model_cards",
+    "predictor_table", "predictor_csv", "mcdiarmid_tail",
+    "mcdiarmid_markov_tail", "mc_verify", "log_ratio_checks",
+    # remote
+    "RemoteOracleConfig", "RemoteOracle", "RemoteOracleError",
+    "OpenAIRemoteOracle", "MockOracleServer", "probs_from_openai_response",
+]

@@ -1,0 +1,452 @@
+"""Closed-form deviation constants, sample-complexity inversions, and the
+concentration / log-ratio inequalities that back them.
+
+Every evaluator here is a pure function of its inputs.  The Monte Carlo
+verifier draws in fixed-size batches with seeds derived from (seed, batch)
+so results are identical at any worker count.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from importlib import resources
+
+import numpy as np
+
+from .estimation import kl_divergence, tv_distance
+from .oracles import validate_distribution
+
+MC_BATCH = 10_000
+CHECK_SLACK = 1e-12
+
+
+class BoundOverflowError(ArithmeticError):
+    """Raised when the per-layer factor raised to the depth overflows.
+
+    log_power carries n_layers * log(layer_bound) so callers can still
+    reason about the bound's magnitude.
+    """
+
+    def __init__(self, log_power):
+        self.log_power = float(log_power)
+        super().__init__(
+            f"per-layer factor overflows: exponent sum {self.log_power!r} "
+            "exceeds float range")
+
+
+def _check_delta(delta):
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
+def _check_positive(value, name):
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
+@dataclass(frozen=True)
+class PretrainBoundParams:
+    """Inputs for the pre-training deviation constant.
+
+    n_tokens: alphabet size (any positive real; exactness is not needed).
+    unembed_bound: cap on the unembedding norm, >= 0.
+    ambiguity_floor: smallest admissible next-token probability, in (0, 1].
+    mixing_norm: operator norm of the training-sequence mixing matrix,
+        >= 1, with 1 meaning independent samples.
+    """
+
+    n_tokens: float
+    unembed_bound: float
+    temperature: float
+    ambiguity_floor: float
+    delta: float
+    n_train: int
+    mixing_norm: float = 1.0
+
+    def __post_init__(self):
+        _check_positive(self.n_tokens, "n_tokens")
+        if self.unembed_bound < 0:
+            raise ValueError(
+                f"unembed_bound must be >= 0, got {self.unembed_bound}")
+        _check_positive(self.temperature, "temperature")
+        if not 0 < self.ambiguity_floor <= 1:
+            raise ValueError(
+                f"ambiguity_floor must lie in (0, 1], got {self.ambiguity_floor}")
+        _check_delta(self.delta)
+        _check_positive(self.n_train, "n_train")
+        if self.mixing_norm < 1:
+            raise ValueError(
+                f"mixing_norm must be >= 1, got {self.mixing_norm}")
+
+
+@dataclass(frozen=True)
+class IclBoundParams:
+    """Inputs for the in-context deviation constant over a d-state chain."""
+
+    n_states: int
+    unembed_bound: float
+    temperature: float
+    min_transition_prob: float
+    delta: float
+    n_icl: int
+    t_min: float
+
+    def __post_init__(self):
+        _check_positive(self.n_states, "n_states")
+        if self.unembed_bound < 0:
+            raise ValueError(
+                f"unembed_bound must be >= 0, got {self.unembed_bound}")
+        _check_positive(self.temperature, "temperature")
+        if not 0 < self.min_transition_prob <= 1:
+            raise ValueError("min_transition_prob must lie in (0, 1], got "
+                             f"{self.min_transition_prob}")
+        _check_delta(self.delta)
+        _check_positive(self.n_icl, "n_icl")
+        _check_positive(self.t_min, "t_min")
+
+
+@dataclass(frozen=True)
+class DepthBoundParams:
+    """Inputs for the architecture-aware deviation constant.
+
+    ffn_dim is the MLP hidden width; mlp_in_bound / mlp_out_bound cap its
+    two weight matrices, attn_out_bound / value_bound the attention
+    projections, token_bound the token embeddings.  A head count that does
+    not divide embed_dim only warns; the formula stays evaluable.
+    """
+
+    n_layers: int
+    n_heads: int
+    embed_dim: int
+    ffn_dim: int
+    mlp_in_bound: float
+    mlp_out_bound: float
+    attn_out_bound: float
+    value_bound: float
+    token_bound: float
+    unembed_bound: float
+    n_tokens: float
+    temperature: float
+    ambiguity_floor: float
+    delta: float
+    mixing_norm: float = 1.0
+
+    def __post_init__(self):
+        for name in ("n_layers", "n_heads", "embed_dim", "ffn_dim",
+                     "n_tokens", "temperature"):
+            _check_positive(getattr(self, name), name)
+        for name in ("mlp_in_bound", "mlp_out_bound", "attn_out_bound",
+                     "value_bound", "token_bound", "unembed_bound"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0 < self.ambiguity_floor <= 1:
+            raise ValueError(
+                f"ambiguity_floor must lie in (0, 1], got {self.ambiguity_floor}")
+        _check_delta(self.delta)
+        if self.mixing_norm < 1:
+            raise ValueError(
+                f"mixing_norm must be >= 1, got {self.mixing_norm}")
+        if self.embed_dim % self.n_heads != 0:
+            warnings.warn(
+                f"n_heads={self.n_heads} does not divide "
+                f"embed_dim={self.embed_dim}", RuntimeWarning, stacklevel=3)
+
+
+@dataclass(frozen=True)
+class ModelCard:
+    """Published training-scale numbers for one checkpoint."""
+
+    name: str
+    n_train: int
+    n_tokens: int
+    embed_dim: int
+
+    def __post_init__(self):
+        for field_name in ("n_train", "n_tokens", "embed_dim"):
+            _check_positive(getattr(self, field_name), field_name)
+
+
+def pretrain_constant(p: PretrainBoundParams) -> float:
+    """Deviation constant for pre-training on mixing sequences."""
+    inside = max(math.log(p.n_tokens) + 2.0 * p.unembed_bound / p.temperature,
+                 math.log(1.0 / p.ambiguity_floor))
+    return 2.0 * p.mixing_norm * math.sqrt(inside)
+
+
+def generalization_gap(constant, n_train, delta) -> float:
+    """Deviation term at a given sample count: constant * sqrt(log(2/d)/N)."""
+    _check_positive(constant, "constant")
+    _check_positive(n_train, "n_train")
+    _check_delta(delta)
+    return constant * math.sqrt(math.log(2.0 / delta) / n_train)
+
+
+def approximation_error(constant, n_train, delta) -> float:
+    """Width of the risk confidence interval: twice the deviation term."""
+    return 2.0 * generalization_gap(constant, n_train, delta)
+
+
+def sample_complexity(constant, epsilon, delta) -> int:
+    """Samples needed to drive the deviation term below epsilon / 2."""
+    _check_positive(constant, "constant")
+    _check_positive(epsilon, "epsilon")
+    _check_delta(delta)
+    n = 4.0 * constant * constant / (epsilon * epsilon) * math.log(2.0 / delta)
+    return math.ceil(n)
+
+
+def icl_constant(p: IclBoundParams) -> float:
+    """Deviation constant for in-context estimation of a finite chain."""
+    inside = max(math.log(p.n_states) + 2.0 * p.unembed_bound / p.temperature,
+                 math.log(1.0 / p.min_transition_prob))
+    return 2.0 * math.sqrt(inside)
+
+
+def icl_gap(p: IclBoundParams) -> float:
+    """In-context deviation term; undefined when t_min is infinite."""
+    if not math.isfinite(p.t_min):
+        raise ValueError("t_min is not finite; the in-context deviation "
+                         "term is undefined")
+    return (icl_constant(p) * math.sqrt(p.t_min / p.n_icl)
+            * math.sqrt(math.log(2.0 / p.delta)))
+
+
+def layer_bound(p: DepthBoundParams) -> float:
+    """Per-layer norm factor of the depth-aware constant."""
+    mlp = 1.0 + p.embed_dim * p.ffn_dim * p.mlp_in_bound * p.mlp_out_bound
+    attn = 1.0 + (p.embed_dim ** 3 / p.n_heads) * p.attn_out_bound * p.value_bound
+    embed = p.token_bound * p.unembed_bound
+    return mlp * attn * embed ** (1.0 / p.n_layers)
+
+
+def depth_constant(p: DepthBoundParams) -> float:
+    """Deviation constant with the unembedding cap replaced by the
+    depth-compounded per-layer factor."""
+    base = layer_bound(p)
+    if base > 0.0:
+        log_power = p.n_layers * math.log(base)
+        try:
+            powered = math.exp(log_power)
+        except OverflowError:
+            raise BoundOverflowError(log_power) from None
+    else:
+        log_power = float("-inf")
+        powered = 0.0
+    inside = max(math.log(p.n_tokens) + 2.0 * powered / p.temperature,
+                 math.log(1.0 / p.ambiguity_floor))
+    if not math.isfinite(inside):
+        raise BoundOverflowError(log_power)
+    return 2.0 * p.mixing_norm * math.sqrt(inside)
+
+
+@dataclass(frozen=True)
+class PredictorRow:
+    name: str
+    n_train: int
+    n_tokens: int
+    embed_dim: int
+    constant: float
+    epsilon: float
+
+
+def default_unembed_bound(n_tokens, embed_dim) -> float:
+    """Norm preset for checkpoints whose exact unembedding norm is unknown:
+    alphabet size times sqrt of the embedding width."""
+    return float(n_tokens) * math.sqrt(embed_dim)
+
+
+def builtin_model_cards() -> list:
+    """The eight shipped checkpoint cards."""
+    raw = resources.files(__package__).joinpath(
+        "data/model_cards.json").read_text()
+    return [ModelCard(**row) for row in json.loads(raw)]
+
+
+def predictor_table(cards=None, temperature=1.0, delta=0.05) -> list:
+    """Per-checkpoint deviation constants and achievable accuracy.
+
+    cards=None uses the shipped table.  The constant uses the norm preset
+    and an inactive ambiguity floor; epsilon is the confidence-interval
+    width at the card's training-set size.
+    """
+    if cards is None:
+        cards = builtin_model_cards()
+    rows = []
+    for card in cards:
+        params = PretrainBoundParams(
+            n_tokens=card.n_tokens,
+            unembed_bound=default_unembed_bound(card.n_tokens, card.embed_dim),
+            temperature=temperature,
+            ambiguity_floor=1.0,
+            delta=delta,
+            n_train=card.n_train,
+        )
+        constant = pretrain_constant(params)
+        epsilon = approximation_error(constant, card.n_train, delta)
+        rows.append(PredictorRow(card.name, card.n_train, card.n_tokens,
+                                 card.embed_dim, constant, epsilon))
+    return rows
+
+
+def predictor_csv(rows) -> str:
+    lines = ["name,n_train,n_tokens,embed_dim,constant,epsilon"]
+    for r in rows:
+        lines.append(f"{r.name},{r.n_train},{r.n_tokens},{r.embed_dim},"
+                     f"{r.constant!r},{r.epsilon!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _check_tail_args(u, c):
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("c must be a nonempty 1-D vector")
+    norm_sq = float(np.dot(c, c))
+    if norm_sq <= 0.0:
+        raise ValueError("c must be nonzero")
+    if u < 0:
+        raise ValueError(f"u must be >= 0, got {u}")
+    return norm_sq
+
+
+def mcdiarmid_tail(u, c, mixing_norm=1.0) -> float:
+    """Two-sided bounded-differences tail for dependent samples.
+
+    mixing_norm 1 is the independent case.  The bound may exceed 1 for
+    small u; it is still a valid (vacuous) tail.
+    """
+    norm_sq = _check_tail_args(u, c)
+    if mixing_norm < 1:
+        raise ValueError(f"mixing_norm must be >= 1, got {mixing_norm}")
+    return 2.0 * math.exp(-2.0 * u * u / (mixing_norm * mixing_norm * norm_sq))
+
+
+def mcdiarmid_markov_tail(u, c, t_min) -> float:
+    """Bounded-differences tail along a stationary chain; the minimal
+    mixing time scales the exponent.  Infinite t_min gives the vacuous 2."""
+    norm_sq = _check_tail_args(u, c)
+    _check_positive(t_min, "t_min")
+    return 2.0 * math.exp(-2.0 * u * u / (norm_sq * t_min))
+
+
+@dataclass(frozen=True)
+class TailCheck:
+    u: float
+    bound: float
+    empirical: float
+    stderr: float
+    ok: bool
+
+
+@dataclass(frozen=True)
+class TailReport:
+    checks: list
+    n_samples: int
+    center: float
+
+    @property
+    def ok(self) -> bool:
+        return all(row.ok for row in self.checks)
+
+
+def _mc_batch(args):
+    sampler, f, seed, index, size = args
+    rng = np.random.default_rng([seed, index])
+    values = np.asarray(f(sampler(rng, size)), dtype=float)
+    if values.shape != (size,):
+        raise ValueError(
+            f"f must return one value per realization, got {values.shape}")
+    return values
+
+
+def mc_verify(sampler, f, c, n_samples, u_grid, seed=0, mixing_norm=1.0,
+              t_min=None, mean=None, jobs=1) -> TailReport:
+    """Check a tail bound against simulation.
+
+    sampler(rng, size) returns realizations stacked on the first axis and
+    f maps them to a float per realization.  Batches of MC_BATCH draw from
+    seeds (seed, batch); jobs > 1 runs batches in worker processes (sampler
+    and f must then be picklable) with output identical to serial.  mean
+    None centers at the empirical grand mean.  t_min switches the bound to
+    the chain variant.  Each check passes when the empirical tail is at
+    most the bound plus three binomial standard errors.
+    """
+    u_grid = [float(u) for u in u_grid]
+    if not u_grid:
+        raise ValueError("u_grid must be nonempty")
+    if n_samples < 2:
+        raise ValueError(f"need at least 2 samples, got {n_samples}")
+    if t_min is None:
+        bounds = [mcdiarmid_tail(u, c, mixing_norm=mixing_norm)
+                  for u in u_grid]
+    else:
+        bounds = [mcdiarmid_markov_tail(u, c, t_min) for u in u_grid]
+
+    sizes = [MC_BATCH] * (n_samples // MC_BATCH)
+    if n_samples % MC_BATCH:
+        sizes.append(n_samples % MC_BATCH)
+    tasks = [(sampler, f, seed, b, size) for b, size in enumerate(sizes)]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(_mc_batch, tasks))
+    else:
+        chunks = [_mc_batch(t) for t in tasks]
+    values = np.concatenate(chunks)
+
+    center = float(values.mean()) if mean is None else float(mean)
+    deviations = np.abs(values - center)
+    checks = []
+    for u, bound in zip(u_grid, bounds):
+        empirical = float(np.mean(deviations >= u))
+        stderr = math.sqrt(empirical * (1.0 - empirical) / n_samples)
+        ok = empirical <= bound + 3.0 * stderr
+        checks.append(TailCheck(u, bound, empirical, stderr, ok))
+    return TailReport(checks=checks, n_samples=n_samples, center=center)
+
+
+@dataclass(frozen=True)
+class LogRatioReport:
+    """Distances between two positive distributions against the caps the
+    worst log ratio implies."""
+
+    log_ratio_bound: float
+    tv: float
+    kl: float
+    hellinger_sq: float
+    tv_ok: bool
+    kl_ok: bool
+    hellinger_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.tv_ok and self.kl_ok and self.hellinger_ok
+
+
+def log_ratio_checks(p, q) -> LogRatioReport:
+    """Verify tv <= sqrt(2B), kl <= B, hellinger_sq <= 2B where B is the
+    worst absolute log ratio of the two distributions."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
+    validate_distribution(p)
+    validate_distribution(q)
+    if p.min() <= 0.0 or q.min() <= 0.0:
+        raise ValueError("both distributions must be strictly positive")
+    bound = float(np.max(np.abs(np.log(p / q))))
+    tv = tv_distance(p, q)
+    kl = kl_divergence(p, q)
+    hellinger_sq = float(np.sum((np.sqrt(p) - np.sqrt(q)) ** 2))
+    return LogRatioReport(
+        log_ratio_bound=bound,
+        tv=tv,
+        kl=kl,
+        hellinger_sq=hellinger_sq,
+        tv_ok=tv <= math.sqrt(2.0 * bound) + CHECK_SLACK,
+        kl_ok=kl <= bound + CHECK_SLACK,
+        hellinger_ok=hellinger_sq <= 2.0 * bound + CHECK_SLACK,
+    )

@@ -1,0 +1,302 @@
+"""Next-token oracles served over HTTP.
+
+Two clients: one for the native JSON protocol (POST {"context": [...],
+"alphabet": [...]} answered by {"probs": [...]}) and one for
+OpenAI-style completions responses carrying top log-probabilities.  A
+threaded in-process mock server speaks the native protocol for
+integration tests and the mock-serve command.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import threading
+from dataclasses import dataclass
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import numpy as np
+import requests
+
+from .generators import random_chain
+from .oracles import Oracle, OracleError, validate_distribution
+
+MOCK_P_MIN = 0.05
+
+
+class RemoteOracleError(OracleError):
+    """Transport, protocol, or normalization failure at an endpoint."""
+
+
+@dataclass
+class RemoteOracleConfig:
+    """Connection settings plus the state-symbol alphabet.
+
+    The alphabet fixes both the rendering of contexts and the order of
+    the returned probabilities.
+    """
+
+    endpoint: str
+    alphabet: tuple
+    separator: str = ","
+    timeout_ms: int = 10_000
+    max_inflight: int = 4
+
+    def __post_init__(self):
+        self.alphabet = tuple(str(s) for s in self.alphabet)
+        if not self.alphabet:
+            raise ValueError("alphabet must be nonempty")
+        if len(set(self.alphabet)) != len(self.alphabet):
+            raise ValueError("alphabet symbols must be distinct")
+        if not self.separator:
+            raise ValueError("separator must be non-empty")
+        if self.timeout_ms <= 0:
+            raise ValueError(f"timeout_ms must be > 0, got {self.timeout_ms}")
+        if self.max_inflight < 1:
+            raise ValueError(
+                f"max_inflight must be >= 1, got {self.max_inflight}")
+
+
+class _HttpOracle(Oracle):
+    """Shared transport: bounded in-flight requests, one session."""
+
+    def __init__(self, config: RemoteOracleConfig):
+        self.config = config
+        self.n_symbols = len(config.alphabet)
+        self._gate = threading.BoundedSemaphore(config.max_inflight)
+        self._session = requests.Session()
+
+    def _symbols(self, context):
+        out = []
+        for s in context:
+            if not 0 <= s < self.n_symbols:
+                raise ValueError(f"state {s} outside the alphabet")
+            out.append(self.config.alphabet[s])
+        return out
+
+    def _post(self, payload) -> dict:
+        try:
+            with self._gate:
+                resp = self._session.post(
+                    self.config.endpoint, json=payload,
+                    timeout=self.config.timeout_ms / 1000.0)
+        except requests.RequestException as exc:
+            raise RemoteOracleError(f"transport failure: {exc}") from exc
+        if not 200 <= resp.status_code < 300:
+            raise RemoteOracleError(
+                f"endpoint returned status {resp.status_code}: "
+                f"{resp.text[:200]}")
+        try:
+            data = resp.json()
+        except ValueError as exc:
+            raise RemoteOracleError("response body is not JSON") from exc
+        if not isinstance(data, dict):
+            raise RemoteOracleError(
+                f"expected a JSON object, got {type(data).__name__}")
+        return data
+
+    @staticmethod
+    def _normalize(vec) -> np.ndarray:
+        arr = np.asarray(vec, dtype=float)
+        if arr.ndim != 1 or not np.all(np.isfinite(arr)) or arr.min() < 0:
+            raise RemoteOracleError(
+                "endpoint probabilities must be finite and nonnegative")
+        total = arr.sum()
+        if total <= 0:
+            raise RemoteOracleError("endpoint probabilities have no mass")
+        arr = arr / total
+        try:
+            return validate_distribution(arr)
+        except OracleError as exc:  # pragma: no cover - renormalized above
+            raise RemoteOracleError(str(exc)) from exc
+
+
+class RemoteOracle(_HttpOracle):
+    """Client for the native oracle protocol."""
+
+    name = "remote"
+
+    def _distribution(self, context):
+        payload = {"context": self._symbols(context),
+                   "alphabet": list(self.config.alphabet)}
+        data = self._post(payload)
+        if "probs" not in data:
+            raise RemoteOracleError('response lacks the "probs" field')
+        probs = data["probs"]
+        if not isinstance(probs, list) or len(probs) != self.n_symbols:
+            raise RemoteOracleError(
+                f"expected {self.n_symbols} probabilities, got "
+                f"{probs if not isinstance(probs, list) else len(probs)}")
+        return self._normalize(probs)
+
+
+def probs_from_openai_response(response, alphabet) -> np.ndarray:
+    """Restrict a completions response's first-token top logprobs to the
+    alphabet.
+
+    A symbol matches its exact token or the single-leading-space variant.
+    Symbols absent from the (truncated) list share the residual mass
+    1 - sum(exp(logprob)) equally; the restriction is then renormalized.
+    """
+    try:
+        table = response["choices"][0]["logprobs"]["top_logprobs"][0]
+    except (KeyError, IndexError, TypeError):
+        raise RemoteOracleError(
+            "response carries no top_logprobs table") from None
+    if not isinstance(table, dict) or not table:
+        raise RemoteOracleError("top_logprobs table is empty")
+    try:
+        listed = {tok: math.exp(float(lp)) for tok, lp in table.items()}
+    except (TypeError, ValueError) as exc:
+        raise RemoteOracleError(f"bad logprob value: {exc}") from exc
+    residual = max(0.0, 1.0 - sum(listed.values()))
+    out = np.zeros(len(alphabet))
+    missing = []
+    for i, sym in enumerate(alphabet):
+        if sym in listed:
+            out[i] = listed[sym]
+        elif " " + sym in listed:
+            out[i] = listed[" " + sym]
+        else:
+            missing.append(i)
+    if missing:
+        out[missing] = residual / len(missing)
+    total = out.sum()
+    if not np.isfinite(total) or total <= 0:
+        raise RemoteOracleError(
+            "no alphabet symbol received any probability mass")
+    return out / total
+
+
+class OpenAIRemoteOracle(_HttpOracle):
+    """Client for OpenAI-compatible completions endpoints.
+
+    The context is rendered as separator-joined symbols with a trailing
+    separator so the next completion token is a bare state symbol.
+    """
+
+    name = "remote-openai"
+
+    def __init__(self, config: RemoteOracleConfig, model=None,
+                 top_logprobs=20):
+        super().__init__(config)
+        self.model = model
+        self.top_logprobs = int(top_logprobs)
+
+    def _distribution(self, context):
+        symbols = self._symbols(context)
+        prompt = ""
+        if symbols:
+            prompt = self.config.separator.join(symbols) + self.config.separator
+        payload = {"prompt": prompt, "max_tokens": 1,
+                   "logprobs": self.top_logprobs, "temperature": 0.0}
+        if self.model is not None:
+            payload["model"] = self.model
+        data = self._post(payload)
+        probs = probs_from_openai_response(data, self.config.alphabet)
+        return self._normalize(probs)
+
+
+class _MockHandler(BaseHTTPRequestHandler):
+    def log_message(self, fmt, *args):
+        pass
+
+    def _reply(self, status, payload):
+        body = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_POST(self):
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+            data = json.loads(self.rfile.read(length) or b"{}")
+        except (ValueError, TypeError):
+            self._reply(400, {"error": "bad JSON"})
+            return
+        context = data.get("context")
+        alphabet = data.get("alphabet")
+        if not isinstance(alphabet, list) or not alphabet \
+                or not isinstance(context, list):
+            self._reply(400, {"error": 'need "context" and "alphabet" lists'})
+            return
+        index = {sym: i for i, sym in enumerate(alphabet)}
+        if len(index) != len(alphabet):
+            self._reply(400, {"error": "alphabet symbols must be distinct"})
+            return
+        unknown = [s for s in context if s not in index]
+        if unknown:
+            self._reply(400, {"error": f"unknown symbol {unknown[0]!r}"})
+            return
+        probs = self.server.oracle_probs(len(alphabet),
+                                         index[context[-1]] if context else None)
+        self._reply(200, {"probs": probs})
+
+
+class _MockServer(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def __init__(self, address, seed):
+        super().__init__(address, _MockHandler)
+        self.seed = seed
+        self._chains = {}
+        self._lock = threading.Lock()
+
+    def oracle_probs(self, d, last_index):
+        if last_index is None:
+            return [1.0 / d] * d
+        with self._lock:
+            if d not in self._chains:
+                self._chains[d] = random_chain(
+                    d, p_min=MOCK_P_MIN, seed=self.seed).dense()
+        return [float(x) for x in self._chains[d][last_index]]
+
+
+class MockOracleServer:
+    """In-process endpoint answering the native protocol.
+
+    Each alphabet size is served by a fixed row-stochastic chain drawn
+    from (seed, size) alone, so runs against the same settings are
+    reproducible.  The empty context answers uniform; unknown symbols
+    get a 400.
+    """
+
+    def __init__(self, seed=0, port=0):
+        self._server = _MockServer(("127.0.0.1", port), seed)
+        self._thread = None
+
+    @property
+    def url(self) -> str:
+        host, port = self._server.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def start(self):
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._server.serve_forever,
+                kwargs={"poll_interval": 0.05}, daemon=True)
+            self._thread.start()
+        return self
+
+    def stop(self):
+        if self._thread is not None:
+            self._server.shutdown()
+            self._thread.join()
+            self._thread = None
+        self._server.server_close()
+
+    def serve_forever(self):
+        """Run in the foreground until interrupted."""
+        try:
+            self._server.serve_forever()
+        finally:
+            self._server.server_close()
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc):
+        self.stop()
+        return False
