@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .states import VocabSpec, StateSpace, enumerate_states, is_incompatible, successors
+from .states import VocabSpec, StateSpace, enumerate_states
 from .oracles import OracleError
 
 ROW_SUM_TOL = 1e-9
@@ -71,9 +71,7 @@ class TransitionMatrix:
 
     def nonzero_count(self) -> int:
         if self.is_sparse:
-            m = self.probs.copy()
-            m.eliminate_zeros()
-            return m.nnz
+            return int(self.probs.count_nonzero())
         return int(np.count_nonzero(self.probs))
 
     @classmethod
@@ -82,12 +80,16 @@ class TransitionMatrix:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json(self) -> str:
+    def to_payload(self) -> dict:
+        """JSON-ready dict: the nonzero (row, col, value) triplets in
+        row-major order, plus the block layout."""
         coo = self.sparse().tocoo()
         order = np.lexsort((coo.col, coo.row))
-        triplets = [[int(coo.row[k]), int(coo.col[k]), float(coo.data[k])]
-                    for k in order if coo.data[k] != 0.0]
-        return json.dumps({
+        keep = order[coo.data[order] != 0.0]
+        triplets = list(map(list, zip(coo.row[keep].tolist(),
+                                      coo.col[keep].tolist(),
+                                      coo.data[keep].tolist())))
+        return {
             "n": self.n_states,
             "triplets": triplets,
             "blocks": {
@@ -95,7 +97,10 @@ class TransitionMatrix:
                 "recurrent": [self.n_transient, self.n_states],
                 "recurrent_only": self.recurrent_only,
             },
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_payload())
 
     @classmethod
     def from_json(cls, text):
@@ -133,10 +138,20 @@ class StructureReport:
     nilpotency_index: int | None
 
     @property
+    def failures(self) -> list[str]:
+        """The failed checks, by name; empty when the chain is ok."""
+        checks = [
+            (self.block_pattern_ok, "pattern: a nonzero off the successor set"),
+            (self.row_sum_max_error <= ROW_SUM_TOL,
+             f"row sums: max error {self.row_sum_max_error!r} > {ROW_SUM_TOL}"),
+            (self.nilpotency_index is not None,
+             "nilpotency: transient block not nilpotent within K steps"),
+        ]
+        return [what for passed, what in checks if not passed]
+
+    @property
     def ok(self):
-        return (self.block_pattern_ok
-                and self.row_sum_max_error <= ROW_SUM_TOL
-                and self.nilpotency_index is not None)
+        return not self.failures
 
 
 def build_qf(oracle, spec: VocabSpec, space: StateSpace | None = None) -> TransitionMatrix:
@@ -152,32 +167,24 @@ def build_qf(oracle, spec: VocabSpec, space: StateSpace | None = None) -> Transi
         space = enumerate_states(spec)
     T = spec.n_tokens
     n = len(space)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indices = np.empty(n * T, dtype=np.int64)
-    data = np.empty(n * T, dtype=float)
-    pos = 0
-    for i, state in enumerate(space):
-        p = np.asarray(oracle.query(state), dtype=float)
-        if p.shape != (T,):
-            raise OracleError(
-                f"oracle returned shape {p.shape} for state {state}, expected ({T},)")
-        if np.any(p < 0):
-            raise OracleError(f"negative probability in row for state {state}")
-        s = p.sum()
-        if abs(s - 1.0) > ROW_SUM_TOL:
-            if abs(s - 1.0) <= ROW_REPAIR_TOL:
-                p = p / s
-            else:
-                raise OracleError(
-                    f"row for state {state} sums to {s}; drift above {ROW_REPAIR_TOL}")
-        cols = np.fromiter((space.index(v) for v in successors(state, spec)),
-                           dtype=np.int64, count=T)
-        order = np.argsort(cols)
-        indices[pos:pos + T] = cols[order]
-        data[pos:pos + T] = p[order]
-        pos += T
-        indptr[i + 1] = pos
-    m = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    P = np.asarray(oracle.query_many(space, np.arange(n)), dtype=float)
+    if P.shape != (n, T):
+        raise OracleError(f"oracle returned shape {P.shape[1:]} for state "
+                          f"{space[0]}, expected ({T},)")
+    negative = (P < 0).any(axis=1)
+    sums = P.sum(axis=1)
+    drift = np.abs(sums - 1.0)
+    bad = np.flatnonzero(negative | (drift > ROW_REPAIR_TOL))
+    if bad.size:
+        i = bad[0]
+        if negative[i]:
+            raise OracleError(f"negative probability in row for state {space[i]}")
+        raise OracleError(f"row for state {space[i]} sums to {sums[i]}; "
+                          f"drift above {ROW_REPAIR_TOL}")
+    P = np.where((drift > ROW_SUM_TOL)[:, None], P / sums[:, None], P)
+    m = sp.csr_matrix((P.ravel(), space.successor_table().ravel(),
+                       np.arange(0, n * T + 1, T, dtype=np.int64)),
+                      shape=(n, n))
     return TransitionMatrix(m, n_transient=space.n_transient,
                             meta={"n_tokens": T, "context_window": spec.context_window})
 
@@ -203,21 +210,13 @@ def validate_structure(Q: TransitionMatrix, spec: VocabSpec,
     rows, cols = coo.row[mask], coo.col[mask]
     nnz = int(mask.sum())
 
-    pattern_ok = True
-    for i, j in zip(rows, cols):
-        if is_incompatible(space[i], space[j], spec):
-            pattern_ok = False
-            break
-    n_t = space.n_transient
-    if pattern_ok and n_t:
-        # recurrent rows may never point back at transient columns
-        if np.any((rows >= n_t) & (cols < n_t)):
-            pattern_ok = False
+    # the T successors of a state are consecutive indices
+    offset = cols - space.successor_table()[rows, 0]
+    pattern_ok = bool(np.all((offset >= 0) & (offset < T)))
 
     row_sums = np.asarray(Q.sparse().sum(axis=1)).ravel()
     row_err = float(np.abs(row_sums - 1.0).max()) if n else 0.0
 
-    nilp = _nilpotency_index(Q, n_t, K)
     return StructureReport(
         n_states=n,
         nonzero_count=nnz,
@@ -225,20 +224,23 @@ def validate_structure(Q: TransitionMatrix, spec: VocabSpec,
         expected_nonzero_count=T * T * (T**K - 1) // (T - 1),
         row_sum_max_error=row_err,
         block_pattern_ok=pattern_ok,
-        nilpotency_index=nilp,
+        nilpotency_index=_nilpotency_index(Q, space.n_transient, K),
     )
 
 
 def _nilpotency_index(Q, n_transient, K):
-    """Smallest k <= K with the transient block's k-th power identically zero."""
+    """Smallest k <= K with the transient block's k-th power identically zero.
+
+    B^k vanishes iff no state starts a k-step path inside the block.
+    """
     if n_transient == 0:
         return 0
-    block = (Q.dense()[:n_transient, :n_transient] != 0.0).astype(np.int64)
-    power = block.copy()
+    block = Q.sparse()[:n_transient, :n_transient] != 0.0
+    alive = np.ones(n_transient, dtype=bool)
     for k in range(1, K + 1):
-        if not power.any():
+        alive = block @ alive
+        if not alive.any():
             return k
-        power = (power @ block > 0).astype(np.int64)
     return None
 
 

@@ -138,10 +138,18 @@ def _write_json(path: Path, config, seed, payload: dict):
 def _vocab_spec(config) -> VocabSpec:
     n_tokens = _take(config, "n_tokens", int)
     context_window = _take(config, "context_window", int)
+    return _checked_spec(n_tokens, context_window,
+                         "config.n_tokens/context_window")
+
+
+def _checked_spec(n_tokens, context_window, path) -> VocabSpec:
+    """The spec, once its state space is known to fit under the state cap."""
     try:
-        return VocabSpec(n_tokens, context_window)
+        spec = VocabSpec(n_tokens, context_window)
+        enumerate_states(spec)
     except ValueError as exc:
-        raise ConfigError(f"config.n_tokens/context_window: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
+    return spec
 
 
 def _remote_config(cfg, n_symbols, path) -> RemoteOracleConfig:
@@ -253,6 +261,11 @@ def _start_vector(config, d, path="config"):
     raise ConfigError(f"{path}.start: expected int or list")
 
 
+def _require_ok(report):
+    if not report.ok:
+        raise StructureError("; ".join(report.failures))
+
+
 def _structure_payload(report):
     return {
         "n_states": report.n_states,
@@ -275,8 +288,9 @@ def cmd_build(config, out: Path, jobs: int) -> int:
     seed = config.get("seed", 0)
     spec, oracle, matrix = _sequence_chain(config, seed)
     report = validate_structure(matrix, spec)
+    _require_ok(report)
     _write_json(out / "matrix.json", config, seed,
-                {"matrix": json.loads(matrix.to_json())})
+                {"matrix": matrix.to_payload()})
     _write_json(out / "structure.json", config, seed,
                 {"structure": _structure_payload(report)})
     print(f"built {report.n_states} states, {report.nonzero_count} nonzeros "
@@ -376,7 +390,7 @@ def cmd_generate(config, out: Path, jobs: int) -> int:
     seed = config.get("seed", 0)
     matrix = _generator_chain(config)
     _write_json(out / "matrix.json", config, seed, {
-        "matrix": json.loads(matrix.to_json()),
+        "matrix": matrix.to_payload(),
         "meta": matrix.meta,
     })
     sample = _take(config, "sample", dict, default=None)
@@ -578,10 +592,11 @@ def cmd_train_toy(config, out: Path, jobs: int) -> int:
                         "tol", "max_iter"})
     seed = config.get("seed", 0)
     context_length = _take(config, "context_length", int, default=3)
+    spec = _checked_spec(2, context_length, "config.context_length")
     model, dataset = _toy_model(config, context_length, seed, "config")
-    spec = VocabSpec(2, context_length)
     matrix = build_qf(model, spec)
     report = validate_structure(matrix, spec)
+    _require_ok(report)
     stat = stationary(
         matrix,
         float(_take(config, "tol", _NUMBER, default=DEFAULT_TOL)),
@@ -601,7 +616,7 @@ def cmd_train_toy(config, out: Path, jobs: int) -> int:
     _write_json(out / "model.json", config, seed,
                 {"model": json.loads(model.to_json())})
     _write_json(out / "matrix.json", config, seed,
-                {"matrix": json.loads(matrix.to_json())})
+                {"matrix": matrix.to_payload()})
     _write_json(out / "structure.json", config, seed,
                 {"structure": _structure_payload(report)})
     loss_body = "epoch,loss\n" + "".join(

@@ -43,7 +43,7 @@ def validate_distribution(p, tol=SUM_TOL):
 
 
 def apply_temperature(logits, temperature):
-    """softmax(logits / temperature), computed stably.
+    """softmax(logits / temperature) along the last axis, computed stably.
 
     Raising the temperature flattens the distribution: the minimum entry is
     nondecreasing in the temperature for any fixed logit vector.
@@ -53,9 +53,9 @@ def apply_temperature(logits, temperature):
     x = np.asarray(logits, dtype=float) / temperature
     if not np.all(np.isfinite(x)):
         raise ValueError("logits must be finite")
-    x = x - x.max()
+    x = x - x.max(axis=-1, keepdims=True)
     e = np.exp(x)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_floor(logits):
@@ -86,6 +86,20 @@ class Oracle:
             context = context[-cap:]
         return self._distribution(context)
 
+    def query_many(self, space, rows) -> np.ndarray:
+        """Next-token distributions of the states ``space[i]`` for i in
+        ``rows``, as an (m, T) array.  By default ``query`` answers them
+        one at a time; an override must return exactly the same rows."""
+        T = space.spec.n_tokens
+        out = np.empty((len(rows), T))
+        for k, i in enumerate(rows):
+            p = np.asarray(self.query(space[i]), dtype=float)
+            if p.shape != (T,):
+                raise OracleError(f"oracle returned shape {p.shape} for "
+                                  f"state {space[i]}, expected ({T},)")
+            out[k] = p
+        return out
+
     def _distribution(self, context):
         raise NotImplementedError
 
@@ -109,6 +123,11 @@ class ChainOracle(Oracle):
     def _distribution(self, context):
         return self.rows[context[-1]]
 
+    def query_many(self, space, rows):
+        # the last token of state o_L + v is v mod T, and every o_L is a
+        # multiple of T
+        return self.rows[np.asarray(rows) % space.spec.n_tokens]
+
 
 class UniformOracle(Oracle):
     """Answers 1/T for every token regardless of context."""
@@ -122,6 +141,9 @@ class UniformOracle(Oracle):
 
     def _distribution(self, context):
         return self._row
+
+    def query_many(self, space, rows):
+        return np.tile(self._row, (len(rows), 1))
 
 
 class RandomLogitOracle(Oracle):
@@ -151,6 +173,11 @@ class RandomLogitOracle(Oracle):
     def _distribution(self, context):
         row = self.logits[self.space.index(context)]
         return apply_temperature(row, self.temperature)
+
+    def query_many(self, space, rows):
+        if space.spec != self.space.spec:
+            return super().query_many(space, rows)
+        return apply_temperature(self.logits[rows], self.temperature)
 
 
 class NgramOracle(Oracle):

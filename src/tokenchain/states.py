@@ -3,14 +3,17 @@
 A model with vocabulary size ``T`` and context window ``K`` walks on the
 set of all token sequences of length 1..K.  Sequences grow by appending
 tokens until they hit the window, after which the oldest token is dropped
-(front truncation).  This module enumerates that state space, assigns a
-canonical index to every sequence, and decides which ordered pairs of
-sequences can follow each other in one step.
+(front truncation).  This module numbers that state space in closed
+form, maps sequences to indices and back, and decides which ordered
+pairs of sequences can follow each other in one step.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 # Dense analysis of the full-length block needs O(T^K) rows in memory.
 DEFAULT_STATE_CAP = 1 << 24
@@ -48,12 +51,15 @@ class VocabSpec:
 
 
 class StateSpace:
-    """Explicit enumeration of all sequences of length 1..K over T tokens.
+    """All sequences of length 1..K over T tokens, addressed by index arithmetic.
 
     States are ordered by length first, then by the base-T numeric value of
-    the token list.  Shorter-than-K sequences therefore occupy the leading
-    indices and the T^K full-length sequences the trailing block, which
-    fixes the transient/recurrent matrix layout.
+    the token list: the length-L sequence with value v sits at index
+    o_L + v, where o_L counts the sequences shorter than L.  Shorter-than-K
+    sequences therefore occupy the leading indices and the T^K full-length
+    sequences the trailing block, which fixes the transient/recurrent
+    matrix layout.  Only the offsets are stored; tuples are decoded on
+    demand.
     """
 
     def __init__(self, spec: VocabSpec, max_states: int = DEFAULT_STATE_CAP):
@@ -67,19 +73,21 @@ class StateSpace:
         self._offsets = [0]
         for length in range(1, K + 1):
             self._offsets.append(self._offsets[-1] + T**length)
-        states = []
-        for length in range(1, K + 1):
-            states.extend(_sequences_of_length(T, length))
-        self._states: list[tuple[int, ...]] = states
 
     def __len__(self) -> int:
-        return len(self._states)
+        return self._offsets[-1]
 
     def __iter__(self):
-        return iter(self._states)
+        for length in range(1, self.spec.context_window + 1):
+            yield from itertools.product(range(self.spec.n_tokens),
+                                         repeat=length)
 
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self._states[i]
+    def __getitem__(self, i) -> tuple[int, ...]:
+        i = range(len(self))[i]  # list semantics: negative i, IndexError
+        length = next(L for L, o in enumerate(self._offsets) if i < o)
+        digits = np.unravel_index(i - self._offsets[length - 1],
+                                  (self.spec.n_tokens,) * length)
+        return tuple(map(int, digits))
 
     def index(self, tokens) -> int:
         """Canonical index of a sequence: length-major, base-T within a length."""
@@ -94,23 +102,24 @@ class StateSpace:
             value = value * T + t
         return self._offsets[len(tokens) - 1] + value
 
+    def successor_table(self) -> np.ndarray:
+        """(n, T) int64 array whose row i lists the indices of
+        ``successors(space[i])``, ascending in the appended token.
+
+        State o_L + v keeps its last h = min(L, K - 1) tokens, v mod T^h,
+        and appends t: its successors are o_{h+1} + (v mod T^h) T + t.
+        """
+        T, K = self.spec.n_tokens, self.spec.context_window
+        first = []
+        for length in range(1, K + 1):
+            h = min(length, K - 1)
+            v = np.arange(T**length, dtype=np.int64)
+            first.append(self._offsets[h] + v % T**h * T)
+        return np.concatenate(first)[:, None] + np.arange(T)
+
     @property
     def n_transient(self) -> int:
         return self.spec.transient_count
-
-
-def _sequences_of_length(T, length):
-    seq = [0] * length
-    out = [tuple(seq)]
-    # odometer increment in base T keeps the ordering numeric
-    for _ in range(T**length - 1):
-        pos = length - 1
-        while seq[pos] == T - 1:
-            seq[pos] = 0
-            pos -= 1
-        seq[pos] += 1
-        out.append(tuple(seq))
-    return out
 
 
 def enumerate_states(spec: VocabSpec,

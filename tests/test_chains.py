@@ -100,6 +100,28 @@ def test_negative_and_misshapen_rows_fail_the_build():
         build_qf(FixedRowOracle([0.5, 0.25, 0.25]), spec)
 
 
+class TableOracle(Oracle):
+    """Answers from a context -> row table, and ``default`` elsewhere."""
+
+    def __init__(self, table, default):
+        self.table = {k: np.asarray(v, dtype=float) for k, v in table.items()}
+        self.default = np.asarray(default, dtype=float)
+        self.n_symbols = self.default.size
+
+    def _distribution(self, context):
+        return self.table.get(context, self.default)
+
+
+def test_build_errors_name_the_first_offending_state():
+    spec = VocabSpec(2, 2)
+    oracle = TableOracle({(1,): [0.7, 0.7], (0, 1): [1.5, -0.5]}, [0.5, 0.5])
+    with pytest.raises(OracleError, match=r"state \(1,\)"):
+        build_qf(oracle, spec)
+    oracle = TableOracle({(1,): [0.5, 0.25, 0.25]}, [0.5, 0.5])
+    with pytest.raises(OracleError, match=r"shape \(3,\) for state \(1,\)"):
+        build_qf(oracle, spec)
+
+
 def test_corrupted_pattern_is_detected():
     spec = VocabSpec(2, 2)
     dense = build_qf(UniformOracle(2), spec).dense()
@@ -163,3 +185,22 @@ def test_recurrent_block_respects_memory_cap():
     Q = build_qf(UniformOracle(2), spec)
     with pytest.raises(MemoryError):
         recurrent_block(Q, cap_bytes=100)
+
+
+def test_nilpotency_index_at_131070_states():
+    spec = VocabSpec(2, 16)
+    report = validate_structure(build_qf(UniformOracle(2), spec), spec)
+    assert report.n_states == 131_070
+    assert report.nilpotency_index == 15
+    assert report.ok
+
+
+def test_build_and_validate_at_two_million_states():
+    # 2,097,150 states: an n x n array of any dtype would not fit in memory
+    spec = VocabSpec(2, 20)
+    Q = build_qf(UniformOracle(2), spec)
+    report = validate_structure(Q, spec)
+    assert report.n_states == 2_097_150
+    assert report.nonzero_count == report.expected_nonzero_count
+    assert report.nilpotency_index == 19
+    assert report.ok

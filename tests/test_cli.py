@@ -1,3 +1,4 @@
+import hashlib
 import json
 import signal
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from tokenchain import cli
 from tokenchain.chains import TransitionMatrix
 from tokenchain.cli import main
 from tokenchain.remote import MockOracleServer
@@ -61,6 +63,59 @@ def test_build_reruns_are_byte_identical(tmp_path):
     for name in ("matrix.json", "structure.json"):
         assert (tmp_path / "one" / name).read_bytes() == \
             (tmp_path / "two" / name).read_bytes()
+
+
+def test_build_outputs_are_pinned(tmp_path):
+    """sha256 of the outputs as the tuple-per-state build wrote them."""
+    cfg = {"n_tokens": 3, "context_window": 4,
+           "oracle": {"kind": "random_logits", "seed": 0}}
+    assert run(tmp_path, "build", cfg) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
+               .hexdigest() for name in ("matrix.json", "structure.json")}
+    assert digests == {
+        "matrix.json":
+            "dc7569a61fe23c029334807f757911c82aa6272f716613adbc5b4b85283e6d99",
+        "structure.json":
+            "4a790709bb633646d8c94c67a9529880873f2c5a04e6b4d22e4f5449bf180c9a",
+    }
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("build", {"oracle": {"kind": "uniform"}}),
+    ("analyze", {"oracle": {"kind": "uniform"}}),
+    ("sweep-temperature", {"oracle": {"kind": "random_logits"},
+                           "temperatures": [1.0]}),
+])
+def test_over_cap_state_space_exits_2(tmp_path, capsys, command, extra):
+    cfg = dict(extra, n_tokens=2, context_window=25)
+    assert run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err
+    assert "67108862 states" in err and "16777216" in err
+    assert "Traceback" not in err
+
+
+def test_over_cap_train_toy_exits_2(tmp_path, capsys):
+    assert run(tmp_path, "train-toy", {"context_length": 25, "epochs": 1}) == 2
+    assert "16777216" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("build", BUILD_CFG),
+    ("train-toy", {"n_digits": 12, "epochs": 2}),
+])
+def test_failed_structure_check_exits_3_before_writing(
+        tmp_path, capsys, monkeypatch, command, cfg):
+    real = cli.validate_structure
+
+    def broken(matrix, spec):
+        report = real(matrix, spec)
+        report.block_pattern_ok = False
+        return report
+
+    monkeypatch.setattr(cli, "validate_structure", broken)
+    assert run(tmp_path, command, cfg) == 3
+    assert "pattern" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "matrix.json").exists()
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -10,7 +10,7 @@ from tokenchain.oracles import (
     parity_sequence, parity_spec, softmax_floor, train_toy,
     validate_distribution, windowed_examples,
 )
-from tokenchain.states import enumerate_states
+from tokenchain.states import VocabSpec, enumerate_states
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +245,28 @@ def test_toy_config_validation():
         ToyModelConfig(epochs=0)
     with pytest.raises(ValueError):
         ToyModelConfig(temperature=-1.0)
+
+
+@pytest.mark.parametrize("tau", [0.1, 1.0, 3.0])
+@pytest.mark.parametrize("T,K", [(2, 4), (3, 3), (8, 2)])
+def test_query_many_equals_stacked_query(T, K, tau):
+    space = enumerate_states(VocabSpec(T, K))
+    chain = np.random.default_rng(1).dirichlet(np.ones(T), size=T)
+    oracles = [
+        RandomLogitOracle(space, seed=4, scale=2.0).with_temperature(tau),
+        UniformOracle(T),
+        ChainOracle(chain),
+    ]
+    n = len(space)
+    for rows in (np.arange(n), np.array([n - 1, 0, n // 2, 0])):
+        for oracle in oracles:
+            stacked = np.array([oracle.query(space[i]) for i in rows])
+            assert np.array_equal(oracle.query_many(space, rows), stacked)
+
+
+def test_random_logit_query_many_on_a_wider_window_truncates_contexts():
+    oracle = RandomLogitOracle(enumerate_states(VocabSpec(2, 2)), seed=3)
+    space = enumerate_states(VocabSpec(2, 4))
+    rows = np.arange(len(space))
+    stacked = np.array([oracle.query(space[i]) for i in rows])
+    assert np.array_equal(oracle.query_many(space, rows), stacked)

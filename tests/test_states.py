@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tokenchain.states import (
     VocabSpec, enumerate_states, is_incompatible, successors,
@@ -102,3 +103,23 @@ def test_compatible_pair_count_closed_form(T, K):
     pairs = sum(1 for u in space for v in space
                 if not is_incompatible(u, v, spec))
     assert pairs == T * T * (T**K - 1) // (T - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 5))
+def test_closed_form_index_math_matches_brute_force(T, K):
+    spec = VocabSpec(T, K)
+    space = enumerate_states(spec)
+    states = brute_force_states(T, K)
+    where = {state: i for i, state in enumerate(states)}
+    assert len(space) == len(states)
+    assert list(space) == states
+    assert [space[i] for i in range(len(states))] == states
+    assert space[-1] == states[-1]
+    with pytest.raises(IndexError):
+        space[len(states)]
+    assert [space.index(state) for state in states] == list(range(len(states)))
+    table = space.successor_table()
+    assert table.shape == (len(states), T)
+    assert table.tolist() == [[where[v] for v in successors(u, spec)]
+                              for u in states]
