@@ -25,6 +25,9 @@ ROW_REPAIR_TOL = 1e-6
 
 # recurrent_block materializes a dense T^K x T^K array
 DENSE_BLOCK_CAP_BYTES = 1 << 31
+# spectral.stationary's doubling search stores up to log2(max_iter) dense
+# n x n powers; a chain whose powers need more keeps the sparse loop
+POWERS_BUDGET_BYTES = 1 << 28
 
 
 class StructureError(Exception):

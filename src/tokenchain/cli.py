@@ -21,7 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chains import StructureError, build_qf, validate_structure
+from .chains import (
+    DENSE_BLOCK_CAP_BYTES,
+    StructureError,
+    build_qf,
+    validate_structure,
+)
 from .estimation import (
     FrequentistEstimator,
     NgramEstimator,
@@ -55,7 +60,7 @@ from .spectral import (
     DEFAULT_TOL,
     classify_states,
     convergence_profile,
-    doeblin_epsilon,
+    mixing_bytes,
     mixing_report,
     stationary,
     sweep_temperature,
@@ -173,16 +178,21 @@ def _remote_config(cfg, n_symbols, path) -> RemoteOracleConfig:
 
 def _toy_model(cfg, context_length, seed, path):
     n_digits = _take(cfg, "n_digits", int, default=40, path=path)
-    model_config = ToyModelConfig(
-        context_length=context_length,
-        embedding_dim=_take(cfg, "embedding_dim", int, default=16, path=path),
-        learning_rate=_take(cfg, "learning_rate", _NUMBER, default=0.1,
-                            path=path),
-        epochs=_take(cfg, "epochs", int, default=500, path=path),
-        seed=_take(cfg, "seed", int, default=seed, path=path),
-        temperature=_take(cfg, "temperature", _NUMBER, default=1.0,
-                          path=path),
-    )
+    try:
+        model_config = ToyModelConfig(
+            context_length=context_length,
+            embedding_dim=_take(cfg, "embedding_dim", int, default=16,
+                                path=path),
+            learning_rate=_take(cfg, "learning_rate", _NUMBER, default=0.1,
+                                path=path),
+            epochs=_take(cfg, "epochs", int, default=500, path=path),
+            seed=_take(cfg, "seed", int, default=seed, path=path),
+            temperature=_take(cfg, "temperature", _NUMBER, default=1.0,
+                              path=path),
+        )
+    except ValueError as exc:
+        # ToyModelConfig's messages start with the offending field's name
+        raise ConfigError(f"{path}.{exc}") from exc
     sequence = parity_sequence(n_digits)
     dataset = windowed_examples(sequence, context_length)
     return train_toy(dataset, model_config, n_tokens=2), dataset
@@ -298,36 +308,69 @@ def cmd_build(config, out: Path, jobs: int) -> int:
     return 0
 
 
-def _analysis_matrix(config, seed):
-    has_chain = "chain" in config
-    has_oracle = "oracle" in config
-    if has_chain == has_oracle:
-        raise ConfigError(
-            'config: give exactly one of "chain" or "oracle" (with '
-            '"n_tokens" and "context_window")')
-    if has_chain:
-        return _generator_chain(config)
-    return _sequence_chain(config, seed)[2]
+def _solver_settings(config):
+    """The power iteration's tol and max_iter, checked."""
+    tol = _take(config, "tol", _NUMBER, default=DEFAULT_TOL)
+    if not tol > 0:
+        raise ConfigError(f"config.tol: must be > 0, got {tol!r}")
+    max_iter = _take(config, "max_iter", int, default=DEFAULT_MAX_ITER)
+    if max_iter < 1:
+        raise ConfigError(f"config.max_iter: must be >= 1, got {max_iter}")
+    return float(tol), max_iter
+
+
+def _analysis_settings(config):
+    """analyze's n_max, t_cap and threshold grid, checked."""
+    n_max = _take(config, "n_max", int, default=1000)
+    t_cap = _take(config, "t_cap", int, default=DEFAULT_T_CAP)
+    if t_cap < 0:
+        raise ConfigError(f"config.t_cap: must be >= 0, got {t_cap}")
+    grid = _take(config, "grid", list, default=None)
+    if grid is not None:
+        if not grid:
+            raise ConfigError("config.grid: must be nonempty")
+        for i, e in enumerate(grid):
+            if not isinstance(e, _NUMBER) or not 0 <= e < 1:
+                raise ConfigError(f"config.grid[{i}]: expected a number in "
+                                  f"[0, 1), got {e!r}")
+    return n_max, t_cap, grid
 
 
 def cmd_analyze(config, out: Path, jobs: int) -> int:
     _no_extras(config, {"n_tokens", "context_window", "oracle", "chain",
                         "seed", "tol", "max_iter", "n_max", "t_cap", "grid"})
     seed = config.get("seed", 0)
-    tol = float(_take(config, "tol", _NUMBER, default=DEFAULT_TOL))
-    max_iter = _take(config, "max_iter", int, default=DEFAULT_MAX_ITER)
-    n_max = _take(config, "n_max", int, default=1000)
-    t_cap = _take(config, "t_cap", int, default=DEFAULT_T_CAP)
-    grid = _take(config, "grid", list, default=None)
+    tol, max_iter = _solver_settings(config)
+    n_max, t_cap, grid = _analysis_settings(config)
+    if ("chain" in config) == ("oracle" in config):
+        raise ConfigError(
+            'config: give exactly one of "chain" or "oracle" (with '
+            '"n_tokens" and "context_window")')
+    if "chain" in config:
+        matrix = _generator_chain(config)
+        n_states, window, path = matrix.n_states, 1, "config.chain.d"
+    else:
+        spec = _vocab_spec(config)
+        n_states, window = spec.state_count, spec.context_window
+        path = "config.n_tokens/context_window"
+    if n_max < window:
+        raise ConfigError(f"config.n_max: must be >= the context window "
+                          f"{window}, got {n_max}")
+    need = mixing_bytes(n_states, t_cap)
+    if need > DENSE_BLOCK_CAP_BYTES:
+        raise ConfigError(
+            f"{path}: analyzing {n_states} states needs {need} bytes of "
+            f"dense arrays, above the cap of {DENSE_BLOCK_CAP_BYTES}")
+    if "oracle" in config:
+        oracle = _oracle_from_config(_take(config, "oracle", dict), spec, seed)
+        matrix = build_qf(oracle, spec)
 
-    matrix = _analysis_matrix(config, seed)
     classification = classify_states(matrix)
     stat = stationary(matrix, tol, max_iter, classification=classification)
     report = mixing_report(matrix, pi=stat.pi, grid=grid, t_cap=t_cap,
-                           tol=tol, max_iter=max_iter)
-    epsilon = doeblin_epsilon(matrix)
-    profile = convergence_profile(matrix, n_max=n_max, pi=stat.pi, tol=tol,
-                                  max_iter=max_iter)
+                           classification=classification)
+    profile = convergence_profile(matrix, n_max=n_max, pi=stat.pi)
+    epsilon = profile.epsilon
 
     body = "state,probability\n" + "".join(
         f"{i},{float(p)!r}\n" for i, p in enumerate(stat.pi))
@@ -344,6 +387,7 @@ def cmd_analyze(config, out: Path, jobs: int) -> int:
         "n_transient": len(report.transient_states),
         "epsilon": float(epsilon),
         "envelope_vacuous": profile.vacuous,
+        "envelope_violations": profile.violations,
         "t_min": _render(report.t_min),
         "argmin_epsilon": report.argmin_epsilon,
         "stationary": {
@@ -375,10 +419,9 @@ def cmd_sweep_temperature(config, out: Path, jobs: int) -> int:
         raise ConfigError("config.oracle.kind: this oracle has no "
                           "temperature control; use random_logits or "
                           "parity_toy")
-    points = sweep_temperature(
-        oracle, spec, temperatures,
-        tol=float(_take(config, "tol", _NUMBER, default=DEFAULT_TOL)),
-        max_iter=_take(config, "max_iter", int, default=DEFAULT_MAX_ITER))
+    tol, max_iter = _solver_settings(config)
+    points = sweep_temperature(oracle, spec, temperatures, tol=tol,
+                               max_iter=max_iter)
     _write_csv(out / "sweep.csv", config, seed, temperature_csv(points))
     print(f"swept {len(points)} temperatures: epsilon "
           f"{float(points[0].epsilon)!r} -> {float(points[-1].epsilon)!r}")
@@ -593,14 +636,12 @@ def cmd_train_toy(config, out: Path, jobs: int) -> int:
     seed = config.get("seed", 0)
     context_length = _take(config, "context_length", int, default=3)
     spec = _checked_spec(2, context_length, "config.context_length")
+    tol, max_iter = _solver_settings(config)
     model, dataset = _toy_model(config, context_length, seed, "config")
     matrix = build_qf(model, spec)
     report = validate_structure(matrix, spec)
     _require_ok(report)
-    stat = stationary(
-        matrix,
-        float(_take(config, "tol", _NUMBER, default=DEFAULT_TOL)),
-        _take(config, "max_iter", int, default=DEFAULT_MAX_ITER))
+    stat = stationary(matrix, tol, max_iter)
 
     space = enumerate_states(spec)
     seen = {context for context, _ in dataset}

@@ -17,14 +17,9 @@ import numpy as np
 
 from .chains import TransitionMatrix
 from .oracles import ChainOracle, fit_ngram
+from .spectral import _as_dense, _cell
 
 MAX_EXACT_RISK_STATES = 64
-
-
-def _dense_rows(Q) -> np.ndarray:
-    if isinstance(Q, TransitionMatrix):
-        return Q.dense()
-    return np.asarray(Q, dtype=float)
 
 
 @dataclass
@@ -48,7 +43,7 @@ class Trajectory:
 
 def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
     """Sample an n-state path; ``start`` is a state id or a distribution."""
-    rows = _dense_rows(Q)
+    rows = _as_dense(Q)
     d = rows.shape[0]
     if n < 1:
         raise ValueError(f"need at least one state, got n={n}")
@@ -141,7 +136,7 @@ def kl_divergence(p, q) -> float:
 
 
 def _per_step_divergences(Q_true, predictor, traj, div):
-    rows = _dense_rows(Q_true)
+    rows = _as_dense(Q_true)
     states = traj.states if isinstance(traj, Trajectory) else np.asarray(traj, dtype=np.int64)
     cap = getattr(predictor, "context_cap", None)
     if cap == 1:
@@ -176,7 +171,7 @@ def expected_tv_risk(Q_true, predictor, n_steps, start=None) -> float:
     64 states; the marginal at each step is propagated explicitly instead
     of sampling trajectories.
     """
-    rows = _dense_rows(Q_true)
+    rows = _as_dense(Q_true)
     d = rows.shape[0]
     if d > MAX_EXACT_RISK_STATES:
         raise ValueError(f"exact risk limited to {MAX_EXACT_RISK_STATES} states, got {d}")
@@ -222,12 +217,6 @@ class RiskCurve:
         return "\n".join(lines) + "\n"
 
 
-def _cell(x) -> str:
-    if isinstance(x, float) and math.isinf(x):
-        return "-inf" if x < 0 else "+inf"
-    return repr(x)
-
-
 _METRICS = {"tv": tv_risk, "kl": kl_risk}
 
 
@@ -254,7 +243,7 @@ def icl_risk_curve(Q_true, predictor, n_list, reps, seed=0, metric="tv",
         raise ValueError("need at least two replicates for an interval")
     if metric not in _METRICS:
         raise ValueError(f"metric must be one of {sorted(_METRICS)}, got {metric!r}")
-    rows = _dense_rows(Q_true)
+    rows = _as_dense(Q_true)
     if start is None:
         start = np.full(rows.shape[0], 1.0 / rows.shape[0])
     tasks = [(rows, predictor, n, [seed, i, rep], metric, start)

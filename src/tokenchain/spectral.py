@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .chains import TransitionMatrix, build_qf
+from .chains import POWERS_BUDGET_BYTES, TransitionMatrix, build_qf
 from .states import enumerate_states
 
 DEFAULT_TOL = 1e-12
@@ -61,6 +61,7 @@ class ConvergenceProfile:
     bound_curve: list        # (n, bound)
     empirical_curve: list    # (n, max_ij |Q^n_ij - pi_j|)
     vacuous: bool            # eps == 0: the bound carries no information
+    violations: int = 0      # steps n where empirical > bound + 1e-12
 
     def csv_rows(self) -> str:
         lines = ["n,empirical,bound"]
@@ -172,6 +173,12 @@ def stationary(Q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     and the averaged vector is reported with ``periodic=True``.  The
     stopping rule bounds the L1 step difference, which dominates the
     reported L-inf residual because the chain map is an L1 contraction.
+
+    ``iterations`` is the first step at which the stopping rule holds, or
+    ``max_iter``.  The sparse loop looks for it step by step up to
+    `_switch_step`; a chain still running then continues with a doubling
+    search over dense powers of Q, and ``pi`` is the window-averaged
+    iterate at the step it finds.
     """
     m = _as_csr(Q)
     n = m.shape[0]
@@ -182,7 +189,8 @@ def stationary(Q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     pi = np.full(n, 1.0 / n)
     history = deque([pi], maxlen=window + 1)
     iterations = 0
-    for t in range(1, max_iter + 1):
+    stopped = False
+    for t in range(1, _switch_step(n, m.nnz, window, max_iter) + 1):
         pi = mT @ pi
         total = pi.sum()
         if total > 0:
@@ -191,14 +199,93 @@ def stationary(Q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         iterations = t
         if len(history) == window + 1:
             if np.abs(history[-1] - history[0]).sum() / window <= tol:
+                stopped = True
                 break
     tail = list(history)[-window:]
     out = tail[0] if window == 1 else np.mean(tail, axis=0)
+    if not stopped and iterations < max_iter:
+        # both rows move on by Q^s: the window's step difference, whose L1
+        # norm never grows under a stochastic Q, and the window average
+        start = np.vstack([history[-1] - history[0], out])
+        steps, rows = _doubling_search(
+            start, [m.toarray()], lambda x: np.abs(x[0]).sum() / window,
+            tol, max_iter - iterations)
+        iterations = min(iterations + steps, max_iter)
+        out = rows[1]
     out = out / out.sum()
     residual = float(np.abs(mT @ out - out).max())
     return StationaryResult(pi=out, iterations=iterations, residual=residual,
                             converged=residual <= tol,
                             periodic=window > 1)
+
+
+# What one loop step of `stationary` costs beyond its sparse mat-vec, in
+# flops of dense matrix product.  On a 2-vCPU Xeon with OpenBLAS a step
+# takes 13-35 us and dense products run at 50-100 GFlop/s, so a step is
+# worth about 1-3 Mflop; the smaller constant moves the switch 3-10x past
+# break-even, toward the loop, which needs no second core.
+STEP_OVERHEAD_FLOPS = 200_000
+
+
+def _switch_step(n, nnz, window, max_iter):
+    """Loop steps `stationary` takes before its doubling search.
+
+    The search costs at most L = max_iter.bit_length() dense squarings of
+    2 n^3 flops each, a loop step 2 nnz + STEP_OVERHEAD_FLOPS.  The loop
+    runs for as many steps as the whole search is modeled to cost, so a
+    chain that stops sooner never builds a dense power, and one that runs
+    longer pays at most one search on top of the steps it has taken (the
+    ski-rental bound).  The L + 1 stored n x n arrays must fit
+    POWERS_BUDGET_BYTES; above it the loop runs to max_iter.
+    """
+    levels = max_iter.bit_length()
+    if 8 * n * n * (levels + 1) > POWERS_BUDGET_BYTES:
+        return max_iter
+    search = levels * (2 * n**3 + STEP_OVERHEAD_FLOPS)
+    steps = math.ceil(search / (2 * nnz + STEP_OVERHEAD_FLOPS))
+    return min(max_iter, max(window, steps))
+
+
+def _doubling_search(start, powers, measure, threshold, cap):
+    """First t <= cap with measure(start @ Q^t) <= threshold.
+
+    ``measure`` must be nonincreasing in t.  ``powers`` holds Q, Q^2,
+    Q^4, ... as dense arrays and is extended in place, so searches on one
+    Q share their squarings.  The search gallops over the powers until
+    the threshold is bracketed or the cap passed, then bisects the
+    bracket with the same powers: O(log t) products.  Returns
+    ``(t, start @ Q^t)``, or ``(math.inf, start @ Q^cap)`` when the
+    threshold is not reached by the cap.
+    """
+    if measure(start) <= threshold:
+        return 0, start
+    # invariant: measure > threshold at lo, <= threshold at hi (or hi > cap)
+    lo, x_lo = 0, start
+    k = 0
+    while True:
+        hi = lo + (1 << k)
+        if hi > cap:
+            break
+        if k == len(powers):
+            powers.append(powers[-1] @ powers[-1])
+        x_hi = x_lo @ powers[k]
+        if measure(x_hi) <= threshold:
+            break
+        lo, x_lo = hi, x_hi
+        k += 1
+    for j in range(k - 1, -1, -1):
+        mid = lo + (1 << j)
+        if mid > cap:
+            hi = mid
+            continue
+        y = x_lo @ powers[j]
+        if measure(y) > threshold:
+            lo, x_lo = mid, y
+        else:
+            hi, x_hi = mid, y
+    if hi > cap:
+        return math.inf, x_lo
+    return hi, x_hi
 
 
 def doeblin_epsilon(Q, window=None) -> float:
@@ -249,7 +336,8 @@ def convergence_profile(Q, window=None, n_max=1000, pi=None,
     every state, with the stationary vector zero on transient entries) or an
     extracted recurrent block.  The rate constant is always read off the
     recurrent block of Q^window, and a zero constant is reported as a
-    vacuous bound rather than an error.
+    vacuous bound rather than an error.  Steps where a nonvacuous bound is
+    exceeded by more than 1e-12 are counted in ``violations``.
     """
     D = _as_dense(Q)
     n_t = Q.n_transient if isinstance(Q, TransitionMatrix) else 0
@@ -257,7 +345,8 @@ def convergence_profile(Q, window=None, n_max=1000, pi=None,
         window = Q.meta.get("context_window", 1) if isinstance(Q, TransitionMatrix) else 1
     if n_max < window:
         raise ValueError(f"n_max={n_max} is below the window {window}")
-    eps = float(np.linalg.matrix_power(D[n_t:, n_t:], window).min())
+    M = np.linalg.matrix_power(D, window)
+    eps = float(M[n_t:, n_t:].min())
     if pi is None:
         pi = stationary(Q, tol, max_iter).pi
     pi = np.asarray(pi, dtype=float)
@@ -265,41 +354,49 @@ def convergence_profile(Q, window=None, n_max=1000, pi=None,
         pi = _polish_fixpoint(pi, D)
     base = 1.0 - 2.0 * eps
     bound_curve, empirical_curve = [], []
-    M = np.linalg.matrix_power(D, window)
+    violations = 0
     for n in range(window, n_max + 1):
         dev = float(np.abs(M - pi[None, :]).max())
         b = float(base ** (n // window - 1))
         empirical_curve.append((n, dev))
         bound_curve.append((n, b))
-        if eps > 0:
-            assert dev <= b + 1e-12, f"envelope violated at n={n}: {dev} > {b}"
+        if eps > 0 and dev > b + 1e-12:
+            violations += 1
         if n < n_max:
             M = M @ D
     return ConvergenceProfile(epsilon=eps, window=window,
                               bound_curve=bound_curve,
                               empirical_curve=empirical_curve,
-                              vacuous=eps <= 0.0)
+                              vacuous=eps <= 0.0, violations=violations)
 
 
 def _first_crossing_times(D, pi, thresholds, t_cap):
     """First t <= t_cap with max-start TV(Q^t, pi) <= threshold, per threshold.
 
-    The distance is nonincreasing in t, so one incremental power walk
-    answers every threshold; unreached thresholds map to math.inf.
+    The distance is nonincreasing in t, so the thresholds are taken in
+    descending order, each found by a doubling search that starts from the
+    previous crossing and shares its powers of Q; unreached thresholds map
+    to math.inf.
     """
-    pending = sorted({float(x) for x in thresholds}, reverse=True)
+    def distance(M):
+        return float(0.5 * np.abs(M - pi[None, :]).sum(axis=1).max())
+
+    powers = [D]
+    t, M = 0, np.eye(D.shape[0])
     out = {}
-    M = np.eye(D.shape[0])
-    for t in range(t_cap + 1):
-        d = float(0.5 * np.abs(M - pi[None, :]).sum(axis=1).max())
-        while pending and d <= pending[0]:
-            out[pending.pop(0)] = t
-        if not pending:
-            return out
-        M = M @ D
-    for x in pending:
-        out[x] = math.inf
+    for x in sorted({float(x) for x in thresholds}, reverse=True):
+        if t <= t_cap:
+            steps, M = _doubling_search(M, powers, distance, x, t_cap - t)
+            t += steps
+        out[x] = t
     return out
+
+
+def mixing_bytes(n_states, t_cap=DEFAULT_T_CAP) -> int:
+    """Peak bytes of the dense n x n arrays the mixing schedule holds: the
+    t_cap.bit_length() stored powers of Q, the search's start and bracket
+    rows, the two temporaries of the distance, and the caller's matrix."""
+    return 8 * n_states**2 * (max(t_cap.bit_length(), 1) + 6)
 
 
 def mixing_time(Q, pi, eps, t_cap=DEFAULT_T_CAP):
@@ -335,24 +432,27 @@ def t_min(Q, pi, grid=None, t_cap=DEFAULT_T_CAP):
     """min over the grid of t_mix(eps/2) * ((2 - eps)/(1 - eps))^2.
 
     Ties break toward the smallest threshold; math.inf when no threshold
-    is ever reached (periodic chains).
+    is reached within t_cap, which periodic chains never do.
     """
     _, best, _ = _mixing_rows(Q, pi, DEFAULT_EPS_GRID if grid is None else list(grid), t_cap)
     return best
 
 
 def mixing_report(Q, pi=None, grid=None, t_cap=DEFAULT_T_CAP,
-                  tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> MixingReport:
-    """Full mixing picture: classes, period, the t_mix schedule, and t_min."""
-    report = classify_states(Q)
+                  tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
+                  classification=None) -> MixingReport:
+    """Full mixing picture: classes, period, the t_mix schedule, and t_min.
+
+    A ``classification`` from `classify_states` is reused, not redone.
+    """
+    if classification is None:
+        classification = classify_states(Q)
     if pi is None:
-        pi = stationary(Q, tol, max_iter, classification=report).pi
+        pi = stationary(Q, tol, max_iter, classification=classification).pi
     rows, best, best_eps = _mixing_rows(
         Q, pi, DEFAULT_EPS_GRID if grid is None else list(grid), t_cap)
-    report.rows = rows
-    report.t_min = best
-    report.argmin_epsilon = best_eps
-    return report
+    return replace(classification, rows=rows, t_min=best,
+                   argmin_epsilon=best_eps)
 
 
 @dataclass

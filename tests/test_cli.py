@@ -362,3 +362,65 @@ def test_version_flag():
         capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.strip() == "tokenchain 0.1.0"
+
+
+@pytest.mark.parametrize("command,cfg,path", [
+    ("train-toy", {"embedding_dim": 0, "epochs": 2}, "config.embedding_dim"),
+    ("build", dict(BUILD_CFG, oracle={"kind": "parity_toy",
+                                      "embedding_dim": 0}),
+     "config.oracle.embedding_dim"),
+])
+def test_toy_model_config_errors_exit_2(tmp_path, capsys, command, cfg, path):
+    assert run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
+
+
+SWEEP_CFG = {"n_tokens": 2, "context_window": 2,
+             "oracle": {"kind": "random_logits", "seed": 5},
+             "temperatures": [1.0]}
+
+
+@pytest.mark.parametrize("command,cfg,key", [
+    ("analyze", dict(BUILD_CFG, max_iter=0), "config.max_iter"),
+    ("analyze", dict(BUILD_CFG, tol=0), "config.tol"),
+    ("analyze", dict(BUILD_CFG, t_cap=-1), "config.t_cap"),
+    ("analyze", dict(BUILD_CFG, n_max=1), "config.n_max"),
+    ("analyze", dict(BUILD_CFG, grid=[0.5, 1.0]), "config.grid[1]"),
+    ("analyze", dict(BUILD_CFG, grid=[]), "config.grid"),
+    ("sweep-temperature", dict(SWEEP_CFG, max_iter=0), "config.max_iter"),
+    ("sweep-temperature", dict(SWEEP_CFG, tol=-1e-9), "config.tol"),
+    ("train-toy", {"max_iter": 0, "epochs": 2}, "config.max_iter"),
+    ("train-toy", {"tol": 0.0, "epochs": 2}, "config.tol"),
+])
+def test_bad_spectral_settings_exit_2(tmp_path, capsys, monkeypatch, command,
+                                      cfg, key):
+    def no_work(*args, **kwargs):
+        raise AssertionError("settings must be checked before any work")
+
+    monkeypatch.setattr(cli, "build_qf", no_work)
+    monkeypatch.setattr(cli, "train_toy", no_work)
+    assert run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+def test_analyze_over_dense_cap_exits_2_before_building(tmp_path, capsys,
+                                                        monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("admission must come before the build")
+
+    monkeypatch.setattr(cli, "build_qf", no_build)
+    monkeypatch.setattr(cli, "DENSE_BLOCK_CAP_BYTES", 10_000)
+    assert run(tmp_path, "analyze", BUILD_CFG) == 2
+    err = capsys.readouterr().err
+    # 14 states, t_cap 10,000 (14 bits): 8 * 14^2 * (14 + 6) bytes
+    assert "14 states" in err and "31360 bytes" in err and "10000" in err
+    assert not (tmp_path / "out" / "analysis.json").exists()
+
+
+def test_analyze_reports_envelope_violations(tmp_path):
+    assert run(tmp_path, "analyze", dict(BUILD_CFG, n_max=20)) == 0
+    doc = read_json(tmp_path, "out", "analysis.json")["analysis"]
+    assert doc["envelope_violations"] == 0
+    assert doc["stationary"]["iterations"] >= 1

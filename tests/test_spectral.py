@@ -1,15 +1,20 @@
 import math
+from collections import deque
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
+from tokenchain import spectral
 from tokenchain.chains import build_qf, recurrent_block
 from tokenchain.oracles import RandomLogitOracle, UniformOracle
 from tokenchain.spectral import (
-    DEFAULT_EPS_GRID, classify_states, convergence_profile, doeblin_epsilon,
-    envelope, mixing_report, mixing_time, stationary, sweep_temperature,
-    t_min, temperature_csv,
+    DEFAULT_EPS_GRID, DEFAULT_MAX_ITER, DEFAULT_TOL, classify_states,
+    convergence_profile, doeblin_epsilon, envelope, mixing_report,
+    mixing_time, stationary, sweep_temperature, t_min, temperature_csv,
 )
 from tokenchain.states import VocabSpec, enumerate_states
 
@@ -254,3 +259,153 @@ def test_sweep_temperature_epsilon_nondecreasing():
     text = temperature_csv(points)
     assert text.splitlines()[0] == "temperature,epsilon,iterations"
     assert len(text.strip().splitlines()) == 6
+
+
+# ---------------------------------------------------------------------------
+# doubling search against the step-by-step walks it replaced
+# ---------------------------------------------------------------------------
+
+def _walk_crossings(D, pi, thresholds, t_cap):
+    """Reference: one dense product per step, up to t_cap."""
+    pending = sorted(set(thresholds), reverse=True)
+    out = {}
+    M = np.eye(D.shape[0])
+    for t in range(t_cap + 1):
+        d = float(0.5 * np.abs(M - pi[None, :]).sum(axis=1).max())
+        while pending and d <= pending[0]:
+            out[pending.pop(0)] = t
+        if not pending:
+            return out
+        M = M @ D
+    return {**out, **{x: math.inf for x in pending}}
+
+
+def _loop_stationary(P, window, tol, max_iter):
+    """Reference: the renormalizing sparse power iteration, step by step.
+
+    Returns the stopping step, the window-averaged iterate there, and the
+    stopping rule's measure at every step from the window on.
+    """
+    mT = sp.csr_matrix(P).T.tocsr()
+    pi = np.full(P.shape[0], 1.0 / P.shape[0])
+    history = deque([pi], maxlen=window + 1)
+    measures = {}
+    iterations = 0
+    for t in range(1, max_iter + 1):
+        pi = mT @ pi
+        pi = pi / pi.sum()
+        history.append(pi)
+        iterations = t
+        if len(history) == window + 1:
+            measures[t] = np.abs(history[-1] - history[0]).sum() / window
+            if measures[t] <= tol:
+                break
+    out = np.mean(list(history)[-window:], axis=0)
+    return iterations, out / out.sum(), measures
+
+
+CHAIN_KINDS = ("mixing", "lazy", "periodic", "transient")
+
+
+def _chain(seed, n, kind):
+    """Small row-stochastic test chains.
+
+    mixing: every entry positive.  lazy: stays put with probability
+    0.95-0.995, so thousands of power steps.  periodic: moves through
+    2 or 3 cyclic classes.  transient: the first half of the states only
+    moves forward, into a positive recurrent block.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "mixing":
+        return rng.dirichlet(np.ones(n), size=n)
+    if kind == "lazy":
+        stay = rng.uniform(0.95, 0.995)
+        move = rng.dirichlet(np.ones(n), size=n)
+        return stay * np.eye(n) + (1 - stay) * move
+    P = np.zeros((n, n))
+    if kind == "periodic":
+        period = min(n, int(rng.integers(2, 4)))
+        labels = np.arange(n) % period
+        for i in range(n):
+            targets = np.flatnonzero(labels == (labels[i] + 1) % period)
+            P[i, targets] = rng.dirichlet(np.ones(targets.size))
+        return P
+    h = n // 2
+    for i in range(n):
+        targets = np.arange(i + 1 if i < h else h, n)
+        P[i, targets] = rng.dirichlet(np.ones(targets.size))
+    return P
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7),
+       kind=st.sampled_from(CHAIN_KINDS), t_cap=st.integers(0, 400))
+def test_mixing_crossings_match_the_walk(seed, n, kind, t_cap):
+    P = _chain(seed, n, kind)
+    pi = stationary(P).pi
+    report = mixing_report(P, pi=pi, t_cap=t_cap)
+    walk = _walk_crossings(P, pi, [e / 2 for e in DEFAULT_EPS_GRID], t_cap)
+    assert [r.t_mix for r in report.rows] == \
+        [walk[e / 2] for e in sorted(DEFAULT_EPS_GRID)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7),
+       kind=st.sampled_from(CHAIN_KINDS), switch=st.integers(1, 40),
+       max_iter=st.sampled_from([3, 50, 10**5]))
+def test_stationary_doubling_matches_the_loop(seed, n, kind, switch,
+                                              max_iter):
+    P = _chain(seed, n, kind)
+    window = max(1, classify_states(P).period)
+    steps, pi, measures = _loop_stationary(P, window, DEFAULT_TOL, max_iter)
+    # switch to the doubling search after `switch` loop steps
+    with mock.patch.object(spectral, "_switch_step",
+                           lambda n, nnz, w, m: min(m, max(w, switch))):
+        result = stationary(P, max_iter=max_iter)
+    if kind == "lazy":
+        # on slow chains the loop's rounding moves the stopping step a little
+        assert abs(result.iterations - steps) <= 2 + steps // 100
+    elif result.iterations != steps:
+        # both sides compute the measure to about 1e-5 relative (a
+        # difference of nearly equal vectors), so a step where it sits
+        # that close to tol may fall either way
+        assert abs(result.iterations - steps) == 1
+        tie = measures[min(result.iterations, steps)]
+        assert abs(tie - DEFAULT_TOL) <= 1e-4 * DEFAULT_TOL
+    npt.assert_allclose(result.pi, pi, rtol=0, atol=1e-9)
+    assert result.periodic == (window > 1)
+
+
+def test_stationary_loop_only_above_the_powers_budget(monkeypatch):
+    spec = VocabSpec(2, 3)
+    space = enumerate_states(spec)
+    Q = build_qf(RandomLogitOracle(space, seed=0, scale=2.0,
+                                   temperature=0.3), spec, space)
+    doubled = stationary(Q)
+    assert doubled.iterations > spectral._switch_step(
+        Q.n_states, Q.sparse().nnz, 1, DEFAULT_MAX_ITER)
+    monkeypatch.setattr(spectral, "POWERS_BUDGET_BYTES", 0)
+    looped = stationary(Q)
+    assert abs(doubled.iterations - looped.iterations) <= \
+        2 + looped.iterations // 100
+    assert doubled.converged and looped.converged
+    npt.assert_allclose(doubled.pi, looped.pi, rtol=0, atol=1e-9)
+
+
+def test_stationary_search_stops_at_max_iter():
+    lazy = _chain(0, 5, "lazy")
+    max_iter = 10**4 + 7
+    result = stationary(lazy, tol=1e-300, max_iter=max_iter)
+    assert result.iterations == max_iter
+    assert not result.converged
+    # the iterate at max_iter, as the loop would have left it
+    _, pi, _ = _loop_stationary(lazy, 1, 1e-300, max_iter)
+    npt.assert_allclose(result.pi, pi, rtol=0, atol=1e-12)
+
+
+def test_profile_counts_envelope_violations():
+    # a zero "stationary" vector is a fixed point of the polish, so every
+    # step deviates by the largest entry of Q^n, above the decaying bound
+    profile = convergence_profile(LAZY, window=1, n_max=20, pi=np.zeros(2))
+    assert profile.violations > 0
+    assert convergence_profile(LAZY, window=1, n_max=20).violations == 0
