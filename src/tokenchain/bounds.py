@@ -48,6 +48,16 @@ def _check_positive(value, name):
         raise ValueError(f"{name} must be positive, got {value}")
 
 
+def _check_at_least(value, low, name):
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _check_floor(value, name):
+    if not 0 < value <= 1:
+        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class PretrainBoundParams:
     """Inputs for the pre-training deviation constant.
@@ -69,18 +79,12 @@ class PretrainBoundParams:
 
     def __post_init__(self):
         _check_positive(self.n_tokens, "n_tokens")
-        if self.unembed_bound < 0:
-            raise ValueError(
-                f"unembed_bound must be >= 0, got {self.unembed_bound}")
+        _check_at_least(self.unembed_bound, 0, "unembed_bound")
         _check_positive(self.temperature, "temperature")
-        if not 0 < self.ambiguity_floor <= 1:
-            raise ValueError(
-                f"ambiguity_floor must lie in (0, 1], got {self.ambiguity_floor}")
+        _check_floor(self.ambiguity_floor, "ambiguity_floor")
         _check_delta(self.delta)
         _check_positive(self.n_train, "n_train")
-        if self.mixing_norm < 1:
-            raise ValueError(
-                f"mixing_norm must be >= 1, got {self.mixing_norm}")
+        _check_at_least(self.mixing_norm, 1, "mixing_norm")
 
 
 @dataclass(frozen=True)
@@ -97,13 +101,9 @@ class IclBoundParams:
 
     def __post_init__(self):
         _check_positive(self.n_states, "n_states")
-        if self.unembed_bound < 0:
-            raise ValueError(
-                f"unembed_bound must be >= 0, got {self.unembed_bound}")
+        _check_at_least(self.unembed_bound, 0, "unembed_bound")
         _check_positive(self.temperature, "temperature")
-        if not 0 < self.min_transition_prob <= 1:
-            raise ValueError("min_transition_prob must lie in (0, 1], got "
-                             f"{self.min_transition_prob}")
+        _check_floor(self.min_transition_prob, "min_transition_prob")
         _check_delta(self.delta)
         _check_positive(self.n_icl, "n_icl")
         _check_positive(self.t_min, "t_min")
@@ -141,16 +141,10 @@ class DepthBoundParams:
             _check_positive(getattr(self, name), name)
         for name in ("mlp_in_bound", "mlp_out_bound", "attn_out_bound",
                      "value_bound", "token_bound", "unembed_bound"):
-            if getattr(self, name) < 0:
-                raise ValueError(
-                    f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0 < self.ambiguity_floor <= 1:
-            raise ValueError(
-                f"ambiguity_floor must lie in (0, 1], got {self.ambiguity_floor}")
+            _check_at_least(getattr(self, name), 0, name)
+        _check_floor(self.ambiguity_floor, "ambiguity_floor")
         _check_delta(self.delta)
-        if self.mixing_norm < 1:
-            raise ValueError(
-                f"mixing_norm must be >= 1, got {self.mixing_norm}")
+        _check_at_least(self.mixing_norm, 1, "mixing_norm")
         if self.embed_dim % self.n_heads != 0:
             warnings.warn(
                 f"n_heads={self.n_heads} does not divide "
@@ -171,11 +165,18 @@ class ModelCard:
             _check_positive(getattr(self, field_name), field_name)
 
 
+def _deviation_constant(n, norm_bound, temperature, floor, mixing_norm=1.0):
+    """2 m sqrt(max(log n + 2 B / tau, log 1/floor)), the form every
+    deviation constant here shares."""
+    inside = max(math.log(n) + 2.0 * norm_bound / temperature,
+                 math.log(1.0 / floor))
+    return 2.0 * mixing_norm * math.sqrt(inside)
+
+
 def pretrain_constant(p: PretrainBoundParams) -> float:
     """Deviation constant for pre-training on mixing sequences."""
-    inside = max(math.log(p.n_tokens) + 2.0 * p.unembed_bound / p.temperature,
-                 math.log(1.0 / p.ambiguity_floor))
-    return 2.0 * p.mixing_norm * math.sqrt(inside)
+    return _deviation_constant(p.n_tokens, p.unembed_bound, p.temperature,
+                               p.ambiguity_floor, p.mixing_norm)
 
 
 def generalization_gap(constant, n_train, delta) -> float:
@@ -202,9 +203,8 @@ def sample_complexity(constant, epsilon, delta) -> int:
 
 def icl_constant(p: IclBoundParams) -> float:
     """Deviation constant for in-context estimation of a finite chain."""
-    inside = max(math.log(p.n_states) + 2.0 * p.unembed_bound / p.temperature,
-                 math.log(1.0 / p.min_transition_prob))
-    return 2.0 * math.sqrt(inside)
+    return _deviation_constant(p.n_states, p.unembed_bound, p.temperature,
+                               p.min_transition_prob)
 
 
 def icl_gap(p: IclBoundParams) -> float:
@@ -237,11 +237,11 @@ def depth_constant(p: DepthBoundParams) -> float:
     else:
         log_power = float("-inf")
         powered = 0.0
-    inside = max(math.log(p.n_tokens) + 2.0 * powered / p.temperature,
-                 math.log(1.0 / p.ambiguity_floor))
-    if not math.isfinite(inside):
+    constant = _deviation_constant(p.n_tokens, powered, p.temperature,
+                                   p.ambiguity_floor, p.mixing_norm)
+    if not math.isfinite(constant):
         raise BoundOverflowError(log_power)
-    return 2.0 * p.mixing_norm * math.sqrt(inside)
+    return constant
 
 
 @dataclass(frozen=True)
@@ -308,8 +308,7 @@ def _check_tail_args(u, c):
     norm_sq = float(np.dot(c, c))
     if norm_sq <= 0.0:
         raise ValueError("c must be nonzero")
-    if u < 0:
-        raise ValueError(f"u must be >= 0, got {u}")
+    _check_at_least(u, 0, "u")
     return norm_sq
 
 
@@ -320,8 +319,7 @@ def mcdiarmid_tail(u, c, mixing_norm=1.0) -> float:
     small u; it is still a valid (vacuous) tail.
     """
     norm_sq = _check_tail_args(u, c)
-    if mixing_norm < 1:
-        raise ValueError(f"mixing_norm must be >= 1, got {mixing_norm}")
+    _check_at_least(mixing_norm, 1, "mixing_norm")
     return 2.0 * math.exp(-2.0 * u * u / (mixing_norm * mixing_norm * norm_sq))
 
 

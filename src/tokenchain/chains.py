@@ -78,6 +78,15 @@ class TransitionMatrix:
         return int(np.count_nonzero(self.probs))
 
     @classmethod
+    def of(cls, Q) -> "TransitionMatrix":
+        """``Q`` itself if it is a TransitionMatrix; otherwise ``Q`` as a
+        chain with no transient block, held as CSR if it is scipy sparse
+        and as a float ndarray if not."""
+        if isinstance(Q, cls):
+            return Q
+        return cls(Q.tocsr() if sp.issparse(Q) else np.asarray(Q, dtype=float))
+
+    @classmethod
     def from_dense(cls, rows, n_transient=0, **kw):
         return cls(np.asarray(rows, dtype=float), n_transient=n_transient, **kw)
 

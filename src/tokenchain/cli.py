@@ -158,6 +158,8 @@ def _checked_spec(n_tokens, context_window, path) -> VocabSpec:
 
 
 def _remote_config(cfg, n_symbols, path) -> RemoteOracleConfig:
+    _no_extras(cfg, {"kind", "endpoint", "alphabet", "separator",
+                     "timeout_ms", "max_inflight"}, path)
     endpoint = _take(cfg, "endpoint", str, path=path)
     alphabet = _take(cfg, "alphabet", list,
                      default=[str(i) for i in range(n_symbols)], path=path)
@@ -234,8 +236,6 @@ def _oracle_from_config(cfg, spec: VocabSpec, seed, path="config.oracle"):
         model, _ = _toy_model(cfg, spec.context_window, seed, path)
         return model
     if kind == "remote":
-        _no_extras(cfg, {"kind", "endpoint", "alphabet", "separator",
-                         "timeout_ms", "max_inflight"}, path)
         return RemoteOracle(_remote_config(cfg, spec.n_tokens, path))
     raise ConfigError(f"{path}.kind: unknown kind {kind!r}, expected one of "
                       f"{', '.join(_ORACLE_KINDS)}")
@@ -477,8 +477,6 @@ def _estimator_from_config(cfg, matrix, path="config.estimator"):
         _no_extras(cfg, {"kind"}, path)
         return ChainOracle(matrix, name="exact"), False
     if kind == "remote":
-        _no_extras(cfg, {"kind", "endpoint", "alphabet", "separator",
-                         "timeout_ms", "max_inflight"}, path)
         return RemoteOracle(_remote_config(cfg, d, path)), True
     raise ConfigError(f"{path}.kind: unknown kind {kind!r}, expected one of "
                       f"{', '.join(_ESTIMATOR_KINDS)}")

@@ -13,10 +13,10 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .chains import POWERS_BUDGET_BYTES, TransitionMatrix, build_qf
+from .chains import (POWERS_BUDGET_BYTES, TransitionMatrix, build_qf,
+                     recurrent_block)
 from .states import enumerate_states
 
 DEFAULT_TOL = 1e-12
@@ -24,22 +24,6 @@ DEFAULT_MAX_ITER = 10**6
 DEFAULT_T_CAP = 10_000
 # thresholds for the minimized mixing constant: {0, 0.05, ..., 0.95}
 DEFAULT_EPS_GRID = tuple(k * 0.05 for k in range(20))
-
-
-def _as_csr(Q) -> sp.csr_matrix:
-    if isinstance(Q, TransitionMatrix):
-        return Q.sparse()
-    if sp.issparse(Q):
-        return Q.tocsr()
-    return sp.csr_matrix(np.asarray(Q, dtype=float))
-
-
-def _as_dense(Q) -> np.ndarray:
-    if isinstance(Q, TransitionMatrix):
-        return Q.dense()
-    if sp.issparse(Q):
-        return Q.toarray()
-    return np.asarray(Q, dtype=float)
 
 
 @dataclass
@@ -123,7 +107,7 @@ def classify_states(Q) -> MixingReport:
     it; the period of a recurrent class is the gcd of level differences
     along its edges in a breadth-first layering.
     """
-    m = _as_csr(Q).copy()
+    m = TransitionMatrix.of(Q).sparse().copy()
     m.eliminate_zeros()
     n = m.shape[0]
     n_comp, labels = connected_components(m, directed=True, connection="strong")
@@ -180,7 +164,7 @@ def stationary(Q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     search over dense powers of Q, and ``pi`` is the window-averaged
     iterate at the step it finds.
     """
-    m = _as_csr(Q)
+    m = TransitionMatrix.of(Q).sparse()
     n = m.shape[0]
     if classification is None:
         classification = classify_states(m)
@@ -289,18 +273,12 @@ def _doubling_search(start, powers, measure, threshold, cap):
 
 
 def doeblin_epsilon(Q, window=None) -> float:
-    """Minimum entry of the recurrent block of Q^window."""
-    if isinstance(Q, TransitionMatrix):
-        n_t = Q.n_transient
-        if window is None:
-            window = Q.meta.get("context_window", 1)
-        D = Q.dense()
-    else:
-        n_t = 0
-        window = window or 1
-        D = np.asarray(Q, dtype=float)
-    block = D[n_t:, n_t:]
-    return float(np.linalg.matrix_power(block, window).min())
+    """Minimum entry of the recurrent block of Q^window; the window
+    defaults to the chain's context window, or 1."""
+    Q = TransitionMatrix.of(Q)
+    if window is None:
+        window = Q.meta.get("context_window", 1)
+    return float(np.linalg.matrix_power(recurrent_block(Q).probs, window).min())
 
 
 def envelope(epsilon, window, n):
@@ -328,8 +306,7 @@ def _polish_fixpoint(v, D, rounds=5000):
     return v
 
 
-def convergence_profile(Q, window=None, n_max=1000, pi=None,
-                        tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> ConvergenceProfile:
+def convergence_profile(Q, window=None, n_max=1000, pi=None) -> ConvergenceProfile:
     """Both sides of the geometric convergence envelope for n = window..n_max.
 
     Accepts either a full sequence-state chain (the deviation then runs over
@@ -339,16 +316,17 @@ def convergence_profile(Q, window=None, n_max=1000, pi=None,
     vacuous bound rather than an error.  Steps where a nonvacuous bound is
     exceeded by more than 1e-12 are counted in ``violations``.
     """
-    D = _as_dense(Q)
-    n_t = Q.n_transient if isinstance(Q, TransitionMatrix) else 0
+    Q = TransitionMatrix.of(Q)
+    D = Q.dense()
+    n_t = Q.n_transient
     if window is None:
-        window = Q.meta.get("context_window", 1) if isinstance(Q, TransitionMatrix) else 1
+        window = Q.meta.get("context_window", 1)
     if n_max < window:
         raise ValueError(f"n_max={n_max} is below the window {window}")
     M = np.linalg.matrix_power(D, window)
     eps = float(M[n_t:, n_t:].min())
     if pi is None:
-        pi = stationary(Q, tol, max_iter).pi
+        pi = stationary(Q).pi
     pi = np.asarray(pi, dtype=float)
     if eps > 0.0:
         pi = _polish_fixpoint(pi, D)
@@ -370,7 +348,7 @@ def convergence_profile(Q, window=None, n_max=1000, pi=None,
                               vacuous=eps <= 0.0, violations=violations)
 
 
-def _first_crossing_times(D, pi, thresholds, t_cap):
+def _first_crossing_times(Q, pi, thresholds, t_cap):
     """First t <= t_cap with max-start TV(Q^t, pi) <= threshold, per threshold.
 
     The distance is nonincreasing in t, so the thresholds are taken in
@@ -378,6 +356,9 @@ def _first_crossing_times(D, pi, thresholds, t_cap):
     previous crossing and shares its powers of Q; unreached thresholds map
     to math.inf.
     """
+    D = TransitionMatrix.of(Q).dense()
+    pi = np.asarray(pi, dtype=float)
+
     def distance(M):
         return float(0.5 * np.abs(M - pi[None, :]).sum(axis=1).max())
 
@@ -401,8 +382,7 @@ def mixing_bytes(n_states, t_cap=DEFAULT_T_CAP) -> int:
 
 def mixing_time(Q, pi, eps, t_cap=DEFAULT_T_CAP):
     """Smallest t <= t_cap with sup-start TV(Q^t, pi) <= eps, else math.inf."""
-    times = _first_crossing_times(_as_dense(Q), np.asarray(pi, dtype=float),
-                                  [eps], t_cap)
+    times = _first_crossing_times(Q, pi, [eps], t_cap)
     return times[float(eps)]
 
 
@@ -413,8 +393,7 @@ def _mixing_rows(Q, pi, grid, t_cap):
     for e in grid:
         if not 0.0 <= e < 1.0:
             raise ValueError(f"grid thresholds must lie in [0, 1), got {e}")
-    times = _first_crossing_times(_as_dense(Q), np.asarray(pi, dtype=float),
-                                  [e / 2 for e in grid], t_cap)
+    times = _first_crossing_times(Q, pi, [e / 2 for e in grid], t_cap)
     rows = []
     for e in sorted(grid):
         t = times[e / 2]
@@ -439,7 +418,6 @@ def t_min(Q, pi, grid=None, t_cap=DEFAULT_T_CAP):
 
 
 def mixing_report(Q, pi=None, grid=None, t_cap=DEFAULT_T_CAP,
-                  tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
                   classification=None) -> MixingReport:
     """Full mixing picture: classes, period, the t_mix schedule, and t_min.
 
@@ -448,7 +426,7 @@ def mixing_report(Q, pi=None, grid=None, t_cap=DEFAULT_T_CAP,
     if classification is None:
         classification = classify_states(Q)
     if pi is None:
-        pi = stationary(Q, tol, max_iter, classification=classification).pi
+        pi = stationary(Q, classification=classification).pi
     rows, best, best_eps = _mixing_rows(
         Q, pi, DEFAULT_EPS_GRID if grid is None else list(grid), t_cap)
     return replace(classification, rows=rows, t_min=best,

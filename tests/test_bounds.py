@@ -394,3 +394,47 @@ def test_log_ratio_fuzz_never_fails():
         q = rng.dirichlet(np.ones(d)) + 1e-12
         report = log_ratio_checks(p / p.sum(), q / q.sum())
         assert report.ok
+
+
+# Values and messages taken from the implementation before the deviation
+# constants and their argument checks were shared.
+
+def test_icl_and_depth_constants_are_pinned():
+    p = icl(n_states=5, unembed_bound=1.5, temperature=0.7,
+            min_transition_prob=0.01, t_min=12.0)
+    assert icl_constant(p) == 4.855986902020386
+    d = depth(n_heads=2, embed_dim=4, ffn_dim=8, mlp_in_bound=0.1,
+              mlp_out_bound=0.2, attn_out_bound=0.05, value_bound=0.3,
+              token_bound=1.1, unembed_bound=0.9, n_tokens=50,
+              temperature=1.3, ambiguity_floor=0.02, mixing_norm=1.5)
+    assert depth_constant(d) == 10.768673667073871
+
+
+@pytest.mark.parametrize("make,key,value,message", [
+    (pretrain, "ambiguity_floor", 0.0,
+     "ambiguity_floor must lie in (0, 1], got 0.0"),
+    (pretrain, "ambiguity_floor", 1.5,
+     "ambiguity_floor must lie in (0, 1], got 1.5"),
+    (icl, "min_transition_prob", 0,
+     "min_transition_prob must lie in (0, 1], got 0"),
+    (depth, "ambiguity_floor", 2.0,
+     "ambiguity_floor must lie in (0, 1], got 2.0"),
+    (pretrain, "unembed_bound", -1.0, "unembed_bound must be >= 0, got -1.0"),
+    (icl, "unembed_bound", -2, "unembed_bound must be >= 0, got -2"),
+    (depth, "value_bound", -0.5, "value_bound must be >= 0, got -0.5"),
+    (depth, "token_bound", -1, "token_bound must be >= 0, got -1"),
+    (pretrain, "mixing_norm", 0.5, "mixing_norm must be >= 1, got 0.5"),
+    (depth, "mixing_norm", 0.9, "mixing_norm must be >= 1, got 0.9"),
+])
+def test_bound_checks_keep_their_messages(make, key, value, message):
+    with pytest.raises(ValueError) as info:
+        make(**{key: value})
+    assert str(info.value) == message
+
+
+def test_tail_checks_keep_their_messages():
+    with pytest.raises(ValueError, match=r"^u must be >= 0, got -0\.1$"):
+        mcdiarmid_tail(-0.1, [1.0])
+    with pytest.raises(ValueError,
+                       match=r"^mixing_norm must be >= 1, got 0\.5$"):
+        mcdiarmid_tail(0.1, [1.0], mixing_norm=0.5)

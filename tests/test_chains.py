@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from tokenchain.chains import (
     TransitionMatrix, build_qf, recurrent_block, validate_structure,
@@ -204,3 +205,20 @@ def test_build_and_validate_at_two_million_states():
     assert report.nonzero_count == report.expected_nonzero_count
     assert report.nilpotency_index == 19
     assert report.ok
+
+
+def test_of_wraps_lists_arrays_and_sparse_matrices():
+    rows = [[0.25, 0.75], [1.0, 0.0]]
+    for given in (rows, np.array(rows), np.array([[1, 0], [0, 1]])):
+        Q = TransitionMatrix.of(given)
+        assert not Q.is_sparse and Q.probs.dtype == float
+        assert Q.n_transient == 0 and Q.meta == {}
+    Q = TransitionMatrix.of(sp.coo_matrix(rows))
+    assert Q.is_sparse and Q.probs.format == "csr"
+    assert Q.n_transient == 0 and Q.meta == {}
+    npt.assert_array_equal(Q.dense(), rows)
+
+
+def test_of_returns_a_chain_unchanged():
+    Q = build_qf(UniformOracle(2), VocabSpec(2, 3))
+    assert TransitionMatrix.of(Q) is Q

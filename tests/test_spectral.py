@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from tokenchain import spectral
-from tokenchain.chains import build_qf, recurrent_block
+from tokenchain.chains import TransitionMatrix, build_qf, recurrent_block
 from tokenchain.oracles import RandomLogitOracle, UniformOracle
 from tokenchain.spectral import (
     DEFAULT_EPS_GRID, DEFAULT_MAX_ITER, DEFAULT_TOL, classify_states,
@@ -116,6 +116,21 @@ def test_epsilon_of_uniform_chains():
     assert doeblin_epsilon(Q) == pytest.approx(1 / 8)
     block = recurrent_block(Q)
     assert doeblin_epsilon(block, window=3) == pytest.approx(1 / 8)
+
+
+def test_epsilon_never_makes_the_full_chain_dense(monkeypatch):
+    spec = VocabSpec(2, 6)
+    space = enumerate_states(spec)
+    Q = build_qf(RandomLogitOracle(space, seed=3, scale=2.0), spec, space)
+    n_t = space.n_transient
+    block = Q.probs.toarray()[n_t:, n_t:]
+    expected = float(np.linalg.matrix_power(block, 6).min())
+
+    def no_dense(self):
+        raise AssertionError("dense() called on the full chain")
+
+    monkeypatch.setattr(TransitionMatrix, "dense", no_dense)
+    assert doeblin_epsilon(Q) == expected
 
 
 def test_profile_uniform_two_state_chain_is_exact():
