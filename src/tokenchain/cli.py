@@ -15,7 +15,9 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +62,7 @@ from .spectral import (
     DEFAULT_TOL,
     classify_states,
     convergence_profile,
+    doeblin_bytes,
     mixing_bytes,
     mixing_report,
     stationary,
@@ -76,7 +79,7 @@ class ConfigError(Exception):
     """Config failed schema validation; the message names the bad path."""
 
 
-def _take(cfg, key, kinds, default=_MISSING, path="config"):
+def _take(cfg, key, kinds, default=_MISSING, path="config", at_least=None):
     if key not in cfg:
         if default is _MISSING:
             raise ConfigError(f"{path}.{key}: required")
@@ -88,7 +91,28 @@ def _take(cfg, key, kinds, default=_MISSING, path="config"):
         wanted = "/".join(k.__name__ for k in kinds)
         raise ConfigError(
             f"{path}.{key}: expected {wanted}, got {type(value).__name__}")
+    if at_least is not None and value < at_least:
+        raise ConfigError(f"{path}.{key}: must be >= {at_least}, got {value}")
     return value
+
+
+def _list_of(cfg, key, wanted, ok=lambda v: isinstance(v, _NUMBER),
+             default=_MISSING, path="config"):
+    """The list under ``key``, with every item passing ``ok``."""
+    values = _take(cfg, key, list, default=default, path=path)
+    for i, v in enumerate(values or ()):
+        if not ok(v):
+            raise ConfigError(
+                f"{path}.{key}[{i}]: expected {wanted}, got {v!r}")
+    return values
+
+
+def _check_dense(path, what, n_states, need):
+    """Refuse, before any work, dense arrays above the byte cap."""
+    if need > DENSE_BLOCK_CAP_BYTES:
+        raise ConfigError(
+            f"{path}: {what} {n_states} states needs {need} bytes of "
+            f"dense arrays, above the cap of {DENSE_BLOCK_CAP_BYTES}")
 
 
 def _no_extras(cfg, allowed, path="config"):
@@ -99,8 +123,6 @@ def _no_extras(cfg, allowed, path="config"):
 
 def _render(x):
     """JSON-safe scalar: infinities become '+inf'/'-inf' strings."""
-    if x is None:
-        return None
     x = float(x)
     if math.isinf(x):
         return "-inf" if x < 0 else "+inf"
@@ -203,7 +225,8 @@ def _toy_model(cfg, context_length, seed, path):
 _ORACLE_KINDS = ("uniform", "random_logits", "matrix", "parity_toy", "remote")
 
 
-def _oracle_from_config(cfg, spec: VocabSpec, seed, path="config.oracle"):
+def _oracle_from_config(config, spec: VocabSpec, seed, path="config.oracle"):
+    cfg = _take(config, "oracle", dict)
     kind = _take(cfg, "kind", str, path=path)
     if kind == "uniform":
         _no_extras(cfg, {"kind"}, path)
@@ -241,16 +264,26 @@ def _oracle_from_config(cfg, spec: VocabSpec, seed, path="config.oracle"):
                       f"{', '.join(_ORACLE_KINDS)}")
 
 
-def _sequence_chain(config, seed):
-    spec = _vocab_spec(config)
-    oracle = _oracle_from_config(_take(config, "oracle", dict), spec, seed)
-    return spec, oracle, build_qf(oracle, spec)
+# a wrong type here would surface as a TypeError inside build_chain
+_CHAIN_FIELDS = {"d": int, "seed": int, "p_min": _NUMBER, "eta": _NUMBER,
+                 "rim_eps": _NUMBER, "n_samples": _NUMBER, "tau": list,
+                 "process": dict}
+
+
+def _chain_states(config) -> int:
+    """The state count of config.chain, read before anything is built."""
+    chain_cfg = _take(config, "chain", dict)
+    for key, kinds in _CHAIN_FIELDS.items():
+        if key in chain_cfg:
+            _take(chain_cfg, key, kinds, path="config.chain")
+    return _take(chain_cfg, "d", int, path="config.chain")
 
 
 def _generator_chain(config):
-    chain_cfg = _take(config, "chain", dict)
+    d = _chain_states(config)
+    _check_dense("config.chain.d", "a chain of", d, 8 * d * d)
     try:
-        return build_chain(chain_cfg)
+        return build_chain(config["chain"])
     except ValueError as exc:
         raise ConfigError(f"config.chain: {exc}") from exc
 
@@ -264,7 +297,8 @@ def _start_vector(config, d, path="config"):
             raise ConfigError(f"{path}.start: state {start} outside [0, {d})")
         return start
     if isinstance(start, list):
-        arr = np.asarray(start, dtype=float)
+        arr = np.asarray(_list_of(config, "start", "a number", path=path),
+                         dtype=float)
         if arr.shape != (d,):
             raise ConfigError(f"{path}.start: need {d} probabilities")
         return arr
@@ -296,7 +330,8 @@ def _structure_payload(report):
 def cmd_build(config, out: Path, jobs: int) -> int:
     _no_extras(config, {"n_tokens", "context_window", "oracle", "seed"})
     seed = config.get("seed", 0)
-    spec, oracle, matrix = _sequence_chain(config, seed)
+    spec = _vocab_spec(config)
+    matrix = build_qf(_oracle_from_config(config, spec, seed), spec)
     report = validate_structure(matrix, spec)
     _require_ok(report)
     _write_json(out / "matrix.json", config, seed,
@@ -313,26 +348,20 @@ def _solver_settings(config):
     tol = _take(config, "tol", _NUMBER, default=DEFAULT_TOL)
     if not tol > 0:
         raise ConfigError(f"config.tol: must be > 0, got {tol!r}")
-    max_iter = _take(config, "max_iter", int, default=DEFAULT_MAX_ITER)
-    if max_iter < 1:
-        raise ConfigError(f"config.max_iter: must be >= 1, got {max_iter}")
+    max_iter = _take(config, "max_iter", int, default=DEFAULT_MAX_ITER,
+                     at_least=1)
     return float(tol), max_iter
 
 
 def _analysis_settings(config):
     """analyze's n_max, t_cap and threshold grid, checked."""
     n_max = _take(config, "n_max", int, default=1000)
-    t_cap = _take(config, "t_cap", int, default=DEFAULT_T_CAP)
-    if t_cap < 0:
-        raise ConfigError(f"config.t_cap: must be >= 0, got {t_cap}")
-    grid = _take(config, "grid", list, default=None)
-    if grid is not None:
-        if not grid:
-            raise ConfigError("config.grid: must be nonempty")
-        for i, e in enumerate(grid):
-            if not isinstance(e, _NUMBER) or not 0 <= e < 1:
-                raise ConfigError(f"config.grid[{i}]: expected a number in "
-                                  f"[0, 1), got {e!r}")
+    t_cap = _take(config, "t_cap", int, default=DEFAULT_T_CAP, at_least=0)
+    grid = _list_of(config, "grid", "a number in [0, 1)",
+                    lambda e: isinstance(e, _NUMBER) and 0 <= e < 1,
+                    default=None)
+    if grid == []:
+        raise ConfigError("config.grid: must be nonempty")
     return n_max, t_cap, grid
 
 
@@ -347,8 +376,7 @@ def cmd_analyze(config, out: Path, jobs: int) -> int:
             'config: give exactly one of "chain" or "oracle" (with '
             '"n_tokens" and "context_window")')
     if "chain" in config:
-        matrix = _generator_chain(config)
-        n_states, window, path = matrix.n_states, 1, "config.chain.d"
+        n_states, window, path = _chain_states(config), 1, "config.chain.d"
     else:
         spec = _vocab_spec(config)
         n_states, window = spec.state_count, spec.context_window
@@ -356,14 +384,11 @@ def cmd_analyze(config, out: Path, jobs: int) -> int:
     if n_max < window:
         raise ConfigError(f"config.n_max: must be >= the context window "
                           f"{window}, got {n_max}")
-    need = mixing_bytes(n_states, t_cap)
-    if need > DENSE_BLOCK_CAP_BYTES:
-        raise ConfigError(
-            f"{path}: analyzing {n_states} states needs {need} bytes of "
-            f"dense arrays, above the cap of {DENSE_BLOCK_CAP_BYTES}")
-    if "oracle" in config:
-        oracle = _oracle_from_config(_take(config, "oracle", dict), spec, seed)
-        matrix = build_qf(oracle, spec)
+    _check_dense(path, "analyzing", n_states, mixing_bytes(n_states, t_cap))
+    if "chain" in config:
+        matrix = _generator_chain(config)
+    else:
+        matrix = build_qf(_oracle_from_config(config, spec, seed), spec)
 
     classification = classify_states(matrix)
     stat = stationary(matrix, tol, max_iter, classification=classification)
@@ -406,15 +431,15 @@ def cmd_sweep_temperature(config, out: Path, jobs: int) -> int:
     _no_extras(config, {"n_tokens", "context_window", "oracle",
                         "temperatures", "seed", "tol", "max_iter"})
     seed = config.get("seed", 0)
-    temperatures = _take(config, "temperatures", list)
+    temperatures = _list_of(config, "temperatures", "a positive number",
+                            lambda t: isinstance(t, _NUMBER) and t > 0)
     if not temperatures:
         raise ConfigError("config.temperatures: must be nonempty")
-    for i, tau in enumerate(temperatures):
-        if not isinstance(tau, _NUMBER) or tau <= 0:
-            raise ConfigError(f"config.temperatures[{i}]: expected a "
-                              f"positive number, got {tau!r}")
     spec = _vocab_spec(config)
-    oracle = _oracle_from_config(_take(config, "oracle", dict), spec, seed)
+    n_full = spec.n_tokens ** spec.context_window
+    _check_dense("config.n_tokens/context_window",
+                 "the Doeblin constant of", n_full, doeblin_bytes(n_full))
+    oracle = _oracle_from_config(config, spec, seed)
     if not hasattr(oracle, "with_temperature"):
         raise ConfigError("config.oracle.kind: this oracle has no "
                           "temperature control; use random_logits or "
@@ -432,14 +457,11 @@ def cmd_generate(config, out: Path, jobs: int) -> int:
     _no_extras(config, {"chain", "sample", "seed"})
     seed = config.get("seed", 0)
     matrix = _generator_chain(config)
-    _write_json(out / "matrix.json", config, seed, {
-        "matrix": matrix.to_payload(),
-        "meta": matrix.meta,
-    })
     sample = _take(config, "sample", dict, default=None)
     if sample is not None:
         _no_extras(sample, {"length", "start", "seed"}, "config.sample")
-        length = _take(sample, "length", int, path="config.sample")
+        length = _take(sample, "length", int, path="config.sample",
+                       at_least=1)
         start = _start_vector(sample, matrix.n_states, "config.sample")
         if start is None:
             start = np.full(matrix.n_states, 1.0 / matrix.n_states)
@@ -447,6 +469,11 @@ def cmd_generate(config, out: Path, jobs: int) -> int:
             matrix, start, length,
             seed=_take(sample, "seed", int, default=seed,
                        path="config.sample"))
+    _write_json(out / "matrix.json", config, seed, {
+        "matrix": matrix.to_payload(),
+        "meta": matrix.meta,
+    })
+    if sample is not None:
         body = "step,state\n" + "".join(
             f"{k},{s}\n" for k, s in enumerate(traj.states))
         _write_csv(out / "trajectory.csv", config, seed, body)
@@ -466,11 +493,8 @@ def _estimator_from_config(cfg, matrix, path="config.estimator"):
         return FrequentistEstimator(d), False
     if kind == "ngram":
         _no_extras(cfg, {"kind", "order", "alpha"}, path)
-        order = _take(cfg, "order", int, default=1, path=path)
-        if order < 1:
-            raise ConfigError(f"{path}.order: must be >= 1, got {order}")
         return NgramEstimator(
-            order=order,
+            order=_take(cfg, "order", int, default=1, path=path, at_least=1),
             alpha=_take(cfg, "alpha", _NUMBER, default=1.0, path=path),
             n_symbols=d), False
     if kind == "exact":
@@ -489,7 +513,7 @@ def cmd_estimate(config, out: Path, jobs: int) -> int:
     matrix = _generator_chain(config)
     predictor, is_remote = _estimator_from_config(
         _take(config, "estimator", dict), matrix)
-    n_list = _take(config, "n_list", list)
+    n_list = _list_of(config, "n_list", "a number")
     reps = _take(config, "reps", int, default=5)
     metric = _take(config, "metric", str, default="tv")
     start = _start_vector(config, matrix.n_states)
@@ -527,59 +551,53 @@ def _row_mean(block):
     return block.mean(axis=1)
 
 
+_CARD_FIELDS = {"name": str, "n_train": int, "n_tokens": int, "embed_dim": int}
+
+
 def cmd_bounds(config, out: Path, jobs: int) -> int:
     _no_extras(config, {"predictor", "cards", "sample_complexity", "mc",
                         "seed"})
     seed = config.get("seed", 0)
     pred_cfg = _take(config, "predictor", dict, default={})
-    _no_extras(pred_cfg, {"temperature", "delta"}, "config.predictor")
+    pred = "config.predictor"
+    _no_extras(pred_cfg, {"temperature", "delta"}, pred)
     temperature = _take(pred_cfg, "temperature", _NUMBER, default=1.0,
-                        path="config.predictor")
-    delta = _take(pred_cfg, "delta", _NUMBER, default=0.05,
-                  path="config.predictor")
+                        path=pred)
+    delta = _take(pred_cfg, "delta", _NUMBER, default=0.05, path=pred)
 
     cards_cfg = _take(config, "cards", list, default=None)
     cards = None
     if cards_cfg is not None:
         cards = []
         for i, row in enumerate(cards_cfg):
+            card = f"config.cards[{i}]"
             if not isinstance(row, dict):
-                raise ConfigError(f"config.cards[{i}]: expected an object")
-            _no_extras(row, {"name", "n_train", "n_tokens", "embed_dim"},
-                       f"config.cards[{i}]")
+                raise ConfigError(f"{card}: expected an object")
+            _no_extras(row, _CARD_FIELDS, card)
             try:
-                cards.append(ModelCard(
-                    name=_take(row, "name", str, path=f"config.cards[{i}]"),
-                    n_train=_take(row, "n_train", int,
-                                  path=f"config.cards[{i}]"),
-                    n_tokens=_take(row, "n_tokens", int,
-                                   path=f"config.cards[{i}]"),
-                    embed_dim=_take(row, "embed_dim", int,
-                                    path=f"config.cards[{i}]")))
+                cards.append(ModelCard(**{
+                    key: _take(row, key, kinds, path=card)
+                    for key, kinds in _CARD_FIELDS.items()}))
             except ValueError as exc:
-                raise ConfigError(f"config.cards[{i}]: {exc}") from exc
+                raise ConfigError(f"{card}: {exc}") from exc
     try:
         rows = predictor_table(cards, temperature=temperature, delta=delta)
     except ValueError as exc:
-        raise ConfigError(f"config.predictor: {exc}") from exc
-    _write_csv(out / "predictor.csv", config, seed, predictor_csv(rows))
+        raise ConfigError(f"{pred}: {exc}") from exc
 
     payload = {}
     sc_cfg = _take(config, "sample_complexity", dict, default=None)
     if sc_cfg is not None:
-        _no_extras(sc_cfg, {"constant", "epsilon", "delta"},
-                   "config.sample_complexity")
-        constant = _take(sc_cfg, "constant", _NUMBER,
-                         path="config.sample_complexity")
-        epsilon = _take(sc_cfg, "epsilon", _NUMBER,
-                        path="config.sample_complexity")
-        sc_delta = _take(sc_cfg, "delta", _NUMBER, default=delta,
-                         path="config.sample_complexity")
+        sc = "config.sample_complexity"
+        _no_extras(sc_cfg, {"constant", "epsilon", "delta"}, sc)
+        constant = _take(sc_cfg, "constant", _NUMBER, path=sc)
+        epsilon = _take(sc_cfg, "epsilon", _NUMBER, path=sc)
+        sc_delta = _take(sc_cfg, "delta", _NUMBER, default=delta, path=sc)
         try:
             n_star = sample_complexity(constant, epsilon, sc_delta)
             gap = generalization_gap(constant, n_star, sc_delta)
         except ValueError as exc:
-            raise ConfigError(f"config.sample_complexity: {exc}") from exc
+            raise ConfigError(f"{sc}: {exc}") from exc
         payload["sample_complexity"] = {
             "constant": float(constant),
             "epsilon": float(epsilon),
@@ -592,24 +610,20 @@ def cmd_bounds(config, out: Path, jobs: int) -> int:
 
     mc_cfg = _take(config, "mc", (dict, type(None)), default={})
     if mc_cfg is not None:
-        _no_extras(mc_cfg, {"n", "n_samples", "u_grid", "t_min", "seed"},
-                   "config.mc")
-        n = _take(mc_cfg, "n", int, default=100, path="config.mc")
-        n_samples = _take(mc_cfg, "n_samples", int, default=100_000,
-                          path="config.mc")
-        u_grid = _take(mc_cfg, "u_grid", list,
-                       default=[0.05, 0.1, 0.15, 0.2, 0.25, 0.3],
-                       path="config.mc")
-        t_min = _take(mc_cfg, "t_min", _NUMBER, default=None,
-                      path="config.mc")
+        mc = "config.mc"
+        _no_extras(mc_cfg, {"n", "n_samples", "u_grid", "t_min", "seed"}, mc)
+        n = _take(mc_cfg, "n", int, default=100, path=mc)
+        n_samples = _take(mc_cfg, "n_samples", int, default=100_000, path=mc)
+        u_grid = _list_of(mc_cfg, "u_grid", "a number", path=mc,
+                          default=[0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
+        t_min = _take(mc_cfg, "t_min", _NUMBER, default=None, path=mc)
         try:
             report = mc_verify(
                 _CoinSampler(n), _row_mean, np.full(n, 1.0 / n), n_samples,
-                u_grid, seed=_take(mc_cfg, "seed", int, default=seed,
-                                   path="config.mc"),
-                t_min=t_min, mean=0.5, jobs=jobs)
+                u_grid, t_min=t_min, mean=0.5, jobs=jobs,
+                seed=_take(mc_cfg, "seed", int, default=seed, path=mc))
         except ValueError as exc:
-            raise ConfigError(f"config.mc: {exc}") from exc
+            raise ConfigError(f"{mc}: {exc}") from exc
         payload["mc"] = {
             "n": n,
             "n_samples": report.n_samples,
@@ -621,6 +635,7 @@ def cmd_bounds(config, out: Path, jobs: int) -> int:
                 "stderr": c.stderr, "ok": c.ok} for c in report.checks],
         }
 
+    _write_csv(out / "predictor.csv", config, seed, predictor_csv(rows))
     _write_json(out / "bounds.json", config, seed, payload)
     print(f"wrote {len(rows)} predictor rows"
           + (f"; mc ok={payload['mc']['ok']}" if "mc" in payload else ""))
@@ -643,13 +658,13 @@ def cmd_train_toy(config, out: Path, jobs: int) -> int:
 
     space = enumerate_states(spec)
     seen = {context for context, _ in dataset}
-    seen_mass = 0.0
-    unseen_mass = 0.0
-    for i in range(space.n_transient, len(space)):
-        if space[i] in seen:
-            seen_mass += float(stat.pi[i])
-        else:
-            unseen_mass += float(stat.pi[i])
+    pi_full = stat.pi[space.n_transient:]
+    is_seen = np.zeros(pi_full.size, dtype=bool)
+    is_seen[[space.index(c) - space.n_transient for c in seen]] = True
+    # one addition at a time in ascending index order (sum() compensates
+    # float rounding from Python 3.12 on)
+    seen_mass = reduce(operator.add, pi_full[is_seen].tolist(), 0.0)
+    unseen_mass = reduce(operator.add, pi_full[~is_seen].tolist(), 0.0)
     ratio = math.inf if unseen_mass == 0.0 else seen_mass / unseen_mass
 
     _write_json(out / "model.json", config, seed,

@@ -380,6 +380,11 @@ def mixing_bytes(n_states, t_cap=DEFAULT_T_CAP) -> int:
     return 8 * n_states**2 * (max(t_cap.bit_length(), 1) + 6)
 
 
+def doeblin_bytes(n_recurrent) -> int:
+    """Peak bytes of doeblin_epsilon: the block and matrix_power's three."""
+    return 4 * 8 * n_recurrent**2
+
+
 def mixing_time(Q, pi, eps, t_cap=DEFAULT_T_CAP):
     """Smallest t <= t_cap with sup-start TV(Q^t, pi) <= eps, else math.inf."""
     times = _first_crossing_times(Q, pi, [eps], t_cap)
@@ -387,9 +392,9 @@ def mixing_time(Q, pi, eps, t_cap=DEFAULT_T_CAP):
 
 
 def _mixing_rows(Q, pi, grid, t_cap):
+    grid = [float(e) for e in (DEFAULT_EPS_GRID if grid is None else grid)]
     if not grid:
         raise ValueError("threshold grid is empty")
-    grid = [float(e) for e in grid]
     for e in grid:
         if not 0.0 <= e < 1.0:
             raise ValueError(f"grid thresholds must lie in [0, 1), got {e}")
@@ -413,7 +418,7 @@ def t_min(Q, pi, grid=None, t_cap=DEFAULT_T_CAP):
     Ties break toward the smallest threshold; math.inf when no threshold
     is reached within t_cap, which periodic chains never do.
     """
-    _, best, _ = _mixing_rows(Q, pi, DEFAULT_EPS_GRID if grid is None else list(grid), t_cap)
+    _, best, _ = _mixing_rows(Q, pi, grid, t_cap)
     return best
 
 
@@ -427,8 +432,7 @@ def mixing_report(Q, pi=None, grid=None, t_cap=DEFAULT_T_CAP,
         classification = classify_states(Q)
     if pi is None:
         pi = stationary(Q, classification=classification).pi
-    rows, best, best_eps = _mixing_rows(
-        Q, pi, DEFAULT_EPS_GRID if grid is None else list(grid), t_cap)
+    rows, best, best_eps = _mixing_rows(Q, pi, grid, t_cap)
     return replace(classification, rows=rows, t_min=best,
                    argmin_epsilon=best_eps)
 

@@ -45,10 +45,6 @@ class VocabSpec:
         T, K = self.n_tokens, self.context_window
         return T * (T ** (K - 1) - 1) // (T - 1)
 
-    @property
-    def recurrent_count(self) -> int:
-        return self.n_tokens**self.context_window
-
 
 class StateSpace:
     """All sequences of length 1..K over T tokens, addressed by index arithmetic.

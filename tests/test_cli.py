@@ -424,3 +424,56 @@ def test_analyze_reports_envelope_violations(tmp_path):
     doc = read_json(tmp_path, "out", "analysis.json")["analysis"]
     assert doc["envelope_violations"] == 0
     assert doc["stationary"]["iterations"] >= 1
+
+
+CHAIN3 = {"kind": "random", "d": 3}
+FREQ = {"kind": "frequentist"}
+
+
+@pytest.mark.parametrize("command,cfg,key", [
+    ("estimate", {"chain": CHAIN3, "estimator": FREQ,
+                  "n_list": [None, 100, 200]}, "config.n_list[0]"),
+    ("estimate", {"chain": CHAIN3, "estimator": FREQ, "n_list": [50, 100],
+                  "start": [0.5, 0.5, "x"]}, "config.start[2]"),
+    ("generate", {"chain": CHAIN3, "sample": {"length": 0}},
+     "config.sample.length"),
+    ("generate", {"chain": {"kind": "random", "d": "3"}}, "config.chain.d"),
+    ("generate", {"chain": dict(CHAIN3, p_min="a")}, "config.chain.p_min"),
+    ("bounds", {"mc": {"u_grid": [None]}}, "config.mc.u_grid[0]"),
+    ("bounds", {"predictor": {"delta": 2}, "cards": [
+        {"name": "a", "n_train": 10, "n_tokens": 5, "embed_dim": 4}]},
+     "config.predictor"),
+])
+def test_malformed_values_exit_2(tmp_path, capsys, command, cfg, key):
+    assert run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tokenchain: {key}: ") and "Traceback" not in err
+    assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("command,cfg,key,states,need", [
+    # 8 d^2 bytes for the chain itself
+    ("generate", {"chain": {"kind": "random", "d": 40}},
+     "config.chain.d", 40, 12_800),
+    ("estimate", {"chain": {"kind": "random", "d": 40}, "estimator": FREQ,
+                  "n_list": [50]}, "config.chain.d", 40, 12_800),
+    # mixing_bytes(10, 10_000): 8 * 10^2 * (14 + 6)
+    ("analyze", {"chain": {"kind": "random", "d": 10}},
+     "config.chain.d", 10, 16_000),
+    # the 2^4 full-length block and matrix_power's arrays: 4 * 8 * 16^2
+    ("sweep-temperature", dict(SWEEP_CFG, context_window=4),
+     "config.n_tokens/context_window", 16, 8_192),
+])
+def test_dense_bytes_checked_before_building(tmp_path, capsys, monkeypatch,
+                                             command, cfg, key, states, need):
+    def no_build(*args, **kwargs):
+        raise AssertionError("admission must come before the build")
+
+    monkeypatch.setattr(cli, "build_chain", no_build)
+    monkeypatch.setattr(cli, "build_qf", no_build)
+    monkeypatch.setattr(cli, "DENSE_BLOCK_CAP_BYTES", 5_000)
+    assert run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tokenchain: {key}: ")
+    assert f"{states} states" in err and f"{need} bytes" in err
+    assert "cap of 5000" in err
