@@ -160,8 +160,8 @@ def tv_risk(Q_true, predictor, traj) -> float:
 
 def kl_risk(Q_true, predictor, traj) -> float:
     """Mean KL risk; math.inf as soon as any step is infinite."""
-    return float(np.mean(_per_step_divergences(Q_true, predictor, traj,
-                                               kl_divergence)))
+    vals = _per_step_divergences(Q_true, predictor, traj, kl_divergence)
+    return float(np.mean(vals))
 
 
 def expected_tv_risk(Q_true, predictor, n_steps, start=None) -> float:
