@@ -22,6 +22,7 @@ from .oracles import validate_distribution
 
 MC_BATCH = 10_000
 CHECK_SLACK = 1e-12
+DEFAULT_DELTA = 0.05
 
 
 class BoundOverflowError(ArithmeticError):
@@ -44,12 +45,12 @@ def _check_delta(delta):
 
 
 def _check_positive(value, name):
-    if value <= 0:
+    if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _check_at_least(value, low, name):
-    if value < low:
+    if not value >= low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
@@ -267,7 +268,7 @@ def builtin_model_cards() -> list:
     return [ModelCard(**row) for row in json.loads(raw)]
 
 
-def predictor_table(cards=None, temperature=1.0, delta=0.05) -> list:
+def predictor_table(cards=None, temperature=1.0, delta=DEFAULT_DELTA) -> list:
     """Per-checkpoint deviation constants and achievable accuracy.
 
     cards=None uses the shipped table.  The constant uses the norm preset
@@ -361,6 +362,18 @@ def _mc_batch(args):
     return values
 
 
+def tail_bounds(c, u_grid, n_samples, mixing_norm=1.0, t_min=None) -> list:
+    """The tail bound at each u, McDiarmid's or (given t_min) its chain
+    variant, once the arguments of an ``n_samples`` check are valid."""
+    if not u_grid:
+        raise ValueError("u_grid must be nonempty")
+    if n_samples < 2:
+        raise ValueError(f"need at least 2 samples, got {n_samples}")
+    if t_min is None:
+        return [mcdiarmid_tail(u, c, mixing_norm=mixing_norm) for u in u_grid]
+    return [mcdiarmid_markov_tail(u, c, t_min) for u in u_grid]
+
+
 def mc_verify(sampler, f, c, n_samples, u_grid, seed=0, mixing_norm=1.0,
               t_min=None, mean=None, jobs=1) -> TailReport:
     """Check a tail bound against simulation.
@@ -374,15 +387,7 @@ def mc_verify(sampler, f, c, n_samples, u_grid, seed=0, mixing_norm=1.0,
     most the bound plus three binomial standard errors.
     """
     u_grid = [float(u) for u in u_grid]
-    if not u_grid:
-        raise ValueError("u_grid must be nonempty")
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples, got {n_samples}")
-    if t_min is None:
-        bounds = [mcdiarmid_tail(u, c, mixing_norm=mixing_norm)
-                  for u in u_grid]
-    else:
-        bounds = [mcdiarmid_markov_tail(u, c, t_min) for u in u_grid]
+    bounds = tail_bounds(c, u_grid, n_samples, mixing_norm, t_min)
 
     sizes = [MC_BATCH] * (n_samples // MC_BATCH)
     if n_samples % MC_BATCH:

@@ -5,6 +5,9 @@ writes deterministic CSV/JSON files into --out.  File headers carry the
 tool version, the resolved config (and its sha256), and the seed; no
 timestamps, so reruns are byte-identical.
 
+Each command checks its whole config, one table of keys per section,
+before any work; a key left out keeps the library's default.
+
 Exit codes: 0 success, 2 config/validation error, 3 oracle or training
 failure.
 """
@@ -17,7 +20,8 @@ import json
 import math
 import operator
 import sys
-from functools import reduce
+from contextlib import contextmanager
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -32,22 +36,27 @@ from .chains import (
 from .estimation import (
     FrequentistEstimator,
     NgramEstimator,
+    context_length,
+    curve_settings,
     fit_power_law,
     icl_risk_curve,
     sample_trajectory,
 )
-from .generators import build_chain
+from .generators import ChainSpec, build_chain
 from .bounds import (
+    DEFAULT_DELTA,
     ModelCard,
     generalization_gap,
     mc_verify,
     predictor_csv,
     predictor_table,
     sample_complexity,
+    tail_bounds,
 )
 from .oracles import (
     ChainOracle,
     OracleError,
+    SUM_TOL,
     RandomLogitOracle,
     ToyModelConfig,
     UniformOracle,
@@ -57,9 +66,8 @@ from .oracles import (
 )
 from .remote import MockOracleServer, RemoteOracle, RemoteOracleConfig
 from .spectral import (
-    DEFAULT_MAX_ITER,
+    DEFAULT_N_MAX,
     DEFAULT_T_CAP,
-    DEFAULT_TOL,
     classify_states,
     convergence_profile,
     doeblin_bytes,
@@ -71,7 +79,7 @@ from .spectral import (
 )
 from .states import VocabSpec, enumerate_states
 
-_MISSING = object()
+
 _NUMBER = (int, float)
 
 
@@ -79,32 +87,69 @@ class ConfigError(Exception):
     """Config failed schema validation; the message names the bad path."""
 
 
-def _take(cfg, key, kinds, default=_MISSING, path="config", at_least=None):
-    if key not in cfg:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    value = cfg[key]
-    if kinds is not None and not isinstance(value, kinds):
-        if isinstance(kinds, type):
-            kinds = (kinds,)
-        wanted = "/".join(k.__name__ for k in kinds)
-        raise ConfigError(
-            f"{path}.{key}: expected {wanted}, got {type(value).__name__}")
-    if at_least is not None and value < at_least:
-        raise ConfigError(f"{path}.{key}: must be >= {at_least}, got {value}")
-    return value
-
-
-def _list_of(cfg, key, wanted, ok=lambda v: isinstance(v, _NUMBER),
-             default=_MISSING, path="config"):
-    """The list under ``key``, with every item passing ``ok``."""
-    values = _take(cfg, key, list, default=default, path=path)
-    for i, v in enumerate(values or ()):
-        if not ok(v):
+# a value kind checks one value and names its path ``at`` on failure
+def _is(*kinds, at_least=None, above=None):
+    """One of ``kinds`` (a JSON boolean is not a number), in range."""
+    def check(value, at):
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            wanted = "/".join(k.__name__ for k in kinds)
             raise ConfigError(
-                f"{path}.{key}[{i}]: expected {wanted}, got {v!r}")
-    return values
+                f"{at}: expected {wanted}, got {type(value).__name__}")
+        if at_least is not None and value < at_least:
+            raise ConfigError(f"{at}: must be >= {at_least}, got {value}")
+        if above is not None and not value > above:
+            raise ConfigError(f"{at}: must be > {above}, got {value!r}")
+    return check
+
+
+def _list_of(wanted, ok=lambda v: isinstance(v, _NUMBER), nonempty=False):
+    """A list whose every item passes ``ok``, which may raise ValueError."""
+    def check(values, at):
+        _LIST(values, at)
+        for i, v in enumerate(values):
+            with _library_errors(f"{at}[{i}]"):
+                if not ok(v):
+                    raise ConfigError(
+                        f"{at}[{i}]: expected {wanted}, got {v!r}")
+        if nonempty and not values:
+            raise ConfigError(f"{at}: must be nonempty")
+    return check
+
+
+_INT = _is(int)
+_NUM = _is(*_NUMBER)
+_STR = _is(str)
+_LIST = _is(list)
+_DICT = _is(dict)
+_NUMBERS = _list_of("a number")
+_SEED = _is(int, at_least=0)
+
+
+def _checked(cfg, fields, path="config", required=()):
+    """``cfg``, once its keys are all in ``fields`` and pass their checks."""
+    extras = sorted(set(cfg) - set(fields))
+    if extras:
+        raise ConfigError(f"{path}.{extras[0]}: unknown key")
+    for key, check in fields.items():
+        if key in cfg:
+            check(cfg[key], f"{path}.{key}")
+        elif key in required:
+            raise ConfigError(f"{path}.{key}: required")
+    return cfg
+
+
+def _set(cfg, keys):
+    """The ``keys`` that ``cfg`` sets, so that the library's defaults hold."""
+    return {key: cfg[key] for key in keys if key in cfg}
+
+
+@contextmanager
+def _library_errors(path, sep=": "):
+    """The library's argument errors in the block as config errors."""
+    try:
+        yield
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        raise ConfigError(f"{path}{sep}{exc}") from exc
 
 
 def _check_dense(path, what, n_states, need):
@@ -113,12 +158,6 @@ def _check_dense(path, what, n_states, need):
         raise ConfigError(
             f"{path}: {what} {n_states} states needs {need} bytes of "
             f"dense arrays, above the cap of {DENSE_BLOCK_CAP_BYTES}")
-
-
-def _no_extras(cfg, allowed, path="config"):
-    extras = sorted(set(cfg) - set(allowed))
-    if extras:
-        raise ConfigError(f"{path}.{extras[0]}: unknown key")
 
 
 def _render(x):
@@ -159,150 +198,145 @@ def _write_json(path: Path, config, seed, payload: dict):
 
 
 # ---------------------------------------------------------------------------
-# config -> domain objects
+# config sections -> domain objects
 # ---------------------------------------------------------------------------
 
-def _vocab_spec(config) -> VocabSpec:
-    n_tokens = _take(config, "n_tokens", int)
-    context_window = _take(config, "context_window", int)
-    return _checked_spec(n_tokens, context_window,
-                         "config.n_tokens/context_window")
+_VOCAB = {"n_tokens": _INT, "context_window": _INT, "oracle": _DICT}
+_SOLVER = {"tol": _is(*_NUMBER, above=0), "max_iter": _is(int, at_least=1)}
+# ToyModelConfig's fields, less the window
+_TOY_FIELDS = {"embedding_dim": _INT, "learning_rate": _NUM, "epochs": _INT,
+               "seed": _SEED, "temperature": _NUM}
+_REMOTE_FIELDS = {"endpoint": _STR, "alphabet": _LIST, "separator": _STR,
+                  "timeout_ms": _INT, "max_inflight": _INT}
+_ORACLE_FIELDS = {
+    "uniform": {},
+    "random_logits": {"seed": _SEED, "temperature": _NUM, "scale": _NUM},
+    "matrix": {"rows": _LIST},
+    "parity_toy": {"n_digits": _INT, **_TOY_FIELDS},
+    "remote": _REMOTE_FIELDS,
+}
+_ESTIMATOR_FIELDS = {
+    "frequentist": {},
+    "ngram": {"order": _is(int, at_least=1), "alpha": _NUM},
+    "exact": {},
+    "remote": _REMOTE_FIELDS,
+}
+# the keys that a section of their kind must set
+_KIND_REQUIRED = ("rows", "endpoint")
+# ChainSpec's fields; a wrong type would surface inside build_chain
+_CHAIN_FIELDS = {"kind": _STR, "d": _INT, "seed": _SEED, "p_min": _NUM,
+                 "eta": _NUM, "rim_eps": _NUM, "n_samples": _NUM,
+                 "tau": _LIST, "process": _DICT}
+_CARD_FIELDS = {"name": _STR, "n_train": _INT, "n_tokens": _INT,
+                "embed_dim": _INT}
 
 
-def _checked_spec(n_tokens, context_window, path) -> VocabSpec:
+def _kind(cfg, tables, path):
+    """The kind of section ``cfg`` and its table, once ``cfg`` fits it."""
+    if "kind" not in cfg:
+        raise ConfigError(f"{path}.kind: required")
+    kind = cfg["kind"]
+    if kind not in list(tables):
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}, expected one "
+                          f"of {', '.join(tables)}")
+    _checked(cfg, {"kind": _STR, **tables[kind]}, path, _KIND_REQUIRED)
+    return kind, tables[kind]
+
+
+def _vocab_spec(n_tokens, context_window,
+                path="config.n_tokens/context_window") -> VocabSpec:
     """The spec, once its state space is known to fit under the state cap."""
-    try:
+    with _library_errors(path):
         spec = VocabSpec(n_tokens, context_window)
         enumerate_states(spec)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     return spec
 
 
-def _remote_config(cfg, n_symbols, path) -> RemoteOracleConfig:
-    _no_extras(cfg, {"kind", "endpoint", "alphabet", "separator",
-                     "timeout_ms", "max_inflight"}, path)
-    endpoint = _take(cfg, "endpoint", str, path=path)
-    alphabet = _take(cfg, "alphabet", list,
-                     default=[str(i) for i in range(n_symbols)], path=path)
+def _remote(cfg, n_symbols, path) -> RemoteOracle:
+    alphabet = cfg.get("alphabet", [str(i) for i in range(n_symbols)])
     if len(alphabet) != n_symbols:
         raise ConfigError(f"{path}.alphabet: need {n_symbols} symbols, "
                           f"got {len(alphabet)}")
-    try:
-        return RemoteOracleConfig(
-            endpoint=endpoint,
-            alphabet=tuple(alphabet),
-            separator=_take(cfg, "separator", str, default=",", path=path),
-            timeout_ms=_take(cfg, "timeout_ms", int, default=10_000, path=path),
-            max_inflight=_take(cfg, "max_inflight", int, default=4, path=path),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    with _library_errors(path):
+        return RemoteOracle(RemoteOracleConfig(
+            **{**_set(cfg, _REMOTE_FIELDS), "alphabet": alphabet}))
 
 
 def _toy_model(cfg, context_length, seed, path):
-    n_digits = _take(cfg, "n_digits", int, default=40, path=path)
-    try:
-        model_config = ToyModelConfig(
-            context_length=context_length,
-            embedding_dim=_take(cfg, "embedding_dim", int, default=16,
-                                path=path),
-            learning_rate=_take(cfg, "learning_rate", _NUMBER, default=0.1,
-                                path=path),
-            epochs=_take(cfg, "epochs", int, default=500, path=path),
-            seed=_take(cfg, "seed", int, default=seed, path=path),
-            temperature=_take(cfg, "temperature", _NUMBER, default=1.0,
-                              path=path),
-        )
-    except ValueError as exc:
-        # ToyModelConfig's messages start with the offending field's name
-        raise ConfigError(f"{path}.{exc}") from exc
-    sequence = parity_sequence(n_digits)
-    dataset = windowed_examples(sequence, context_length)
+    """The parity toy trained as ``cfg`` says, and its dataset."""
+    # ToyModelConfig's messages start with the offending field's name
+    with _library_errors(path, sep="."):
+        model_config = ToyModelConfig(context_length=context_length, **{
+            "seed": seed, **_set(cfg, _TOY_FIELDS)})
+    with _library_errors(path):
+        dataset = windowed_examples(
+            parity_sequence(**_set(cfg, ("n_digits",))), context_length)
     return train_toy(dataset, model_config, n_tokens=2), dataset
 
 
-_ORACLE_KINDS = ("uniform", "random_logits", "matrix", "parity_toy", "remote")
-
-
-def _oracle_from_config(config, spec: VocabSpec, seed, path="config.oracle"):
-    cfg = _take(config, "oracle", dict)
-    kind = _take(cfg, "kind", str, path=path)
+def _oracle(cfg, spec: VocabSpec, seed, path="config.oracle"):
+    kind, fields = _kind(cfg, _ORACLE_FIELDS, path)
     if kind == "uniform":
-        _no_extras(cfg, {"kind"}, path)
         return UniformOracle(spec.n_tokens)
     if kind == "random_logits":
-        _no_extras(cfg, {"kind", "seed", "temperature", "scale"}, path)
-        return RandomLogitOracle(
-            enumerate_states(spec),
-            seed=_take(cfg, "seed", int, default=seed, path=path),
-            temperature=_take(cfg, "temperature", _NUMBER, default=1.0,
-                              path=path),
-            scale=_take(cfg, "scale", _NUMBER, default=1.0, path=path),
-        )
+        with _library_errors(path):
+            return RandomLogitOracle(enumerate_states(spec), **{
+                "seed": seed, **_set(cfg, fields)})
     if kind == "matrix":
-        _no_extras(cfg, {"kind", "rows"}, path)
-        rows = np.asarray(_take(cfg, "rows", list, path=path), dtype=float)
+        with _library_errors(path):
+            rows = np.asarray(cfg["rows"], dtype=float)
         if rows.shape != (spec.n_tokens, spec.n_tokens):
             raise ConfigError(
                 f"{path}.rows: need shape "
                 f"({spec.n_tokens}, {spec.n_tokens}), got {rows.shape}")
         return ChainOracle(rows)
     if kind == "parity_toy":
-        _no_extras(cfg, {"kind", "n_digits", "embedding_dim",
-                         "learning_rate", "epochs", "seed", "temperature"},
-                   path)
         if spec.n_tokens != 2:
             raise ConfigError(
                 f"config.n_tokens: parity_toy needs a binary alphabet, "
                 f"got {spec.n_tokens}")
-        model, _ = _toy_model(cfg, spec.context_window, seed, path)
-        return model
+        return _toy_model(cfg, spec.context_window, seed, path)[0]
+    return _remote(cfg, spec.n_tokens, path)
+
+
+def _estimator(cfg, d, path="config.estimator"):
+    """The predictor ``cfg`` names; None for the chain itself (not built)."""
+    kind, fields = _kind(cfg, _ESTIMATOR_FIELDS, path)
+    if kind == "frequentist":
+        return FrequentistEstimator(d)
+    if kind == "ngram":
+        with _library_errors(path):
+            return NgramEstimator(n_symbols=d, **{
+                "order": 1, **_set(cfg, fields)})
     if kind == "remote":
-        return RemoteOracle(_remote_config(cfg, spec.n_tokens, path))
-    raise ConfigError(f"{path}.kind: unknown kind {kind!r}, expected one of "
-                      f"{', '.join(_ORACLE_KINDS)}")
+        return _remote(cfg, d, path)
+    return None
 
 
-# a wrong type here would surface as a TypeError inside build_chain
-_CHAIN_FIELDS = {"d": int, "seed": int, "p_min": _NUMBER, "eta": _NUMBER,
-                 "rim_eps": _NUMBER, "n_samples": _NUMBER, "tau": list,
-                 "process": dict}
+def _chain_spec(config, path="config.chain") -> ChainSpec:
+    """config.chain as a ChainSpec whose dense matrix fits under the cap."""
+    with _library_errors(path):
+        spec = ChainSpec.from_dict(config["chain"])
+    _checked(config["chain"], _CHAIN_FIELDS, path)
+    _check_dense(f"{path}.d", "a chain of", spec.d, 8 * spec.d ** 2)
+    return spec
 
 
-def _chain_states(config) -> int:
-    """The state count of config.chain, read before anything is built."""
-    chain_cfg = _take(config, "chain", dict)
-    for key, kinds in _CHAIN_FIELDS.items():
-        if key in chain_cfg:
-            _take(chain_cfg, key, kinds, path="config.chain")
-    return _take(chain_cfg, "d", int, path="config.chain")
-
-
-def _generator_chain(config):
-    d = _chain_states(config)
-    _check_dense("config.chain.d", "a chain of", d, 8 * d * d)
-    try:
-        return build_chain(config["chain"])
-    except ValueError as exc:
-        raise ConfigError(f"config.chain: {exc}") from exc
-
-
-def _start_vector(config, d, path="config"):
-    start = config.get("start")
+def _start_vector(cfg, d, path):
+    """``cfg``'s start state or distribution over ``d`` states, if set."""
+    start = cfg.get("start")
     if start is None:
         return None
     if isinstance(start, int):
         if not 0 <= start < d:
-            raise ConfigError(f"{path}.start: state {start} outside [0, {d})")
+            raise ConfigError(f"{path}: state {start} outside [0, {d})")
         return start
-    if isinstance(start, list):
-        arr = np.asarray(_list_of(config, "start", "a number", path=path),
-                         dtype=float)
-        if arr.shape != (d,):
-            raise ConfigError(f"{path}.start: need {d} probabilities")
-        return arr
-    raise ConfigError(f"{path}.start: expected int or list")
+    _NUMBERS(start, path)
+    arr = np.asarray(start, dtype=float)
+    if arr.shape != (d,) or not (np.all(arr >= 0)
+                                 and abs(arr.sum() - 1.0) <= SUM_TOL):
+        raise ConfigError(f"{path}: need {d} probabilities summing to 1")
+    return arr
 
 
 def _require_ok(report):
@@ -324,14 +358,14 @@ def _structure_payload(report):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each checks its whole config before any work
 # ---------------------------------------------------------------------------
 
-def cmd_build(config, out: Path, jobs: int) -> int:
-    _no_extras(config, {"n_tokens", "context_window", "oracle", "seed"})
-    seed = config.get("seed", 0)
-    spec = _vocab_spec(config)
-    matrix = build_qf(_oracle_from_config(config, spec, seed), spec)
+def cmd_build(config, seed, out: Path, jobs: int) -> int:
+    """build a sequence-state transition matrix from an oracle"""
+    _checked(config, {**_VOCAB, "seed": _SEED}, required=_VOCAB)
+    spec = _vocab_spec(config["n_tokens"], config["context_window"])
+    matrix = build_qf(_oracle(config["oracle"], spec, seed), spec)
     report = validate_structure(matrix, spec)
     _require_ok(report)
     _write_json(out / "matrix.json", config, seed,
@@ -343,42 +377,26 @@ def cmd_build(config, out: Path, jobs: int) -> int:
     return 0
 
 
-def _solver_settings(config):
-    """The power iteration's tol and max_iter, checked."""
-    tol = _take(config, "tol", _NUMBER, default=DEFAULT_TOL)
-    if not tol > 0:
-        raise ConfigError(f"config.tol: must be > 0, got {tol!r}")
-    max_iter = _take(config, "max_iter", int, default=DEFAULT_MAX_ITER,
-                     at_least=1)
-    return float(tol), max_iter
-
-
-def _analysis_settings(config):
-    """analyze's n_max, t_cap and threshold grid, checked."""
-    n_max = _take(config, "n_max", int, default=1000)
-    t_cap = _take(config, "t_cap", int, default=DEFAULT_T_CAP, at_least=0)
-    grid = _list_of(config, "grid", "a number in [0, 1)",
-                    lambda e: isinstance(e, _NUMBER) and 0 <= e < 1,
-                    default=None)
-    if grid == []:
-        raise ConfigError("config.grid: must be nonempty")
-    return n_max, t_cap, grid
-
-
-def cmd_analyze(config, out: Path, jobs: int) -> int:
-    _no_extras(config, {"n_tokens", "context_window", "oracle", "chain",
-                        "seed", "tol", "max_iter", "n_max", "t_cap", "grid"})
-    seed = config.get("seed", 0)
-    tol, max_iter = _solver_settings(config)
-    n_max, t_cap, grid = _analysis_settings(config)
+def cmd_analyze(config, seed, out: Path, jobs: int) -> int:
+    """stationary distribution, classification, envelope, mixing"""
     if ("chain" in config) == ("oracle" in config):
         raise ConfigError(
             'config: give exactly one of "chain" or "oracle" (with '
             '"n_tokens" and "context_window")')
+    source = {"chain": _DICT} if "chain" in config else _VOCAB
+    _checked(config, {
+        **_SOLVER, "n_max": _INT, "t_cap": _is(int, at_least=0),
+        "grid": _list_of("a number in [0, 1)",
+                         lambda e: isinstance(e, _NUMBER) and 0 <= e < 1,
+                         nonempty=True),
+        **source, "seed": _SEED}, required=_VOCAB)
+    n_max = config.get("n_max", DEFAULT_N_MAX)
+    t_cap = config.get("t_cap", DEFAULT_T_CAP)
     if "chain" in config:
-        n_states, window, path = _chain_states(config), 1, "config.chain.d"
+        chain = _chain_spec(config)
+        n_states, window, path = chain.d, 1, "config.chain.d"
     else:
-        spec = _vocab_spec(config)
+        spec = _vocab_spec(config["n_tokens"], config["context_window"])
         n_states, window = spec.state_count, spec.context_window
         path = "config.n_tokens/context_window"
     if n_max < window:
@@ -386,14 +404,16 @@ def cmd_analyze(config, out: Path, jobs: int) -> int:
                           f"{window}, got {n_max}")
     _check_dense(path, "analyzing", n_states, mixing_bytes(n_states, t_cap))
     if "chain" in config:
-        matrix = _generator_chain(config)
+        with _library_errors("config.chain"):
+            matrix = build_chain(chain)
     else:
-        matrix = build_qf(_oracle_from_config(config, spec, seed), spec)
+        matrix = build_qf(_oracle(config["oracle"], spec, seed), spec)
 
     classification = classify_states(matrix)
-    stat = stationary(matrix, tol, max_iter, classification=classification)
-    report = mixing_report(matrix, pi=stat.pi, grid=grid, t_cap=t_cap,
-                           classification=classification)
+    stat = stationary(matrix, classification=classification,
+                      **_set(config, _SOLVER))
+    report = mixing_report(matrix, pi=stat.pi, grid=config.get("grid"),
+                           t_cap=t_cap, classification=classification)
     profile = convergence_profile(matrix, n_max=n_max, pi=stat.pi)
     epsilon = profile.epsilon
 
@@ -427,48 +447,47 @@ def cmd_analyze(config, out: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_sweep_temperature(config, out: Path, jobs: int) -> int:
-    _no_extras(config, {"n_tokens", "context_window", "oracle",
-                        "temperatures", "seed", "tol", "max_iter"})
-    seed = config.get("seed", 0)
-    temperatures = _list_of(config, "temperatures", "a positive number",
-                            lambda t: isinstance(t, _NUMBER) and t > 0)
-    if not temperatures:
-        raise ConfigError("config.temperatures: must be nonempty")
-    spec = _vocab_spec(config)
+def cmd_sweep_temperature(config, seed, out: Path, jobs: int) -> int:
+    """epsilon and convergence steps across temperatures"""
+    _checked(config, {
+        "temperatures": _list_of("a positive number",
+                                 lambda t: isinstance(t, _NUMBER) and t > 0,
+                                 nonempty=True),
+        **_VOCAB, **_SOLVER, "seed": _SEED},
+        required=("temperatures", *_VOCAB))
+    spec = _vocab_spec(config["n_tokens"], config["context_window"])
     n_full = spec.n_tokens ** spec.context_window
     _check_dense("config.n_tokens/context_window",
                  "the Doeblin constant of", n_full, doeblin_bytes(n_full))
-    oracle = _oracle_from_config(config, spec, seed)
+    oracle = _oracle(config["oracle"], spec, seed)
     if not hasattr(oracle, "with_temperature"):
         raise ConfigError("config.oracle.kind: this oracle has no "
                           "temperature control; use random_logits or "
                           "parity_toy")
-    tol, max_iter = _solver_settings(config)
-    points = sweep_temperature(oracle, spec, temperatures, tol=tol,
-                               max_iter=max_iter)
+    points = sweep_temperature(oracle, spec, config["temperatures"],
+                               **_set(config, _SOLVER))
     _write_csv(out / "sweep.csv", config, seed, temperature_csv(points))
     print(f"swept {len(points)} temperatures: epsilon "
           f"{float(points[0].epsilon)!r} -> {float(points[-1].epsilon)!r}")
     return 0
 
 
-def cmd_generate(config, out: Path, jobs: int) -> int:
-    _no_extras(config, {"chain", "sample", "seed"})
-    seed = config.get("seed", 0)
-    matrix = _generator_chain(config)
-    sample = _take(config, "sample", dict, default=None)
+def cmd_generate(config, seed, out: Path, jobs: int) -> int:
+    """materialize a reference chain, optionally sample it"""
+    _checked(config, {"chain": _DICT, "sample": _DICT, "seed": _SEED},
+             required=("chain",))
+    chain = _chain_spec(config)
+    sample = config.get("sample")
     if sample is not None:
-        _no_extras(sample, {"length", "start", "seed"}, "config.sample")
-        length = _take(sample, "length", int, path="config.sample",
-                       at_least=1)
-        start = _start_vector(sample, matrix.n_states, "config.sample")
-        if start is None:
-            start = np.full(matrix.n_states, 1.0 / matrix.n_states)
-        traj = sample_trajectory(
-            matrix, start, length,
-            seed=_take(sample, "seed", int, default=seed,
-                       path="config.sample"))
+        _checked(sample, {"length": _is(int, at_least=1),
+                          "start": _is(int, list), "seed": _SEED},
+                 "config.sample", required=("length",))
+        start = _start_vector(sample, chain.d, "config.sample.start")
+    with _library_errors("config.chain"):
+        matrix = build_chain(chain)
+    if sample is not None:
+        traj = sample_trajectory(matrix, start, sample["length"],
+                                 seed=sample.get("seed", seed))
     _write_json(out / "matrix.json", config, seed, {
         "matrix": matrix.to_payload(),
         "meta": matrix.meta,
@@ -482,48 +501,29 @@ def cmd_generate(config, out: Path, jobs: int) -> int:
     return 0
 
 
-_ESTIMATOR_KINDS = ("frequentist", "ngram", "exact", "remote")
-
-
-def _estimator_from_config(cfg, matrix, path="config.estimator"):
-    kind = _take(cfg, "kind", str, path=path)
-    d = matrix.n_states
-    if kind == "frequentist":
-        _no_extras(cfg, {"kind"}, path)
-        return FrequentistEstimator(d), False
-    if kind == "ngram":
-        _no_extras(cfg, {"kind", "order", "alpha"}, path)
-        return NgramEstimator(
-            order=_take(cfg, "order", int, default=1, path=path, at_least=1),
-            alpha=_take(cfg, "alpha", _NUMBER, default=1.0, path=path),
-            n_symbols=d), False
-    if kind == "exact":
-        _no_extras(cfg, {"kind"}, path)
-        return ChainOracle(matrix, name="exact"), False
-    if kind == "remote":
-        return RemoteOracle(_remote_config(cfg, d, path)), True
-    raise ConfigError(f"{path}.kind: unknown kind {kind!r}, expected one of "
-                      f"{', '.join(_ESTIMATOR_KINDS)}")
-
-
-def cmd_estimate(config, out: Path, jobs: int) -> int:
-    _no_extras(config, {"chain", "estimator", "n_list", "reps", "metric",
-                        "start", "seed"})
-    seed = config.get("seed", 0)
-    matrix = _generator_chain(config)
-    predictor, is_remote = _estimator_from_config(
-        _take(config, "estimator", dict), matrix)
-    n_list = _list_of(config, "n_list", "a number")
-    reps = _take(config, "reps", int, default=5)
-    metric = _take(config, "metric", str, default="tv")
-    start = _start_vector(config, matrix.n_states)
+def cmd_estimate(config, seed, out: Path, jobs: int) -> int:
+    """risk curves and power-law fit for an estimator"""
+    _checked(config, {
+        "chain": _DICT, "estimator": _DICT,
+        "n_list": _list_of("a number", lambda n: isinstance(n, _NUMBER)
+                           and context_length(n)),
+        "reps": _INT, "metric": _STR, "start": _is(int, list),
+        "seed": _SEED}, required=("chain", "estimator", "n_list"))
+    chain = _chain_spec(config)
+    predictor = _estimator(config["estimator"], chain.d)
+    reps = config.get("reps", 5)
+    metric = _set(config, ("metric",))
+    with _library_errors("config"):
+        curve_settings(config["n_list"], reps, **metric)
+    start = _start_vector(config, chain.d, "config.start")
+    with _library_errors("config.chain"):
+        matrix = build_chain(chain)
+    if predictor is None:
+        predictor = ChainOracle(matrix, name="exact")
     # a remote session cannot cross process boundaries
-    curve_jobs = 1 if is_remote else jobs
-    try:
-        curve = icl_risk_curve(matrix, predictor, n_list, reps, seed=seed,
-                               metric=metric, start=start, jobs=curve_jobs)
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    curve_jobs = 1 if isinstance(predictor, RemoteOracle) else jobs
+    curve = icl_risk_curve(matrix, predictor, config["n_list"], reps,
+                           seed=seed, start=start, jobs=curve_jobs, **metric)
     _write_csv(out / "risk.csv", config, seed, curve.csv_rows())
     try:
         fit = {"fit": json.loads(fit_power_law(curve).to_json())}
@@ -537,69 +537,54 @@ def cmd_estimate(config, out: Path, jobs: int) -> int:
     return 0
 
 
-class _CoinSampler:
-    """Fair coin rows; picklable so mc_verify can fan out workers."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def __call__(self, rng, size):
-        return rng.integers(0, 2, size=(size, self.n))
+def _coin_rows(n, rng, size):
+    """Fair coin rows; picklable, so mc_verify can fan out workers."""
+    return rng.integers(0, 2, size=(size, n))
 
 
-def _row_mean(block):
-    return block.mean(axis=1)
-
-
-_CARD_FIELDS = {"name": str, "n_train": int, "n_tokens": int, "embed_dim": int}
-
-
-def cmd_bounds(config, out: Path, jobs: int) -> int:
-    _no_extras(config, {"predictor", "cards", "sample_complexity", "mc",
-                        "seed"})
-    seed = config.get("seed", 0)
-    pred_cfg = _take(config, "predictor", dict, default={})
-    pred = "config.predictor"
-    _no_extras(pred_cfg, {"temperature", "delta"}, pred)
-    temperature = _take(pred_cfg, "temperature", _NUMBER, default=1.0,
-                        path=pred)
-    delta = _take(pred_cfg, "delta", _NUMBER, default=0.05, path=pred)
-
-    cards_cfg = _take(config, "cards", list, default=None)
+def cmd_bounds(config, seed, out: Path, jobs: int) -> int:
+    """deviation constants, predictor table, tail verification"""
+    _checked(config, {"predictor": _DICT,
+                      "cards": _list_of("an object",
+                                        lambda row: isinstance(row, dict)),
+                      "sample_complexity": _DICT, "mc": _is(dict, type(None)),
+                      "seed": _SEED})
+    mc = config.get("mc", {})
+    if mc is not None:
+        _checked(mc, {"n": _is(int, at_least=1), "n_samples": _INT,
+                      "u_grid": _NUMBERS, "t_min": _NUM, "seed": _SEED},
+                 "config.mc")
+        n = mc.get("n", 100)
+        n_samples = mc.get("n_samples", 100_000)
+        u_grid = mc.get("u_grid", [0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
+        with _library_errors("config.mc"):
+            tail_bounds(np.full(n, 1.0 / n), u_grid, n_samples,
+                        t_min=mc.get("t_min"))
+    # the closed forms below check their own arguments in microseconds
+    pred = _checked(config.get("predictor", {}),
+                    {"temperature": _NUM, "delta": _NUM}, "config.predictor")
     cards = None
-    if cards_cfg is not None:
+    if "cards" in config:
         cards = []
-        for i, row in enumerate(cards_cfg):
+        for i, row in enumerate(config["cards"]):
             card = f"config.cards[{i}]"
-            if not isinstance(row, dict):
-                raise ConfigError(f"{card}: expected an object")
-            _no_extras(row, _CARD_FIELDS, card)
-            try:
-                cards.append(ModelCard(**{
-                    key: _take(row, key, kinds, path=card)
-                    for key, kinds in _CARD_FIELDS.items()}))
-            except ValueError as exc:
-                raise ConfigError(f"{card}: {exc}") from exc
-    try:
-        rows = predictor_table(cards, temperature=temperature, delta=delta)
-    except ValueError as exc:
-        raise ConfigError(f"{pred}: {exc}") from exc
-
+            _checked(row, _CARD_FIELDS, card, required=_CARD_FIELDS)
+            with _library_errors(card):
+                cards.append(ModelCard(**row))
+    with _library_errors("config.predictor"):
+        rows = predictor_table(cards, **pred)
     payload = {}
-    sc_cfg = _take(config, "sample_complexity", dict, default=None)
-    if sc_cfg is not None:
-        sc = "config.sample_complexity"
-        _no_extras(sc_cfg, {"constant", "epsilon", "delta"}, sc)
-        constant = _take(sc_cfg, "constant", _NUMBER, path=sc)
-        epsilon = _take(sc_cfg, "epsilon", _NUMBER, path=sc)
-        sc_delta = _take(sc_cfg, "delta", _NUMBER, default=delta, path=sc)
-        try:
-            n_star = sample_complexity(constant, epsilon, sc_delta)
-            gap = generalization_gap(constant, n_star, sc_delta)
-        except ValueError as exc:
-            raise ConfigError(f"{sc}: {exc}") from exc
+    sc = config.get("sample_complexity")
+    if sc is not None:
+        _checked(sc, {"constant": _NUM, "epsilon": _NUM, "delta": _NUM},
+                 "config.sample_complexity", required=("constant", "epsilon"))
+        epsilon = sc["epsilon"]
+        sc_delta = sc.get("delta", pred.get("delta", DEFAULT_DELTA))
+        with _library_errors("config.sample_complexity"):
+            n_star = sample_complexity(sc["constant"], epsilon, sc_delta)
+            gap = generalization_gap(sc["constant"], n_star, sc_delta)
         payload["sample_complexity"] = {
-            "constant": float(constant),
+            "constant": float(sc["constant"]),
             "epsilon": float(epsilon),
             "delta": float(sc_delta),
             "n_star": n_star,
@@ -607,27 +592,15 @@ def cmd_bounds(config, out: Path, jobs: int) -> int:
             "half_epsilon": epsilon / 2.0,
             "ok": gap <= epsilon / 2.0 * (1.0 + 1e-12),
         }
-
-    mc_cfg = _take(config, "mc", (dict, type(None)), default={})
-    if mc_cfg is not None:
-        mc = "config.mc"
-        _no_extras(mc_cfg, {"n", "n_samples", "u_grid", "t_min", "seed"}, mc)
-        n = _take(mc_cfg, "n", int, default=100, path=mc)
-        n_samples = _take(mc_cfg, "n_samples", int, default=100_000, path=mc)
-        u_grid = _list_of(mc_cfg, "u_grid", "a number", path=mc,
-                          default=[0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
-        t_min = _take(mc_cfg, "t_min", _NUMBER, default=None, path=mc)
-        try:
-            report = mc_verify(
-                _CoinSampler(n), _row_mean, np.full(n, 1.0 / n), n_samples,
-                u_grid, t_min=t_min, mean=0.5, jobs=jobs,
-                seed=_take(mc_cfg, "seed", int, default=seed, path=mc))
-        except ValueError as exc:
-            raise ConfigError(f"{mc}: {exc}") from exc
+    if mc is not None:
+        report = mc_verify(
+            partial(_coin_rows, n), partial(np.mean, axis=1),
+            np.full(n, 1.0 / n), n_samples, u_grid, t_min=mc.get("t_min"),
+            mean=0.5, jobs=jobs, seed=mc.get("seed", seed))
         payload["mc"] = {
             "n": n,
             "n_samples": report.n_samples,
-            "t_min": t_min,
+            "t_min": mc.get("t_min"),
             "center": report.center,
             "ok": report.ok,
             "checks": [{
@@ -642,19 +615,18 @@ def cmd_bounds(config, out: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_train_toy(config, out: Path, jobs: int) -> int:
-    _no_extras(config, {"n_digits", "context_length", "embedding_dim",
-                        "learning_rate", "epochs", "seed", "temperature",
-                        "tol", "max_iter"})
-    seed = config.get("seed", 0)
-    context_length = _take(config, "context_length", int, default=3)
-    spec = _checked_spec(2, context_length, "config.context_length")
-    tol, max_iter = _solver_settings(config)
+def cmd_train_toy(config, seed, out: Path, jobs: int) -> int:
+    """parity pipeline: dataset, training, chain extraction"""
+    _checked(config, {"n_digits": _INT, "context_length": _INT,
+                      **_TOY_FIELDS, **_SOLVER})
+    context_length = config.get("context_length",
+                                ToyModelConfig.context_length)
+    spec = _vocab_spec(2, context_length, "config.context_length")
     model, dataset = _toy_model(config, context_length, seed, "config")
     matrix = build_qf(model, spec)
     report = validate_structure(matrix, spec)
     _require_ok(report)
-    stat = stationary(matrix, tol, max_iter)
+    stat = stationary(matrix, **_set(config, _SOLVER))
 
     space = enumerate_states(spec)
     seen = {context for context, _ in dataset}
@@ -691,10 +663,11 @@ def cmd_train_toy(config, out: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_mock_serve(config, out: Path, jobs: int) -> int:
-    _no_extras(config, {"seed", "port"})
-    server = MockOracleServer(seed=config.get("seed", 0),
-                              port=_take(config, "port", int, default=0))
+def cmd_mock_serve(config, seed, out: Path, jobs: int) -> int:
+    """run the bundled oracle-protocol mock server"""
+    _checked(config, {"seed": _SEED, "port": _INT})
+    with _library_errors("config"):
+        server = MockOracleServer(seed=seed, **_set(config, ("port",)))
     print(f"serving oracle protocol on {server.url}", flush=True)
     try:
         server.serve_forever()
@@ -703,6 +676,7 @@ def cmd_mock_serve(config, out: Path, jobs: int) -> int:
     return 0
 
 
+# each command's docstring is its --help line
 _COMMANDS = {
     "build": cmd_build,
     "analyze": cmd_analyze,
@@ -714,17 +688,6 @@ _COMMANDS = {
     "mock-serve": cmd_mock_serve,
 }
 
-_HELP = {
-    "build": "build a sequence-state transition matrix from an oracle",
-    "analyze": "stationary distribution, classification, envelope, mixing",
-    "sweep-temperature": "epsilon and convergence steps across temperatures",
-    "generate": "materialize a reference chain, optionally sample it",
-    "estimate": "risk curves and power-law fit for an estimator",
-    "bounds": "deviation constants, predictor table, tail verification",
-    "train-toy": "parity pipeline: dataset, training, chain extraction",
-    "mock-serve": "run the bundled oracle-protocol mock server",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -733,8 +696,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"tokenchain {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, descr in _HELP.items():
-        cmd = sub.add_parser(name, help=descr)
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.__doc__)
         cmd.add_argument("--config", metavar="PATH", default=None,
                          help="JSON config file")
         cmd.add_argument("--seed", metavar="U64", type=int, default=None,
@@ -763,14 +726,15 @@ def main(argv=None) -> int:
                 raise ConfigError("config: top level must be a JSON object")
         if args.seed is not None:
             config["seed"] = args.seed
-        seed = _take(config, "seed", int, default=0)
+        seed = config.get("seed", 0)
+        _INT(seed, "config.seed")
         if not 0 <= seed < 2 ** 64:
             raise ConfigError(f"config.seed: must fit in u64, got {seed}")
         if args.jobs < 1:
             raise ConfigError(f"config.jobs: must be >= 1, got {args.jobs}")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, out, args.jobs)
+        return _COMMANDS[args.command](config, seed, out, args.jobs)
     except ConfigError as exc:
         print(f"tokenchain: {exc}", file=sys.stderr)
         return 2

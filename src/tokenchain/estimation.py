@@ -24,11 +24,9 @@ MAX_EXACT_RISK_STATES = 64
 
 @dataclass
 class Trajectory:
-    """A finite state path plus how it came to be."""
+    """A finite, nonempty path of state ids."""
 
     states: np.ndarray
-    seed: object = None
-    source: object = "external"
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=np.int64)
@@ -42,7 +40,7 @@ class Trajectory:
 
 
 def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
-    """Sample an n-state path; ``start`` is a state id or a distribution."""
+    """Sample an n-state path from a start state, distribution or None."""
     rows = TransitionMatrix.of(Q).dense()
     d = rows.shape[0]
     if n < 1:
@@ -50,6 +48,8 @@ def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
     rng = np.random.default_rng(seed)
     cum = np.cumsum(rows, axis=1)
     out = np.empty(n, dtype=np.int64)
+    if start is None:
+        start = np.full(d, 1.0 / d)
     if np.ndim(start) == 0:
         x = int(start)
         if not 0 <= x < d:
@@ -62,7 +62,7 @@ def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
     for k in range(n - 1):
         x = min(int(np.searchsorted(cum[x], draws[k], side="right")), d - 1)
         out[k + 1] = x
-    return Trajectory(states=out, seed=seed)
+    return Trajectory(states=out)
 
 
 def frequentist_estimate(traj, d=None) -> TransitionMatrix:
@@ -105,6 +105,8 @@ class NgramEstimator:
     """Smoothed n-gram estimator; refit per trajectory."""
 
     def __init__(self, order, alpha=1.0, n_symbols=None):
+        if not alpha >= 0:
+            raise ValueError(f"alpha must be >= 0, got {alpha}")
         self.order = int(order)
         self.alpha = float(alpha)
         self.n_symbols = n_symbols
@@ -227,6 +229,26 @@ def _one_replicate(args):
     return _METRICS[metric](rows, oracle, traj)
 
 
+def context_length(n) -> int:
+    """``n`` as a context length: a whole number of at least two states,
+    so that every sampled trajectory holds a transition to fit."""
+    if not (math.isfinite(n) and n == int(n) and n >= 2):
+        raise ValueError(f"context length must be an integer >= 2, got {n!r}")
+    return int(n)
+
+
+def curve_settings(n_list, reps, metric="tv") -> list:
+    """A risk curve's context lengths as ints, once its settings are valid."""
+    n_list = [context_length(n) for n in n_list]
+    if any(a >= b for a, b in zip(n_list, n_list[1:])) or not n_list:
+        raise ValueError("context lengths must be strictly increasing")
+    if reps < 2:
+        raise ValueError("need at least two replicates for an interval")
+    if metric not in _METRICS:
+        raise ValueError(f"metric must be one of {sorted(_METRICS)}, got {metric!r}")
+    return n_list
+
+
 def icl_risk_curve(Q_true, predictor, n_list, reps, seed=0, metric="tv",
                    start=None, jobs=1) -> RiskCurve:
     """Risk vs context length with a 95% normal-approximation interval.
@@ -236,16 +258,8 @@ def icl_risk_curve(Q_true, predictor, n_list, reps, seed=0, metric="tv",
     derived as (seed, point-index, replicate), so curves are reproducible
     and independent of ``jobs``.
     """
-    n_list = [int(n) for n in n_list]
-    if any(a >= b for a, b in zip(n_list, n_list[1:])) or not n_list:
-        raise ValueError("context lengths must be strictly increasing")
-    if reps < 2:
-        raise ValueError("need at least two replicates for an interval")
-    if metric not in _METRICS:
-        raise ValueError(f"metric must be one of {sorted(_METRICS)}, got {metric!r}")
+    n_list = curve_settings(n_list, reps, metric)
     rows = TransitionMatrix.of(Q_true).dense()
-    if start is None:
-        start = np.full(rows.shape[0], 1.0 / rows.shape[0])
     tasks = [(rows, predictor, n, [seed, i, rep], metric, start)
              for i, n in enumerate(n_list) for rep in range(reps)]
     if jobs > 1:

@@ -27,7 +27,7 @@ def random_chain(d, p_min=0.0, seed=0) -> TransitionMatrix:
     """
     if d < 2:
         raise ValueError(f"need at least 2 states, got {d}")
-    if p_min < 0:
+    if not p_min >= 0:
         raise ValueError(f"p_min must be >= 0, got {p_min}")
     if p_min * d > 1.0:
         raise ValueError(f"p_min={p_min} infeasible for {d} states")
@@ -185,6 +185,8 @@ def discretize(series, d):
     series = np.asarray(series, dtype=float)
     if series.ndim != 1 or series.size == 0:
         raise ValueError("series must be a nonempty vector")
+    if not np.all(np.isfinite(series)):
+        raise ValueError("series must be finite")
     if d < 2:
         raise ValueError(f"need at least 2 bins, got {d}")
     lo, hi = float(series.min()), float(series.max())
@@ -192,8 +194,7 @@ def discretize(series, d):
         raise ValueError("constant series cannot be binned")
     edges = np.linspace(lo, hi, d + 1)
     states = np.digitize(series, edges[1:-1], right=True)
-    return Trajectory(states=states.astype(np.int64),
-                      source={"kind": "discretized", "d": int(d)})
+    return Trajectory(states=states.astype(np.int64))
 
 
 @dataclass

@@ -155,6 +155,10 @@ class RandomLogitOracle(Oracle):
     """
 
     def __init__(self, space, seed=0, temperature=1.0, scale=1.0, _logits=None):
+        if not temperature > 0:
+            raise ValueError(f"temperature must be > 0, got {temperature}")
+        if not np.isfinite(scale):
+            raise ValueError(f"scale must be finite, got {scale}")
         self.space = space
         self.seed = seed
         self.temperature = float(temperature)
@@ -216,7 +220,7 @@ def fit_ngram(trajectory, order, alpha=1.0, n_symbols=None):
     observed statistics.
     """
     states = np.asarray(getattr(trajectory, "states", trajectory), dtype=int)
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if states.size == 0 or (states.size < 2 and alpha == 0):
         raise ValueError("need at least one transition to fit with alpha=0")
@@ -224,7 +228,8 @@ def fit_ngram(trajectory, order, alpha=1.0, n_symbols=None):
         n_symbols = int(states.max()) + 1
     counts: dict[tuple, np.ndarray] = {}
     seq = [int(s) for s in states]
-    for length in range(1, order + 1):
+    # no window longer than the trajectory has a next state to count
+    for length in range(1, min(order, len(seq) - 1) + 1):
         for i in range(len(seq) - length):
             ctx = tuple(seq[i:i + length])
             nxt = seq[i + length]
@@ -249,10 +254,11 @@ class ToyModelConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
+        # written as "not > 0" so that NaN fails too
         for name in ("context_length", "embedding_dim", "learning_rate", "epochs"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError("temperature must be > 0")
 
 
@@ -388,6 +394,9 @@ def parity_sequence(n_digits=40, start=(0, 0, 1)):
 def windowed_examples(sequence, context_length=3):
     """Supervised (context, next-token) pairs from every window of a sequence."""
     seq = list(sequence)
+    if len(seq) <= context_length:
+        raise ValueError(f"a sequence of {len(seq)} tokens has no window of "
+                         f"{context_length} with a next token")
     return [(tuple(seq[i:i + context_length]), seq[i + context_length])
             for i in range(len(seq) - context_length)]
 

@@ -22,6 +22,7 @@ from .states import enumerate_states
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10**6
 DEFAULT_T_CAP = 10_000
+DEFAULT_N_MAX = 1000
 # thresholds for the minimized mixing constant: {0, 0.05, ..., 0.95}
 DEFAULT_EPS_GRID = tuple(k * 0.05 for k in range(20))
 
@@ -306,7 +307,7 @@ def _polish_fixpoint(v, D, rounds=5000):
     return v
 
 
-def convergence_profile(Q, window=None, n_max=1000, pi=None) -> ConvergenceProfile:
+def convergence_profile(Q, window=None, n_max=DEFAULT_N_MAX, pi=None) -> ConvergenceProfile:
     """Both sides of the geometric convergence envelope for n = window..n_max.
 
     Accepts either a full sequence-state chain (the deviation then runs over
@@ -442,14 +443,15 @@ class TemperaturePoint:
     temperature: float
     epsilon: float
     iterations: int
+    converged: bool
 
 
 def sweep_temperature(oracle, spec, temperatures, space=None,
                       tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Rebuild the chain of ``oracle`` at each temperature.
 
-    Reports the envelope rate constant and the power-iteration step count;
-    the oracle must expose ``with_temperature``.
+    Reports the envelope rate constant, the power-iteration step count and
+    whether it met ``tol``; the oracle must expose ``with_temperature``.
     """
     if space is None:
         space = enumerate_states(spec)
@@ -459,12 +461,14 @@ def sweep_temperature(oracle, spec, temperatures, space=None,
         result = stationary(Q, tol, max_iter)
         eps = doeblin_epsilon(Q, spec.context_window)
         points.append(TemperaturePoint(temperature=float(tau), epsilon=eps,
-                                       iterations=result.iterations))
+                                       iterations=result.iterations,
+                                       converged=result.converged))
     return points
 
 
 def temperature_csv(points) -> str:
-    lines = ["temperature,epsilon,iterations"]
+    lines = ["temperature,epsilon,iterations,converged"]
     for p in points:
-        lines.append(f"{_cell(p.temperature)},{_cell(p.epsilon)},{p.iterations}")
+        lines.append(f"{_cell(p.temperature)},{_cell(p.epsilon)},"
+                     f"{p.iterations},{str(p.converged).lower()}")
     return "\n".join(lines) + "\n"

@@ -189,10 +189,19 @@ def test_sweep_temperature_monotone_epsilon(tmp_path):
            "temperatures": [0.5, 1.0, 2.0]}
     assert run(tmp_path, "sweep-temperature", cfg) == 0
     _, body = read_csv(tmp_path, "out", "sweep.csv")
-    assert body[0] == "temperature,epsilon,iterations"
+    assert body[0] == "temperature,epsilon,iterations,converged"
     eps = [float(line.split(",")[1]) for line in body[1:]]
     assert len(eps) == 3
     assert eps[0] <= eps[1] <= eps[2]
+    assert all(line.endswith(",true") for line in body[1:])
+
+
+def test_sweep_flags_unconverged_points(tmp_path):
+    cfg = dict(SWEEP_CFG, temperatures=[0.5, 1.0], max_iter=1)
+    assert run(tmp_path, "sweep-temperature", cfg) == 0
+    _, body = read_csv(tmp_path, "out", "sweep.csv")
+    assert [line.split(",")[2:] for line in body[1:]] == \
+        [["1", "false"], ["1", "false"]]
 
 
 def test_sweep_rejects_uniform_oracle(tmp_path):
@@ -443,6 +452,19 @@ FREQ = {"kind": "frequentist"}
     ("bounds", {"predictor": {"delta": 2}, "cards": [
         {"name": "a", "n_train": 10, "n_tokens": 5, "embed_dim": 4}]},
      "config.predictor"),
+    ("estimate", {"chain": CHAIN3, "estimator": FREQ,
+                  "n_list": [50, 100.5, 200]}, "config.n_list[1]"),
+    ("estimate", {"chain": CHAIN3, "estimator": FREQ,
+                  "n_list": [50, float("inf")]}, "config.n_list[1]"),
+    ("build", dict(BUILD_CFG, oracle={"kind": "matrix", "rows": [
+        [0.5, 0.5], ["a", 0.5]]}), "config.oracle"),
+    ("build", dict(BUILD_CFG, oracle={"kind": "random_logits",
+                                      "scale": float("nan")}),
+     "config.oracle"),
+    ("generate", {"chain": {"kind": "discretized_process", "d": 3,
+                            "n_samples": 50,
+                            "process": {"kind": "gbm", "sigma": "x"}}},
+     "config.chain"),
 ])
 def test_malformed_values_exit_2(tmp_path, capsys, command, cfg, key):
     assert run(tmp_path, command, cfg) == 2
@@ -477,3 +499,33 @@ def test_dense_bytes_checked_before_building(tmp_path, capsys, monkeypatch,
     assert err.startswith(f"tokenchain: {key}: ")
     assert f"{states} states" in err and f"{need} bytes" in err
     assert "cap of 5000" in err
+
+
+@pytest.mark.parametrize("command,cfg,key", [
+    ("estimate", {"chain": CHAIN3, "estimator": FREQ, "n_list": [50],
+                  "reps": "x"}, "config.reps"),
+    ("generate", {"chain": CHAIN3, "sample": {"length": 0}},
+     "config.sample.length"),
+    ("bounds", {"mc": {"n": 0}}, "config.mc.n"),
+    ("sweep-temperature", dict(SWEEP_CFG, tol=0,
+                               oracle={"kind": "parity_toy"}), "config.tol"),
+])
+def test_whole_config_is_checked_before_any_work(tmp_path, capsys,
+                                                 monkeypatch, command, cfg,
+                                                 key):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the whole config must be checked first")
+
+    for name in ("build_chain", "build_qf", "train_toy", "RandomLogitOracle",
+                 "predictor_table", "icl_risk_curve", "mc_verify"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert run(tmp_path, command, cfg) == 2
+    assert capsys.readouterr().err.startswith(f"tokenchain: {key}: ")
+
+
+def test_estimate_takes_integral_float_context_lengths(tmp_path):
+    cfg = {"chain": CHAIN3, "estimator": FREQ, "n_list": [100, 316.0],
+           "reps": 2}
+    assert run(tmp_path, "estimate", cfg) == 0
+    _, body = read_csv(tmp_path, "out", "risk.csv")
+    assert [line.split(",")[0] for line in body[1:]] == ["100", "316"]

@@ -207,6 +207,22 @@ def test_parallel_curve_matches_serial():
            [(p.mean, p.lo, p.hi) for p in parallel.points]
 
 
+@pytest.mark.parametrize("n", [100.5, math.inf, math.nan, 1])
+def test_curve_refuses_context_lengths_that_are_not_integers_from_2(n):
+    Q = random_chain(3, seed=1)
+    with pytest.raises(ValueError, match=f"got {n!r}"):
+        icl_risk_curve(Q, FrequentistEstimator(3), [50, n, 500], reps=2)
+
+
+def test_curve_takes_integral_float_context_lengths():
+    Q = random_chain(3, seed=1)
+    a = icl_risk_curve(Q, FrequentistEstimator(3), [100, 316.0], reps=2)
+    b = icl_risk_curve(Q, FrequentistEstimator(3), [100, 316], reps=2)
+    assert [p.n_icl for p in a.points] == [100, 316]
+    assert [(p.n_icl, p.mean) for p in a.points] == \
+           [(p.n_icl, p.mean) for p in b.points]
+
+
 def test_kl_curve_flags_infinite_points():
     truth = np.array([[0.5, 0.5], [0.5, 0.5]])
     wrong = ChainOracle(np.array([[1.0, 0.0], [1.0, 0.0]]))

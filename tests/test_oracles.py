@@ -150,6 +150,16 @@ def test_ngram_warmup_windows_are_counted():
     npt.assert_array_equal(oracle.query((0,)), [0.0, 1.0])
 
 
+def test_ngram_order_beyond_the_trajectory_counts_every_window():
+    # an order of 10^30 stops at the trajectory length instead of spinning
+    traj = [0, 1, 1, 0, 1]
+    huge = fit_ngram(traj, order=10**30, alpha=1.0)
+    full = fit_ngram(traj, order=len(traj), alpha=1.0)
+    assert huge.counts.keys() == full.counts.keys()
+    for ctx, row in full.counts.items():
+        npt.assert_array_equal(huge.counts[ctx], row)
+
+
 def test_unseen_context_unsmoothed_falls_back_to_uniform():
     oracle = fit_ngram([0, 1, 0, 1, 0], order=1, alpha=0.0, n_symbols=3)
     npt.assert_allclose(oracle.query((2,)), np.full(3, 1 / 3))

@@ -272,7 +272,7 @@ def test_sweep_temperature_epsilon_nondecreasing():
     assert all(0 < a <= b for a, b in zip(eps, eps[1:]))
     assert all(p.iterations >= 1 for p in points)
     text = temperature_csv(points)
-    assert text.splitlines()[0] == "temperature,epsilon,iterations"
+    assert text.splitlines()[0] == "temperature,epsilon,iterations,converged"
     assert len(text.strip().splitlines()) == 6
 
 
