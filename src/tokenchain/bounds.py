@@ -21,6 +21,9 @@ from .estimation import kl_divergence, tv_distance
 from .oracles import validate_distribution
 
 MC_BATCH = 10_000
+# bytes mc_verify holds per sample besides a batch: the batches' values,
+# their concatenation, the deviations and the difference they come from
+MC_SAMPLE_BYTES = 32
 CHECK_SLACK = 1e-12
 DEFAULT_DELTA = 0.05
 

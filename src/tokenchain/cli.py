@@ -40,11 +40,15 @@ from .estimation import (
     curve_settings,
     fit_power_law,
     icl_risk_curve,
+    REPLICATE_STEP_BYTES,
+    SAMPLE_STEP_BYTES,
     sample_trajectory,
 )
 from .generators import ChainSpec, build_chain
 from .bounds import (
     DEFAULT_DELTA,
+    MC_BATCH,
+    MC_SAMPLE_BYTES,
     ModelCard,
     generalization_gap,
     mc_verify,
@@ -152,11 +156,11 @@ def _library_errors(path, sep=": "):
         raise ConfigError(f"{path}{sep}{exc}") from exc
 
 
-def _check_dense(path, what, n_states, need):
+def _check_dense(path, what, need):
     """Refuse, before any work, dense arrays above the byte cap."""
     if need > DENSE_BLOCK_CAP_BYTES:
         raise ConfigError(
-            f"{path}: {what} {n_states} states needs {need} bytes of "
+            f"{path}: {what} needs {need} bytes of "
             f"dense arrays, above the cap of {DENSE_BLOCK_CAP_BYTES}")
 
 
@@ -318,7 +322,7 @@ def _chain_spec(config, path="config.chain") -> ChainSpec:
     with _library_errors(path):
         spec = ChainSpec.from_dict(config["chain"])
     _checked(config["chain"], _CHAIN_FIELDS, path)
-    _check_dense(f"{path}.d", "a chain of", spec.d, 8 * spec.d ** 2)
+    _check_dense(f"{path}.d", f"a chain of {spec.d} states", 8 * spec.d ** 2)
     return spec
 
 
@@ -402,7 +406,8 @@ def cmd_analyze(config, seed, out: Path, jobs: int) -> int:
     if n_max < window:
         raise ConfigError(f"config.n_max: must be >= the context window "
                           f"{window}, got {n_max}")
-    _check_dense(path, "analyzing", n_states, mixing_bytes(n_states, t_cap))
+    _check_dense(path, f"analyzing {n_states} states",
+                 mixing_bytes(n_states, t_cap))
     if "chain" in config:
         with _library_errors("config.chain"):
             matrix = build_chain(chain)
@@ -458,7 +463,8 @@ def cmd_sweep_temperature(config, seed, out: Path, jobs: int) -> int:
     spec = _vocab_spec(config["n_tokens"], config["context_window"])
     n_full = spec.n_tokens ** spec.context_window
     _check_dense("config.n_tokens/context_window",
-                 "the Doeblin constant of", n_full, doeblin_bytes(n_full))
+                 f"the Doeblin constant of {n_full} states",
+                 doeblin_bytes(n_full))
     oracle = _oracle(config["oracle"], spec, seed)
     if not hasattr(oracle, "with_temperature"):
         raise ConfigError("config.oracle.kind: this oracle has no "
@@ -483,10 +489,14 @@ def cmd_generate(config, seed, out: Path, jobs: int) -> int:
                           "start": _is(int, list), "seed": _SEED},
                  "config.sample", required=("length",))
         start = _start_vector(sample, chain.d, "config.sample.start")
+        length = sample["length"]
+        _check_dense("config.sample.length",
+                     f"a trajectory of {length} states",
+                     SAMPLE_STEP_BYTES * length)
     with _library_errors("config.chain"):
         matrix = build_chain(chain)
     if sample is not None:
-        traj = sample_trajectory(matrix, start, sample["length"],
+        traj = sample_trajectory(matrix, start, length,
                                  seed=sample.get("seed", seed))
     _write_json(out / "matrix.json", config, seed, {
         "matrix": matrix.to_payload(),
@@ -514,7 +524,10 @@ def cmd_estimate(config, seed, out: Path, jobs: int) -> int:
     reps = config.get("reps", 5)
     metric = _set(config, ("metric",))
     with _library_errors("config"):
-        curve_settings(config["n_list"], reps, **metric)
+        longest = curve_settings(config["n_list"], reps, **metric)[-1]
+    _check_dense(f"config.n_list[{len(config['n_list']) - 1}]",
+                 f"a replicate of {longest} states",
+                 REPLICATE_STEP_BYTES * longest)
     start = _start_vector(config, chain.d, "config.start")
     with _library_errors("config.chain"):
         matrix = build_chain(chain)
@@ -538,8 +551,20 @@ def cmd_estimate(config, seed, out: Path, jobs: int) -> int:
 
 
 def _coin_rows(n, rng, size):
-    """Fair coin rows; picklable, so mc_verify can fan out workers."""
-    return rng.integers(0, 2, size=(size, n))
+    """Fair coin rows; picklable, so mc_verify can fan out workers.
+
+    ``rng.integers(0, 2, (size, n))``'s values, read from the raw stream:
+    that draw keeps the top bit of each 32-bit half of a raw PCG64 output,
+    low half first (the uint32 view's order on a little-endian host).
+    """
+    raw = rng.bit_generator.random_raw(-(-size * n // 2)).view(np.uint32)
+    return (raw[:size * n] >> 31).reshape(size, n)
+
+
+def _row_means(rows):
+    """np.mean(rows, axis=1)'s floats for integer rows, whose sums are
+    exact, without its float64 cast."""
+    return rows.sum(axis=1) / rows.shape[1]
 
 
 def cmd_bounds(config, seed, out: Path, jobs: int) -> int:
@@ -560,6 +585,11 @@ def cmd_bounds(config, seed, out: Path, jobs: int) -> int:
         with _library_errors("config.mc"):
             tail_bounds(np.full(n, 1.0 / n), u_grid, n_samples,
                         t_min=mc.get("t_min"))
+        # a batch's raw draws and its rows: a uint32 each per coin
+        coins = n * min(n_samples, MC_BATCH)
+        _check_dense("config.mc.n", f"{coins} coins per batch", 8 * coins)
+        _check_dense("config.mc.n_samples", f"{n_samples} samples",
+                     MC_SAMPLE_BYTES * n_samples)
     # the closed forms below check their own arguments in microseconds
     pred = _checked(config.get("predictor", {}),
                     {"temperature": _NUM, "delta": _NUM}, "config.predictor")
@@ -594,7 +624,7 @@ def cmd_bounds(config, seed, out: Path, jobs: int) -> int:
         }
     if mc is not None:
         report = mc_verify(
-            partial(_coin_rows, n), partial(np.mean, axis=1),
+            partial(_coin_rows, n), _row_means,
             np.full(n, 1.0 / n), n_samples, u_grid, t_min=mc.get("t_min"),
             mean=0.5, jobs=jobs, seed=mc.get("seed", seed))
         payload["mc"] = {
@@ -666,8 +696,13 @@ def cmd_train_toy(config, seed, out: Path, jobs: int) -> int:
 def cmd_mock_serve(config, seed, out: Path, jobs: int) -> int:
     """run the bundled oracle-protocol mock server"""
     _checked(config, {"seed": _SEED, "port": _INT})
+    port = config.get("port", 0)
     with _library_errors("config"):
-        server = MockOracleServer(seed=seed, **_set(config, ("port",)))
+        try:
+            server = MockOracleServer(seed=seed, port=port)
+        except OSError as exc:
+            raise ConfigError(f"config.port: cannot listen on port {port}: "
+                              f"{exc.strerror or exc}") from exc
     print(f"serving oracle protocol on {server.url}", flush=True)
     try:
         server.serve_forever()

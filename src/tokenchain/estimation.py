@@ -10,16 +10,23 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chains import TransitionMatrix
-from .oracles import ChainOracle, fit_ngram
+from .oracles import ChainOracle, fit_ngram, window_groups
 from .spectral import _cell
 
 MAX_EXACT_RISK_STATES = 64
+SAMPLE_BLOCK = 1 << 16
+# bytes held per step: a sampled path's int64 state and float64 draw, and
+# in a curve replicate also the risk pass's context grouping, at most ten
+# int64 or float64 arrays as long as the path
+SAMPLE_STEP_BYTES = 16
+REPLICATE_STEP_BYTES = 96
 
 
 @dataclass
@@ -39,15 +46,23 @@ class Trajectory:
         return int(self.states.size)
 
 
+def _states(traj) -> np.ndarray:
+    return traj.states if isinstance(traj, Trajectory) else np.asarray(traj, dtype=np.int64)
+
+
 def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
-    """Sample an n-state path from a start state, distribution or None."""
+    """Sample an n-state path from a start state, distribution or None.
+
+    Step k moves to the first state whose cumulative row entry exceeds
+    the k-th uniform draw (the last state if none does), found by
+    bisecting the row as a Python list: ``np.searchsorted(side="right")``'s
+    answer at a fraction of its per-call cost.
+    """
     rows = TransitionMatrix.of(Q).dense()
     d = rows.shape[0]
     if n < 1:
         raise ValueError(f"need at least one state, got n={n}")
     rng = np.random.default_rng(seed)
-    cum = np.cumsum(rows, axis=1)
-    out = np.empty(n, dtype=np.int64)
     if start is None:
         start = np.full(d, 1.0 / d)
     if np.ndim(start) == 0:
@@ -57,11 +72,21 @@ def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
     else:
         start_cum = np.cumsum(np.asarray(start, dtype=float))
         x = min(int(np.searchsorted(start_cum, rng.random(), side="right")), d - 1)
+    cum = np.cumsum(rows, axis=1).tolist()
+    last = d - 1
+    out = np.empty(n, dtype=np.int64)
     out[0] = x
     draws = rng.random(n - 1)
-    for k in range(n - 1):
-        x = min(int(np.searchsorted(cum[x], draws[k], side="right")), d - 1)
-        out[k + 1] = x
+    # draws become Python floats a block at a time, to hold O(n) bytes
+    for a in range(0, n - 1, SAMPLE_BLOCK):
+        path = []
+        step = path.append
+        for u in draws[a:a + SAMPLE_BLOCK].tolist():
+            x = bisect_right(cum[x], u)
+            if x > last:
+                x = last
+            step(x)
+        out[a + 1:a + 1 + len(path)] = path
     return Trajectory(states=out)
 
 
@@ -71,7 +96,7 @@ def frequentist_estimate(traj, d=None) -> TransitionMatrix:
     The indices of the uniform-filled rows are recorded under
     ``meta["uniform_rows"]``.
     """
-    states = traj.states if isinstance(traj, Trajectory) else np.asarray(traj, dtype=np.int64)
+    states = _states(traj)
     if states.size < 2:
         raise ValueError("need at least one transition to estimate")
     if d is None:
@@ -137,22 +162,27 @@ def kl_divergence(p, q) -> float:
     return max(0.0, float(np.sum(p[mask] * np.log(p[mask] / q[mask]))))
 
 
+def _context_scores(states, cap, score) -> np.ndarray:
+    """``score(context)`` at each step, the context being the path up to
+    that step truncated to its last ``cap`` states.  With a finite cap
+    each distinct context is scored once, in order of first appearance,
+    and the scores are gathered back to the steps; with cap None every
+    step is scored."""
+    n = states.size
+    if cap is None:
+        return np.array([score(tuple(states[:k + 1])) for k in range(n)])
+    for firsts, groups in window_groups(states, min(cap, n)):
+        pass  # the widest grouping is the cap's
+    scores = np.array([score(tuple(states[max(0, k + 1 - cap):k + 1]))
+                       for k in firsts.tolist()])
+    return scores[groups]
+
+
 def _per_step_divergences(Q_true, predictor, traj, div):
     rows = TransitionMatrix.of(Q_true).dense()
-    states = traj.states if isinstance(traj, Trajectory) else np.asarray(traj, dtype=np.int64)
-    cap = getattr(predictor, "context_cap", None)
-    if cap == 1:
-        # context collapses to the current state: tabulate one answer per state
-        table = np.array([div(rows[i], predictor.query((i,)))
-                          for i in range(rows.shape[0])])
-        return table[states]
-    n = states.size
-    out = np.empty(n)
-    for k in range(n):
-        lo = 0 if cap is None else max(0, k + 1 - cap)
-        ctx = tuple(states[lo:k + 1])
-        out[k] = div(rows[states[k]], predictor.query(ctx))
-    return out
+    return _context_scores(
+        _states(traj), getattr(predictor, "context_cap", None),
+        lambda ctx: div(rows[ctx[-1]], predictor.query(ctx)))
 
 
 def tv_risk(Q_true, predictor, traj) -> float:
@@ -293,16 +323,12 @@ def oracle_divergence(o1, o2, trajs) -> float:
         raise ValueError("need at least one trajectory")
     caps = [getattr(o, "context_cap", None) for o in (o1, o2)]
     cap = None if None in caps else max(caps)
-    totals = []
-    for traj in trajs:
-        states = traj.states if isinstance(traj, Trajectory) else np.asarray(traj, dtype=np.int64)
-        acc = 0.0
-        for k in range(states.size):
-            lo = 0 if cap is None else max(0, k + 1 - cap)
-            ctx = tuple(states[lo:k + 1])
-            acc += tv_distance(o1.query(ctx), o2.query(ctx))
-        totals.append(acc / states.size)
-    return float(np.mean(totals))
+
+    def tv(ctx):
+        return tv_distance(o1.query(ctx), o2.query(ctx))
+
+    return float(np.mean([np.mean(_context_scores(_states(traj), cap, tv))
+                          for traj in trajs]))
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,34 @@ class NgramOracle(Oracle):
         return (c + self.alpha) / total
 
 
+def window_groups(states, width):
+    """For w = 1 .. ``width``, group the windows of the last w states up
+    to each position (fewer where fewer precede); yield ``(firsts,
+    groups)``: groups in order of first appearance, ``firsts[g]`` the
+    position of group g's first window, ``groups[k]`` the group at k.
+
+    A window of w + 1 states is its last state after the window of w one
+    step earlier: one stable lexsort of two columns per width, and none
+    once every window is distinct.
+    """
+    n = states.size
+    groups = np.full(n, -1)
+    for w in range(width):
+        if w == 0 or firsts.size < n:
+            earlier = np.concatenate(([-1], groups[:-1]))
+            order = np.lexsort((earlier, states))
+            new = np.ones(n, dtype=bool)
+            new[1:] = ((states[order[1:]] != states[order[:-1]])
+                       | (earlier[order[1:]] != earlier[order[:-1]]))
+            # stable, so each run of equal windows starts at its first one
+            starts = order[new]
+            appearance = np.argsort(starts)
+            groups = np.empty_like(order)
+            groups[order] = np.argsort(appearance)[np.cumsum(new) - 1]
+            firsts = starts[appearance]
+        yield firsts, groups
+
+
 def fit_ngram(trajectory, order, alpha=1.0, n_symbols=None):
     """Fit an n-gram oracle on a state trajectory.
 
@@ -227,16 +255,17 @@ def fit_ngram(trajectory, order, alpha=1.0, n_symbols=None):
     if n_symbols is None:
         n_symbols = int(states.max()) + 1
     counts: dict[tuple, np.ndarray] = {}
-    seq = [int(s) for s in states]
+    seq = states.tolist()
     # no window longer than the trajectory has a next state to count
-    for length in range(1, min(order, len(seq) - 1) + 1):
-        for i in range(len(seq) - length):
-            ctx = tuple(seq[i:i + length])
-            nxt = seq[i + length]
-            row = counts.get(ctx)
-            if row is None:
-                row = counts[ctx] = np.zeros(n_symbols)
-            row[nxt] += 1
+    widths = window_groups(states[:-1], min(order, states.size - 1))
+    for length, (firsts, groups) in enumerate(widths, 1):
+        # the shorter windows at positions 0 .. length - 2 come first, as
+        # groups 0 .. length - 2; the full ones follow
+        short = length - 1
+        table = np.zeros((firsts.size - short, n_symbols))
+        np.add.at(table, (groups[short:] - short, states[length:]), 1.0)
+        for end, row in zip(firsts[short:].tolist(), table):
+            counts[tuple(seq[end - short:end + 1])] = row
     return NgramOracle(counts, order, alpha, n_symbols)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import signal
+import socket
 import subprocess
 import sys
 
@@ -365,6 +366,18 @@ def test_mock_serve_subprocess():
         assert proc.wait(timeout=10) == 0
 
 
+def test_mock_serve_on_a_busy_port_exits_2(tmp_path, capsys):
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        port = held.getsockname()[1]
+        assert run(tmp_path, "mock-serve", {"port": port}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tokenchain: config.port: cannot listen on "
+                          f"port {port}: ")
+    assert "Traceback" not in err
+
+
 def test_version_flag():
     out = subprocess.run(
         [sys.executable, "-m", "tokenchain.cli", "--version"],
@@ -485,19 +498,32 @@ def test_malformed_values_exit_2(tmp_path, capsys, command, cfg, key):
     # the 2^4 full-length block and matrix_power's arrays: 4 * 8 * 16^2
     ("sweep-temperature", dict(SWEEP_CFG, context_window=4),
      "config.n_tokens/context_window", 16, 8_192),
+    # an int64 state and a float64 draw per step
+    ("generate", {"chain": CHAIN3, "sample": {"length": 400}},
+     "config.sample.length", 400, 6_400),
+    # the path and the risk pass: 96 bytes per step of the longest point
+    ("estimate", {"chain": CHAIN3, "estimator": FREQ,
+                  "n_list": [10, 20, 60]}, "config.n_list[2]", 60, 5_760),
+    # 8 bytes per coin, mc.n coins in each of the batch's samples
+    ("bounds", {"mc": {"n": 10, "n_samples": 100}}, "config.mc.n",
+     1_000, 8_000),
+    # 32 bytes per sample
+    ("bounds", {"mc": {"n": 1, "n_samples": 200}}, "config.mc.n_samples",
+     200, 6_400),
 ])
 def test_dense_bytes_checked_before_building(tmp_path, capsys, monkeypatch,
                                              command, cfg, key, states, need):
     def no_build(*args, **kwargs):
         raise AssertionError("admission must come before the build")
 
-    monkeypatch.setattr(cli, "build_chain", no_build)
-    monkeypatch.setattr(cli, "build_qf", no_build)
+    for name in ("build_chain", "build_qf", "sample_trajectory",
+                 "mc_verify"):
+        monkeypatch.setattr(cli, name, no_build)
     monkeypatch.setattr(cli, "DENSE_BLOCK_CAP_BYTES", 5_000)
     assert run(tmp_path, command, cfg) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"tokenchain: {key}: ")
-    assert f"{states} states" in err and f"{need} bytes" in err
+    assert f" {states} " in err and f"{need} bytes" in err
     assert "cap of 5000" in err
 
 

@@ -124,7 +124,7 @@ def test_risk_contexts_are_growing_prefixes_truncated_to_cap():
     probe = RecordingOracle(3, cap=2)
     traj = Trajectory([0, 1, 2, 0, 1])
     tv_risk(np.eye(3), probe, traj)
-    assert probe.seen == [(0,), (0, 1), (1, 2), (2, 0), (0, 1)]
+    assert probe.seen == [(0,), (0, 1), (1, 2), (2, 0)]
 
 
 def test_single_state_fast_path_matches_the_loop():
