@@ -13,7 +13,6 @@ from tokenchain.bounds import MC_BATCH
 from tokenchain.chains import TransitionMatrix
 from tokenchain.cli import _coin_rows, _row_means
 from tokenchain.estimation import (
-    Trajectory,
     kl_divergence,
     kl_risk,
     oracle_divergence,
@@ -207,17 +206,10 @@ def test_risks_match_the_per_step_loop(cap, risk, div, fit_n):
     fast = risk(Q, fast_oracle, traj)
     slow = float(np.mean(loop_divergences(Q, slow_oracle, traj, div)))
     assert fast == slow
+    if risk is kl_risk and cap is not None and fit_n == 30:
+        assert fast == math.inf
     if isinstance(fast_oracle, NgramOracle):
         assert fast_oracle.unseen_queried == slow_oracle.unseen_queried
-
-
-def test_kl_risk_is_infinite_like_the_loop():
-    Q = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-    traj = Trajectory([0, 1, 2, 0, 1, 1, 2])
-    predictor = fit_ngram(Trajectory([0, 0, 1, 1, 2, 2, 0]), 2, alpha=0.0)
-    assert kl_risk(Q, predictor, traj) == math.inf
-    assert np.mean(loop_divergences(Q, predictor, traj,
-                                    kl_divergence)) == math.inf
 
 
 @pytest.mark.parametrize("caps", [(1, 2), (2, 4), (1, None)])
