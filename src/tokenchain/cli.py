@@ -696,12 +696,12 @@ def cmd_train_toy(config, seed, out: Path, jobs: int) -> int:
 def cmd_mock_serve(config, seed, out: Path, jobs: int) -> int:
     """run the bundled oracle-protocol mock server"""
     _checked(config, {"seed": _SEED, "port": _INT})
-    port = config.get("port", 0)
     with _library_errors("config"):
         try:
-            server = MockOracleServer(seed=seed, port=port)
+            server = MockOracleServer(seed=seed, **_set(config, ("port",)))
         except OSError as exc:
-            raise ConfigError(f"config.port: cannot listen on port {port}: "
+            raise ConfigError(f"config.port: cannot listen on port "
+                              f"{config.get('port')}: "
                               f"{exc.strerror or exc}") from exc
     print(f"serving oracle protocol on {server.url}", flush=True)
     try:

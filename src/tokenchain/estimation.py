@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -22,6 +23,9 @@ from .spectral import _cell
 
 MAX_EXACT_RISK_STATES = 64
 SAMPLE_BLOCK = 1 << 16
+# up to this many states the sampler bisects rows held as Python lists,
+# at 32 bytes an entry; above it, in place in numpy
+LIST_ROWS_MAX_STATES = 64
 # bytes held per step: a sampled path's int64 state and float64 draw, and
 # in a curve replicate also the risk pass's context grouping, at most ten
 # int64 or float64 arrays as long as the path
@@ -55,8 +59,11 @@ def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
 
     Step k moves to the first state whose cumulative row entry exceeds
     the k-th uniform draw (the last state if none does), found by
-    bisecting the row as a Python list: ``np.searchsorted(side="right")``'s
-    answer at a fraction of its per-call cost.
+    bisecting the row: ``np.searchsorted(side="right")``'s answer at a
+    fraction of its per-call cost.  Up to ``LIST_ROWS_MAX_STATES`` states
+    a row is bisected as a Python list, made the first time the path
+    reaches it; above, the numpy row is bisected in place, since making
+    a list of d floats costs as much as many steps.
     """
     rows = TransitionMatrix.of(Q).dense()
     d = rows.shape[0]
@@ -72,7 +79,8 @@ def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
     else:
         start_cum = np.cumsum(np.asarray(start, dtype=float))
         x = min(int(np.searchsorted(start_cum, rng.random(), side="right")), d - 1)
-    cum = np.cumsum(rows, axis=1).tolist()
+    cum = np.cumsum(rows, axis=1)
+    table = [None] * d if d <= LIST_ROWS_MAX_STATES else cum
     last = d - 1
     out = np.empty(n, dtype=np.int64)
     out[0] = x
@@ -82,7 +90,10 @@ def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
         path = []
         step = path.append
         for u in draws[a:a + SAMPLE_BLOCK].tolist():
-            x = bisect_right(cum[x], u)
+            row = table[x]
+            if row is None:
+                row = table[x] = cum[x].tolist()
+            x = bisect_right(row, u)
             if x > last:
                 x = last
             step(x)
@@ -167,12 +178,18 @@ def _context_scores(states, cap, score) -> np.ndarray:
     that step truncated to its last ``cap`` states.  With a finite cap
     each distinct context is scored once, in order of first appearance,
     and the scores are gathered back to the steps; with cap None every
-    step is scored."""
+    step is scored.  Only the path's contexts are scored, so a record of
+    queries such as ``NgramOracle.unseen_queried`` names no state the
+    path misses."""
     n = states.size
     if cap is None:
         return np.array([score(tuple(states[:k + 1])) for k in range(n)])
-    for firsts, groups in window_groups(states, min(cap, n)):
-        pass  # the widest grouping is the cap's
+    if cap < 1:
+        raise ValueError(f"context cap must be at least 1, got {cap}")
+    if n == 0:
+        return np.empty(0)
+    # the widest grouping is the cap's; a one-slot deque keeps only it
+    firsts, groups = deque(window_groups(states, min(cap, n)), maxlen=1)[0]
     scores = np.array([score(tuple(states[max(0, k + 1 - cap):k + 1]))
                        for k in firsts.tolist()])
     return scores[groups]

@@ -486,7 +486,11 @@ def test_malformed_values_exit_2(tmp_path, capsys, command, cfg, key):
     assert not any((tmp_path / "out").iterdir())
 
 
-@pytest.mark.parametrize("command,cfg,key,states,need", [
+# what each size check counts, where it is not states
+COUNTED = {"config.mc.n": "coins", "config.mc.n_samples": "samples"}
+
+
+@pytest.mark.parametrize("command,cfg,key,count,need", [
     # 8 d^2 bytes for the chain itself
     ("generate", {"chain": {"kind": "random", "d": 40}},
      "config.chain.d", 40, 12_800),
@@ -512,7 +516,7 @@ def test_malformed_values_exit_2(tmp_path, capsys, command, cfg, key):
      200, 6_400),
 ])
 def test_dense_bytes_checked_before_building(tmp_path, capsys, monkeypatch,
-                                             command, cfg, key, states, need):
+                                             command, cfg, key, count, need):
     def no_build(*args, **kwargs):
         raise AssertionError("admission must come before the build")
 
@@ -523,7 +527,8 @@ def test_dense_bytes_checked_before_building(tmp_path, capsys, monkeypatch,
     assert run(tmp_path, command, cfg) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"tokenchain: {key}: ")
-    assert f" {states} " in err and f"{need} bytes" in err
+    assert f"{count} {COUNTED.get(key, 'states')} " in err
+    assert f"{need} bytes" in err
     assert "cap of 5000" in err
 
 

@@ -121,20 +121,23 @@ def sampling_cases(draw):
     seed = draw(st.one_of(st.integers(0, 2**64 - 1),
                           st.lists(st.integers(0, 2**32 - 1),
                                    min_size=1, max_size=3)))
-    return rows, start, n, seed, block
+    # rows bisected as lists (d at most the limit) or as numpy rows
+    list_limit = draw(st.sampled_from([0, 20, 64]))
+    return rows, start, n, seed, block, list_limit
 
 
 @settings(max_examples=150, deadline=None)
 @given(sampling_cases())
 def test_sampler_matches_the_searchsorted_loop(case):
-    rows, start, n, seed, block = case
+    rows, start, n, seed, block, list_limit = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(estimation, "SAMPLE_BLOCK", block)
+        patch.setattr(estimation, "LIST_ROWS_MAX_STATES", list_limit)
         fast = sample_trajectory(rows, start, n, seed=seed).states
     np.testing.assert_array_equal(fast, loop_sample(rows, start, n, seed))
 
 
-@pytest.mark.parametrize("d", [3, 40])
+@pytest.mark.parametrize("d", [3, 40, 100])
 def test_sampler_matches_the_loop_across_a_block(d):
     Q = random_chain(d, seed=d)
     n = estimation.SAMPLE_BLOCK + 2
@@ -209,7 +212,35 @@ def test_risks_match_the_per_step_loop(cap, risk, div, fit_n):
     if risk is kl_risk and cap is not None and fit_n == 30:
         assert fast == math.inf
     if isinstance(fast_oracle, NgramOracle):
+        # the path visits every state, so the old cap-1 table asked for
+        # no context off it
         assert fast_oracle.unseen_queried == slow_oracle.unseen_queried
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_unseen_queried_names_only_the_paths_contexts(cap):
+    # state 2 is unreachable from 0, so neither path below visits it
+    Q = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    traj = sample_trajectory(Q, 0, 200, seed=31)
+    fit_traj = sample_trajectory(Q, 0, 4, seed=32)
+    fast_oracle, slow_oracle = _fitted(cap, fit_traj), _fitted(cap, fit_traj)
+    assert tv_risk(Q, fast_oracle, traj) == float(np.mean(
+        loop_divergences(Q, slow_oracle, traj, tv_distance)))
+    states = traj.states.tolist()
+    contexts = {tuple(states[max(0, k + 1 - cap):k + 1])
+                for k in range(len(states))}
+    assert fast_oracle.unseen_queried == contexts - set(fast_oracle.counts)
+    assert fast_oracle.unseen_queried == slow_oracle.unseen_queried & contexts
+    # the old cap-1 table also asked for the states off the path
+    off_path = {(2,)} if cap == 1 else set()
+    assert slow_oracle.unseen_queried - contexts == off_path
+
+
+def test_context_scores_of_an_empty_path_and_a_zero_cap():
+    empty = np.empty(0, dtype=np.int64)
+    assert estimation._context_scores(empty, 3, len).size == 0
+    with pytest.raises(ValueError, match="context cap"):
+        estimation._context_scores(np.array([0, 1]), 0, len)
 
 
 @pytest.mark.parametrize("caps", [(1, 2), (2, 4), (1, None)])
