@@ -256,14 +256,22 @@ def _vocab_spec(n_tokens, context_window,
     return spec
 
 
+# the remote oracles the running command built; main closes them when it
+# ends, so a finished command holds none of an endpoint's connections
+_remotes: list = []
+
+
 def _remote(cfg, n_symbols, path) -> RemoteOracle:
     alphabet = cfg.get("alphabet", [str(i) for i in range(n_symbols)])
     if len(alphabet) != n_symbols:
         raise ConfigError(f"{path}.alphabet: need {n_symbols} symbols, "
                           f"got {len(alphabet)}")
-    with _library_errors(path):
-        return RemoteOracle(RemoteOracleConfig(
+    # RemoteOracleConfig's messages start with the offending field's name
+    with _library_errors(path, sep="."):
+        oracle = RemoteOracle(RemoteOracleConfig(
             **{**_set(cfg, _REMOTE_FIELDS), "alphabet": alphabet}))
+    _remotes.append(oracle)
+    return oracle
 
 
 def _toy_model(cfg, context_length, seed, path):
@@ -525,9 +533,12 @@ def cmd_estimate(config, seed, out: Path, jobs: int) -> int:
     metric = _set(config, ("metric",))
     with _library_errors("config"):
         longest = curve_settings(config["n_list"], reps, **metric)[-1]
-    _check_dense(f"config.n_list[{len(config['n_list']) - 1}]",
-                 f"a replicate of {longest} states",
+    last = f"config.n_list[{len(config['n_list']) - 1}]"
+    _check_dense(last, f"a replicate of {longest} states",
                  REPLICATE_STEP_BYTES * longest)
+    if isinstance(predictor, NgramEstimator):
+        _check_dense(last, f"an order-{predictor.order} n-gram fit to "
+                     f"{longest} states", predictor.fit_bytes(longest))
     start = _start_vector(config, chain.d, "config.start")
     with _library_errors("config.chain"):
         matrix = build_chain(chain)
@@ -779,6 +790,9 @@ def main(argv=None) -> int:
     except OracleError as exc:
         print(f"tokenchain: oracle failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        while _remotes:
+            _remotes.pop().close()
 
 
 if __name__ == "__main__":

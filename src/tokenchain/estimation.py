@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import TransitionMatrix
+from .chains import ROW_SUM_TOL, TransitionMatrix
 from .oracles import ChainOracle, fit_ngram, window_groups
 from .spectral import _cell
 
@@ -80,6 +80,11 @@ def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
         start_cum = np.cumsum(np.asarray(start, dtype=float))
         x = min(int(np.searchsorted(start_cum, rng.random(), side="right")), d - 1)
     cum = np.cumsum(rows, axis=1)
+    # a NaN fails the sign test, an infinity the sum test
+    if not (rows.min() >= 0
+            and np.abs(cum[:, -1] - 1.0).max() <= ROW_SUM_TOL):
+        raise ValueError("every row must be a distribution: finite, "
+                         f"nonnegative and summing to 1 within {ROW_SUM_TOL}")
     table = [None] * d if d <= LIST_ROWS_MAX_STATES else cum
     last = d - 1
     out = np.empty(n, dtype=np.int64)
@@ -150,6 +155,21 @@ class NgramEstimator:
 
     def fit(self, traj):
         return fit_ngram(traj, self.order, self.alpha, self.n_symbols)
+
+    def fit_bytes(self, n) -> int:
+        """At most the bytes of a fit's count rows on an n-state path: a
+        float64 row of ``n_symbols`` (which must be set) per distinct
+        window, and at most min(n - 1, d^L) windows of each length L up to
+        the order."""
+        d = self.n_symbols
+        widths = min(self.order, n - 1)
+        windows = 0
+        for length in range(1, widths + 1):
+            if d ** length >= n - 1:  # so is every longer width's bound
+                windows += (widths - length + 1) * (n - 1)
+                break
+            windows += d ** length
+        return 8 * d * windows
 
 
 # ---------------------------------------------------------------------------

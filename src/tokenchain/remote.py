@@ -9,19 +9,25 @@ integration tests and the mock-serve command.
 
 from __future__ import annotations
 
+import functools
+import http.client
 import json
 import math
+import queue
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit, urlunsplit
 
 import numpy as np
-import requests
 
 from .generators import random_chain
 from .oracles import Oracle, OracleError, validate_distribution
 
 MOCK_P_MIN = 0.05
+# how a keep-alive connection the endpoint dropped fails
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError,
+          BrokenPipeError)
 
 
 class RemoteOracleError(OracleError):
@@ -43,6 +49,17 @@ class RemoteOracleConfig:
     max_inflight: int = 4
 
     def __post_init__(self):
+        # the stdlib client would drop user:password@ without a word
+        try:
+            url = urlsplit(self.endpoint)
+            ok = url.scheme in ("http", "https") and url.hostname \
+                and url.username is None and url.port != 0
+        except ValueError:  # a port that is not a number in 1-65535
+            ok = False
+        if not ok:
+            raise ValueError(
+                f"endpoint must be an http or https URL with a host and no "
+                f"user:password@, got {self.endpoint!r}")
         self.alphabet = tuple(str(s) for s in self.alphabet)
         if not self.alphabet:
             raise ValueError("alphabet must be nonempty")
@@ -58,13 +75,29 @@ class RemoteOracleConfig:
 
 
 class _HttpOracle(Oracle):
-    """Shared transport: bounded in-flight requests, one session."""
+    """Shared transport: at most ``max_inflight`` keep-alive connections,
+    the most recently idle one taken first.  No redirect is followed and no
+    proxy variable read; ``https`` is verified against the system CAs."""
 
     def __init__(self, config: RemoteOracleConfig):
         self.config = config
         self.n_symbols = len(config.alphabet)
         self._gate = threading.BoundedSemaphore(config.max_inflight)
-        self._session = requests.Session()
+        self._idle = queue.LifoQueue()
+        url = urlsplit(config.endpoint)
+        self._open = functools.partial(
+            http.client.HTTPSConnection if url.scheme == "https"
+            else http.client.HTTPConnection, url.hostname, url.port,
+            timeout=config.timeout_ms / 1000.0)
+        self._target = urlunsplit(("", "", url.path or "/", url.query, ""))
+
+    def close(self):
+        """Close the idle connections; a later query opens a new one."""
+        while True:
+            try:
+                self._idle.get_nowait().close()
+            except queue.Empty:
+                return
 
     def _symbols(self, context):
         out = []
@@ -74,20 +107,42 @@ class _HttpOracle(Oracle):
             out.append(self.config.alphabet[s])
         return out
 
+    def _exchange(self, body, reuse=True):
+        """POST ``body`` on an idle connection or a new one; the status and
+        the body bytes.  A reused connection that the endpoint dropped while
+        idle fails before any response: the POST goes once more, on a new
+        connection."""
+        try:
+            conn = self._idle.get_nowait() if reuse else self._open()
+        except queue.Empty:
+            conn, reuse = self._open(), False
+        resp = None
+        try:
+            conn.request("POST", self._target, body,
+                         {"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException as exc:
+            conn.close()
+            if reuse and resp is None and isinstance(exc, _STALE):
+                return self._exchange(body, reuse=False)
+            raise
+        # a connection the reply ended reopens on its next request
+        self._idle.put(conn)
+        return resp.status, data
+
     def _post(self, payload) -> dict:
         try:
             with self._gate:
-                resp = self._session.post(
-                    self.config.endpoint, json=payload,
-                    timeout=self.config.timeout_ms / 1000.0)
-        except requests.RequestException as exc:
+                status, body = self._exchange(json.dumps(payload).encode())
+        except (OSError, http.client.HTTPException) as exc:
             raise RemoteOracleError(f"transport failure: {exc}") from exc
-        if not 200 <= resp.status_code < 300:
+        if not 200 <= status < 300:
             raise RemoteOracleError(
-                f"endpoint returned status {resp.status_code}: "
-                f"{resp.text[:200]}")
+                f"endpoint returned status {status}: "
+                f"{body.decode('utf-8', 'replace')[:200]}")
         try:
-            data = resp.json()
+            data = json.loads(body)
         except ValueError as exc:
             raise RemoteOracleError("response body is not JSON") from exc
         if not isinstance(data, dict):

@@ -44,6 +44,34 @@ def test_trajectory_validation():
         Trajectory(states=[])
 
 
+@pytest.mark.parametrize("rows", [
+    [[1.5, -0.5], [0.5, 0.5]],              # sums to 1, one entry negative
+    [[float("nan"), 0.5], [0.5, 0.5]],
+    [[float("inf"), 0.0], [0.5, 0.5]],
+    [[0.5, 0.5], [0.5, 0.5 + 1e-8]],        # row sum off by 1e-8
+])
+def test_sampler_refuses_rows_that_are_not_distributions(rows):
+    with pytest.raises(ValueError, match="every row must be a distribution"):
+        sample_trajectory(rows, start=0, n=12)
+
+
+@pytest.mark.parametrize("d,order,n", [(3, 1, 50), (3, 4, 200), (5, 3, 40),
+                                       (4, 6, 5)])
+def test_ngram_fit_bytes_bound_the_count_rows(d, order, n):
+    estimator = NgramEstimator(order, n_symbols=d)
+    traj = sample_trajectory(np.full((d, d), 1 / d), start=0, n=n, seed=d)
+    rows = len(estimator.fit(traj).counts)
+    assert 8 * d * rows <= estimator.fit_bytes(n)
+    widths = range(1, min(order, n - 1) + 1)
+    assert estimator.fit_bytes(n) == 8 * d * sum(min(n - 1, d ** w)
+                                                 for w in widths)
+
+
+def test_sampler_takes_row_sums_within_tolerance():
+    rows = [[0.5, 0.5], [0.5, 0.5 + 5e-10]]
+    assert len(sample_trajectory(rows, start=0, n=12)) == 12
+
+
 def test_empirical_frequencies_match_the_chain():
     Q = random_chain(3, seed=13)
     traj = sample_trajectory(Q, start=0, n=1_000_000, seed=13)
