@@ -92,15 +92,20 @@ class TransitionMatrix:
 
     # -- serialization ------------------------------------------------------
 
-    def to_payload(self) -> dict:
-        """JSON-ready dict: the nonzero (row, col, value) triplets in
-        row-major order, plus the block layout."""
+    def triplet_columns(self):
+        """The nonzero entries as (row, col, value) arrays in row-major
+        order."""
         coo = self.sparse().tocoo()
         order = np.lexsort((coo.col, coo.row))
         keep = order[coo.data[order] != 0.0]
-        triplets = list(map(list, zip(coo.row[keep].tolist(),
-                                      coo.col[keep].tolist(),
-                                      coo.data[keep].tolist())))
+        return coo.row[keep], coo.col[keep], coo.data[keep]
+
+    def to_payload(self, triplets=None) -> dict:
+        """JSON-ready dict: the block layout and the ``triplet_columns`` as
+        [row, col, value] lists, or ``triplets`` in their place."""
+        if triplets is None:
+            triplets = list(map(list, zip(
+                *(c.tolist() for c in self.triplet_columns()))))
         return {
             "n": self.n_states,
             "triplets": triplets,

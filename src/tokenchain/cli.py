@@ -30,6 +30,7 @@ from . import __version__
 from .chains import (
     DENSE_BLOCK_CAP_BYTES,
     StructureError,
+    TransitionMatrix,
     build_qf,
     validate_structure,
 )
@@ -176,7 +177,15 @@ def _canonical(config) -> str:
     return json.dumps(config, sort_keys=True, separators=(",", ":"))
 
 
-def _write_csv(path: Path, config, seed, body: str):
+def _stream(path: Path, *parts):
+    """Write each part, a string or an iterable of strings, into ``path``."""
+    with path.open("w") as f:
+        for part in parts:
+            f.writelines([part] if isinstance(part, str) else part)
+
+
+def _write_csv(path: Path, config, seed, body):
+    """``body`` is the text after the header, or an iterable of it."""
     blob = _canonical(config)
     digest = hashlib.sha256(blob.encode()).hexdigest()
     lines = [
@@ -185,10 +194,48 @@ def _write_csv(path: Path, config, seed, body: str):
         f"# config_sha256: {digest}",
         f"# seed: {seed}",
     ]
-    path.write_text("\n".join(lines) + "\n" + body)
+    _stream(path, "\n".join(lines) + "\n", body)
+
+
+# what the writers format per write (about 0.9 and 1.3 MB), so that they
+# hold O(chunk) bytes rather than O(file)
+TRIPLET_CHUNK = 1 << 11
+CSV_BLOCK = 1 << 14
+# how json.dumps(indent=2) opens the triplets of a top-level "matrix", and
+# what it puts between their cells and between the triplets
+_SLOT = '\n    "triplets": '
+_CELL, _NEXT = ",\n        ", "\n      ],\n      [\n        "
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _triplet_blocks(columns):
+    """json.dumps(indent=2) of a top-level member's triplets, from their
+    (row, col, value) columns, TRIPLET_CHUNK triplets a block."""
+    n, finite = len(columns[0]), np.isfinite(columns[2]).all()
+    yield "[\n      [\n        " if n else "["
+    for a in range(0, n, TRIPLET_CHUNK):
+        # repr of a list of Python ints or floats spells each as json does,
+        # but for json's NaN and Infinity
+        rows, cols, values = (repr(c[a:a + TRIPLET_CHUNK].tolist())[1:-1]
+                              .split(", ") for c in columns)
+        if not finite:
+            values = map(_JSON_SPELLING.get, values, values)
+        yield (_NEXT if a else "") + _NEXT.join(
+            map(_CELL.join, zip(rows, cols, values)))
+    yield "\n      ]\n    ]" if n else "]"
+
+
+def _trajectory_blocks(states):
+    """trajectory.csv's body, CSV_BLOCK steps a block."""
+    yield "step,state\n"
+    for a in range(0, len(states), CSV_BLOCK):
+        yield "".join(f"{k},{s}\n" for k, s in
+                      enumerate(states[a:a + CSV_BLOCK].tolist(), a))
 
 
 def _write_json(path: Path, config, seed, payload: dict):
+    """The header and ``payload`` as json.dumps(indent=2, sort_keys=True);
+    a TransitionMatrix under "matrix" as its ``to_payload``."""
     blob = _canonical(config)
     doc = {"header": {
         "tool": "tokenchain",
@@ -198,7 +245,16 @@ def _write_json(path: Path, config, seed, payload: dict):
         "seed": seed,
     }}
     doc.update(payload)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    matrix = doc.get("matrix")
+    if not isinstance(matrix, TransitionMatrix):
+        return _stream(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    doc["matrix"] = matrix.to_payload(triplets=[])
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # strings escape their newlines and an object's keys are unique, so the
+    # first such slot after the top-level key is the matrix's own
+    at = text.index(_SLOT + "[]", text.index('\n  "matrix": {')) + len(_SLOT)
+    _stream(path, text[:at], _triplet_blocks(matrix.triplet_columns()),
+            text[at + len("[]"):])
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +373,7 @@ def _estimator(cfg, d, path="config.estimator"):
     if kind == "frequentist":
         return FrequentistEstimator(d)
     if kind == "ngram":
-        with _library_errors(path):
+        with _library_errors(path, sep="."):
             return NgramEstimator(n_symbols=d, **{
                 "order": 1, **_set(cfg, fields)})
     if kind == "remote":
@@ -380,8 +436,7 @@ def cmd_build(config, seed, out: Path, jobs: int) -> int:
     matrix = build_qf(_oracle(config["oracle"], spec, seed), spec)
     report = validate_structure(matrix, spec)
     _require_ok(report)
-    _write_json(out / "matrix.json", config, seed,
-                {"matrix": matrix.to_payload()})
+    _write_json(out / "matrix.json", config, seed, {"matrix": matrix})
     _write_json(out / "structure.json", config, seed,
                 {"structure": _structure_payload(report)})
     print(f"built {report.n_states} states, {report.nonzero_count} nonzeros "
@@ -506,14 +561,11 @@ def cmd_generate(config, seed, out: Path, jobs: int) -> int:
     if sample is not None:
         traj = sample_trajectory(matrix, start, length,
                                  seed=sample.get("seed", seed))
-    _write_json(out / "matrix.json", config, seed, {
-        "matrix": matrix.to_payload(),
-        "meta": matrix.meta,
-    })
+    _write_json(out / "matrix.json", config, seed,
+                {"matrix": matrix, "meta": matrix.meta})
     if sample is not None:
-        body = "step,state\n" + "".join(
-            f"{k},{s}\n" for k, s in enumerate(traj.states))
-        _write_csv(out / "trajectory.csv", config, seed, body)
+        _write_csv(out / "trajectory.csv", config, seed,
+                   _trajectory_blocks(traj.states))
     print(f"generated {matrix.n_states}-state chain "
           f"({matrix.meta.get('kind', 'unknown')})")
     return 0
@@ -682,8 +734,7 @@ def cmd_train_toy(config, seed, out: Path, jobs: int) -> int:
 
     _write_json(out / "model.json", config, seed,
                 {"model": json.loads(model.to_json())})
-    _write_json(out / "matrix.json", config, seed,
-                {"matrix": matrix.to_payload()})
+    _write_json(out / "matrix.json", config, seed, {"matrix": matrix})
     _write_json(out / "structure.json", config, seed,
                 {"structure": _structure_payload(report)})
     loss_body = "epoch,loss\n" + "".join(

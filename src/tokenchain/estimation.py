@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import ROW_SUM_TOL, TransitionMatrix
-from .oracles import ChainOracle, fit_ngram, window_groups
+from .oracles import ChainOracle, fit_ngram, smoothing, window_groups
 from .spectral import _cell
 
 MAX_EXACT_RISK_STATES = 64
@@ -146,10 +146,8 @@ class NgramEstimator:
     """Smoothed n-gram estimator; refit per trajectory."""
 
     def __init__(self, order, alpha=1.0, n_symbols=None):
-        if not alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
         self.order = int(order)
-        self.alpha = float(alpha)
+        self.alpha = smoothing(alpha)
         self.n_symbols = n_symbols
         self.name = f"ngram-{order}"
 

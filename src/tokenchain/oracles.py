@@ -240,6 +240,13 @@ def window_groups(states, width):
         yield firsts, groups
 
 
+def smoothing(alpha) -> float:
+    """``alpha`` as an n-gram's additive smoothing: finite and >= 0."""
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    return float(alpha)
+
+
 def fit_ngram(trajectory, order, alpha=1.0, n_symbols=None):
     """Fit an n-gram oracle on a state trajectory.
 
@@ -248,8 +255,7 @@ def fit_ngram(trajectory, order, alpha=1.0, n_symbols=None):
     observed statistics.
     """
     states = np.asarray(getattr(trajectory, "states", trajectory), dtype=int)
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    alpha = smoothing(alpha)
     if states.size == 0 or (states.size < 2 and alpha == 0):
         raise ValueError("need at least one transition to fit with alpha=0")
     if n_symbols is None:

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from tokenchain import cli
-from tokenchain.chains import TransitionMatrix
+from tokenchain.chains import TransitionMatrix, build_qf
 from tokenchain.cli import main
 from tokenchain.remote import MockOracleServer, RemoteOracle
+from tokenchain.states import VocabSpec
 
 from test_remote import KeepAliveStub, post_json
 
@@ -81,6 +82,50 @@ def test_build_outputs_are_pinned(tmp_path):
         "structure.json":
             "4a790709bb633646d8c94c67a9529880873f2c5a04e6b4d22e4f5449bf180c9a",
     }
+
+
+# sha256 of outputs as json.dumps and a one-string CSV body wrote them:
+# a 19.6 MB matrix.json over many triplet chunks, and a sample longer than
+# one CSV block
+@pytest.mark.parametrize("command,cfg,digests", [
+    ("build", {"n_tokens": 2, "context_window": 16,
+               "oracle": {"kind": "random_logits", "seed": 0}}, {
+        "matrix.json":
+            "248e32b1f1763d6b05bccb8aeec72cead75e973a201b9875120a3fea8251968b",
+    }),
+    ("generate", {"chain": {"kind": "random", "d": 40, "seed": 3},
+                  "sample": {"length": 100_000, "seed": 5}}, {
+        "matrix.json":
+            "56e3f09dd7db0381b8c93508419df3d4731a08c414a9c6ebfe5aeb39d7433b07",
+        "trajectory.csv":
+            "c426dcd1a869a3bb3b76d209ab8e403a757ba27d5445116ea8f1ae79f585d56c",
+    }),
+    ("train-toy", {"epochs": 50}, {
+        "matrix.json":
+            "8456f165fe6fe200d4a8e4c39fb153a79f10e2232d24a21864751fc1988afde2",
+    }),
+])
+def test_streamed_outputs_are_pinned(tmp_path, command, cfg, digests):
+    if command == "generate":
+        assert cfg["sample"]["length"] > cli.CSV_BLOCK
+    assert run(tmp_path, command, cfg) == 0
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
+            .hexdigest() for name in digests} == digests
+
+
+def test_matrix_json_reads_back_as_the_chain(tmp_path):
+    """The triplets the CLI writes are the chain's, value for value."""
+    cfg = {"n_tokens": 8, "context_window": 4,
+           "oracle": {"kind": "random_logits", "seed": 11}}
+    assert run(tmp_path, "build", cfg) == 0
+    doc = read_json(tmp_path, "out", "matrix.json")["matrix"]
+    read = TransitionMatrix.from_json(json.dumps(doc))
+    spec = VocabSpec(8, 4)
+    built = build_qf(cli._oracle(cfg["oracle"], spec, 0), spec)
+    assert (read.n_states, read.n_transient) == (4680, built.n_transient)
+    assert len(doc["triplets"]) == built.nonzero_count() == 37_440
+    for got, want in zip(read.triplet_columns(), built.triplet_columns()):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -507,6 +552,22 @@ def test_malformed_values_exit_2(tmp_path, capsys, command, cfg, key):
     assert run(tmp_path, command, cfg) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"tokenchain: {key}: ") and "Traceback" not in err
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_infinite_ngram_alpha_exits_2_before_any_work(tmp_path, capsys,
+                                                      monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("alpha must be checked first")
+
+    for name in ("build_chain", "icl_risk_curve"):
+        monkeypatch.setattr(cli, name, no_work)
+    cfg = {"chain": CHAIN3, "n_list": [50],
+           "estimator": {"kind": "ngram", "order": 1,
+                         "alpha": float("inf")}}
+    assert run(tmp_path, "estimate", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tokenchain: config.estimator.alpha must be finite")
     assert not any((tmp_path / "out").iterdir())
 
 

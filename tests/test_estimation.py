@@ -67,6 +67,12 @@ def test_ngram_fit_bytes_bound_the_count_rows(d, order, n):
                                                  for w in widths)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, -1.0])
+def test_ngram_estimator_refuses_bad_alpha_at_construction(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        NgramEstimator(1, alpha=alpha, n_symbols=2)
+
+
 def test_sampler_takes_row_sums_within_tolerance():
     rows = [[0.5, 0.5], [0.5, 0.5 + 5e-10]]
     assert len(sample_trajectory(rows, start=0, n=12)) == 12

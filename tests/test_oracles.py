@@ -143,6 +143,13 @@ def test_huge_smoothing_approaches_uniform():
     npt.assert_allclose(oracle.query((0,)), [0.5, 0.5], atol=1e-8)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, -0.5])
+def test_ngram_smoothing_must_be_finite_and_nonnegative(alpha):
+    # +inf smoothed every row to inf/inf = NaN
+    with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+        fit_ngram([0, 1, 0, 1, 0], order=1, alpha=alpha)
+
+
 def test_ngram_warmup_windows_are_counted():
     oracle = fit_ngram([0, 1, 0, 1, 0], order=2, alpha=0.0)
     npt.assert_array_equal(oracle.query((0, 1)), [1.0, 0.0])
