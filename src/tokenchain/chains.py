@@ -9,7 +9,6 @@ growing) and the T^K full-length states form the closed trailing block.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,16 +17,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .states import VocabSpec, StateSpace, enumerate_states
-from .oracles import OracleError
+from .oracles import SUM_TOL, OracleError
 
-ROW_SUM_TOL = 1e-9
 ROW_REPAIR_TOL = 1e-6
 
-# recurrent_block materializes a dense T^K x T^K array
+# the CLI's cap on the dense arrays a command may hold, and
+# recurrent_block's default cap on its dense T^K x T^K block
 DENSE_BLOCK_CAP_BYTES = 1 << 31
-# spectral.stationary's doubling search stores up to log2(max_iter) dense
-# n x n powers; a chain whose powers need more keeps the sparse loop
-POWERS_BUDGET_BYTES = 1 << 28
 
 
 class StructureError(Exception):
@@ -67,11 +63,6 @@ class TransitionMatrix:
             return self.probs
         return sp.csr_matrix(self.probs)
 
-    def row(self, i) -> np.ndarray:
-        if self.is_sparse:
-            return self.probs.getrow(i).toarray().ravel()
-        return np.asarray(self.probs[i], dtype=float)
-
     def nonzero_count(self) -> int:
         if self.is_sparse:
             return int(self.probs.count_nonzero())
@@ -86,19 +77,16 @@ class TransitionMatrix:
             return Q
         return cls(Q.tocsr() if sp.issparse(Q) else np.asarray(Q, dtype=float))
 
-    @classmethod
-    def from_dense(cls, rows, n_transient=0, **kw):
-        return cls(np.asarray(rows, dtype=float), n_transient=n_transient, **kw)
-
     # -- serialization ------------------------------------------------------
 
     def triplet_columns(self):
         """The nonzero entries as (row, col, value) arrays in row-major
-        order."""
-        coo = self.sparse().tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        keep = order[coo.data[order] != 0.0]
-        return coo.row[keep], coo.col[keep], coo.data[keep]
+        order, duplicates summed: the CSR's own order once canonical."""
+        m = self.sparse()
+        m.sum_duplicates()  # in place; sorts the indices too
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        keep = m.data != 0.0
+        return rows[keep], m.indices[keep], m.data[keep]
 
     def to_payload(self, triplets=None) -> dict:
         """JSON-ready dict: the block layout and the ``triplet_columns`` as
@@ -132,17 +120,6 @@ class TransitionMatrix:
         return cls(m, n_transient=blocks.get("transient", [0, 0])[1],
                    recurrent_only=blocks.get("recurrent_only", False))
 
-    def to_csv(self, max_states=10000) -> str:
-        if self.n_states > max_states:
-            raise ValueError(
-                f"dense CSV export limited to {max_states} states, "
-                f"matrix has {self.n_states}")
-        buf = io.StringIO()
-        for r in self.dense():
-            buf.write(",".join(repr(float(x)) for x in r))
-            buf.write("\n")
-        return buf.getvalue()
-
 
 @dataclass
 class StructureReport:
@@ -159,8 +136,8 @@ class StructureReport:
         """The failed checks, by name; empty when the chain is ok."""
         checks = [
             (self.block_pattern_ok, "pattern: a nonzero off the successor set"),
-            (self.row_sum_max_error <= ROW_SUM_TOL,
-             f"row sums: max error {self.row_sum_max_error!r} > {ROW_SUM_TOL}"),
+            (self.row_sum_max_error <= SUM_TOL,
+             f"row sums: max error {self.row_sum_max_error!r} > {SUM_TOL}"),
             (self.nilpotency_index is not None,
              "nilpotency: transient block not nilpotent within K steps"),
         ]
@@ -176,7 +153,7 @@ def build_qf(oracle, spec: VocabSpec, space: StateSpace | None = None) -> Transi
 
     Row i holds the oracle's next-token probabilities for state i, scattered
     onto the indices of its successor states; every other entry is zero.
-    A row whose probabilities miss unit sum by more than 1e-9 is silently
+    A row whose probabilities miss unit sum by more than SUM_TOL is silently
     renormalized only when the drift is at most 1e-6, otherwise the oracle
     is considered buggy and the build fails.
     """
@@ -188,17 +165,18 @@ def build_qf(oracle, spec: VocabSpec, space: StateSpace | None = None) -> Transi
     if P.shape != (n, T):
         raise OracleError(f"oracle returned shape {P.shape[1:]} for state "
                           f"{space[0]}, expected ({T},)")
-    negative = (P < 0).any(axis=1)
+    negative = ~(P >= 0).all(axis=1)
     sums = P.sum(axis=1)
     drift = np.abs(sums - 1.0)
     bad = np.flatnonzero(negative | (drift > ROW_REPAIR_TOL))
     if bad.size:
         i = bad[0]
         if negative[i]:
-            raise OracleError(f"negative probability in row for state {space[i]}")
+            raise OracleError(
+                f"negative or NaN probability in row for state {space[i]}")
         raise OracleError(f"row for state {space[i]} sums to {sums[i]}; "
                           f"drift above {ROW_REPAIR_TOL}")
-    P = np.where((drift > ROW_SUM_TOL)[:, None], P / sums[:, None], P)
+    P = np.where((drift > SUM_TOL)[:, None], P / sums[:, None], P)
     m = sp.csr_matrix((P.ravel(), space.successor_table().ravel(),
                        np.arange(0, n * T + 1, T, dtype=np.int64)),
                       shape=(n, n))

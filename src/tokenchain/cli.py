@@ -44,6 +44,7 @@ from .estimation import (
     REPLICATE_STEP_BYTES,
     SAMPLE_STEP_BYTES,
     sample_trajectory,
+    start_distribution,
 )
 from .generators import ChainSpec, build_chain
 from .bounds import (
@@ -61,7 +62,6 @@ from .bounds import (
 from .oracles import (
     ChainOracle,
     OracleError,
-    SUM_TOL,
     RandomLogitOracle,
     ToyModelConfig,
     UniformOracle,
@@ -391,20 +391,12 @@ def _chain_spec(config, path="config.chain") -> ChainSpec:
 
 
 def _start_vector(cfg, d, path):
-    """``cfg``'s start state or distribution over ``d`` states, if set."""
+    """``cfg``'s start over ``d`` states, by the library's start rule."""
     start = cfg.get("start")
-    if start is None:
-        return None
-    if isinstance(start, int):
-        if not 0 <= start < d:
-            raise ConfigError(f"{path}: state {start} outside [0, {d})")
-        return start
-    _NUMBERS(start, path)
-    arr = np.asarray(start, dtype=float)
-    if arr.shape != (d,) or not (np.all(arr >= 0)
-                                 and abs(arr.sum() - 1.0) <= SUM_TOL):
-        raise ConfigError(f"{path}: need {d} probabilities summing to 1")
-    return arr
+    if isinstance(start, list):
+        _NUMBERS(start, path)
+    with _library_errors(path):
+        return start_distribution(start, d)
 
 
 def _require_ok(report):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -17,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ROW_SUM_TOL, TransitionMatrix
-from .oracles import ChainOracle, fit_ngram, smoothing, window_groups
+from .chains import TransitionMatrix
+from .oracles import SUM_TOL, ChainOracle, fit_ngram, smoothing, window_groups
 from .spectral import _cell
+from .states import state_path
 
 MAX_EXACT_RISK_STATES = 64
 SAMPLE_BLOCK = 1 << 16
@@ -40,18 +42,28 @@ class Trajectory:
     states: np.ndarray
 
     def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=np.int64)
-        if self.states.ndim != 1 or self.states.size == 0:
-            raise ValueError("trajectory must be a nonempty state vector")
-        if self.states.min() < 0:
-            raise ValueError("negative state id in trajectory")
+        self.states = state_path(self.states)
 
     def __len__(self):
         return int(self.states.size)
 
 
-def _states(traj) -> np.ndarray:
-    return traj.states if isinstance(traj, Trajectory) else np.asarray(traj, dtype=np.int64)
+def start_distribution(start, d):
+    """A path's start over ``d`` states: None as the uniform vector, an
+    integer state in [0, d) as itself, or d nonnegative probabilities
+    summing to 1 within SUM_TOL as a float vector."""
+    if start is None:
+        return np.full(d, 1.0 / d)
+    if np.ndim(start) == 0:
+        x = operator.index(start)
+        if not 0 <= x < d:
+            raise ValueError(f"state {x} outside [0, {d})")
+        return x
+    p = np.asarray(start, dtype=float)
+    # written as "not >= 0" so that NaN fails too
+    if p.shape != (d,) or not (np.all(p >= 0) and abs(p.sum() - 1.0) <= SUM_TOL):
+        raise ValueError(f"need {d} probabilities summing to 1")
+    return p
 
 
 def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
@@ -69,22 +81,16 @@ def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
     d = rows.shape[0]
     if n < 1:
         raise ValueError(f"need at least one state, got n={n}")
+    x = start_distribution(start, d)
     rng = np.random.default_rng(seed)
-    if start is None:
-        start = np.full(d, 1.0 / d)
-    if np.ndim(start) == 0:
-        x = int(start)
-        if not 0 <= x < d:
-            raise ValueError(f"start state {x} outside [0, {d})")
-    else:
-        start_cum = np.cumsum(np.asarray(start, dtype=float))
-        x = min(int(np.searchsorted(start_cum, rng.random(), side="right")), d - 1)
+    if not isinstance(x, int):
+        x = min(int(np.searchsorted(np.cumsum(x), rng.random(), side="right")), d - 1)
     cum = np.cumsum(rows, axis=1)
     # a NaN fails the sign test, an infinity the sum test
     if not (rows.min() >= 0
-            and np.abs(cum[:, -1] - 1.0).max() <= ROW_SUM_TOL):
+            and np.abs(cum[:, -1] - 1.0).max() <= SUM_TOL):
         raise ValueError("every row must be a distribution: finite, "
-                         f"nonnegative and summing to 1 within {ROW_SUM_TOL}")
+                         f"nonnegative and summing to 1 within {SUM_TOL}")
     table = [None] * d if d <= LIST_ROWS_MAX_STATES else cum
     last = d - 1
     out = np.empty(n, dtype=np.int64)
@@ -112,7 +118,7 @@ def frequentist_estimate(traj, d=None) -> TransitionMatrix:
     The indices of the uniform-filled rows are recorded under
     ``meta["uniform_rows"]``.
     """
-    states = _states(traj)
+    states = state_path(traj)
     if states.size < 2:
         raise ValueError("need at least one transition to estimate")
     if d is None:
@@ -126,9 +132,8 @@ def frequentist_estimate(traj, d=None) -> TransitionMatrix:
     totals[unvisited] = 1.0
     rows = counts / totals[:, None]
     rows[unvisited] = 1.0 / d
-    return TransitionMatrix.from_dense(
-        rows, meta={"estimator": "frequentist",
-                    "uniform_rows": [int(i) for i in unvisited]})
+    return TransitionMatrix(rows, meta={
+        "estimator": "frequentist", "uniform_rows": [int(i) for i in unvisited]})
 
 
 class FrequentistEstimator:
@@ -216,7 +221,7 @@ def _context_scores(states, cap, score) -> np.ndarray:
 def _per_step_divergences(Q_true, predictor, traj, div):
     rows = TransitionMatrix.of(Q_true).dense()
     return _context_scores(
-        _states(traj), getattr(predictor, "context_cap", None),
+        state_path(traj), getattr(predictor, "context_cap", None),
         lambda ctx: div(rows[ctx[-1]], predictor.query(ctx)))
 
 
@@ -248,7 +253,8 @@ def expected_tv_risk(Q_true, predictor, n_steps, start=None) -> float:
         raise ValueError("need at least one step")
     tv_table = np.array([tv_distance(rows[i], predictor.query((i,)))
                          for i in range(d)])
-    dist = np.full(d, 1.0 / d) if start is None else np.asarray(start, dtype=float)
+    start = start_distribution(start, d)
+    dist = np.eye(d)[start] if isinstance(start, int) else start
     total = 0.0
     for _ in range(n_steps):
         total += float(dist @ tv_table)
@@ -362,7 +368,7 @@ def oracle_divergence(o1, o2, trajs) -> float:
     def tv(ctx):
         return tv_distance(o1.query(ctx), o2.query(ctx))
 
-    return float(np.mean([np.mean(_context_scores(_states(traj), cap, tv))
+    return float(np.mean([np.mean(_context_scores(state_path(traj), cap, tv))
                           for traj in trajs]))
 
 

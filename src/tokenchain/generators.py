@@ -33,7 +33,7 @@ def random_chain(d, p_min=0.0, seed=0) -> TransitionMatrix:
         raise ValueError(f"p_min={p_min} infeasible for {d} states")
     rng = np.random.default_rng(seed)
     rows = p_min + (1.0 - d * p_min) * rng.dirichlet(np.ones(d), size=d)
-    return TransitionMatrix.from_dense(
+    return TransitionMatrix(
         rows, meta={"kind": "random", "d": d, "p_min": p_min, "seed": seed})
 
 
@@ -46,7 +46,7 @@ def constrained_walk(d) -> TransitionMatrix:
     P[d - 1, d - 2] = 1.0
     for i in range(1, d - 1):
         P[i, i - 1] = P[i, i + 1] = 0.5
-    return TransitionMatrix.from_dense(P, meta={"kind": "constrained_walk", "d": d})
+    return TransitionMatrix(P, meta={"kind": "constrained_walk", "d": d})
 
 
 def polygonal_walk(d) -> TransitionMatrix:
@@ -57,7 +57,7 @@ def polygonal_walk(d) -> TransitionMatrix:
     for i in range(d):
         P[i, (i + 1) % d] += 0.5
         P[i, (i - 1) % d] += 0.5
-    return TransitionMatrix.from_dense(P, meta={"kind": "polygonal_walk", "d": d})
+    return TransitionMatrix(P, meta={"kind": "polygonal_walk", "d": d})
 
 
 def clique_rim(d, eta, tau, rim_eps=0.125) -> TransitionMatrix:
@@ -102,7 +102,7 @@ def clique_rim(d, eta, tau, rim_eps=0.125) -> TransitionMatrix:
         P[a, i], P[b, i] = hi, lo
         P[a, a] = (7.0 - bump) / 8.0
         P[b, b] = (7.0 + bump) / 8.0
-    return TransitionMatrix.from_dense(
+    return TransitionMatrix(
         P, meta={"kind": "clique_rim", "d": d, "eta": eta, "tau": list(tau),
                  "rim_eps": rim_eps})
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from .states import VocabSpec
+from .states import VocabSpec, state_path
 
 SUM_TOL = 1e-9
 
@@ -34,8 +34,8 @@ def validate_distribution(p, tol=SUM_TOL):
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise OracleError(f"expected a vector, got shape {p.shape}")
-    if np.any(p < 0):
-        raise OracleError(f"negative probability: min={p.min()}")
+    if not np.all(p >= 0):
+        raise OracleError(f"negative or NaN probability: min={p.min()}")
     s = p.sum()
     if abs(s - 1.0) > tol:
         raise OracleError(f"probabilities sum to {s}, off by more than {tol}")
@@ -110,10 +110,8 @@ class ChainOracle(Oracle):
     context_cap = 1
 
     def __init__(self, matrix, name="chain"):
-        if hasattr(matrix, "dense"):
-            rows = np.asarray(matrix.dense(), dtype=float)
-        else:
-            rows = np.asarray(matrix, dtype=float)
+        from .chains import TransitionMatrix  # chains imports this module
+        rows = TransitionMatrix.of(matrix).dense()
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
             raise ValueError(f"need a square matrix, got shape {rows.shape}")
         self.rows = rows
@@ -254,9 +252,9 @@ def fit_ngram(trajectory, order, alpha=1.0, n_symbols=None):
     than the full order (the warm-up steps of a trajectory) still hit
     observed statistics.
     """
-    states = np.asarray(getattr(trajectory, "states", trajectory), dtype=int)
+    states = state_path(trajectory)
     alpha = smoothing(alpha)
-    if states.size == 0 or (states.size < 2 and alpha == 0):
+    if states.size < 2 and alpha == 0:
         raise ValueError("need at least one transition to fit with alpha=0")
     if n_symbols is None:
         n_symbols = int(states.max()) + 1

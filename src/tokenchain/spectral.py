@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .chains import (POWERS_BUDGET_BYTES, TransitionMatrix, build_qf,
-                     recurrent_block)
+from .chains import TransitionMatrix, build_qf, recurrent_block
 from .states import enumerate_states
 
 DEFAULT_TOL = 1e-12
@@ -25,6 +24,9 @@ DEFAULT_T_CAP = 10_000
 DEFAULT_N_MAX = 1000
 # thresholds for the minimized mixing constant: {0, 0.05, ..., 0.95}
 DEFAULT_EPS_GRID = tuple(k * 0.05 for k in range(20))
+# stationary's doubling search stores up to log2(max_iter) dense n x n
+# powers; a chain whose powers need more keeps the sparse loop
+POWERS_BUDGET_BYTES = 1 << 28
 
 
 @dataclass

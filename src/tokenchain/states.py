@@ -124,6 +124,17 @@ def enumerate_states(spec: VocabSpec,
     return StateSpace(spec, max_states=max_states)
 
 
+def state_path(path) -> np.ndarray:
+    """``path`` (or its ``.states``) as a nonempty 1-D int64 vector of
+    state ids >= 0."""
+    states = np.asarray(getattr(path, "states", path), dtype=np.int64)
+    if states.ndim != 1 or states.size == 0:
+        raise ValueError("trajectory must be a nonempty state vector")
+    if states.min() < 0:
+        raise ValueError("negative state id in trajectory")
+    return states
+
+
 def successors(u, spec: VocabSpec) -> list[tuple[int, ...]]:
     """The T sequences reachable from ``u`` in one generation step.
 

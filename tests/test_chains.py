@@ -62,7 +62,7 @@ def test_rows_reproduce_the_oracle():
     Q = build_qf(oracle, spec, space)
     for state in [(0,), (1, 0), (0, 1, 1), (1, 1, 1)]:
         i = space.index(state)
-        row = Q.row(i)
+        row = Q.dense()[i]
         expected = oracle.query(state)
         for t, v in enumerate(successors(state, spec)):
             assert row[space.index(v)] == pytest.approx(expected[t], abs=1e-15)
@@ -99,6 +99,8 @@ def test_negative_and_misshapen_rows_fail_the_build():
         build_qf(FixedRowOracle([1.5, -0.5]), spec)
     with pytest.raises(OracleError):
         build_qf(FixedRowOracle([0.5, 0.25, 0.25]), spec)
+    with pytest.raises(OracleError, match="negative or NaN"):
+        build_qf(FixedRowOracle([float("nan"), 1.0]), spec)
 
 
 class TableOracle(Oracle):
@@ -121,20 +123,24 @@ def test_build_errors_name_the_first_offending_state():
     oracle = TableOracle({(1,): [0.5, 0.25, 0.25]}, [0.5, 0.5])
     with pytest.raises(OracleError, match=r"shape \(3,\) for state \(1,\)"):
         build_qf(oracle, spec)
+    oracle = TableOracle({(0, 1): [float("nan"), 1.0]}, [0.5, 0.5])
+    with pytest.raises(OracleError,
+                       match=r"NaN probability in row for state \(0, 1\)"):
+        build_qf(oracle, spec)
 
 
 def test_corrupted_pattern_is_detected():
     spec = VocabSpec(2, 2)
     dense = build_qf(UniformOracle(2), spec).dense()
     dense[0, 0] = 0.5  # (0,) -> (0,) is not a legal step
-    bad = TransitionMatrix.from_dense(dense, n_transient=2)
+    bad = TransitionMatrix(dense, n_transient=2)
     assert not validate_structure(bad, spec).block_pattern_ok
 
 
 def test_state_count_mismatch_is_an_error():
     spec = VocabSpec(2, 3)
     with pytest.raises(ValueError):
-        validate_structure(TransitionMatrix.from_dense(np.eye(4)), spec)
+        validate_structure(TransitionMatrix(np.eye(4)), spec)
 
 
 def test_json_roundtrip():
@@ -159,14 +165,30 @@ def test_json_triplets_sorted_and_zero_free():
                               "recurrent_only": False}
 
 
-def test_csv_roundtrip_and_cap():
-    spec = VocabSpec(2, 2)
-    Q = build_qf(UniformOracle(2), spec)
-    rows = [[float(x) for x in line.split(",")]
-            for line in Q.to_csv().strip().split("\n")]
-    npt.assert_array_equal(np.array(rows), Q.dense())
-    with pytest.raises(ValueError):
-        Q.to_csv(max_states=3)
+def test_triplets_of_unsorted_csr_are_row_major():
+    rng = np.random.default_rng(4)
+    dense = rng.random((6, 6)) * (rng.random((6, 6)) < 0.5)
+    m = sp.csr_matrix(dense)
+    # reverse each row's column order, leaving the indices unsorted
+    for r in range(6):
+        a, b = m.indptr[r], m.indptr[r + 1]
+        m.indices[a:b], m.data[a:b] = m.indices[a:b][::-1], m.data[a:b][::-1]
+    m.has_sorted_indices = False
+    coo = m.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    reference = (coo.row[order], coo.col[order], coo.data[order])
+    for got, want in zip(TransitionMatrix(m).triplet_columns(), reference):
+        npt.assert_array_equal(got, want)
+
+
+def test_duplicate_entries_are_written_summed():
+    m = sp.csr_matrix(([0.25, 0.5, 0.25, 1.0], [1, 0, 1, 1], [0, 3, 4]),
+                      shape=(2, 2))
+    Q = TransitionMatrix(m)
+    assert Q.to_payload()["triplets"] == [[0, 0, 0.5], [0, 1, 0.5],
+                                          [1, 1, 1.0]]
+    npt.assert_array_equal(TransitionMatrix.from_json(Q.to_json()).dense(),
+                           [[0.5, 0.5], [0.0, 1.0]])
 
 
 def test_recurrent_block_extraction():

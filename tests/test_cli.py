@@ -166,6 +166,16 @@ def test_failed_structure_check_exits_3_before_writing(
     assert not (tmp_path / "out" / "matrix.json").exists()
 
 
+def test_nan_oracle_row_exits_3_naming_the_state(tmp_path, capsys):
+    cfg = dict(BUILD_CFG, oracle={"kind": "matrix", "rows": [
+        [float("nan"), 1.0], [0.5, 0.5]]})
+    assert run(tmp_path, "build", cfg) == 3
+    assert capsys.readouterr().err == ("tokenchain: oracle failure: negative "
+                                       "or NaN probability in row for state "
+                                       "(0,)\n")
+    assert not (tmp_path / "out" / "matrix.json").exists()
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = dict(BUILD_CFG, seed=3)
     assert run(tmp_path, "build", cfg, seed=9) == 0
@@ -553,6 +563,26 @@ def test_malformed_values_exit_2(tmp_path, capsys, command, cfg, key):
     err = capsys.readouterr().err
     assert err.startswith(f"tokenchain: {key}: ") and "Traceback" not in err
     assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    ("generate", {"chain": CHAIN3, "sample": {"length": 5, "start": 7}},
+     "config.sample.start: state 7 outside [0, 3)"),
+    ("generate", {"chain": CHAIN3, "sample": {"length": 5,
+                                              "start": [0.5, 0.5]}},
+     "config.sample.start: need 3 probabilities summing to 1"),
+    ("estimate", {"chain": CHAIN3, "estimator": FREQ, "n_list": [50, 100],
+                  "start": [float("nan"), 0.5, 0.5]},
+     "config.start: need 3 probabilities summing to 1"),
+])
+def test_bad_start_exits_2_before_the_chain_is_built(
+        tmp_path, capsys, monkeypatch, command, cfg, message):
+    def no_build(*args, **kwargs):
+        raise AssertionError("the start must be checked before the build")
+
+    monkeypatch.setattr(cli, "build_chain", no_build)
+    assert run(tmp_path, command, cfg) == 2
+    assert capsys.readouterr().err == f"tokenchain: {message}\n"
 
 
 def test_infinite_ngram_alpha_exits_2_before_any_work(tmp_path, capsys,

@@ -16,6 +16,8 @@ from tokenchain.generators import random_chain
 from tokenchain.oracles import ChainOracle, Oracle, UniformOracle
 
 TWO_CYCLE = np.array([[0.0, 1.0], [1.0, 0.0]])
+# start vectors over two states that are not distributions
+BAD_STARTS = ([-1.0, 2.0], [0.2, 0.2], [float("nan"), 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +44,9 @@ def test_trajectory_validation():
         sample_trajectory(TWO_CYCLE, start=5, n=3)
     with pytest.raises(ValueError):
         Trajectory(states=[])
+    for start in BAD_STARTS:
+        with pytest.raises(ValueError, match="need 2 probabilities"):
+            sample_trajectory(TWO_CYCLE, start=start, n=3)
 
 
 @pytest.mark.parametrize("rows", [
@@ -99,6 +104,11 @@ def test_frequentist_flags_unvisited_rows():
     assert Q.meta["uniform_rows"] == [1, 2]
     with pytest.raises(ValueError):
         frequentist_estimate(Trajectory([0]))
+
+
+def test_frequentist_refuses_a_negative_state_id():
+    with pytest.raises(ValueError, match="negative state id"):
+        frequentist_estimate([0, -1, 1], d=3)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +199,16 @@ def test_expected_risk_close_to_sampled_risk():
                                                  seed=[3, r]))
                        for r in range(50)])
     assert abs(exact - sampled) < 0.02
+
+
+def test_expected_risk_takes_the_sampler_starts():
+    Q = random_chain(2, seed=6)
+    oracle = UniformOracle(2)
+    assert (expected_tv_risk(Q, oracle, 9, start=1)
+            == expected_tv_risk(Q, oracle, 9, start=[0.0, 1.0]))
+    for start in BAD_STARTS:
+        with pytest.raises(ValueError, match="need 2 probabilities"):
+            expected_tv_risk(Q, oracle, 9, start=start)
 
 
 def test_expected_risk_validation():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from tokenchain.oracles import (
     ChainOracle, NgramOracle, OracleError, RandomLogitOracle, ToyModelConfig,
@@ -71,6 +72,8 @@ def test_validate_distribution():
         validate_distribution([1.2, -0.2])
     with pytest.raises(OracleError):
         validate_distribution(np.eye(2))
+    with pytest.raises(OracleError, match="NaN"):
+        validate_distribution([float("nan"), 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +86,12 @@ def test_chain_oracle_reads_row_of_last_token():
     npt.assert_array_equal(oracle.query((1,)), P[1])
     # longer histories are truncated to the single trailing token
     npt.assert_array_equal(oracle.query((1, 1, 0)), P[0])
+
+
+def test_chain_oracle_takes_a_scipy_matrix():
+    P = np.array([[0.2, 0.8], [0.0, 1.0]])
+    npt.assert_array_equal(ChainOracle(sp.csr_matrix(P)).rows,
+                           ChainOracle(P).rows)
 
 
 def test_chain_oracle_rejects_nonsquare():
@@ -180,6 +189,11 @@ def test_fit_ngram_validation():
         fit_ngram([], order=1)
     with pytest.raises(ValueError):
         fit_ngram([0], order=1, alpha=0.0)
+
+
+def test_fit_ngram_refuses_a_negative_state_id():
+    with pytest.raises(ValueError, match="negative state id"):
+        fit_ngram([0, -1, 1], order=1)
 
 
 def test_ngram_consistency_on_long_trajectory():
