@@ -605,21 +605,27 @@ def cmd_estimate(config, seed, out: Path, jobs: int) -> int:
     return 0
 
 
-def _coin_rows(n, rng, size):
-    """Fair coin rows; picklable, so mc_verify can fan out workers.
-
-    ``rng.integers(0, 2, (size, n))``'s values, read from the raw stream:
-    that draw keeps the top bit of each 32-bit half of a raw PCG64 output,
-    low half first (the uint32 view's order on a little-endian host).
-    """
-    raw = rng.bit_generator.random_raw(-(-size * n // 2)).view(np.uint32)
-    return (raw[:size * n] >> 31).reshape(size, n)
+COIN_BLOCK = 1 << 15    # raw 64-bit words (256 KiB) per _coin_counts block
 
 
-def _row_means(rows):
-    """np.mean(rows, axis=1)'s floats for integer rows, whose sums are
-    exact, without its float64 cast."""
-    return rows.sum(axis=1) / rows.shape[1]
+def _coin_counts(n, rng, size):
+    """Heads per row of ``rng.integers(0, 2, (size, n))``, which keeps the
+    top bit of each 32-bit half of a raw PCG64 output, low half first (the
+    uint32 view on a little-endian host).  Picklable, for mc_verify's
+    workers.  Blocks of an even row count end on whole outputs."""
+    rows = max(2, 2 * COIN_BLOCK // n & -2)
+    counts = np.empty(size, dtype=np.uint32)
+    for start in range(0, size, rows):
+        m = min(rows, size - start)
+        half = rng.bit_generator.random_raw(-(-m * n // 2)).view(np.uint32)
+        coins = np.right_shift(half, 31, out=half)[:m * n].reshape(m, n)
+        np.einsum("ij->i", coins, out=counts[start:start + m])
+    return counts
+
+
+def _head_share(n, counts):
+    """np.mean(rows, axis=1)'s floats, from exact per-row head counts."""
+    return counts / n
 
 
 def cmd_bounds(config, seed, out: Path, jobs: int) -> int:
@@ -640,7 +646,7 @@ def cmd_bounds(config, seed, out: Path, jobs: int) -> int:
         with _library_errors("config.mc"):
             tail_bounds(np.full(n, 1.0 / n), u_grid, n_samples,
                         t_min=mc.get("t_min"))
-        # a batch's raw draws and its rows: a uint32 each per coin
+        # at most a batch's raw draws and its rows: a uint32 each per coin
         coins = n * min(n_samples, MC_BATCH)
         _check_dense("config.mc.n", f"{coins} coins per batch", 8 * coins)
         _check_dense("config.mc.n_samples", f"{n_samples} samples",
@@ -679,7 +685,7 @@ def cmd_bounds(config, seed, out: Path, jobs: int) -> int:
         }
     if mc is not None:
         report = mc_verify(
-            partial(_coin_rows, n), _row_means,
+            partial(_coin_counts, n), partial(_head_share, n),
             np.full(n, 1.0 / n), n_samples, u_grid, t_min=mc.get("t_min"),
             mean=0.5, jobs=jobs, seed=mc.get("seed", seed))
         payload["mc"] = {

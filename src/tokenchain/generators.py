@@ -112,16 +112,16 @@ def clique_rim(d, eta, tau, rim_eps=0.125) -> TransitionMatrix:
 # ---------------------------------------------------------------------------
 
 def _check_sigma(sigma):
-    if sigma < 0:
-        raise ValueError(f"volatility must be >= 0, got {sigma}")
+    if not 0 <= sigma < np.inf:     # NaN fails too
+        raise ValueError(f"volatility must be finite and >= 0, got {sigma}")
 
 
 def _gbm(rng, n, s0=1.0, mu=0.0, sigma=0.2, dt=1.0):
     _check_sigma(sigma)
     if s0 <= 0:
         raise ValueError(f"start value must be positive, got {s0}")
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"time step must be finite and positive, got {dt}")
     # exact log-Euler steps
     z = rng.standard_normal(n - 1)
     steps = (mu - 0.5 * sigma**2) * dt + sigma * np.sqrt(dt) * z
@@ -150,8 +150,8 @@ def _uncorrelated_uniform(rng, n):
 
 def _brownian(rng, n, sigma=1.0, dt=1.0, w0=0.0):
     _check_sigma(sigma)
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"time step must be finite and positive, got {dt}")
     steps = sigma * np.sqrt(dt) * rng.standard_normal(n - 1)
     return w0 + np.concatenate([[0.0], np.cumsum(steps)])
 

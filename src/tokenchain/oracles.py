@@ -287,10 +287,10 @@ class ToyModelConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
-        # written as "not > 0" so that NaN fails too
+        # written as "not 0 < x < inf" so that NaN fails too
         for name in ("context_length", "embedding_dim", "learning_rate", "epochs"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not self.temperature > 0:
             raise ValueError("temperature must be > 0")
 

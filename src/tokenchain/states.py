@@ -126,8 +126,12 @@ def enumerate_states(spec: VocabSpec,
 
 def state_path(path) -> np.ndarray:
     """``path`` (or its ``.states``) as a nonempty 1-D int64 vector of
-    state ids >= 0."""
-    states = np.asarray(getattr(path, "states", path), dtype=np.int64)
+    state ids >= 0; float ids must be whole numbers within int64."""
+    states = np.asarray(getattr(path, "states", path))
+    if states.dtype.kind == "f" and not np.all(
+            (states == np.trunc(states)) & (abs(states) < 2.0**63)):
+        raise ValueError("non-integral or non-finite state id in trajectory")
+    states = states.astype(np.int64, copy=False)
     if states.ndim != 1 or states.size == 0:
         raise ValueError("trajectory must be a nonempty state vector")
     if states.min() < 0:

@@ -113,6 +113,21 @@ def test_streamed_outputs_are_pinned(tmp_path, command, cfg, digests):
             .hexdigest() for name in digests} == digests
 
 
+# sha256 of bounds.json as the coin rows were drawn whole and averaged:
+# the benchmark's 10^6 samples, and an odd n over a part batch
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("mc,digest", [
+    ({"n_samples": 1_000_000},
+     "4927b0e8d6ab0689f918df9136ea783e66d9b84fabf66fcc2b95ee8487bbe28a"),
+    ({"n": 37, "n_samples": 25_001},
+     "dbc93856adaa11b45729ec1eb66db5cae3de170733091c77bb55ffdf07adc3f3"),
+])
+def test_bounds_mc_is_pinned(tmp_path, mc, digest, jobs):
+    assert run(tmp_path, "bounds", {"mc": mc}, jobs=jobs) == 0
+    assert hashlib.sha256((tmp_path / "out" / "bounds.json").read_bytes()
+                          ).hexdigest() == digest
+
+
 def test_matrix_json_reads_back_as_the_chain(tmp_path):
     """The triplets the CLI writes are the chain's, value for value."""
     cfg = {"n_tokens": 8, "context_window": 4,
@@ -164,6 +179,24 @@ def test_failed_structure_check_exits_3_before_writing(
     assert run(tmp_path, command, cfg) == 3
     assert "pattern" in capsys.readouterr().err
     assert not (tmp_path / "out" / "matrix.json").exists()
+
+
+@pytest.mark.parametrize("command,cfg,path", [
+    ("train-toy", {"learning_rate": float("inf")}, "config"),
+    ("build", dict(BUILD_CFG, oracle={"kind": "parity_toy",
+                                      "learning_rate": float("inf")}),
+     "config.oracle"),
+    ("sweep-temperature", dict(BUILD_CFG, temperatures=[1.0], oracle={
+        "kind": "parity_toy", "learning_rate": float("inf")}),
+     "config.oracle"),
+])
+def test_infinite_learning_rate_exits_2_before_training(
+        tmp_path, capsys, monkeypatch, command, cfg, path):
+    monkeypatch.setattr(cli, "train_toy",
+                        lambda *args, **kwargs: pytest.fail("trained"))
+    assert run(tmp_path, command, cfg) == 2
+    assert capsys.readouterr().err == (
+        f"tokenchain: {path}.learning_rate must be positive and finite\n")
 
 
 def test_nan_oracle_row_exits_3_naming_the_state(tmp_path, capsys):

@@ -111,6 +111,24 @@ def test_frequentist_refuses_a_negative_state_id():
         frequentist_estimate([0, -1, 1], d=3)
 
 
+BAD_FLOAT_PATHS = [[0.0, 1.5], [0.0, float("nan")], [0.0, math.inf],
+                   [0.0, 1e300]]
+
+
+@pytest.mark.parametrize("states", BAD_FLOAT_PATHS)
+def test_float_state_ids_must_be_whole(states):
+    for call in (Trajectory, lambda s: frequentist_estimate(s, d=3)):
+        with pytest.raises(ValueError, match="non-integral or non-finite"):
+            call(states)
+
+
+def test_whole_float_state_ids_are_accepted():
+    np.testing.assert_array_equal(Trajectory([0.0, 1.0, 2.0]).states,
+                                  [0, 1, 2])
+    assert (frequentist_estimate([0.0, 1.0, 0.0], d=2).dense()
+            == frequentist_estimate([0, 1, 0], d=2).dense()).all()
+
+
 # ---------------------------------------------------------------------------
 # divergences
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """The array forms of sampling, context risks, n-gram counting and coin
-rows against loop references that keep the code they replaced; each pair
+counts against loop references that keep the code they replaced; each pair
 must agree exactly."""
 
 import math
@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tokenchain import estimation
+from tokenchain import cli, estimation
 from tokenchain.bounds import MC_BATCH
 from tokenchain.chains import TransitionMatrix
-from tokenchain.cli import _coin_rows, _row_means
+from tokenchain.cli import _coin_counts, _head_share
 from tokenchain.estimation import (
     kl_divergence,
     kl_risk,
@@ -146,17 +146,34 @@ def test_sampler_matches_the_loop_across_a_block(d):
 
 
 # ---------------------------------------------------------------------------
-# coin rows
+# coin counts
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("size", [1, MC_BATCH])
-@pytest.mark.parametrize("n", [1, 7, 100])
+COIN_NS = [1, 2, 7, 37, 100, 101]
+COIN_SIZES = [1, 3, MC_BATCH]
+
+
+@pytest.mark.parametrize("size", COIN_SIZES)
+@pytest.mark.parametrize("n", COIN_NS)
 def test_coin_rows_are_numpys_bounded_draws(size, n):
-    coins = _coin_rows(n, np.random.default_rng([9, n]), size)
+    counts = _coin_counts(n, np.random.default_rng([9, n]), size)
     expected = np.random.default_rng([9, n]).integers(0, 2, (size, n))
-    np.testing.assert_array_equal(coins, expected)
-    np.testing.assert_array_equal(_row_means(coins),
+    np.testing.assert_array_equal(counts, expected.sum(axis=1))
+    np.testing.assert_array_equal(_head_share(n, counts),
                                   np.mean(expected, axis=1))
+
+
+# blocks of a few raw words: many blocks per batch, mostly of 2 rows, and
+# at an odd n a block of an odd row count would end inside a raw output
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("size", COIN_SIZES)
+@pytest.mark.parametrize("n", COIN_NS)
+def test_coin_counts_do_not_depend_on_the_block(monkeypatch, block, size, n):
+    monkeypatch.setattr(cli, "COIN_BLOCK", block)
+    expected = np.random.default_rng([9, n]).integers(0, 2, (size, n))
+    np.testing.assert_array_equal(
+        _coin_counts(n, np.random.default_rng([9, n]), size),
+        expected.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -192,6 +195,20 @@ def test_process_validation():
         simulate_process("levy_flight", 10)
     with pytest.raises(ValueError):
         simulate_process("brownian", 0)
+
+
+@pytest.mark.parametrize("kind", ["gbm", "brownian"])
+@pytest.mark.parametrize("key,value,message", [
+    ("sigma", math.inf, "volatility must be finite"),
+    ("sigma", math.nan, "volatility must be finite"),
+    ("dt", math.inf, "time step must be finite"),
+    ("dt", math.nan, "time step must be finite"),
+])
+def test_non_finite_process_settings_are_refused(kind, key, value, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            simulate_process(kind, 10, **{key: value})
 
 
 def test_processes_are_seeded():

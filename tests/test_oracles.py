@@ -196,6 +196,19 @@ def test_fit_ngram_refuses_a_negative_state_id():
         fit_ngram([0, -1, 1], order=1)
 
 
+@pytest.mark.parametrize("states", [[0.0, 1.5, 1.0], [0.0, math.nan, 1.0],
+                                    [0.0, -math.inf, 1.0]])
+def test_fit_ngram_refuses_a_fractional_or_infinite_state_id(states):
+    with pytest.raises(ValueError, match="non-integral or non-finite"):
+        fit_ngram(states, order=1)
+
+
+def test_fit_ngram_takes_whole_float_state_ids():
+    whole = fit_ngram([0.0, 1.0, 0.0, 1.0], order=1, alpha=0.0)
+    ints = fit_ngram([0, 1, 0, 1], order=1, alpha=0.0)
+    assert whole.query((0,)).tolist() == ints.query((0,)).tolist()
+
+
 def test_ngram_consistency_on_long_trajectory():
     """Unsmoothed frequencies converge to the generating rows."""
     P = np.array([[0.2, 0.5, 0.3],
