@@ -75,7 +75,6 @@ from .spectral import (
     DEFAULT_T_CAP,
     classify_states,
     convergence_profile,
-    doeblin_bytes,
     mixing_bytes,
     mixing_report,
     stationary,
@@ -516,10 +515,6 @@ def cmd_sweep_temperature(config, seed, out: Path, jobs: int) -> int:
         **_VOCAB, **_SOLVER, "seed": _SEED},
         required=("temperatures", *_VOCAB))
     spec = _vocab_spec(config["n_tokens"], config["context_window"])
-    n_full = spec.n_tokens ** spec.context_window
-    _check_dense("config.n_tokens/context_window",
-                 f"the Doeblin constant of {n_full} states",
-                 doeblin_bytes(n_full))
     oracle = _oracle(config["oracle"], spec, seed)
     if not hasattr(oracle, "with_temperature"):
         raise ConfigError("config.oracle.kind: this oracle has no "

@@ -122,6 +122,10 @@ def _gbm(rng, n, s0=1.0, mu=0.0, sigma=0.2, dt=1.0):
         raise ValueError(f"start value must be positive, got {s0}")
     if not 0 < dt < np.inf:
         raise ValueError(f"time step must be finite and positive, got {dt}")
+    # sigma * sigma is inf where sigma**2 raises OverflowError
+    if not np.isfinite((mu - sigma * sigma / 2) * dt * (n - 1)):
+        raise ValueError(f"drift (mu - sigma^2/2) dt overflows float64 over "
+                         f"{n - 1} steps: mu={mu}, sigma={sigma}, dt={dt}")
     # exact log-Euler steps
     z = rng.standard_normal(n - 1)
     steps = (mu - 0.5 * sigma**2) * dt + sigma * np.sqrt(dt) * z

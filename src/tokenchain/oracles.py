@@ -50,8 +50,12 @@ def apply_temperature(logits, temperature):
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
-    x = np.asarray(logits, dtype=float) / temperature
+    with np.errstate(over="ignore"):
+        x = np.asarray(logits, dtype=float) / temperature
     if not np.all(np.isfinite(x)):
+        if np.all(np.isfinite(logits)):
+            raise OracleError(f"temperature {temperature!r} is too small: "
+                              f"logits / temperature overflow float64")
         raise ValueError("logits must be finite")
     x = x - x.max(axis=-1, keepdims=True)
     e = np.exp(x)
@@ -388,20 +392,21 @@ def train_toy(dataset, config: ToyModelConfig, n_tokens=None) -> ToyModel:
         total = 0.0
         for idx in order:
             x, y = encoded[idx]
+            # an update that overflows shows in the next logits
             with np.errstate(over="ignore", invalid="ignore"):
                 h = x @ w_in
                 z = h @ w_out + bias
-            if not np.all(np.isfinite(z)):
-                raise TrainingDivergedError(epoch, float("inf"))
-            p = apply_temperature(z, 1.0)
-            total -= np.log(max(p[y], 1e-300))
-            # d(cross-entropy)/d(logits) = p - onehot(y)
-            g = p.copy()
-            g[y] -= 1.0
-            grad_in = np.outer(x, g @ w_out.T)
-            w_out -= lr * np.outer(h, g)
-            bias -= lr * g
-            w_in -= lr * grad_in
+                if not np.all(np.isfinite(z)):
+                    raise TrainingDivergedError(epoch, float("inf"))
+                p = apply_temperature(z, 1.0)
+                total -= np.log(max(p[y], 1e-300))
+                # d(cross-entropy)/d(logits) = p - onehot(y)
+                g = p.copy()
+                g[y] -= 1.0
+                grad_in = np.outer(x, g @ w_out.T)
+                w_out -= lr * np.outer(h, g)
+                bias -= lr * g
+                w_in -= lr * grad_in
         loss = total / len(encoded)
         model.loss_history.append(loss)
         if not np.isfinite(loss):

@@ -1,9 +1,9 @@
 """Long-run behavior of finite chains.
 
 Stationary distributions by power iteration, communicating-class and period
-structure, the geometric convergence envelope driven by the minimum entry of
-a K-step power, and total-variation mixing times down to the minimized
-constant used in the in-context estimation bound.
+structure, the convergence envelope driven by the minimum entry of a K-step
+power (a least path product on a sequence chain), and total-variation
+mixing times down to the minimized constant of the in-context bound.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .chains import TransitionMatrix, build_qf, recurrent_block
-from .states import enumerate_states
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10**6
@@ -277,11 +276,32 @@ def _doubling_search(start, powers, measure, threshold, cap):
 
 def doeblin_epsilon(Q, window=None) -> float:
     """Minimum entry of the recurrent block of Q^window; the window
-    defaults to the chain's context window, or 1."""
+    defaults to the chain's context window, or 1.
+
+    On a sequence chain (``meta`` with ``n_tokens`` and ``context_window``)
+    at window K, each entry is the product along the one K-step path, and
+    the least such product is found, bit for bit, in O(K T^(K+1)) with no
+    dense block.  Any other chain or window takes a dense power.
+    """
     Q = TransitionMatrix.of(Q)
+    K = Q.meta.get("context_window")
     if window is None:
-        window = Q.meta.get("context_window", 1)
-    return float(np.linalg.matrix_power(recurrent_block(Q).probs, window).min())
+        window = K or 1
+    if "n_tokens" not in Q.meta or window != K:
+        block = recurrent_block(Q).probs if Q.n_transient else Q.dense()
+        return float(np.linalg.matrix_power(block, window).min())
+    # u = a T^(K-1) + r appending t moves to r T + t: a pass carries f(v),
+    # the least product (from 1, left to right) over the paths ending at v,
+    # one step on, exactly, as rounding is monotone on nonnegative floats.
+    # The table is read entry by entry, so a zero probability gives 0.
+    T, n_t = Q.meta["n_tokens"], Q.n_transient
+    succ = np.arange(T**K, dtype=np.int64)[:, None] * T + np.arange(T)
+    P = np.asarray(Q.sparse()[np.repeat(np.arange(n_t, n_t + T**K), T),
+                              n_t + succ.ravel() % T**K]).reshape(-1, T)
+    f = np.ones(T**K)
+    for _ in range(K):
+        f = (f[:, None] * P).reshape(T, -1, T).min(axis=0).ravel()
+    return float(f.min())
 
 
 def envelope(epsilon, window, n):
@@ -314,20 +334,19 @@ def convergence_profile(Q, window=None, n_max=DEFAULT_N_MAX, pi=None) -> Converg
 
     Accepts either a full sequence-state chain (the deviation then runs over
     every state, with the stationary vector zero on transient entries) or an
-    extracted recurrent block.  The rate constant is always read off the
-    recurrent block of Q^window, and a zero constant is reported as a
-    vacuous bound rather than an error.  Steps where a nonvacuous bound is
-    exceeded by more than 1e-12 are counted in ``violations``.
+    extracted recurrent block.  The rate constant is `doeblin_epsilon`'s,
+    and a zero constant is reported as a vacuous bound rather than an
+    error.  Steps where a nonvacuous bound is exceeded by more than 1e-12
+    are counted in ``violations``.
     """
     Q = TransitionMatrix.of(Q)
     D = Q.dense()
-    n_t = Q.n_transient
     if window is None:
         window = Q.meta.get("context_window", 1)
     if n_max < window:
         raise ValueError(f"n_max={n_max} is below the window {window}")
+    eps = doeblin_epsilon(Q, window)
     M = np.linalg.matrix_power(D, window)
-    eps = float(M[n_t:, n_t:].min())
     if pi is None:
         pi = stationary(Q).pi
     pi = np.asarray(pi, dtype=float)
@@ -381,11 +400,6 @@ def mixing_bytes(n_states, t_cap=DEFAULT_T_CAP) -> int:
     t_cap.bit_length() stored powers of Q, the search's start and bracket
     rows, the two temporaries of the distance, and the caller's matrix."""
     return 8 * n_states**2 * (max(t_cap.bit_length(), 1) + 6)
-
-
-def doeblin_bytes(n_recurrent) -> int:
-    """Peak bytes of doeblin_epsilon: the block and matrix_power's three."""
-    return 4 * 8 * n_recurrent**2
 
 
 def mixing_time(Q, pi, eps, t_cap=DEFAULT_T_CAP):
@@ -455,8 +469,6 @@ def sweep_temperature(oracle, spec, temperatures, space=None,
     Reports the envelope rate constant, the power-iteration step count and
     whether it met ``tol``; the oracle must expose ``with_temperature``.
     """
-    if space is None:
-        space = enumerate_states(spec)
     points = []
     for tau in temperatures:
         Q = build_qf(oracle.with_temperature(tau), spec, space)

@@ -268,6 +268,45 @@ def test_analyze_periodic_chain_reports_inf(tmp_path):
     assert all("+inf" in line for line in body[1:])
 
 
+TINY_LOGITS = {"kind": "random_logits", "temperature": 1e-310}
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("build", dict(BUILD_CFG, oracle=TINY_LOGITS)),
+    ("analyze", dict(BUILD_CFG, oracle=TINY_LOGITS, n_max=5, t_cap=20)),
+    ("sweep-temperature", dict(BUILD_CFG, temperatures=[1e-310], oracle={
+        "kind": "random_logits"})),
+    ("train-toy", {"n_digits": 8, "context_length": 2, "epochs": 2,
+                   "temperature": 1e-310}),
+])
+def test_overflowing_temperature_exits_3(tmp_path, capsys, command, cfg):
+    # logits / 1e-310 overflow float64
+    assert run(tmp_path, command, cfg) == 3
+    assert capsys.readouterr().err == (
+        "tokenchain: oracle failure: temperature 1e-310 is too small: "
+        "logits / temperature overflow float64\n")
+
+
+def test_overflowing_learning_rate_is_divergence(tmp_path, capsys):
+    cfg = {"n_digits": 8, "context_length": 2, "epochs": 2,
+           "learning_rate": 1e308}
+    assert run(tmp_path, "train-toy", cfg) == 3
+    assert capsys.readouterr().err.startswith(
+        "tokenchain: oracle failure: training loss became non-finite")
+
+
+@pytest.mark.parametrize("setting,value", [("sigma", 1e200), ("mu", 1e308)])
+def test_overflowing_gbm_drift_exits_2(tmp_path, capsys, setting, value):
+    process = {"kind": "gbm", setting: value}
+    cfg = {"chain": {"kind": "discretized_process", "d": 3, "n_samples": 50,
+                     "process": process}}
+    assert run(tmp_path, "generate", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tokenchain: config.chain: drift (mu - sigma^2/2) "
+                          "dt overflows float64 over 49 steps: ")
+    assert f"{setting}={value!r}" in err
+
+
 def test_analyze_needs_exactly_one_source(tmp_path):
     both = dict(BUILD_CFG, chain={"kind": "random", "d": 3})
     assert run(tmp_path, "analyze", both) == 2
@@ -285,6 +324,31 @@ def test_sweep_temperature_monotone_epsilon(tmp_path):
     assert len(eps) == 3
     assert eps[0] <= eps[1] <= eps[2]
     assert all(line.endswith(",true") for line in body[1:])
+
+
+def test_sweep_and_analyze_write_the_same_epsilon(tmp_path):
+    oracle = {"kind": "random_logits", "seed": 5, "scale": 2.0,
+              "temperature": 0.5}
+    cfg = {"n_tokens": 2, "context_window": 3, "oracle": oracle}
+    assert run(tmp_path, "analyze", dict(cfg, n_max=5, t_cap=20)) == 0
+    analyzed = read_json(tmp_path, "out", "analysis.json")["analysis"]
+    del oracle["temperature"]
+    assert run(tmp_path, "sweep-temperature", dict(cfg, temperatures=[0.5]),
+               out="sweep") == 0
+    _, body = read_csv(tmp_path, "sweep", "sweep.csv")
+    assert body[1].split(",")[1] == repr(analyzed["epsilon"])
+
+
+def test_sweep_takes_no_dense_block(tmp_path, monkeypatch):
+    # at T = 2, K = 14 a dense Doeblin block and its powers need 8 GiB
+    def no_dense(self):
+        raise AssertionError("dense() called on the sequence chain")
+
+    monkeypatch.setattr(TransitionMatrix, "dense", no_dense)
+    cfg = dict(SWEEP_CFG, context_window=14, max_iter=3)
+    assert run(tmp_path, "sweep-temperature", cfg) == 0
+    _, body = read_csv(tmp_path, "out", "sweep.csv")
+    assert float(body[1].split(",")[1]) > 0
 
 
 def test_sweep_flags_unconverged_points(tmp_path):
@@ -647,9 +711,8 @@ COUNTED = {"config.mc.n": "coins", "config.mc.n_samples": "samples"}
     # mixing_bytes(10, 10_000): 8 * 10^2 * (14 + 6)
     ("analyze", {"chain": {"kind": "random", "d": 10}},
      "config.chain.d", 10, 16_000),
-    # the 2^4 full-length block and matrix_power's arrays: 4 * 8 * 16^2
-    ("sweep-temperature", dict(SWEEP_CFG, context_window=4),
-     "config.n_tokens/context_window", 16, 8_192),
+    # mixing_bytes(14, 10_000): 8 * 14^2 * (14 + 6)
+    ("analyze", BUILD_CFG, "config.n_tokens/context_window", 14, 31_360),
     # an int64 state and a float64 draw per step
     ("generate", {"chain": CHAIN3, "sample": {"length": 400}},
      "config.sample.length", 400, 6_400),

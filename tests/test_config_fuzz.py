@@ -15,7 +15,8 @@ import pytest
 from tokenchain.cli import main
 from tokenchain.remote import MockOracleServer
 
-BAD_VALUES = [None, "x", [], {}, True, 1.5, -1, 0, math.inf, math.nan]
+BAD_VALUES = [None, "x", [], {}, True, 1.5, -1, 0, math.inf, math.nan,
+              5e-324, 1e308]
 
 ENDPOINT = "<endpoint>"
 CHAIN = {"kind": "random", "d": 3, "p_min": 0.05, "seed": 1}

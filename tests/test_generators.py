@@ -211,6 +211,14 @@ def test_non_finite_process_settings_are_refused(kind, key, value, message):
             simulate_process(kind, 10, **{key: value})
 
 
+@pytest.mark.parametrize("settings", [{"sigma": 1e200}, {"mu": 1e308}])
+def test_overflowing_gbm_drift_is_refused_without_warning(settings):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="drift .* overflows float64"):
+            simulate_process("gbm", 50, **settings)
+
+
 def test_processes_are_seeded():
     for kind in ["gbm", "correlated_gaussian", "uncorrelated_gaussian",
                  "uncorrelated_uniform", "brownian"]:

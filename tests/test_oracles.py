@@ -51,6 +51,13 @@ def test_temperature_validation():
         apply_temperature([np.inf, 1.0], 1.0)
 
 
+def test_overflowing_temperature_is_an_oracle_error():
+    # finite logits, but 2 / 1e-310 is past the float range
+    with pytest.raises(OracleError, match="temperature 1e-310 is too small"):
+        apply_temperature([2.0, 1.0], 1e-310)
+    npt.assert_array_equal(apply_temperature([0.0, 0.0], 5e-324), [0.5, 0.5])
+
+
 def test_softmax_floor_zero_logits_is_tight():
     # ||x||_1 = 0, so the bound 1/(m e^0) = 1/m is attained exactly
     assert softmax_floor(np.zeros(5)) == pytest.approx(0.2)
@@ -282,6 +289,9 @@ def test_train_toy_divergence_is_reported():
     examples = windowed_examples(parity_sequence(12))
     with pytest.raises(TrainingDivergedError):
         train_toy(examples, ToyModelConfig(learning_rate=1e12, epochs=50))
+    # an update past the float range diverges too, with no warning
+    with pytest.raises(TrainingDivergedError):
+        train_toy(examples, ToyModelConfig(learning_rate=1e308, epochs=2))
 
 
 def test_toy_config_validation():

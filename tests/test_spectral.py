@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tokenchain import spectral
 from tokenchain.chains import TransitionMatrix, build_qf, recurrent_block
-from tokenchain.oracles import RandomLogitOracle, UniformOracle
+from tokenchain.oracles import ChainOracle, RandomLogitOracle, UniformOracle
 from tokenchain.spectral import (
     DEFAULT_EPS_GRID, DEFAULT_MAX_ITER, DEFAULT_TOL, classify_states,
     convergence_profile, doeblin_epsilon, envelope, mixing_report,
@@ -118,19 +118,73 @@ def test_epsilon_of_uniform_chains():
     assert doeblin_epsilon(block, window=3) == pytest.approx(1 / 8)
 
 
+def least_path_product(oracle, spec):
+    """min over full-length states u, v of the oracle's probabilities
+    multiplied, left to right from 1, along the K steps that append v's
+    tokens to u; 256 rows u at a time."""
+    space = enumerate_states(spec)
+    T, K = spec.n_tokens, spec.context_window
+    n = T**K
+    probs = oracle.query_many(space, np.arange(space.n_transient, len(space)))
+    tokens = [np.arange(n) // T**(K - 1 - j) % T for j in range(K)]
+    best = math.inf
+    for lo in range(0, n, 256):
+        state = np.arange(lo, min(lo + 256, n))[:, None] + np.zeros(n, int)
+        mass = np.ones(state.shape)
+        for token in tokens:
+            mass = mass * probs[state, token]
+            state = (state * T + token) % n
+        best = min(best, float(mass.min()))
+    return best
+
+
 def test_epsilon_never_makes_the_full_chain_dense(monkeypatch):
     spec = VocabSpec(2, 6)
     space = enumerate_states(spec)
-    Q = build_qf(RandomLogitOracle(space, seed=3, scale=2.0), spec, space)
-    n_t = space.n_transient
-    block = Q.probs.toarray()[n_t:, n_t:]
-    expected = float(np.linalg.matrix_power(block, 6).min())
+    oracle = RandomLogitOracle(space, seed=3, scale=2.0)
+    Q = build_qf(oracle, spec, space)
+    expected = least_path_product(oracle, spec)
 
     def no_dense(self):
         raise AssertionError("dense() called on the full chain")
 
     monkeypatch.setattr(TransitionMatrix, "dense", no_dense)
     assert doeblin_epsilon(Q) == expected
+
+
+@pytest.mark.parametrize("T,K,tau", [(2, 9, 1.0), (3, 5, 0.5), (4, 4, 2.0),
+                                     (2, 11, 0.3)])
+def test_epsilon_is_the_least_path_product(T, K, tau):
+    spec = VocabSpec(T, K)
+    space = enumerate_states(spec)
+    oracle = RandomLogitOracle(space, seed=7, scale=2.0, temperature=tau)
+    Q = build_qf(oracle, spec, space)
+    eps = doeblin_epsilon(Q)
+    assert eps == least_path_product(oracle, spec)
+    dense = np.linalg.matrix_power(recurrent_block(Q).probs, K).min()
+    assert abs(eps - dense) <= 1e-12 * dense
+
+
+def test_epsilon_reads_a_zero_probability_as_zero():
+    spec = VocabSpec(2, 3)
+    Q = build_qf(ChainOracle([[1.0, 0.0], [0.5, 0.5]]), spec)
+    assert doeblin_epsilon(Q) == 0.0
+    # the same with the zeros no longer stored
+    Q.probs.eliminate_zeros()
+    assert doeblin_epsilon(Q) == 0.0
+
+
+def test_epsilon_off_the_window_takes_the_dense_power(monkeypatch):
+    spec = VocabSpec(2, 3)
+    Q = build_qf(RandomLogitOracle(enumerate_states(spec), seed=1), spec)
+    expected = float(np.linalg.matrix_power(recurrent_block(Q).probs, 4).min())
+    block = mock.Mock(wraps=recurrent_block)
+    monkeypatch.setattr(spectral, "recurrent_block", block)
+    assert doeblin_epsilon(Q, window=4) == expected
+    block.assert_called_once_with(Q)
+    # at the window, the path products: no dense block
+    assert doeblin_epsilon(Q) > 0
+    block.assert_called_once()
 
 
 def test_profile_uniform_two_state_chain_is_exact():
