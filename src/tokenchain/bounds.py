@@ -3,7 +3,7 @@ concentration / log-ratio inequalities that back them.
 
 Every evaluator here is a pure function of its inputs.  The Monte Carlo
 verifier draws in fixed-size batches with seeds derived from (seed, batch)
-so results are identical at any worker count.
+and sums their integer tail counts, so results match at any worker count.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from .estimation import kl_divergence, tv_distance
 from .oracles import validate_distribution
 
 MC_BATCH = 10_000
-# bytes mc_verify holds per sample besides a batch: the batches' values,
-# their concatenation, the deviations and the difference they come from
-MC_SAMPLE_BYTES = 32
+COIN_BLOCK = 1 << 15    # raw 64-bit words (256 KiB) per _coin_counts block
 CHECK_SLACK = 1e-12
 DEFAULT_DELTA = 0.05
 
@@ -355,14 +353,50 @@ class TailReport:
         return all(row.ok for row in self.checks)
 
 
-def _mc_batch(args):
-    sampler, f, seed, index, size = args
-    rng = np.random.default_rng([seed, index])
-    values = np.asarray(f(sampler(rng, size)), dtype=float)
-    if values.shape != (size,):
-        raise ValueError(
-            f"f must return one value per realization, got {values.shape}")
-    return values
+def _coin_counts(n, rng, size):
+    """Heads per row of ``rng.integers(0, 2, (size, n))``, which keeps the
+    top bit of each 32-bit half of a raw PCG64 output, low half first (the
+    uint32 view on a little-endian host).  Picklable, for mc_verify's
+    workers.  Blocks of an even row count end on whole outputs."""
+    rows = max(2, 2 * COIN_BLOCK // n & -2)
+    counts = np.empty(size, dtype=np.uint32)
+    for start in range(0, size, rows):
+        m = min(rows, size - start)
+        half = rng.bit_generator.random_raw(-(-m * n // 2)).view(np.uint32)
+        coins = np.right_shift(half, 31, out=half)[:m * n].reshape(m, n)
+        np.einsum("ij->i", coins, out=counts[start:start + m])
+    return counts
+
+
+def _head_share(n, counts):
+    """np.mean(rows, axis=1)'s floats, from exact per-row head counts."""
+    return counts / n
+
+
+def coin_check_bytes(n, n_samples) -> int:
+    """Bytes a check of the mean of ``n`` coins holds at once: c, a raw
+    _coin_counts block (a word per two coins, at most max(COIN_BLOCK, n))
+    and a batch's counts, values, deviations and flags (21 bytes each)."""
+    batch = min(n_samples, MC_BATCH)
+    words = min(max(COIN_BLOCK, n), -(-batch * n // 2))
+    return 8 * n + 8 * words + 21 * batch
+
+
+def _mc_hits(args):
+    """Per u, the samples of ``batches`` at least u from the center."""
+    sampler, f, center, u_grid, seed, n_samples, batches = args
+    hits = np.zeros(len(u_grid), dtype=np.int64)
+    for b in batches:
+        size = min(MC_BATCH, n_samples - b * MC_BATCH)
+        values = np.asarray(f(sampler(np.random.default_rng([seed, b]), size)),
+                            dtype=float)
+        if values.shape != (size,):
+            raise ValueError(f"f must return one value per realization, "
+                             f"got {values.shape}")
+        deviations = values - center
+        np.abs(deviations, out=deviations)
+        hits += [np.count_nonzero(deviations >= u) for u in u_grid]
+    return hits
 
 
 def tail_bounds(c, u_grid, n_samples, mixing_norm=1.0, t_min=None) -> list:
@@ -377,37 +411,36 @@ def tail_bounds(c, u_grid, n_samples, mixing_norm=1.0, t_min=None) -> list:
     return [mcdiarmid_markov_tail(u, c, t_min) for u in u_grid]
 
 
-def mc_verify(sampler, f, c, n_samples, u_grid, seed=0, mixing_norm=1.0,
-              t_min=None, mean=None, jobs=1) -> TailReport:
-    """Check a tail bound against simulation.
+def mc_verify(sampler, f, c, n_samples, u_grid, *, mean, seed=0,
+              mixing_norm=1.0, t_min=None, jobs=1) -> TailReport:
+    """Check a tail bound on |f - E f| against simulation; E f = ``mean``.
 
     sampler(rng, size) returns realizations stacked on the first axis and
     f maps them to a float per realization.  Batches of MC_BATCH draw from
-    seeds (seed, batch); jobs > 1 runs batches in worker processes (sampler
-    and f must then be picklable) with output identical to serial.  mean
-    None centers at the empirical grand mean.  t_min switches the bound to
-    the chain variant.  Each check passes when the empirical tail is at
-    most the bound plus three binomial standard errors.
+    seeds (seed, batch) and keep, per u, only their count of samples at
+    least u from ``mean``; the empirical tail is the summed count over
+    n_samples.  jobs > 1 splits the batches among worker processes
+    (sampler and f must then be picklable); counts sum exactly, so the
+    output is identical to serial.  t_min switches the bound to the chain
+    variant.  Each check passes when the empirical tail is at most the
+    bound plus three binomial standard errors.
     """
     u_grid = [float(u) for u in u_grid]
     bounds = tail_bounds(c, u_grid, n_samples, mixing_norm, t_min)
-
-    sizes = [MC_BATCH] * (n_samples // MC_BATCH)
-    if n_samples % MC_BATCH:
-        sizes.append(n_samples % MC_BATCH)
-    tasks = [(sampler, f, seed, b, size) for b, size in enumerate(sizes)]
+    center = float(mean)
+    n_batches = -(-n_samples // MC_BATCH)
+    jobs = min(jobs, n_batches)
+    tasks = [(sampler, f, center, u_grid, seed, n_samples,
+              range(j, n_batches, jobs)) for j in range(jobs)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_mc_batch, tasks))
+            hits = sum(pool.map(_mc_hits, tasks))
     else:
-        chunks = [_mc_batch(t) for t in tasks]
-    values = np.concatenate(chunks)
+        hits = _mc_hits(tasks[0])
 
-    center = float(values.mean()) if mean is None else float(mean)
-    deviations = np.abs(values - center)
     checks = []
-    for u, bound in zip(u_grid, bounds):
-        empirical = float(np.mean(deviations >= u))
+    for u, bound, hit in zip(u_grid, bounds, hits.tolist()):
+        empirical = hit / n_samples
         stderr = math.sqrt(empirical * (1.0 - empirical) / n_samples)
         ok = empirical <= bound + 3.0 * stderr
         checks.append(TailCheck(u, bound, empirical, stderr, ok))

@@ -21,6 +21,7 @@ import math
 import operator
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from functools import partial, reduce
 from pathlib import Path
 
@@ -49,9 +50,10 @@ from .estimation import (
 from .generators import ChainSpec, build_chain
 from .bounds import (
     DEFAULT_DELTA,
-    MC_BATCH,
-    MC_SAMPLE_BYTES,
     ModelCard,
+    _coin_counts,
+    _head_share,
+    coin_check_bytes,
     generalization_gap,
     mc_verify,
     predictor_csv,
@@ -600,29 +602,6 @@ def cmd_estimate(config, seed, out: Path, jobs: int) -> int:
     return 0
 
 
-COIN_BLOCK = 1 << 15    # raw 64-bit words (256 KiB) per _coin_counts block
-
-
-def _coin_counts(n, rng, size):
-    """Heads per row of ``rng.integers(0, 2, (size, n))``, which keeps the
-    top bit of each 32-bit half of a raw PCG64 output, low half first (the
-    uint32 view on a little-endian host).  Picklable, for mc_verify's
-    workers.  Blocks of an even row count end on whole outputs."""
-    rows = max(2, 2 * COIN_BLOCK // n & -2)
-    counts = np.empty(size, dtype=np.uint32)
-    for start in range(0, size, rows):
-        m = min(rows, size - start)
-        half = rng.bit_generator.random_raw(-(-m * n // 2)).view(np.uint32)
-        coins = np.right_shift(half, 31, out=half)[:m * n].reshape(m, n)
-        np.einsum("ij->i", coins, out=counts[start:start + m])
-    return counts
-
-
-def _head_share(n, counts):
-    """np.mean(rows, axis=1)'s floats, from exact per-row head counts."""
-    return counts / n
-
-
 def cmd_bounds(config, seed, out: Path, jobs: int) -> int:
     """deviation constants, predictor table, tail verification"""
     _checked(config, {"predictor": _DICT,
@@ -638,14 +617,11 @@ def cmd_bounds(config, seed, out: Path, jobs: int) -> int:
         n = mc.get("n", 100)
         n_samples = mc.get("n_samples", 100_000)
         u_grid = mc.get("u_grid", [0.05, 0.1, 0.15, 0.2, 0.25, 0.3])
+        _check_dense("config.mc.n", f"a check of {n} coins",
+                     coin_check_bytes(n, n_samples))
         with _library_errors("config.mc"):
             tail_bounds(np.full(n, 1.0 / n), u_grid, n_samples,
                         t_min=mc.get("t_min"))
-        # at most a batch's raw draws and its rows: a uint32 each per coin
-        coins = n * min(n_samples, MC_BATCH)
-        _check_dense("config.mc.n", f"{coins} coins per batch", 8 * coins)
-        _check_dense("config.mc.n_samples", f"{n_samples} samples",
-                     MC_SAMPLE_BYTES * n_samples)
     # the closed forms below check their own arguments in microseconds
     pred = _checked(config.get("predictor", {}),
                     {"temperature": _NUM, "delta": _NUM}, "config.predictor")
@@ -683,16 +659,9 @@ def cmd_bounds(config, seed, out: Path, jobs: int) -> int:
             partial(_coin_counts, n), partial(_head_share, n),
             np.full(n, 1.0 / n), n_samples, u_grid, t_min=mc.get("t_min"),
             mean=0.5, jobs=jobs, seed=mc.get("seed", seed))
-        payload["mc"] = {
-            "n": n,
-            "n_samples": report.n_samples,
-            "t_min": mc.get("t_min"),
-            "center": report.center,
-            "ok": report.ok,
-            "checks": [{
-                "u": c.u, "bound": c.bound, "empirical": c.empirical,
-                "stderr": c.stderr, "ok": c.ok} for c in report.checks],
-        }
+        # the report's fields: checks, n_samples and center
+        payload["mc"] = {"n": n, "t_min": mc.get("t_min"), "ok": report.ok,
+                         **asdict(report)}
 
     _write_csv(out / "predictor.csv", config, seed, predictor_csv(rows))
     _write_json(out / "bounds.json", config, seed, payload)

@@ -13,8 +13,6 @@ import numpy as np
 
 from .chains import TransitionMatrix
 
-PROCESS_KINDS = ("gbm", "correlated_gaussian", "uncorrelated_gaussian",
-                 "uncorrelated_uniform", "brownian")
 CHAIN_KINDS = ("random", "constrained_walk", "polygonal_walk", "clique_rim",
                "discretized_process")
 
@@ -42,10 +40,9 @@ def constrained_walk(d) -> TransitionMatrix:
     if d < 2:
         raise ValueError(f"need at least 2 states, got {d}")
     P = np.zeros((d, d))
-    P[0, 1] = 1.0
-    P[d - 1, d - 2] = 1.0
-    for i in range(1, d - 1):
-        P[i, i - 1] = P[i, i + 1] = 0.5
+    P[0, 1] = P[d - 1, d - 2] = 1.0
+    inner = np.arange(1, d - 1)
+    P[inner, inner - 1] = P[inner, inner + 1] = 0.5
     return TransitionMatrix(P, meta={"kind": "constrained_walk", "d": d})
 
 
@@ -53,10 +50,7 @@ def polygonal_walk(d) -> TransitionMatrix:
     """Nearest-neighbor walk on a cycle of d >= 3 states."""
     if d < 3:
         raise ValueError(f"need at least 3 states on a cycle, got {d}")
-    P = np.zeros((d, d))
-    for i in range(d):
-        P[i, (i + 1) % d] += 0.5
-        P[i, (i - 1) % d] += 0.5
+    P = 0.5 * (np.roll(np.eye(d), 1, axis=1) + np.roll(np.eye(d), -1, axis=1))
     return TransitionMatrix(P, meta={"kind": "polygonal_walk", "d": d})
 
 
@@ -87,21 +81,15 @@ def clique_rim(d, eta, tau, rim_eps=0.125) -> TransitionMatrix:
         raise ValueError(f"rim amplitude must lie in [0, 1/4], got {rim_eps}")
 
     P = np.zeros((d, d))
-    # clique block
-    for i in range(m):
-        P[i, i] = 0.75 - eta
-        for j in range(m):
-            if j != i:
-                P[i, j] = eta / (m - 1)
+    P[:m, :m] = np.where(np.eye(m, dtype=bool), 0.75 - eta,
+                         eta / max(m - 1, 1))
     # spokes and rim
-    for i in range(m):
-        bump = 4.0 * tau[i] * rim_eps
-        hi, lo = (1.0 + bump) / 8.0, (1.0 - bump) / 8.0
-        a, b = m + 2 * i, m + 2 * i + 1
-        P[i, a], P[i, b] = hi, lo
-        P[a, i], P[b, i] = hi, lo
-        P[a, a] = (7.0 - bump) / 8.0
-        P[b, b] = (7.0 + bump) / 8.0
+    i = np.arange(m)
+    a, b, bump = m + 2 * i, m + 2 * i + 1, 4.0 * np.array(tau) * rim_eps
+    P[i, a] = P[a, i] = (1.0 + bump) / 8.0
+    P[i, b] = P[b, i] = (1.0 - bump) / 8.0
+    P[a, a] = (7.0 - bump) / 8.0
+    P[b, b] = (7.0 + bump) / 8.0
     return TransitionMatrix(
         P, meta={"kind": "clique_rim", "d": d, "eta": eta, "tau": list(tau),
                  "rim_eps": rim_eps})
@@ -111,17 +99,17 @@ def clique_rim(d, eta, tau, rim_eps=0.125) -> TransitionMatrix:
 # stochastic processes and their discretization
 # ---------------------------------------------------------------------------
 
-def _check_sigma(sigma):
+def _check_scale(sigma, dt=1.0):
     if not 0 <= sigma < np.inf:     # NaN fails too
         raise ValueError(f"volatility must be finite and >= 0, got {sigma}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"time step must be finite and positive, got {dt}")
 
 
 def _gbm(rng, n, s0=1.0, mu=0.0, sigma=0.2, dt=1.0):
-    _check_sigma(sigma)
+    _check_scale(sigma, dt)
     if s0 <= 0:
         raise ValueError(f"start value must be positive, got {s0}")
-    if not 0 < dt < np.inf:
-        raise ValueError(f"time step must be finite and positive, got {dt}")
     # sigma * sigma is inf where sigma**2 raises OverflowError
     if not np.isfinite((mu - sigma * sigma / 2) * dt * (n - 1)):
         raise ValueError(f"drift (mu - sigma^2/2) dt overflows float64 over "
@@ -129,11 +117,16 @@ def _gbm(rng, n, s0=1.0, mu=0.0, sigma=0.2, dt=1.0):
     # exact log-Euler steps
     z = rng.standard_normal(n - 1)
     steps = (mu - 0.5 * sigma**2) * dt + sigma * np.sqrt(dt) * z
-    return s0 * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
+    with np.errstate(over="ignore"):
+        path = s0 * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
+    if not np.all(np.isfinite(path)):
+        raise ValueError(f"path overflows float64 within {n - 1} steps: "
+                         f"s0={s0}, mu={mu}, sigma={sigma}, dt={dt}")
+    return path
 
 
 def _correlated_gaussian(rng, n, rho=0.9, sigma=1.0, x0=0.0):
-    _check_sigma(sigma)
+    _check_scale(sigma)
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"AR coefficient must lie in [-1, 1], got {rho}")
     out = np.empty(n)
@@ -144,7 +137,7 @@ def _correlated_gaussian(rng, n, rho=0.9, sigma=1.0, x0=0.0):
 
 
 def _uncorrelated_gaussian(rng, n, mu=0.0, sigma=1.0):
-    _check_sigma(sigma)
+    _check_scale(sigma)
     return mu + sigma * rng.standard_normal(n)
 
 
@@ -153,9 +146,7 @@ def _uncorrelated_uniform(rng, n):
 
 
 def _brownian(rng, n, sigma=1.0, dt=1.0, w0=0.0):
-    _check_sigma(sigma)
-    if not 0 < dt < np.inf:
-        raise ValueError(f"time step must be finite and positive, got {dt}")
+    _check_scale(sigma, dt)
     steps = sigma * np.sqrt(dt) * rng.standard_normal(n - 1)
     return w0 + np.concatenate([[0.0], np.cumsum(steps)])
 
@@ -173,7 +164,7 @@ def simulate_process(kind, n, seed=0, **params) -> np.ndarray:
     """Length-n sample path of one of the named scalar processes."""
     if kind not in _SIMULATORS:
         raise ValueError(f"unknown process kind {kind!r}, "
-                         f"expected one of {PROCESS_KINDS}")
+                         f"expected one of {tuple(_SIMULATORS)}")
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
     return _SIMULATORS[kind](np.random.default_rng(seed), int(n), **params)
@@ -245,8 +236,7 @@ def build_chain(spec) -> TransitionMatrix:
         if kind is None:
             raise ValueError("discretized_process spec needs process.kind")
         series = simulate_process(kind, spec.n_samples, spec.seed, **process)
-        traj = discretize(series, spec.d)
-        Q = frequentist_estimate(traj, spec.d)
+        Q = frequentist_estimate(discretize(series, spec.d), spec.d)
         Q.meta.update({"kind": "discretized_process", "process": kind,
                        "d": spec.d, "n_samples": spec.n_samples,
                        "seed": spec.seed})

@@ -57,8 +57,9 @@ def apply_temperature(logits, temperature):
             raise OracleError(f"temperature {temperature!r} is too small: "
                               f"logits / temperature overflow float64")
         raise ValueError("logits must be finite")
-    x = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(x)
+    # a spread that overflows leaves -inf, whose exp is 0
+    with np.errstate(over="ignore"):
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -159,14 +160,17 @@ class RandomLogitOracle(Oracle):
     def __init__(self, space, seed=0, temperature=1.0, scale=1.0, _logits=None):
         if not temperature > 0:
             raise ValueError(f"temperature must be > 0, got {temperature}")
-        if not np.isfinite(scale):
-            raise ValueError(f"scale must be finite, got {scale}")
         self.space = space
         self.seed = seed
         self.temperature = float(temperature)
         if _logits is None:
             rng = np.random.default_rng(seed)
-            _logits = scale * rng.standard_normal((len(space), space.spec.n_tokens))
+            with np.errstate(over="ignore", invalid="ignore"):
+                _logits = scale * rng.standard_normal(
+                    (len(space), space.spec.n_tokens))
+            if not np.all(np.isfinite(_logits)):
+                raise ValueError(f"scale {scale!r} times a standard normal "
+                                 f"draw is not a finite float64")
         self.logits = _logits
         self.n_symbols = space.spec.n_tokens
         self.context_cap = space.spec.context_window
@@ -333,8 +337,12 @@ class ToyModel(Oracle):
         return x
 
     def logits(self, context):
-        x = self._encode(tuple(context))
-        return (x @ self.w_in) @ self.w_out + self.bias
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = (self._encode(context) @ self.w_in) @ self.w_out + self.bias
+        if not np.all(np.isfinite(z)):
+            raise OracleError(
+                f"logits of context {tuple(context)} are not finite")
+        return z
 
     def with_temperature(self, temperature):
         cfg = replace(self.config, temperature=temperature)

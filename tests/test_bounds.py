@@ -330,22 +330,18 @@ def test_mc_verify_coin_mean():
         assert 0.0 <= check.empirical <= 1.0
 
 
-def test_mc_verify_default_center_is_grand_mean():
-    report = mc_verify(coin_rows, row_mean, COIN_C, 20_000, (0.1,), seed=7)
-    assert report.center == pytest.approx(0.5, abs=0.005)
-
-
 def test_mc_verify_markov_bound_selected():
     report = mc_verify(coin_rows, row_mean, COIN_C, 10_000, (0.2,), seed=1,
-                       t_min=4.0)
+                       t_min=4.0, mean=0.5)
     assert report.checks[0].bound == pytest.approx(
         mcdiarmid_markov_tail(0.2, COIN_C, 4.0), rel=1e-15)
 
 
 def test_mc_verify_jobs_match_serial():
-    serial = mc_verify(coin_rows, row_mean, COIN_C, 25_000, COIN_GRID, seed=3)
+    serial = mc_verify(coin_rows, row_mean, COIN_C, 25_000, COIN_GRID, seed=3,
+                       mean=0.5)
     parallel = mc_verify(coin_rows, row_mean, COIN_C, 25_000, COIN_GRID,
-                         seed=3, jobs=2)
+                         seed=3, mean=0.5, jobs=2)
     assert serial.center == parallel.center
     for a, b in zip(serial.checks, parallel.checks):
         assert a.empirical == b.empirical
@@ -353,11 +349,12 @@ def test_mc_verify_jobs_match_serial():
 
 def test_mc_verify_validation():
     with pytest.raises(ValueError):
-        mc_verify(coin_rows, row_mean, COIN_C, 20_000, ())
+        mc_verify(coin_rows, row_mean, COIN_C, 20_000, (), mean=0.5)
     with pytest.raises(ValueError):
-        mc_verify(coin_rows, row_mean, COIN_C, 1, (0.1,))
+        mc_verify(coin_rows, row_mean, COIN_C, 1, (0.1,), mean=0.5)
     with pytest.raises(ValueError):
-        mc_verify(coin_rows, lambda block: block, COIN_C, 100, (0.1,))
+        mc_verify(coin_rows, lambda block: block, COIN_C, 100, (0.1,),
+                  mean=0.5)
 
 
 def test_log_ratio_hand_example():

@@ -4,11 +4,13 @@ import signal
 import socket
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from tokenchain import cli
+from tokenchain import bounds, cli
 from tokenchain.chains import TransitionMatrix, build_qf
 from tokenchain.cli import main
 from tokenchain.remote import MockOracleServer, RemoteOracle
@@ -305,6 +307,56 @@ def test_overflowing_gbm_drift_exits_2(tmp_path, capsys, setting, value):
     assert err.startswith("tokenchain: config.chain: drift (mu - sigma^2/2) "
                           "dt overflows float64 over 49 steps: ")
     assert f"{setting}={value!r}" in err
+
+
+@pytest.fixture
+def warnings_are_errors():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+def test_overflowing_toy_logits_are_an_oracle_failure(tmp_path, capsys,
+                                                      warnings_are_errors):
+    # one example and one huge update: training ends with finite weights
+    # whose logits overflow at query time
+    cfg = {"n_digits": 3, "context_length": 2, "epochs": 1,
+           "learning_rate": 1e308}
+    assert run(tmp_path, "train-toy", cfg) == 3
+    assert capsys.readouterr().err == (
+        "tokenchain: oracle failure: logits of context (0,) are not finite\n")
+
+
+def test_overflowing_logit_scale_exits_2(tmp_path, capsys,
+                                         warnings_are_errors):
+    # seed 0 draws a |z| of 2.33 at T=2, K=3: scale * z leaves the float range
+    oracle = {"kind": "random_logits", "seed": 0, "scale": 1e308}
+    assert run(tmp_path, "build", dict(BUILD_CFG, oracle=oracle)) == 2
+    assert capsys.readouterr().err == (
+        "tokenchain: config.oracle: scale 1e+308 times a standard normal "
+        "draw is not a finite float64\n")
+
+
+def test_finite_logits_whose_spread_overflows_are_one_hot(
+        tmp_path, warnings_are_errors):
+    # seed 5 draws no |z| above 1.74 at T=2, K=3, but in 5 rows the two
+    # logits' signs differ and their difference overflows
+    oracle = {"kind": "random_logits", "seed": 5, "scale": 1e308}
+    assert run(tmp_path, "build", dict(BUILD_CFG, oracle=oracle)) == 0
+    matrix = TransitionMatrix.from_json(json.dumps(
+        read_json(tmp_path, "out", "matrix.json")["matrix"]))
+    assert matrix.nonzero_count() == 14
+    assert set(matrix.dense().ravel().tolist()) == {0.0, 1.0}
+
+
+def test_overflowing_gbm_path_exits_2(tmp_path, capsys, warnings_are_errors):
+    # a finite drift of 20 a step, whose exp leaves the float range
+    cfg = {"chain": {"kind": "discretized_process", "d": 3, "n_samples": 50,
+                     "process": {"kind": "gbm", "mu": 20.0}}}
+    assert run(tmp_path, "generate", cfg) == 2
+    assert capsys.readouterr().err == (
+        "tokenchain: config.chain: path overflows float64 within 49 steps: "
+        "s0=1.0, mu=20.0, sigma=0.2, dt=1.0\n")
 
 
 def test_analyze_needs_exactly_one_source(tmp_path):
@@ -699,7 +751,7 @@ def test_infinite_ngram_alpha_exits_2_before_any_work(tmp_path, capsys,
 
 
 # what each size check counts, where it is not states
-COUNTED = {"config.mc.n": "coins", "config.mc.n_samples": "samples"}
+COUNTED = {"config.mc.n": "coins"}
 
 
 @pytest.mark.parametrize("command,cfg,key,count,need", [
@@ -719,16 +771,21 @@ COUNTED = {"config.mc.n": "coins", "config.mc.n_samples": "samples"}
     # the path and the risk pass: 96 bytes per step of the longest point
     ("estimate", {"chain": CHAIN3, "estimator": FREQ,
                   "n_list": [10, 20, 60]}, "config.n_list[2]", 60, 5_760),
-    # 8 bytes per coin, mc.n coins in each of the batch's samples
+    # c, a block of the batch's 1,000 coins in 500 raw words, and 21
+    # bytes per sample of the batch: 8 * 10 + 8 * 500 + 21 * 100
     ("bounds", {"mc": {"n": 10, "n_samples": 100}}, "config.mc.n",
-     1_000, 8_000),
-    # 32 bytes per sample
-    ("bounds", {"mc": {"n": 1, "n_samples": 200}}, "config.mc.n_samples",
-     200, 6_400),
+     10, 6_180),
+    # two samples: c and a block of one word per two coins, 8 * 600 twice,
+    # and 21 * 2 for the batch
+    ("bounds", {"mc": {"n": 600, "n_samples": 2}}, "config.mc.n",
+     600, 9_642),
     # an n-gram fit's count rows: 8 * 25 * (min(49, 25) + min(49, 25^2))
     ("estimate", {"chain": {"kind": "random", "d": 25},
                   "estimator": {"kind": "ngram", "order": 2},
                   "n_list": [50]}, "config.n_list[0]", 50, 14_800),
+    # before any n-sized array: c alone, 8 * 10^11 bytes, would not fit
+    ("bounds", {"mc": {"n": 10 ** 11}}, "config.mc.n", 10 ** 11,
+     1_600_000_210_000),
 ])
 def test_dense_bytes_checked_before_building(tmp_path, capsys, monkeypatch,
                                              command, cfg, key, count, need):
@@ -745,6 +802,37 @@ def test_dense_bytes_checked_before_building(tmp_path, capsys, monkeypatch,
     assert f"{count} {COUNTED.get(key, 'states')} " in err
     assert f"{need} bytes" in err
     assert "cap of 5000" in err
+
+
+def test_bounds_admits_wide_coin_rows(tmp_path, monkeypatch):
+    """30,000 coins by 10,000 samples hold a block and a batch at once,
+    not the batch's 3 * 10^8 coins."""
+    calls = []
+
+    def fake_verify(sampler, f, c, n_samples, u_grid, **kwargs):
+        calls.append((c.size, n_samples, kwargs["mean"]))
+        return bounds.TailReport(checks=[], n_samples=n_samples,
+                                 center=0.5)
+
+    monkeypatch.setattr(cli, "mc_verify", fake_verify)
+    cfg = {"mc": {"n": 30_000, "n_samples": 10_000}}
+    assert bounds.coin_check_bytes(30_000, 10_000) < 1 << 20
+    assert run(tmp_path, "bounds", cfg) == 0
+    assert calls == [(30_000, 10_000, 0.5)]
+
+
+def test_bounds_holds_a_batch_not_the_samples(tmp_path):
+    """A 10^6-sample check keeps per-batch tail counts: the samples,
+    their concatenation and deviations held 30.6 MiB."""
+    tracemalloc.start()
+    try:
+        assert run(tmp_path, "bounds", {"mc": {"n_samples": 10 ** 6}}) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert read_json(tmp_path, "out", "bounds.json")["mc"]["n_samples"] \
+        == 10 ** 6
 
 
 @pytest.mark.parametrize("command,cfg,key", [

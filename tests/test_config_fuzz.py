@@ -46,6 +46,11 @@ BASES = {
     "build-random_logits": ("build", _build(
         {"kind": "random_logits", "seed": 1, "temperature": 1.0,
          "scale": 1.0}), "oracle"),
+    # seed 0 at K=3 draws a |z| of 2.33, so a scale of 1e308 overflows;
+    # seed 1 at K=2 above draws none above 1.31
+    "build-random_logits-k3": ("build", dict(_build(
+        {"kind": "random_logits", "seed": 0, "temperature": 1.0,
+         "scale": 1.0}), context_window=3), "oracle"),
     "build-matrix": ("build", _build(
         {"kind": "matrix", "rows": [[0.5, 0.5], [0.25, 0.75]]}), "oracle"),
     "build-parity_toy": ("build", _build(dict(TOY, kind="parity_toy")),

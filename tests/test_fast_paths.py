@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tokenchain import cli, estimation
-from tokenchain.bounds import MC_BATCH
+from tokenchain import bounds, estimation
+from tokenchain.bounds import MC_BATCH, _coin_counts, _head_share
 from tokenchain.chains import TransitionMatrix
-from tokenchain.cli import _coin_counts, _head_share
 from tokenchain.estimation import (
     kl_divergence,
     kl_risk,
@@ -169,7 +168,7 @@ def test_coin_rows_are_numpys_bounded_draws(size, n):
 @pytest.mark.parametrize("size", COIN_SIZES)
 @pytest.mark.parametrize("n", COIN_NS)
 def test_coin_counts_do_not_depend_on_the_block(monkeypatch, block, size, n):
-    monkeypatch.setattr(cli, "COIN_BLOCK", block)
+    monkeypatch.setattr(bounds, "COIN_BLOCK", block)
     expected = np.random.default_rng([9, n]).integers(0, 2, (size, n))
     np.testing.assert_array_equal(
         _coin_counts(n, np.random.default_rng([9, n]), size),

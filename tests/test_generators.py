@@ -219,6 +219,14 @@ def test_overflowing_gbm_drift_is_refused_without_warning(settings):
             simulate_process("gbm", 50, **settings)
 
 
+def test_overflowing_gbm_path_is_refused_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"path overflows float64 within "
+                           r"49 steps: s0=1.0, mu=20.0, sigma=0.2, dt=1.0"):
+            simulate_process("gbm", 50, mu=20.0)
+
+
 def test_processes_are_seeded():
     for kind in ["gbm", "correlated_gaussian", "uncorrelated_gaussian",
                  "uncorrelated_uniform", "brownian"]:

@@ -58,6 +58,12 @@ def test_overflowing_temperature_is_an_oracle_error():
     npt.assert_array_equal(apply_temperature([0.0, 0.0], 5e-324), [0.5, 0.5])
 
 
+def test_overflowing_logit_spread_gives_one_hot_without_warning():
+    with np.errstate(all="raise"):
+        npt.assert_array_equal(apply_temperature([1e308, -1e308], 1.0),
+                               [1.0, 0.0])
+
+
 def test_softmax_floor_zero_logits_is_tight():
     # ||x||_1 = 0, so the bound 1/(m e^0) = 1/m is attained exactly
     assert softmax_floor(np.zeros(5)) == pytest.approx(0.2)
