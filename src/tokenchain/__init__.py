@@ -102,41 +102,7 @@ from .remote import (
     probs_from_openai_response,
 )
 
-__all__ = [
-    "__version__",
-    # states
-    "VocabSpec", "StateSpace", "enumerate_states", "successors",
-    "is_incompatible",
-    # chains
-    "TransitionMatrix", "StructureReport", "build_qf", "validate_structure",
-    "recurrent_block",
-    # oracles
-    "Oracle", "OracleError", "TrainingDivergedError", "ChainOracle",
-    "UniformOracle", "RandomLogitOracle", "NgramOracle", "ToyModel",
-    "ToyModelConfig", "apply_temperature", "softmax_floor",
-    "validate_distribution", "fit_ngram", "train_toy", "parity_sequence",
-    "parity_spec", "windowed_examples",
-    # spectral
-    "StationaryResult", "ConvergenceProfile", "MixingReport",
-    "classify_states", "stationary", "doeblin_epsilon", "envelope",
-    "convergence_profile", "mixing_time", "t_min", "mixing_report",
-    "sweep_temperature",
-    # generators
-    "ChainSpec", "build_chain", "random_chain", "constrained_walk",
-    "polygonal_walk", "clique_rim", "simulate_process", "discretize",
-    # estimation
-    "Trajectory", "FrequentistEstimator", "NgramEstimator", "RiskCurve",
-    "PowerLawFit", "sample_trajectory", "frequentist_estimate",
-    "tv_distance", "kl_divergence", "tv_risk", "kl_risk", "expected_tv_risk",
-    "icl_risk_curve", "oracle_divergence", "fit_power_law",
-    # bounds
-    "PretrainBoundParams", "IclBoundParams", "DepthBoundParams", "ModelCard",
-    "BoundOverflowError", "pretrain_constant", "icl_constant", "icl_gap",
-    "layer_bound", "depth_constant", "generalization_gap",
-    "approximation_error", "sample_complexity", "builtin_model_cards",
-    "predictor_table", "predictor_csv", "mcdiarmid_tail",
-    "mcdiarmid_markov_tail", "mc_verify", "log_ratio_checks",
-    # remote
-    "RemoteOracleConfig", "RemoteOracle", "RemoteOracleError",
-    "OpenAIRemoteOracle", "MockOracleServer", "probs_from_openai_response",
-]
+# the classes and functions imported above
+__all__ = ["__version__", *(
+    name for name, obj in list(globals().items())
+    if getattr(obj, "__module__", "").startswith(__name__ + "."))]

@@ -1,10 +1,12 @@
 """Materialize and validate the transition matrix induced by a next-token oracle.
 
-Querying an oracle on every sequence state yields a sparse row-stochastic
-matrix: the only reachable targets of a state are its T one-step
-successors, so a fraction (T - 1)/(T^K - 1) of the entries can be nonzero.
-States shorter than the context window are transient (the sequence keeps
-growing) and the T^K full-length states form the closed trailing block.
+Querying an oracle on every sequence state yields a row-stochastic matrix
+with at most T nonzeros a row: the only reachable targets of a state are
+its T one-step successors, so a fraction (T - 1)/(T^K - 1) of the entries
+can be nonzero.  Such a chain is held as its (n, T) next-token table and
+reached through the closed-form successor rule.  States shorter than the
+context window are transient (the sequence keeps growing) and the T^K
+full-length states form the closed trailing block.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from .states import VocabSpec, StateSpace, enumerate_states
 from .oracles import SUM_TOL, OracleError
@@ -34,13 +35,16 @@ class StructureError(Exception):
 class TransitionMatrix:
     """Row-stochastic matrix with transient/recurrent block metadata.
 
-    ``probs`` is either a scipy CSR matrix (full sequence-state chains,
-    which are extremely sparse) or a dense ndarray (generated chains and
-    extracted recurrent blocks).  States ``[0, n_transient)`` are the
-    transient ones; the rest form the trailing recurrent-candidate block.
+    A sequence chain (``meta`` with ``n_tokens`` T and ``context_window``
+    K, as `build_qf` makes it) holds in ``probs`` its (n, T) next-token
+    table: entry (i, t) is the probability of the t-th state of
+    ``StateSpace.successor_table()`` row i.  Any other chain (generated
+    chains, extracted recurrent blocks) holds a dense (d, d) ndarray.
+    States ``[0, n_transient)`` are the transient ones; the rest form the
+    trailing recurrent-candidate block.
     """
 
-    probs: object
+    probs: np.ndarray
     n_transient: int = 0
     recurrent_only: bool = False
     meta: dict = field(default_factory=dict)
@@ -50,43 +54,73 @@ class TransitionMatrix:
         return self.probs.shape[0]
 
     @property
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.probs)
+    def is_table(self) -> bool:
+        return "n_tokens" in self.meta
 
     def dense(self) -> np.ndarray:
-        if self.is_sparse:
-            return self.probs.toarray()
-        return np.asarray(self.probs, dtype=float)
-
-    def sparse(self) -> sp.csr_matrix:
-        if self.is_sparse:
-            return self.probs
-        return sp.csr_matrix(self.probs)
+        if not self.is_table:
+            return np.asarray(self.probs, dtype=float)
+        out = np.zeros((self.n_states, self.n_states))
+        rows, cols, values = self.triplet_columns()
+        out[rows, cols] = values
+        return out
 
     def nonzero_count(self) -> int:
-        if self.is_sparse:
-            return int(self.probs.count_nonzero())
         return int(np.count_nonzero(self.probs))
 
     @classmethod
     def of(cls, Q) -> "TransitionMatrix":
         """``Q`` itself if it is a TransitionMatrix; otherwise ``Q`` as a
-        chain with no transient block, held as CSR if it is scipy sparse
-        and as a float ndarray if not."""
+        dense chain with no transient block, a sparse matrix (anything
+        with ``toarray``) summed into its dense form."""
         if isinstance(Q, cls):
             return Q
-        return cls(Q.tocsr() if sp.issparse(Q) else np.asarray(Q, dtype=float))
-
-    # -- serialization ------------------------------------------------------
+        return cls(np.asarray(Q.toarray() if hasattr(Q, "toarray") else Q,
+                              dtype=float))
 
     def triplet_columns(self):
         """The nonzero entries as (row, col, value) arrays in row-major
-        order, duplicates summed: the CSR's own order once canonical."""
-        m = self.sparse()
-        m.sum_duplicates()  # in place; sorts the indices too
-        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-        keep = m.data != 0.0
-        return rows[keep], m.indices[keep], m.data[keep]
+        order."""
+        at = np.flatnonzero(self.probs != 0.0)
+        rows, cols = at // self.probs.shape[1], at % self.probs.shape[1]
+        if self.is_table:
+            T, K = self.meta["n_tokens"], self.meta["context_window"]
+            cols = StateSpace(VocabSpec(T, K)).successor_table().ravel()[at]
+        return rows, cols, self.probs.ravel()[at]
+
+    def left_product(self):
+        """The map x -> x Q.  Entry j of x Q is summed from 0.0 over the
+        predecessors of j in increasing index order, whichever way the
+        chain is held, so that iterates are reproducible to the bit."""
+        n = self.n_states
+        if not self.is_table:
+            rows, cols, values = self.triplet_columns()
+            return lambda x: np.bincount(cols, weights=x[rows] * values,
+                                         minlength=n)
+        T, K = self.meta["n_tokens"], self.meta["context_window"]
+        n_t, m = self.n_transient, T ** (K - 1)
+        # state i < n_t - m moves to T + i T + t; the full-length state
+        # n_t + r T + t has the predecessors n_t - m + r (if K > 1) and
+        # n_t + a m + r for a < T: the m-row blocks from `first` on.  + 0.0
+        # turns a stored -0.0 into 0.0, as a sum from 0.0 does.
+        first = n_t - m if K > 1 else 0
+        PT = np.ascontiguousarray(self.probs.T) + 0.0
+        tail = np.empty((T, n - first))
+
+        def step(x):
+            y = np.empty(n)
+            y[:T] = 0.0
+            np.multiply(PT[:, :first], x[:first],
+                        out=y[T:n_t].reshape(-1, T).T)
+            np.multiply(PT[:, first:], x[first:], out=tail)
+            blocks, out = tail.reshape(T, -1, m), y[n_t:].reshape(m, T).T
+            np.add(blocks[:, 0], blocks[:, 1], out=out)
+            for k in range(2, blocks.shape[1]):
+                out += blocks[:, k]
+            return y
+        return step
+
+    # -- serialization ------------------------------------------------------
 
     def to_payload(self, triplets=None) -> dict:
         """JSON-ready dict: the block layout and the ``triplet_columns`` as
@@ -106,19 +140,6 @@ class TransitionMatrix:
 
     def to_json(self) -> str:
         return json.dumps(self.to_payload())
-
-    @classmethod
-    def from_json(cls, text):
-        blob = json.loads(text)
-        n = blob["n"]
-        triplets = blob["triplets"]
-        rows = [t[0] for t in triplets]
-        cols = [t[1] for t in triplets]
-        data = [t[2] for t in triplets]
-        m = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-        blocks = blob.get("blocks", {})
-        return cls(m, n_transient=blocks.get("transient", [0, 0])[1],
-                   recurrent_only=blocks.get("recurrent_only", False))
 
 
 @dataclass
@@ -151,8 +172,9 @@ class StructureReport:
 def build_qf(oracle, spec: VocabSpec, space: StateSpace | None = None) -> TransitionMatrix:
     """Build the sequence-state transition matrix of a next-token oracle.
 
-    Row i holds the oracle's next-token probabilities for state i, scattered
-    onto the indices of its successor states; every other entry is zero.
+    Row i of its table holds the oracle's next-token probabilities for
+    state i, one for each of its successor states; every other entry of
+    the matrix is zero.
     A row whose probabilities miss unit sum by more than SUM_TOL is silently
     renormalized only when the drift is at most 1e-6, otherwise the oracle
     is considered buggy and the build fails.
@@ -177,10 +199,7 @@ def build_qf(oracle, spec: VocabSpec, space: StateSpace | None = None) -> Transi
         raise OracleError(f"row for state {space[i]} sums to {sums[i]}; "
                           f"drift above {ROW_REPAIR_TOL}")
     P = np.where((drift > SUM_TOL)[:, None], P / sums[:, None], P)
-    m = sp.csr_matrix((P.ravel(), space.successor_table().ravel(),
-                       np.arange(0, n * T + 1, T, dtype=np.int64)),
-                      shape=(n, n))
-    return TransitionMatrix(m, n_transient=space.n_transient,
+    return TransitionMatrix(P, n_transient=space.n_transient,
                             meta={"n_tokens": T, "context_window": spec.context_window})
 
 
@@ -200,40 +219,41 @@ def validate_structure(Q: TransitionMatrix, spec: VocabSpec,
         raise ValueError(
             f"matrix has {n} states, spec wants {spec.state_count}")
     T, K = spec.n_tokens, spec.context_window
-    coo = Q.sparse().tocoo()
-    mask = coo.data != 0.0
-    rows, cols = coo.row[mask], coo.col[mask]
-    nnz = int(mask.sum())
+    rows, cols, _ = Q.triplet_columns()
 
     # the T successors of a state are consecutive indices
-    offset = cols - space.successor_table()[rows, 0]
+    offset = cols - space.successor_table()[:, 0][rows]
     pattern_ok = bool(np.all((offset >= 0) & (offset < T)))
 
-    row_sums = np.asarray(Q.sparse().sum(axis=1)).ravel()
+    # pairwise sums, row by row: a table's row sums are pinned in
+    # structure.json, and probs.sum(axis=1) rounds some rows differently
+    row_sums = np.add.reduceat(Q.probs, [0], axis=1)[:, 0]
     row_err = float(np.abs(row_sums - 1.0).max()) if n else 0.0
 
     return StructureReport(
         n_states=n,
-        nonzero_count=nnz,
-        nonzero_proportion=Fraction(nnz, n * n),
+        nonzero_count=rows.size,
+        nonzero_proportion=Fraction(rows.size, n * n),
         expected_nonzero_count=T * T * (T**K - 1) // (T - 1),
         row_sum_max_error=row_err,
         block_pattern_ok=pattern_ok,
-        nilpotency_index=_nilpotency_index(Q, space.n_transient, K),
+        nilpotency_index=_nilpotency_index(rows, cols, space.n_transient, K),
     )
 
 
-def _nilpotency_index(Q, n_transient, K):
-    """Smallest k <= K with the transient block's k-th power identically zero.
+def _nilpotency_index(rows, cols, n_transient, K):
+    """Smallest k <= K with the transient block's k-th power identically
+    zero, from the nonzero entries (rows, cols).
 
     B^k vanishes iff no state starts a k-step path inside the block.
     """
     if n_transient == 0:
         return 0
-    block = Q.sparse()[:n_transient, :n_transient] != 0.0
+    inside = (rows < n_transient) & (cols < n_transient)
+    rows, cols = rows[inside], cols[inside]
     alive = np.ones(n_transient, dtype=bool)
     for k in range(1, K + 1):
-        alive = block @ alive
+        alive = np.bincount(rows[alive[cols]], minlength=n_transient) > 0
         if not alive.any():
             return k
     return None
@@ -248,5 +268,8 @@ def recurrent_block(Q: TransitionMatrix,
         raise MemoryError(
             f"dense block of {n_r} states needs {n_r * n_r * 8} bytes, "
             f"above the cap of {cap_bytes}")
-    block = Q.sparse()[n_t:, n_t:].toarray()
+    rows, cols, values = Q.triplet_columns()
+    inside = (rows >= n_t) & (cols >= n_t)
+    block = np.zeros((n_r, n_r))
+    block[rows[inside] - n_t, cols[inside] - n_t] = values[inside]
     return TransitionMatrix(block, n_transient=0, recurrent_only=True)

@@ -406,16 +406,8 @@ def _require_ok(report):
 
 
 def _structure_payload(report):
-    return {
-        "n_states": report.n_states,
-        "nonzero_count": report.nonzero_count,
-        "nonzero_proportion": str(report.nonzero_proportion),
-        "expected_nonzero_count": report.expected_nonzero_count,
-        "row_sum_max_error": float(report.row_sum_max_error),
-        "block_pattern_ok": bool(report.block_pattern_ok),
-        "nilpotency_index": report.nilpotency_index,
-        "ok": bool(report.ok),
-    }
+    return {**asdict(report), "ok": report.ok,
+            "nonzero_proportion": str(report.nonzero_proportion)}
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from .chains import TransitionMatrix
 from .oracles import SUM_TOL, ChainOracle, fit_ngram, smoothing, window_groups
-from .spectral import _cell
+from .spectral import _csv
 from .states import state_path
 
 MAX_EXACT_RISK_STATES = 64
@@ -283,11 +283,9 @@ class RiskCurve:
     estimator: str
 
     def csv_rows(self) -> str:
-        lines = ["N,mean,lo,hi,reps,metric,estimator"]
-        for p in self.points:
-            lines.append(f"{p.n_icl},{_cell(p.mean)},{_cell(p.lo)},"
-                         f"{_cell(p.hi)},{p.reps},{self.metric},{self.estimator}")
-        return "\n".join(lines) + "\n"
+        return _csv("N,mean,lo,hi,reps,metric,estimator", (
+            (p.n_icl, p.mean, p.lo, p.hi, p.reps, self.metric, self.estimator)
+            for p in self.points))
 
 
 _METRICS = {"tv": tv_risk, "kl": kl_risk}

@@ -406,7 +406,8 @@ def train_toy(dataset, config: ToyModelConfig, n_tokens=None) -> ToyModel:
                 z = h @ w_out + bias
                 if not np.all(np.isfinite(z)):
                     raise TrainingDivergedError(epoch, float("inf"))
-                p = apply_temperature(z, 1.0)
+                e = np.exp(z - z.max())
+                p = e / e.sum()
                 total -= np.log(max(p[y], 1e-300))
                 # d(cross-entropy)/d(logits) = p - onehot(y)
                 g = p.copy()

@@ -13,7 +13,6 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .chains import TransitionMatrix, build_qf, recurrent_block
 
@@ -24,7 +23,7 @@ DEFAULT_N_MAX = 1000
 # thresholds for the minimized mixing constant: {0, 0.05, ..., 0.95}
 DEFAULT_EPS_GRID = tuple(k * 0.05 for k in range(20))
 # stationary's doubling search stores up to log2(max_iter) dense n x n
-# powers; a chain whose powers need more keeps the sparse loop
+# powers; a chain whose powers need more keeps the step loop
 POWERS_BUDGET_BYTES = 1 << 28
 
 
@@ -50,10 +49,8 @@ class ConvergenceProfile:
     violations: int = 0      # steps n where empirical > bound + 1e-12
 
     def csv_rows(self) -> str:
-        lines = ["n,empirical,bound"]
-        for (n, emp), (_, b) in zip(self.empirical_curve, self.bound_curve):
-            lines.append(f"{n},{_cell(emp)},{_cell(b)}")
-        return "\n".join(lines) + "\n"
+        pairs = zip(self.empirical_curve, self.bound_curve)
+        return _csv("n,empirical,bound", ((n, e, b) for (n, e), (_, b) in pairs))
 
 
 @dataclass
@@ -89,65 +86,91 @@ class MixingReport:
         return [i for i, c in enumerate(self.classes) if c == "transient"]
 
     def csv_rows(self) -> str:
-        lines = ["epsilon,t_mix,factor,product"]
-        for r in self.rows:
-            lines.append(f"{_cell(r.epsilon)},{_cell(r.t_mix)},"
-                         f"{_cell(r.factor)},{_cell(r.product)}")
-        return "\n".join(lines) + "\n"
+        return _csv("epsilon,t_mix,factor,product", (
+            (r.epsilon, r.t_mix, r.factor, r.product) for r in self.rows))
 
 
 def _cell(x) -> str:
     if isinstance(x, float) and math.isinf(x):
         return "-inf" if x < 0 else "+inf"
-    return repr(x)
+    return str(x).lower() if isinstance(x, bool) else str(x)
+
+
+def _csv(header, rows) -> str:
+    """The header line, then each row's `_cell`s, comma-separated."""
+    return "".join(",".join(map(_cell, r)) + "\n" for r in [[header], *rows])
 
 
 def classify_states(Q) -> MixingReport:
     """Communicating classes, recurrence labels, and periods.
 
-    A strongly connected component is recurrent exactly when no edge leaves
-    it; the period of a recurrent class is the gcd of level differences
-    along its edges in a breadth-first layering.
+    A class is recurrent exactly when no edge leaves it.  Breadth-first
+    passes over the edge arrays, a level at a time, find them (as in the
+    forward-backward scheme of Fleischer, Hendrickson & Pinar, 2000): the
+    states a pivot reaches are a closed class if all reach it back, else
+    the pivot moves to the deepest one that does not; what reaches a
+    closed class is transient.  A period is the gcd of level differences
+    along the class's edges.  On a sequence chain only the full-length
+    block is searched: shorter states are transient by construction.
     """
-    m = TransitionMatrix.of(Q).sparse().copy()
-    m.eliminate_zeros()
-    n = m.shape[0]
-    n_comp, labels = connected_components(m, directed=True, connection="strong")
-    coo = m.tocoo()
-    escapes = np.zeros(n_comp, dtype=bool)
-    cross = labels[coo.row] != labels[coo.col]
-    escapes[np.unique(labels[coo.row][cross])] = True
-    classes = ["transient" if escapes[labels[i]] else "recurrent"
-               for i in range(n)]
-    members: dict[int, list] = {}
-    for i in range(n):
-        if not escapes[labels[i]]:
-            members.setdefault(int(labels[i]), []).append(i)
-    recurrent_classes = sorted(members.values(), key=lambda c: c[0])
-    periods = [_class_period(m, cls) for cls in recurrent_classes]
-    period = math.lcm(*periods) if periods else 1
-    return MixingReport(classes=classes, recurrent_classes=recurrent_classes,
-                        periods=periods, period=period)
+    Q = TransitionMatrix.of(Q)
+    n = Q.n_states
+    src, dst, _ = Q.triplet_columns()
+    base = Q.n_transient if Q.is_table else 0
+    src, dst, m = src[src >= base] - base, dst[src >= base] - base, n - base
+    forward, backward = _adjacency(src, dst, m), _adjacency(dst, src, m)
+    unknown = np.ones(m, dtype=bool)
+    found = []  # (members, period) of each closed class
+    while unknown.any():
+        pivot = int(np.argmax(unknown))
+        while True:
+            depth = _levels(forward, [pivot], unknown)
+            reached = depth >= 0
+            back = _levels(backward, [pivot], reached) >= 0
+            if np.array_equal(back, reached):
+                break
+            pivot = int(np.argmax(np.where(reached & ~back, depth, -1)))
+        own = reached[src]  # the class's edges, which all stay inside it
+        gcd = np.gcd.reduce(np.abs(depth[src[own]] + 1 - depth[dst[own]]))
+        members = np.flatnonzero(reached)
+        found.append(((members + base).tolist(), max(int(gcd), 1)))
+        unknown &= _levels(backward, members, unknown) < 0
+    found.sort()  # by first member, as the classes are disjoint
+    classes = np.full(n, "transient", dtype=object)
+    classes[[i for members, _ in found for i in members]] = "recurrent"
+    periods = [period for _, period in found]
+    return MixingReport(
+        classes=classes.tolist(),
+        recurrent_classes=[members for members, _ in found],
+        periods=periods, period=math.lcm(*periods) if periods else 1)
 
 
-def _class_period(m, nodes):
-    inside = set(nodes)
-    level = {nodes[0]: 0}
-    queue = deque([nodes[0]])
-    g = 0
-    indptr, indices = m.indptr, m.indices
-    while queue:
-        u = queue.popleft()
-        for v in indices[indptr[u]:indptr[u + 1]]:
-            v = int(v)
-            if v not in inside:
-                continue
-            if v in level:
-                g = math.gcd(g, level[u] + 1 - level[v])
-            else:
-                level[v] = level[u] + 1
-                queue.append(v)
-    return g or 1
+def _adjacency(src, dst, n):
+    """The edges src -> dst of an n-state graph as (indptr, targets),
+    each state's targets in edge order."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.argsort(src, kind="stable")]
+
+
+def _levels(adjacency, roots, allowed):
+    """Breadth-first level of each state from ``roots`` (level 0), over
+    the ``allowed`` states only; -1 where unreached."""
+    indptr, targets = adjacency
+    level = np.full(allowed.size, -1, dtype=np.int64)
+    frontier = np.asarray(roots, dtype=np.int64)
+    level[frontier] = 0
+    depth = 0
+    while frontier.size:
+        depth += 1
+        stops = indptr[frontier + 1]
+        counts = stops - indptr[frontier]
+        ends = np.cumsum(counts)  # the frontier's edges, gathered
+        nxt = targets[np.repeat(stops - ends, counts) + np.arange(ends[-1])]
+        fresh = np.sort(nxt[(level[nxt] < 0) & allowed[nxt]])
+        frontier = fresh[np.diff(fresh, prepend=-1) != 0]
+        level[frontier] = depth
+    return level
 
 
 def stationary(Q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
@@ -161,30 +184,34 @@ def stationary(Q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     reported L-inf residual because the chain map is an L1 contraction.
 
     ``iterations`` is the first step at which the stopping rule holds, or
-    ``max_iter``.  The sparse loop looks for it step by step up to
-    `_switch_step`; a chain still running then continues with a doubling
-    search over dense powers of Q, and ``pi`` is the window-averaged
-    iterate at the step it finds.
+    ``max_iter``.  A loop of `TransitionMatrix.left_product` steps looks
+    for it up to `_switch_step`; a chain still running then continues
+    with a doubling search over dense powers of Q, and ``pi`` is the
+    window-averaged iterate at the step it finds.
     """
-    m = TransitionMatrix.of(Q).sparse()
-    n = m.shape[0]
+    Q = TransitionMatrix.of(Q)
+    n = Q.n_states
     if classification is None:
-        classification = classify_states(m)
+        classification = classify_states(Q)
     window = max(1, classification.period)
-    mT = m.T.tocsr()
+    step = Q.left_product()
+    # the entries a step reads: a table's all, a dense chain's nonzeros
+    stored = Q.probs.size if Q.is_table else Q.nonzero_count()
     pi = np.full(n, 1.0 / n)
     history = deque([pi], maxlen=window + 1)
+    diff = np.empty(n)
     iterations = 0
     stopped = False
-    for t in range(1, _switch_step(n, m.nnz, window, max_iter) + 1):
-        pi = mT @ pi
+    for t in range(1, _switch_step(n, stored, window, max_iter) + 1):
+        pi = step(pi)
         total = pi.sum()
         if total > 0:
-            pi = pi / total
+            pi /= total
         history.append(pi)
         iterations = t
         if len(history) == window + 1:
-            if np.abs(history[-1] - history[0]).sum() / window <= tol:
+            np.abs(np.subtract(history[-1], history[0], out=diff), out=diff)
+            if diff.sum() / window <= tol:
                 stopped = True
                 break
     tail = list(history)[-window:]
@@ -194,18 +221,18 @@ def stationary(Q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         # norm never grows under a stochastic Q, and the window average
         start = np.vstack([history[-1] - history[0], out])
         steps, rows = _doubling_search(
-            start, [m.toarray()], lambda x: np.abs(x[0]).sum() / window,
+            start, [Q.dense()], lambda x: np.abs(x[0]).sum() / window,
             tol, max_iter - iterations)
         iterations = min(iterations + steps, max_iter)
         out = rows[1]
     out = out / out.sum()
-    residual = float(np.abs(mT @ out - out).max())
+    residual = float(np.abs(step(out) - out).max())
     return StationaryResult(pi=out, iterations=iterations, residual=residual,
                             converged=residual <= tol,
                             periodic=window > 1)
 
 
-# What one loop step of `stationary` costs beyond its sparse mat-vec, in
+# What one loop step of `stationary` costs beyond its products, in
 # flops of dense matrix product.  On a 2-vCPU Xeon with OpenBLAS a step
 # takes 13-35 us and dense products run at 50-100 GFlop/s, so a step is
 # worth about 1-3 Mflop; the smaller constant moves the switch 3-10x past
@@ -278,26 +305,23 @@ def doeblin_epsilon(Q, window=None) -> float:
     """Minimum entry of the recurrent block of Q^window; the window
     defaults to the chain's context window, or 1.
 
-    On a sequence chain (``meta`` with ``n_tokens`` and ``context_window``)
-    at window K, each entry is the product along the one K-step path, and
-    the least such product is found, bit for bit, in O(K T^(K+1)) with no
-    dense block.  Any other chain or window takes a dense power.
+    On a sequence chain (held as its next-token table) at window K, each
+    entry is the product along the one K-step path, and the least such
+    product is found, bit for bit, in O(K T^(K+1)) with no dense block.
+    Any other chain or window takes a dense power.
     """
     Q = TransitionMatrix.of(Q)
     K = Q.meta.get("context_window")
     if window is None:
         window = K or 1
-    if "n_tokens" not in Q.meta or window != K:
+    if not Q.is_table or window != K:
         block = recurrent_block(Q).probs if Q.n_transient else Q.dense()
         return float(np.linalg.matrix_power(block, window).min())
     # u = a T^(K-1) + r appending t moves to r T + t: a pass carries f(v),
     # the least product (from 1, left to right) over the paths ending at v,
     # one step on, exactly, as rounding is monotone on nonnegative floats.
     # The table is read entry by entry, so a zero probability gives 0.
-    T, n_t = Q.meta["n_tokens"], Q.n_transient
-    succ = np.arange(T**K, dtype=np.int64)[:, None] * T + np.arange(T)
-    P = np.asarray(Q.sparse()[np.repeat(np.arange(n_t, n_t + T**K), T),
-                              n_t + succ.ravel() % T**K]).reshape(-1, T)
+    T, P = Q.meta["n_tokens"], Q.probs[Q.n_transient:]
     f = np.ones(T**K)
     for _ in range(K):
         f = (f[:, None] * P).reshape(T, -1, T).min(axis=0).ravel()
@@ -481,8 +505,5 @@ def sweep_temperature(oracle, spec, temperatures, space=None,
 
 
 def temperature_csv(points) -> str:
-    lines = ["temperature,epsilon,iterations,converged"]
-    for p in points:
-        lines.append(f"{_cell(p.temperature)},{_cell(p.epsilon)},"
-                     f"{p.iterations},{str(p.converged).lower()}")
-    return "\n".join(lines) + "\n"
+    return _csv("temperature,epsilon,iterations,converged", (
+        (p.temperature, p.epsilon, p.iterations, p.converged) for p in points))

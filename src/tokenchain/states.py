@@ -104,14 +104,13 @@ class StateSpace:
 
         State o_L + v keeps its last h = min(L, K - 1) tokens, v mod T^h,
         and appends t: its successors are o_{h+1} + (v mod T^h) T + t.
+        As o_{L+1} = T + T o_L, that is T + i T + t for a state i shorter
+        than K, and n_t + (v mod T^(K-1)) T + t for a full-length one.
         """
         T, K = self.spec.n_tokens, self.spec.context_window
-        first = []
-        for length in range(1, K + 1):
-            h = min(length, K - 1)
-            v = np.arange(T**length, dtype=np.int64)
-            first.append(self._offsets[h] + v % T**h * T)
-        return np.concatenate(first)[:, None] + np.arange(T)
+        i, n_t = np.arange(len(self), dtype=np.int64), self.n_transient
+        first = np.where(i < n_t, T + i * T, n_t + (i - n_t) % T**(K - 1) * T)
+        return first[:, None] + np.arange(T)
 
     @property
     def n_transient(self) -> int:

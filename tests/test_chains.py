@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -82,8 +83,7 @@ def test_mild_row_drift_is_repaired():
     spec = VocabSpec(2, 2)
     drift = (1.0 + 5e-7) / 2.0
     Q = build_qf(FixedRowOracle([drift, drift]), spec)
-    sums = np.asarray(Q.sparse().sum(axis=1)).ravel()
-    npt.assert_allclose(sums, 1.0, atol=1e-12)
+    npt.assert_allclose(Q.dense().sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_large_row_drift_fails_the_build():
@@ -143,18 +143,31 @@ def test_state_count_mismatch_is_an_error():
         validate_structure(TransitionMatrix(np.eye(4)), spec)
 
 
+def scatter(payload):
+    """The dense matrix of a ``to_payload`` dict's triplets."""
+    out = np.zeros((payload["n"], payload["n"]))
+    for r, c, v in payload["triplets"]:
+        out[r, c] += v
+    return out
+
+
 def test_json_roundtrip():
     spec = VocabSpec(2, 3)
     space = enumerate_states(spec)
     Q = build_qf(RandomLogitOracle(space, seed=9), spec, space)
-    clone = TransitionMatrix.from_json(Q.to_json())
-    npt.assert_array_equal(clone.dense(), Q.dense())
-    assert clone.n_transient == Q.n_transient
-    assert not clone.recurrent_only
+    blob = json.loads(Q.to_json())
+    # the table's rows, scattered onto the successor indices
+    expected = np.zeros((Q.n_states, Q.n_states))
+    np.put_along_axis(expected, space.successor_table(), Q.probs, axis=1)
+    npt.assert_array_equal(scatter(blob), expected)
+    npt.assert_array_equal(Q.dense(), expected)
+    assert blob["triplets"] == [list(t) for t in zip(
+        *(c.tolist() for c in Q.triplet_columns()))]
+    assert blob["blocks"]["transient"] == [0, Q.n_transient]
+    assert not blob["blocks"]["recurrent_only"]
 
 
 def test_json_triplets_sorted_and_zero_free():
-    import json
     spec = VocabSpec(2, 2)
     Q = build_qf(FixedRowOracle([1.0, 0.0]), spec)
     blob = json.loads(Q.to_json())
@@ -177,17 +190,17 @@ def test_triplets_of_unsorted_csr_are_row_major():
     coo = m.tocoo()
     order = np.lexsort((coo.col, coo.row))
     reference = (coo.row[order], coo.col[order], coo.data[order])
-    for got, want in zip(TransitionMatrix(m).triplet_columns(), reference):
+    for got, want in zip(TransitionMatrix.of(m).triplet_columns(), reference):
         npt.assert_array_equal(got, want)
 
 
 def test_duplicate_entries_are_written_summed():
     m = sp.csr_matrix(([0.25, 0.5, 0.25, 1.0], [1, 0, 1, 1], [0, 3, 4]),
                       shape=(2, 2))
-    Q = TransitionMatrix(m)
+    Q = TransitionMatrix.of(m)
     assert Q.to_payload()["triplets"] == [[0, 0, 0.5], [0, 1, 0.5],
                                           [1, 1, 1.0]]
-    npt.assert_array_equal(TransitionMatrix.from_json(Q.to_json()).dense(),
+    npt.assert_array_equal(scatter(json.loads(Q.to_json())),
                            [[0.5, 0.5], [0.0, 1.0]])
 
 
@@ -208,6 +221,46 @@ def test_recurrent_block_respects_memory_cap():
     Q = build_qf(UniformOracle(2), spec)
     with pytest.raises(MemoryError):
         recurrent_block(Q, cap_bytes=100)
+
+
+def csr_of(Q):
+    """Q as a CSR matrix that stores every table entry, zeros too."""
+    if not Q.is_table:
+        return sp.csr_matrix(Q.probs)
+    n, T = Q.probs.shape
+    succ = enumerate_states(VocabSpec(T, Q.meta["context_window"]))
+    return sp.csr_matrix((Q.probs.ravel(), succ.successor_table().ravel(),
+                          np.arange(0, n * T + 1, T)), shape=(n, n))
+
+
+@pytest.mark.parametrize("T,K", [(2, 1), (3, 1), (2, 6), (2, 12), (3, 5),
+                                 (4, 4), (5, 2), (8, 3)])
+def test_left_product_of_a_table_matches_a_csr_product(T, K):
+    spec = VocabSpec(T, K)
+    space = enumerate_states(spec)
+    Q = build_qf(RandomLogitOracle(space, seed=T + K, scale=3.0), spec, space)
+    _assert_steps_match(Q)
+
+
+def test_left_product_of_a_dense_chain_matches_a_csr_product():
+    rng = np.random.default_rng(8)
+    for d in (1, 3, 17, 60, 300):
+        P = rng.random((d, d)) * (rng.random((d, d)) < 0.3) + np.eye(d)
+        _assert_steps_match(TransitionMatrix.of(P / P.sum(axis=1)[:, None]))
+    # a zero probability in the table, and a -0.0 one, sum to 0.0
+    _assert_steps_match(build_qf(FixedRowOracle([1.0, 0.0]), VocabSpec(2, 3)))
+    _assert_steps_match(build_qf(FixedRowOracle([1.0, -0.0]), VocabSpec(2, 3)))
+
+
+def _assert_steps_match(Q, steps=200):
+    """x Q to the bit, for the normalized iterates from the uniform x."""
+    step, mT = Q.left_product(), csr_of(Q).T.tocsr()
+    x = np.full(Q.n_states, 1.0 / Q.n_states)
+    for _ in range(steps):
+        y = mT @ x
+        got = step(x)
+        assert np.array_equal(got, y) and not np.signbit(got).any()
+        x = y / y.sum()
 
 
 def test_nilpotency_index_at_131070_states():
@@ -233,10 +286,11 @@ def test_of_wraps_lists_arrays_and_sparse_matrices():
     rows = [[0.25, 0.75], [1.0, 0.0]]
     for given in (rows, np.array(rows), np.array([[1, 0], [0, 1]])):
         Q = TransitionMatrix.of(given)
-        assert not Q.is_sparse and Q.probs.dtype == float
+        assert not Q.is_table and Q.probs.dtype == float
         assert Q.n_transient == 0 and Q.meta == {}
+    # a sparse matrix is summed into its dense form, read through toarray
     Q = TransitionMatrix.of(sp.coo_matrix(rows))
-    assert Q.is_sparse and Q.probs.format == "csr"
+    assert not Q.is_table and type(Q.probs) is np.ndarray
     assert Q.n_transient == 0 and Q.meta == {}
     npt.assert_array_equal(Q.dense(), rows)
 

@@ -56,11 +56,12 @@ def test_build_writes_matrix_and_structure(tmp_path):
     assert doc["header"]["tool"] == "tokenchain"
     assert doc["header"]["seed"] == 0
     assert len(doc["header"]["config_sha256"]) == 64
-    matrix_doc = read_json(tmp_path, "out", "matrix.json")
-    matrix = TransitionMatrix.from_json(json.dumps(matrix_doc["matrix"]))
-    assert matrix.n_states == 14
-    np.testing.assert_allclose(matrix.dense().sum(axis=1), np.ones(14),
-                               atol=1e-12)
+    matrix = read_json(tmp_path, "out", "matrix.json")["matrix"]
+    assert matrix["n"] == 14
+    rows, _, values = np.array(matrix["triplets"]).T
+    np.testing.assert_allclose(
+        np.bincount(rows.astype(int), weights=values), np.ones(14),
+        atol=1e-12)
 
 
 def test_build_reruns_are_byte_identical(tmp_path):
@@ -84,6 +85,32 @@ def test_build_outputs_are_pinned(tmp_path):
         "structure.json":
             "4a790709bb633646d8c94c67a9529880873f2c5a04e6b4d22e4f5449bf180c9a",
     }
+
+
+# sha256 of the outputs as scipy's strong components and CSR products of
+# the chain's transpose gave them
+@pytest.mark.parametrize("command,extra,digests", [
+    ("analyze", {}, {
+        "analysis.json":
+            "c3036adf325bc5338f1ede98a4ec41fa111eb3b5b10bc1bdb6d2781eb0b123a3",
+        "mixing.csv":
+            "5237893069dc110de04b541216a19e24abf13c5f2e16b0af8ac3dcd932d97490",
+        "profile.csv":
+            "e61eb0329ca6cad4190be5a3f7f6422465290ea51d476c2b30fc018e2c6964ec",
+        "stationary.csv":
+            "7bdff35d5af68931c2503eef6e2a285528e93999341df02702644b60b57c7529",
+    }),
+    ("sweep-temperature", {"temperatures": [0.5, 1.0, 2.0]}, {
+        "sweep.csv":
+            "0a7433fc70b9aae9f5c8b41ed57d16f2a365a0e4ad7756c12a470cddf07459cd",
+    }),
+])
+def test_spectral_outputs_are_pinned(tmp_path, command, extra, digests):
+    cfg = {"n_tokens": 3, "context_window": 4,
+           "oracle": {"kind": "random_logits", "seed": 0}, **extra}
+    assert run(tmp_path, command, cfg) == 0
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
+            .hexdigest() for name in digests} == digests
 
 
 # sha256 of outputs as json.dumps and a one-string CSV body wrote them:
@@ -136,13 +163,14 @@ def test_matrix_json_reads_back_as_the_chain(tmp_path):
            "oracle": {"kind": "random_logits", "seed": 11}}
     assert run(tmp_path, "build", cfg) == 0
     doc = read_json(tmp_path, "out", "matrix.json")["matrix"]
-    read = TransitionMatrix.from_json(json.dumps(doc))
     spec = VocabSpec(8, 4)
     built = build_qf(cli._oracle(cfg["oracle"], spec, 0), spec)
-    assert (read.n_states, read.n_transient) == (4680, built.n_transient)
+    assert doc["n"] == 4680
+    assert doc["blocks"]["transient"] == [0, built.n_transient]
     assert len(doc["triplets"]) == built.nonzero_count() == 37_440
-    for got, want in zip(read.triplet_columns(), built.triplet_columns()):
-        np.testing.assert_array_equal(got, want)
+    read = list(zip(*doc["triplets"]))
+    for got, want in zip(read, built.triplet_columns()):
+        assert list(got) == want.tolist()
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -343,10 +371,9 @@ def test_finite_logits_whose_spread_overflows_are_one_hot(
     # logits' signs differ and their difference overflows
     oracle = {"kind": "random_logits", "seed": 5, "scale": 1e308}
     assert run(tmp_path, "build", dict(BUILD_CFG, oracle=oracle)) == 0
-    matrix = TransitionMatrix.from_json(json.dumps(
-        read_json(tmp_path, "out", "matrix.json")["matrix"]))
-    assert matrix.nonzero_count() == 14
-    assert set(matrix.dense().ravel().tolist()) == {0.0, 1.0}
+    triplets = read_json(tmp_path, "out", "matrix.json")["matrix"]["triplets"]
+    assert len(triplets) == 14
+    assert {value for _, _, value in triplets} == {1.0}
 
 
 def test_overflowing_gbm_path_exits_2(tmp_path, capsys, warnings_are_errors):
@@ -604,6 +631,15 @@ def test_mock_serve_on_a_busy_port_exits_2(tmp_path, capsys):
     assert err.startswith(f"tokenchain: config.port: cannot listen on "
                           f"port {port}: ")
     assert "Traceback" not in err
+
+
+def test_cli_imports_no_scipy():
+    code = ("import sys, tokenchain.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_version_flag():

@@ -7,6 +7,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -23,6 +24,7 @@ from tokenchain.remote import (
     RemoteOracle,
     RemoteOracleConfig,
     RemoteOracleError,
+    _HttpOracle,
     probs_from_openai_response,
 )
 
@@ -301,6 +303,14 @@ def test_response_renormalized_at_boundary():
         p = RemoteOracle(config_for(server.url)).query((2,))
     assert_allclose(p, [0.4, 0.4, 0.2], rtol=1e-15)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_answer_whose_sum_overflows_is_rescaled():
+    # 1e308 + 1e308 is inf; the answer is still proportional to uniform
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = _HttpOracle._normalize([1e308, 1e308])
+    assert_array_equal(p, [0.5, 0.5])
 
 
 def test_out_of_range_state_rejected_client_side():

@@ -6,10 +6,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings, strategies as st
 
 from tokenchain import spectral
 from tokenchain.chains import TransitionMatrix, build_qf, recurrent_block
+from tokenchain.generators import clique_rim, constrained_walk, polygonal_walk
 from tokenchain.oracles import ChainOracle, RandomLogitOracle, UniformOracle
 from tokenchain.spectral import (
     DEFAULT_EPS_GRID, DEFAULT_MAX_ITER, DEFAULT_TOL, classify_states,
@@ -104,6 +106,74 @@ def test_classify_four_cycle_has_period_two():
     assert not report.aperiodic
 
 
+def referee_classes(P):
+    """(classes, recurrent_classes, periods) from scipy's strong components,
+    with each period the gcd of level differences along the edges of a
+    Python breadth-first search from the class's first member."""
+    m = sp.csr_matrix(P)
+    m.eliminate_zeros()
+    n = m.shape[0]
+    _, labels = connected_components(m, directed=True, connection="strong")
+    coo = m.tocoo()
+    cross = labels[coo.row] != labels[coo.col]
+    escapes = set(labels[coo.row][cross].tolist())
+    members = {}
+    for i in range(n):
+        if labels[i] not in escapes:
+            members.setdefault(labels[i], []).append(i)
+    recurrent = sorted(members.values(), key=lambda c: c[0])
+    periods = []
+    for nodes in recurrent:
+        level, queue, g = {nodes[0]: 0}, deque([nodes[0]]), 0
+        while queue:
+            u = queue.popleft()
+            for v in m.indices[m.indptr[u]:m.indptr[u + 1]].tolist():
+                if v in level:
+                    g = math.gcd(g, level[u] + 1 - level[v])
+                else:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        periods.append(g or 1)
+    classes = ["transient" if labels[i] in escapes else "recurrent"
+               for i in range(n)]
+    return classes, recurrent, periods
+
+
+def _referee_inputs():
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        # sparse digraphs, some with states that have no edge out at all
+        d = int(rng.integers(1, 40))
+        P = rng.random((d, d)) * (rng.random((d, d)) < rng.uniform(0.02, 0.3))
+        yield TransitionMatrix.of(P)
+    for d in range(3, 12):
+        yield polygonal_walk(d)
+        yield constrained_walk(d)
+    for d, eta in [(6, 0.0), (9, 0.0), (9, 0.1), (12, 0.05), (15, 0.0)]:
+        yield clique_rim(d, eta, [k % 2 for k in range(d // 3)])
+    # sequence chains with zero entries: one-hot rows, a cycle of
+    # alternating tokens (period 2) and one absorbing class per token
+    spec = VocabSpec(2, 3)
+    yield build_qf(RandomLogitOracle(enumerate_states(spec), seed=5,
+                                     scale=1e308), spec)
+    for T, K in [(2, 1), (2, 4), (3, 3)]:
+        flip = np.roll(np.eye(T), 1, axis=1)
+        yield build_qf(ChainOracle(flip), VocabSpec(T, K))
+        yield build_qf(ChainOracle(np.eye(T)), VocabSpec(T, K))
+        yield build_qf(ChainOracle([[1.0] + [0.0] * (T - 1)] * T),
+                       VocabSpec(T, K))
+
+
+def test_classify_matches_scipy_strong_components():
+    for Q in _referee_inputs():
+        report = classify_states(Q)
+        classes, recurrent, periods = referee_classes(Q.dense())
+        assert report.classes == classes
+        assert report.recurrent_classes == recurrent
+        assert report.periods == periods
+        assert report.period == math.lcm(*periods)
+
+
 # ---------------------------------------------------------------------------
 # convergence envelope
 # ---------------------------------------------------------------------------
@@ -168,9 +238,8 @@ def test_epsilon_is_the_least_path_product(T, K, tau):
 def test_epsilon_reads_a_zero_probability_as_zero():
     spec = VocabSpec(2, 3)
     Q = build_qf(ChainOracle([[1.0, 0.0], [0.5, 0.5]]), spec)
-    assert doeblin_epsilon(Q) == 0.0
-    # the same with the zeros no longer stored
-    Q.probs.eliminate_zeros()
+    # the table holds the zeros: 7 of its 28 entries
+    assert Q.nonzero_count() == 21 and Q.probs.size == 28
     assert doeblin_epsilon(Q) == 0.0
 
 
@@ -452,7 +521,7 @@ def test_stationary_loop_only_above_the_powers_budget(monkeypatch):
                                    temperature=0.3), spec, space)
     doubled = stationary(Q)
     assert doubled.iterations > spectral._switch_step(
-        Q.n_states, Q.sparse().nnz, 1, DEFAULT_MAX_ITER)
+        Q.n_states, Q.probs.size, 1, DEFAULT_MAX_ITER)
     monkeypatch.setattr(spectral, "POWERS_BUDGET_BYTES", 0)
     looped = stationary(Q)
     assert abs(doubled.iterations - looped.iterations) <= \
