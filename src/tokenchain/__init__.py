@@ -87,7 +87,6 @@ from .bounds import (
     sample_complexity,
     builtin_model_cards,
     predictor_table,
-    predictor_csv,
     mcdiarmid_tail,
     mcdiarmid_markov_tail,
     mc_verify,

@@ -27,16 +27,17 @@ DEFAULT_DELTA = 0.05
 
 
 class BoundOverflowError(ArithmeticError):
-    """Raised when the per-layer factor raised to the depth overflows.
+    """Raised when a deviation constant overflows float range.
 
-    log_power carries n_layers * log(layer_bound) so callers can still
-    reason about the bound's magnitude.
+    From depth_constant, log_power carries n_layers * log(layer_bound) so
+    callers can still reason about the bound's magnitude; else None.
     """
 
-    def __init__(self, log_power):
-        self.log_power = float(log_power)
+    def __init__(self, log_power=None):
+        self.log_power = log_power
         super().__init__(
-            f"per-layer factor overflows: exponent sum {self.log_power!r} "
+            "deviation constant exceeds float range" if log_power is None
+            else f"per-layer factor overflows: exponent sum {log_power!r} "
             "exceeds float range")
 
 
@@ -167,12 +168,17 @@ class ModelCard:
             _check_positive(getattr(self, field_name), field_name)
 
 
-def _deviation_constant(n, norm_bound, temperature, floor, mixing_norm=1.0):
+def _deviation_constant(n, norm_bound, temperature, floor, mixing_norm=1.0,
+                        log_power=None):
     """2 m sqrt(max(log n + 2 B / tau, log 1/floor)), the form every
-    deviation constant here shares."""
+    deviation constant here shares; BoundOverflowError(log_power) if it
+    overflows."""
     inside = max(math.log(n) + 2.0 * norm_bound / temperature,
                  math.log(1.0 / floor))
-    return 2.0 * mixing_norm * math.sqrt(inside)
+    constant = 2.0 * mixing_norm * math.sqrt(inside)
+    if not math.isfinite(constant):
+        raise BoundOverflowError(log_power)
+    return constant
 
 
 def pretrain_constant(p: PretrainBoundParams) -> float:
@@ -239,11 +245,8 @@ def depth_constant(p: DepthBoundParams) -> float:
     else:
         log_power = float("-inf")
         powered = 0.0
-    constant = _deviation_constant(p.n_tokens, powered, p.temperature,
-                                   p.ambiguity_floor, p.mixing_norm)
-    if not math.isfinite(constant):
-        raise BoundOverflowError(log_power)
-    return constant
+    return _deviation_constant(p.n_tokens, powered, p.temperature,
+                               p.ambiguity_floor, p.mixing_norm, log_power)
 
 
 @dataclass(frozen=True)
@@ -293,14 +296,6 @@ def predictor_table(cards=None, temperature=1.0, delta=DEFAULT_DELTA) -> list:
         rows.append(PredictorRow(card.name, card.n_train, card.n_tokens,
                                  card.embed_dim, constant, epsilon))
     return rows
-
-
-def predictor_csv(rows) -> str:
-    lines = ["name,n_train,n_tokens,embed_dim,constant,epsilon"]
-    for r in rows:
-        lines.append(f"{r.name},{r.n_train},{r.n_tokens},{r.embed_dim},"
-                     f"{r.constant!r},{r.epsilon!r}")
-    return "\n".join(lines) + "\n"
 
 
 def _check_tail_args(u, c):

@@ -11,7 +11,6 @@ full-length states form the closed trailing block.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,7 +22,7 @@ from .oracles import SUM_TOL, OracleError
 ROW_REPAIR_TOL = 1e-6
 
 # the CLI's cap on the dense arrays a command may hold, and
-# recurrent_block's default cap on its dense T^K x T^K block
+# recurrent_block's cap on its dense T^K x T^K block
 DENSE_BLOCK_CAP_BYTES = 1 << 31
 
 
@@ -119,27 +118,6 @@ class TransitionMatrix:
                 out += blocks[:, k]
             return y
         return step
-
-    # -- serialization ------------------------------------------------------
-
-    def to_payload(self, triplets=None) -> dict:
-        """JSON-ready dict: the block layout and the ``triplet_columns`` as
-        [row, col, value] lists, or ``triplets`` in their place."""
-        if triplets is None:
-            triplets = list(map(list, zip(
-                *(c.tolist() for c in self.triplet_columns()))))
-        return {
-            "n": self.n_states,
-            "triplets": triplets,
-            "blocks": {
-                "transient": [0, self.n_transient],
-                "recurrent": [self.n_transient, self.n_states],
-                "recurrent_only": self.recurrent_only,
-            },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload())
 
 
 @dataclass
@@ -259,15 +237,15 @@ def _nilpotency_index(rows, cols, n_transient, K):
     return None
 
 
-def recurrent_block(Q: TransitionMatrix,
-                    cap_bytes=DENSE_BLOCK_CAP_BYTES) -> TransitionMatrix:
-    """Extract the dense full-length-state block of a sequence-state chain."""
+def recurrent_block(Q: TransitionMatrix) -> TransitionMatrix:
+    """Extract the dense full-length-state block of a sequence-state chain,
+    refused above DENSE_BLOCK_CAP_BYTES."""
     n_t = Q.n_transient
     n_r = Q.n_states - n_t
-    if n_r * n_r * 8 > cap_bytes:
+    if n_r * n_r * 8 > DENSE_BLOCK_CAP_BYTES:
         raise MemoryError(
             f"dense block of {n_r} states needs {n_r * n_r * 8} bytes, "
-            f"above the cap of {cap_bytes}")
+            f"above the cap of {DENSE_BLOCK_CAP_BYTES}")
     rows, cols, values = Q.triplet_columns()
     inside = (rows >= n_t) & (cols >= n_t)
     block = np.zeros((n_r, n_r))

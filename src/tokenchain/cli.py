@@ -56,7 +56,6 @@ from .bounds import (
     coin_check_bytes,
     generalization_gap,
     mc_verify,
-    predictor_csv,
     predictor_table,
     sample_complexity,
     tail_bounds,
@@ -81,7 +80,6 @@ from .spectral import (
     mixing_report,
     stationary,
     sweep_temperature,
-    temperature_csv,
 )
 from .states import VocabSpec, enumerate_states
 
@@ -174,6 +172,18 @@ def _render(x):
     return x
 
 
+def _cell(x) -> str:
+    """A CSV cell: a bool as JSON spells it, a float as `_render` does."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return str(_render(x) if isinstance(x, float) else x)
+
+
+def _csv(header, rows) -> str:
+    """The header line, then each row's `_cell`s, comma-separated."""
+    return "".join(",".join(map(_cell, r)) + "\n" for r in [[header], *rows])
+
+
 def _canonical(config) -> str:
     return json.dumps(config, sort_keys=True, separators=(",", ":"))
 
@@ -234,9 +244,18 @@ def _trajectory_blocks(states):
                       enumerate(states[a:a + CSV_BLOCK].tolist(), a))
 
 
+def _matrix_payload(matrix) -> dict:
+    """matrix.json's "matrix", its triplets left for `_write_json`."""
+    n, n_t = matrix.n_states, matrix.n_transient
+    return {"n": n, "triplets": [], "blocks": {
+        "transient": [0, n_t], "recurrent": [n_t, n],
+        "recurrent_only": matrix.recurrent_only}}
+
+
 def _write_json(path: Path, config, seed, payload: dict):
     """The header and ``payload`` as json.dumps(indent=2, sort_keys=True);
-    a TransitionMatrix under "matrix" as its ``to_payload``."""
+    a TransitionMatrix under "matrix" as its `_matrix_payload`, with its
+    ``triplet_columns`` as the [row, col, value] triplets."""
     blob = _canonical(config)
     doc = {"header": {
         "tool": "tokenchain",
@@ -249,7 +268,7 @@ def _write_json(path: Path, config, seed, payload: dict):
     matrix = doc.get("matrix")
     if not isinstance(matrix, TransitionMatrix):
         return _stream(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    doc["matrix"] = matrix.to_payload(triplets=[])
+    doc["matrix"] = _matrix_payload(matrix)
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     # strings escape their newlines and an object's keys are unique, so the
     # first such slot after the top-level key is the matrix's own
@@ -470,11 +489,15 @@ def cmd_analyze(config, seed, out: Path, jobs: int) -> int:
     profile = convergence_profile(matrix, n_max=n_max, pi=stat.pi)
     epsilon = profile.epsilon
 
-    body = "state,probability\n" + "".join(
-        f"{i},{float(p)!r}\n" for i, p in enumerate(stat.pi))
-    _write_csv(out / "stationary.csv", config, seed, body)
-    _write_csv(out / "profile.csv", config, seed, profile.csv_rows())
-    _write_csv(out / "mixing.csv", config, seed, report.csv_rows())
+    _write_csv(out / "stationary.csv", config, seed, _csv(
+        "state,probability", enumerate(stat.pi.tolist())))
+    _write_csv(out / "profile.csv", config, seed, _csv(
+        "n,empirical,bound", ((n, e, b) for (n, e), (_, b) in
+                              zip(profile.empirical_curve,
+                                  profile.bound_curve))))
+    _write_csv(out / "mixing.csv", config, seed, _csv(
+        "epsilon,t_mix,factor,product",
+        ((r.epsilon, r.t_mix, r.factor, r.product) for r in report.rows)))
     _write_json(out / "analysis.json", config, seed, {"analysis": {
         "n_states": matrix.n_states,
         "recurrent_classes": report.recurrent_classes,
@@ -496,7 +519,7 @@ def cmd_analyze(config, seed, out: Path, jobs: int) -> int:
         },
     }})
     print(f"analyzed {matrix.n_states} states: epsilon={float(epsilon)!r}, "
-          f"t_min={'+inf' if math.isinf(report.t_min) else report.t_min}")
+          f"t_min={_cell(report.t_min)}")
     return 0
 
 
@@ -516,7 +539,10 @@ def cmd_sweep_temperature(config, seed, out: Path, jobs: int) -> int:
                           "parity_toy")
     points = sweep_temperature(oracle, spec, config["temperatures"],
                                **_set(config, _SOLVER))
-    _write_csv(out / "sweep.csv", config, seed, temperature_csv(points))
+    _write_csv(out / "sweep.csv", config, seed, _csv(
+        "temperature,epsilon,iterations,converged",
+        ((p.temperature, p.epsilon, p.iterations, p.converged)
+         for p in points)))
     print(f"swept {len(points)} temperatures: epsilon "
           f"{float(points[0].epsilon)!r} -> {float(points[-1].epsilon)!r}")
     return 0
@@ -581,9 +607,15 @@ def cmd_estimate(config, seed, out: Path, jobs: int) -> int:
     curve_jobs = 1 if isinstance(predictor, RemoteOracle) else jobs
     curve = icl_risk_curve(matrix, predictor, config["n_list"], reps,
                            seed=seed, start=start, jobs=curve_jobs, **metric)
-    _write_csv(out / "risk.csv", config, seed, curve.csv_rows())
+    _write_csv(out / "risk.csv", config, seed, _csv(
+        "N,mean,lo,hi,reps,metric,estimator",
+        ((p.n_icl, p.mean, p.lo, p.hi, p.reps, curve.metric, curve.estimator)
+         for p in curve.points)))
     try:
-        fit = {"fit": json.loads(fit_power_law(curve).to_json())}
+        law = fit_power_law(curve)
+        fit = {"fit": {"slope": law.slope, "intercept": law.intercept,
+                       "stderr": law.slope_stderr, "r2": law.r2,
+                       "n_points": law.n_points}}
     except ValueError as exc:
         fit = {"fit": None, "reason": str(exc)}
     _write_json(out / "fit.json", config, seed, fit)
@@ -655,7 +687,10 @@ def cmd_bounds(config, seed, out: Path, jobs: int) -> int:
         payload["mc"] = {"n": n, "t_min": mc.get("t_min"), "ok": report.ok,
                          **asdict(report)}
 
-    _write_csv(out / "predictor.csv", config, seed, predictor_csv(rows))
+    _write_csv(out / "predictor.csv", config, seed, _csv(
+        "name,n_train,n_tokens,embed_dim,constant,epsilon",
+        ((r.name, r.n_train, r.n_tokens, r.embed_dim, r.constant, r.epsilon)
+         for r in rows)))
     _write_json(out / "bounds.json", config, seed, payload)
     print(f"wrote {len(rows)} predictor rows"
           + (f"; mc ok={payload['mc']['ok']}" if "mc" in payload else ""))
@@ -691,9 +726,8 @@ def cmd_train_toy(config, seed, out: Path, jobs: int) -> int:
     _write_json(out / "matrix.json", config, seed, {"matrix": matrix})
     _write_json(out / "structure.json", config, seed,
                 {"structure": _structure_payload(report)})
-    loss_body = "epoch,loss\n" + "".join(
-        f"{e},{float(loss)!r}\n" for e, loss in enumerate(model.loss_history))
-    _write_csv(out / "loss.csv", config, seed, loss_body)
+    _write_csv(out / "loss.csv", config, seed, _csv(
+        "epoch,loss", enumerate(map(float, model.loss_history))))
     _write_json(out / "parity.json", config, seed, {"parity": {
         "n_states": spec.state_count,
         "n_examples": len(dataset),

@@ -8,7 +8,6 @@ oracle-to-oracle divergences, and log-log power-law fits live here too.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from bisect import bisect_right
@@ -20,7 +19,6 @@ import numpy as np
 
 from .chains import TransitionMatrix
 from .oracles import SUM_TOL, ChainOracle, fit_ngram, smoothing, window_groups
-from .spectral import _csv
 from .states import state_path
 
 MAX_EXACT_RISK_STATES = 64
@@ -282,11 +280,6 @@ class RiskCurve:
     metric: str
     estimator: str
 
-    def csv_rows(self) -> str:
-        return _csv("N,mean,lo,hi,reps,metric,estimator", (
-            (p.n_icl, p.mean, p.lo, p.hi, p.reps, self.metric, self.estimator)
-            for p in self.points))
-
 
 _METRICS = {"tv": tv_risk, "kl": kl_risk}
 
@@ -381,11 +374,6 @@ class PowerLawFit:
     slope_stderr: float
     r2: float
     n_points: int
-
-    def to_json(self) -> str:
-        return json.dumps({"slope": self.slope, "intercept": self.intercept,
-                           "stderr": self.slope_stderr, "r2": self.r2,
-                           "n_points": self.n_points})
 
 
 def fit_power_law(curve) -> PowerLawFit:

@@ -22,6 +22,8 @@ DEFAULT_T_CAP = 10_000
 DEFAULT_N_MAX = 1000
 # thresholds for the minimized mixing constant: {0, 0.05, ..., 0.95}
 DEFAULT_EPS_GRID = tuple(k * 0.05 for k in range(20))
+# the most rounds _polish_fixpoint takes
+POLISH_ROUNDS = 5000
 # stationary's doubling search stores up to log2(max_iter) dense n x n
 # powers; a chain whose powers need more keeps the step loop
 POWERS_BUDGET_BYTES = 1 << 28
@@ -47,10 +49,6 @@ class ConvergenceProfile:
     empirical_curve: list    # (n, max_ij |Q^n_ij - pi_j|)
     vacuous: bool            # eps == 0: the bound carries no information
     violations: int = 0      # steps n where empirical > bound + 1e-12
-
-    def csv_rows(self) -> str:
-        pairs = zip(self.empirical_curve, self.bound_curve)
-        return _csv("n,empirical,bound", ((n, e, b) for (n, e), (_, b) in pairs))
 
 
 @dataclass
@@ -84,21 +82,6 @@ class MixingReport:
     @property
     def transient_states(self) -> list:
         return [i for i, c in enumerate(self.classes) if c == "transient"]
-
-    def csv_rows(self) -> str:
-        return _csv("epsilon,t_mix,factor,product", (
-            (r.epsilon, r.t_mix, r.factor, r.product) for r in self.rows))
-
-
-def _cell(x) -> str:
-    if isinstance(x, float) and math.isinf(x):
-        return "-inf" if x < 0 else "+inf"
-    return str(x).lower() if isinstance(x, bool) else str(x)
-
-
-def _csv(header, rows) -> str:
-    """The header line, then each row's `_cell`s, comma-separated."""
-    return "".join(",".join(map(_cell, r)) + "\n" for r in [[header], *rows])
 
 
 def classify_states(Q) -> MixingReport:
@@ -329,12 +312,15 @@ def doeblin_epsilon(Q, window=None) -> float:
 
 
 def envelope(epsilon, window, n):
-    """(1 - 2 eps)^(floor(n/window) - 1), elementwise over steps n."""
-    n = np.asarray(n)
-    return (1.0 - 2.0 * epsilon) ** (n // window - 1)
+    """(1 - 2 eps)^(floor(n/window) - 1), elementwise over steps n, by
+    Python's float pow: numpy's vectorized ** rounds some differently.
+    Below the window, eps = 1/2 gives the vacuous bound math.inf."""
+    base = 1.0 - 2.0 * float(epsilon)
+    return np.array([base ** e if base or e >= 0 else math.inf
+                     for e in (np.ravel(n) // window - 1).tolist()])
 
 
-def _polish_fixpoint(v, D, rounds=5000):
+def _polish_fixpoint(v, D):
     """Iterate v @ D until the step difference stops shrinking.
 
     Power iteration stops at ``tol``, which leaves a residual large enough
@@ -343,7 +329,7 @@ def _polish_fixpoint(v, D, rounds=5000):
     valid when the recurrent block is aperiodic (epsilon > 0).
     """
     best = math.inf
-    for _ in range(rounds):
+    for _ in range(POLISH_ROUNDS):
         nxt = v @ D
         diff = float(np.abs(nxt - v).sum())
         if diff >= best:
@@ -376,12 +362,12 @@ def convergence_profile(Q, window=None, n_max=DEFAULT_N_MAX, pi=None) -> Converg
     pi = np.asarray(pi, dtype=float)
     if eps > 0.0:
         pi = _polish_fixpoint(pi, D)
-    base = 1.0 - 2.0 * eps
+    steps = range(window, n_max + 1)
+    bounds = envelope(eps, window, steps).tolist()
     bound_curve, empirical_curve = [], []
     violations = 0
-    for n in range(window, n_max + 1):
+    for n, b in zip(steps, bounds):
         dev = float(np.abs(M - pi[None, :]).max())
-        b = float(base ** (n // window - 1))
         empirical_curve.append((n, dev))
         bound_curve.append((n, b))
         if eps > 0 and dev > b + 1e-12:
@@ -502,8 +488,3 @@ def sweep_temperature(oracle, spec, temperatures, space=None,
                                        iterations=result.iterations,
                                        converged=result.converged))
     return points
-
-
-def temperature_csv(points) -> str:
-    return _csv("temperature,epsilon,iterations,converged", (
-        (p.temperature, p.epsilon, p.iterations, p.converged) for p in points))

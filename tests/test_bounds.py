@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from test_cli import read_csv, run
+
 from tokenchain.bounds import (
     BoundOverflowError,
     DepthBoundParams,
@@ -22,7 +24,6 @@ from tokenchain.bounds import (
     mc_verify,
     mcdiarmid_markov_tail,
     mcdiarmid_tail,
-    predictor_csv,
     predictor_table,
     pretrain_constant,
     sample_complexity,
@@ -166,6 +167,14 @@ def test_depth_overflow_carries_exponent():
     assert_allclose(err.value.log_power, 10_000 * math.log(45.0), rtol=1e-12)
 
 
+def test_overflowing_constants_raise():
+    # 2 B / tau overflows float64
+    with pytest.raises(BoundOverflowError):
+        pretrain_constant(pretrain(unembed_bound=1.0, temperature=1e-320))
+    with pytest.raises(BoundOverflowError):
+        icl_constant(icl(unembed_bound=1.0, temperature=1e-320))
+
+
 def test_depth_zero_embedding_is_fine():
     p = depth(token_bound=0.0, ambiguity_floor=1e-9, n_tokens=2.0)
     assert_allclose(depth_constant(p), 2.0 * math.sqrt(math.log(1e9)),
@@ -271,9 +280,9 @@ def test_predictor_uses_norm_preset():
     assert row.constant == pytest.approx(manual, rel=1e-15)
 
 
-def test_predictor_csv_shape():
-    text = predictor_csv(predictor_table())
-    lines = text.strip().split("\n")
+def test_predictor_csv_shape(tmp_path):
+    assert run(tmp_path, "bounds", {"mc": None}) == 0
+    _, lines = read_csv(tmp_path, "out", "predictor.csv")
     assert lines[0] == "name,n_train,n_tokens,embed_dim,constant,epsilon"
     assert len(lines) == 9
     assert lines[1].startswith("Llama 7B,1000000000000,32000,4096,")

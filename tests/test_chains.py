@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
+from tokenchain import chains, cli
 from tokenchain.chains import (
     TransitionMatrix, build_qf, recurrent_block, validate_structure,
 )
@@ -143,19 +144,26 @@ def test_state_count_mismatch_is_an_error():
         validate_structure(TransitionMatrix(np.eye(4)), spec)
 
 
+def written(Q, tmp_path):
+    """The "matrix" member of the matrix.json that the CLI writes for Q."""
+    path = tmp_path / "matrix.json"
+    cli._write_json(path, {}, 0, {"matrix": Q})
+    return json.loads(path.read_text())["matrix"]
+
+
 def scatter(payload):
-    """The dense matrix of a ``to_payload`` dict's triplets."""
+    """The dense matrix of a written matrix's triplets."""
     out = np.zeros((payload["n"], payload["n"]))
     for r, c, v in payload["triplets"]:
         out[r, c] += v
     return out
 
 
-def test_json_roundtrip():
+def test_json_roundtrip(tmp_path):
     spec = VocabSpec(2, 3)
     space = enumerate_states(spec)
     Q = build_qf(RandomLogitOracle(space, seed=9), spec, space)
-    blob = json.loads(Q.to_json())
+    blob = written(Q, tmp_path)
     # the table's rows, scattered onto the successor indices
     expected = np.zeros((Q.n_states, Q.n_states))
     np.put_along_axis(expected, space.successor_table(), Q.probs, axis=1)
@@ -167,10 +175,10 @@ def test_json_roundtrip():
     assert not blob["blocks"]["recurrent_only"]
 
 
-def test_json_triplets_sorted_and_zero_free():
+def test_json_triplets_sorted_and_zero_free(tmp_path):
     spec = VocabSpec(2, 2)
     Q = build_qf(FixedRowOracle([1.0, 0.0]), spec)
-    blob = json.loads(Q.to_json())
+    blob = written(Q, tmp_path)
     keys = [(r, c) for r, c, _ in blob["triplets"]]
     assert keys == sorted(keys)
     assert all(v != 0.0 for _, _, v in blob["triplets"])
@@ -194,14 +202,12 @@ def test_triplets_of_unsorted_csr_are_row_major():
         npt.assert_array_equal(got, want)
 
 
-def test_duplicate_entries_are_written_summed():
+def test_duplicate_entries_are_written_summed(tmp_path):
     m = sp.csr_matrix(([0.25, 0.5, 0.25, 1.0], [1, 0, 1, 1], [0, 3, 4]),
                       shape=(2, 2))
-    Q = TransitionMatrix.of(m)
-    assert Q.to_payload()["triplets"] == [[0, 0, 0.5], [0, 1, 0.5],
-                                          [1, 1, 1.0]]
-    npt.assert_array_equal(scatter(json.loads(Q.to_json())),
-                           [[0.5, 0.5], [0.0, 1.0]])
+    blob = written(TransitionMatrix.of(m), tmp_path)
+    assert blob["triplets"] == [[0, 0, 0.5], [0, 1, 0.5], [1, 1, 1.0]]
+    npt.assert_array_equal(scatter(blob), [[0.5, 0.5], [0.0, 1.0]])
 
 
 def test_recurrent_block_extraction():
@@ -216,11 +222,12 @@ def test_recurrent_block_extraction():
     npt.assert_allclose(block.dense().sum(axis=1), 1.0)
 
 
-def test_recurrent_block_respects_memory_cap():
+def test_recurrent_block_respects_memory_cap(monkeypatch):
     spec = VocabSpec(2, 3)
     Q = build_qf(UniformOracle(2), spec)
+    monkeypatch.setattr(chains, "DENSE_BLOCK_CAP_BYTES", 100)
     with pytest.raises(MemoryError):
-        recurrent_block(Q, cap_bytes=100)
+        recurrent_block(Q)
 
 
 def csr_of(Q):

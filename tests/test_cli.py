@@ -157,6 +157,51 @@ def test_bounds_mc_is_pinned(tmp_path, mc, digest, jobs):
                           ).hexdigest() == digest
 
 
+# sha256 of outputs as the library modules rendered them: a fitted and an
+# unfittable risk curve, the default predictor table, the toy pipeline's
+# files, and a mixing schedule of +inf rows
+ESTIMATE_CFG = {"chain": {"kind": "random", "d": 3, "seed": 2},
+                "estimator": {"kind": "frequentist"},
+                "n_list": [50, 100, 200], "reps": 3}
+
+
+@pytest.mark.parametrize("command,cfg,digests", [
+    ("estimate", ESTIMATE_CFG, {
+        "risk.csv":
+            "6ddc1546f109ad4174031b3d9f8ac616af51ea991d7577217ce79ba663e22d81",
+        "fit.json":
+            "02f7e93d6efef0eae845ec38b18ea6901787222c1a1317530ab73a02221c897b",
+    }),
+    ("estimate", dict(ESTIMATE_CFG, estimator={"kind": "exact"},
+                      n_list=[20, 40], reps=2), {
+        "risk.csv":
+            "e665b2c4c90542a12e79802bc728378c484a95678e53a525879a419d7d516dcc",
+        "fit.json":
+            "fc11fbb1a50d2e360817ed853a8b3dcc391eae7913c56d79e62c1b28b1f76028",
+    }),
+    ("bounds", {}, {
+        "predictor.csv":
+            "27a2578e6463e2307530fce0bd1867395e3039b256667b37f78ab1a0980a8dc8",
+    }),
+    ("train-toy", {"epochs": 50}, {
+        "loss.csv":
+            "f244afc47a69cb1421d43678549dc29306ad2918dca99398227eb5034d0efdb8",
+        "model.json":
+            "cd0d0227de85d417bbe829f846a0d5525b75ba6198f62157d14d0019c15c1838",
+        "parity.json":
+            "f943d8b4210631371bf15b21a4ae9bf704b1b21ee9dd0baae85d5e5da203d375",
+    }),
+    ("analyze", {"chain": {"kind": "polygonal_walk", "d": 4}}, {
+        "mixing.csv":
+            "99dd4a4d3aeb6b5a0530015b895b75323a80e884a2fa26a115af944574e13e92",
+    }),
+])
+def test_rendered_outputs_are_pinned(tmp_path, command, cfg, digests):
+    assert run(tmp_path, command, cfg) == 0
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
+            .hexdigest() for name in digests} == digests
+
+
 def test_matrix_json_reads_back_as_the_chain(tmp_path):
     """The triplets the CLI writes are the chain's, value for value."""
     cfg = {"n_tokens": 8, "context_window": 4,
@@ -581,6 +626,16 @@ def test_bounds_mc_disabled_and_custom_cards(tmp_path):
     bad = {"cards": [{"name": "x", "n_train": 0,
                       "n_tokens": 10, "embed_dim": 4}], "mc": None}
     assert run(tmp_path, "bounds", bad) == 2
+
+
+def test_overflowing_predictor_constant_exits_2(tmp_path, capsys):
+    # 2 B / tau overflows float64 on every card
+    cfg = {"predictor": {"temperature": 1e-320}}
+    assert run(tmp_path, "bounds", cfg) == 2
+    assert capsys.readouterr().err == (
+        "tokenchain: config.predictor: deviation constant exceeds float "
+        "range\n")
+    assert not (tmp_path / "out" / "predictor.csv").exists()
 
 
 def test_train_toy_pipeline(tmp_path):

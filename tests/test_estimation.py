@@ -1,11 +1,11 @@
 import itertools
-import json
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from tokenchain import cli
 from tokenchain.estimation import (
     FrequentistEstimator, NgramEstimator, RiskCurve, RiskPoint, Trajectory,
     expected_tv_risk, fit_power_law, frequentist_estimate, icl_risk_curve,
@@ -14,6 +14,8 @@ from tokenchain.estimation import (
 )
 from tokenchain.generators import random_chain
 from tokenchain.oracles import ChainOracle, Oracle, UniformOracle
+
+from test_cli import ESTIMATE_CFG, read_csv, read_json, run
 
 TWO_CYCLE = np.array([[0.0, 1.0], [1.0, 0.0]])
 # start vectors over two states that are not distributions
@@ -320,11 +322,13 @@ def test_curve_validation():
         icl_risk_curve(Q, UniformOracle(3), [10, 20], reps=3, metric="wasserstein")
 
 
-def test_risk_curve_csv():
+def test_risk_curve_csv(tmp_path, monkeypatch):
     curve = RiskCurve([RiskPoint(10, 0.5, 0.4, 0.6, 3),
                        RiskPoint(20, math.inf, math.inf, math.inf, 3, finite=False)],
                       metric="kl", estimator="demo")
-    lines = curve.csv_rows().strip().splitlines()
+    monkeypatch.setattr(cli, "icl_risk_curve", lambda *args, **kw: curve)
+    assert run(tmp_path, "estimate", ESTIMATE_CFG) == 0
+    _, lines = read_csv(tmp_path, "out", "risk.csv")
     assert lines[0] == "N,mean,lo,hi,reps,metric,estimator"
     assert lines[1] == "10,0.5,0.4,0.6,3,kl,demo"
     assert lines[2] == "20,+inf,+inf,+inf,3,kl,demo"
@@ -379,10 +383,15 @@ def test_fit_skips_infinite_points():
     assert fit.n_points == 3
 
 
-def test_fit_accepts_plain_pairs_and_serializes():
+def test_fit_accepts_plain_pairs_and_serializes(tmp_path, monkeypatch):
     fit = fit_power_law([(100, 0.3), (400, 0.15), (1600, 0.075)])
-    blob = json.loads(fit.to_json())
+    monkeypatch.setattr(cli, "fit_power_law", lambda curve: fit)
+    assert run(tmp_path, "estimate", ESTIMATE_CFG) == 0
+    blob = read_json(tmp_path, "out", "fit.json")["fit"]
     assert set(blob) == {"slope", "intercept", "stderr", "r2", "n_points"}
+    assert blob == {"slope": fit.slope, "intercept": fit.intercept,
+                    "stderr": fit.slope_stderr, "r2": fit.r2,
+                    "n_points": fit.n_points}
 
 
 def test_fit_validation():

@@ -16,9 +16,11 @@ from tokenchain.oracles import ChainOracle, RandomLogitOracle, UniformOracle
 from tokenchain.spectral import (
     DEFAULT_EPS_GRID, DEFAULT_MAX_ITER, DEFAULT_TOL, classify_states,
     convergence_profile, doeblin_epsilon, envelope, mixing_report,
-    mixing_time, stationary, sweep_temperature, t_min, temperature_csv,
+    mixing_time, stationary, sweep_temperature, t_min,
 )
 from tokenchain.states import VocabSpec, enumerate_states
+
+from test_cli import read_csv, run
 
 LAZY = np.array([[0.9, 0.1], [0.2, 0.8]])
 
@@ -301,11 +303,33 @@ def test_envelope_slows_down_with_larger_window():
     assert fast[-1] < slow[-1]
 
 
-def test_profile_csv_rows():
-    profile = convergence_profile([[0.5, 0.5], [0.5, 0.5]], window=1, n_max=3)
-    lines = profile.csv_rows().strip().split("\n")
+def test_profile_csv_rows(tmp_path):
+    # the chain [[0.5, 0.5], [0.5, 0.5]] over windows of one token
+    cfg = {"n_tokens": 2, "context_window": 1, "oracle": {"kind": "uniform"},
+           "n_max": 3}
+    assert run(tmp_path, "analyze", cfg) == 0
+    _, lines = read_csv(tmp_path, "out", "profile.csv")
     assert lines[0] == "n,empirical,bound"
     assert lines[1] == "1,0.0,1.0"
+
+
+def test_envelope_below_the_window_at_half_epsilon():
+    assert envelope(0.5, 2, [1, 2, 3, 4]).tolist() == [math.inf, 1.0, 1.0, 0.0]
+
+
+def test_envelope_is_the_profile_bound_to_the_bit():
+    """Both are Python's float pow, which numpy's vectorized ** is not on
+    every host."""
+    for seed in range(5):
+        spec = VocabSpec(2, 3)
+        Q = build_qf(RandomLogitOracle(enumerate_states(spec), seed=seed),
+                     spec)
+        profile = convergence_profile(Q, n_max=600)
+        n = np.array([k for k, _ in profile.bound_curve])
+        base = 1.0 - 2.0 * profile.epsilon
+        pow_values = [base ** (k // 3 - 1) for k in n.tolist()]
+        bounds = [b for _, b in profile.bound_curve]
+        assert envelope(profile.epsilon, 3, n).tolist() == bounds == pow_values
 
 
 # ---------------------------------------------------------------------------
@@ -375,28 +399,35 @@ def test_t_min_grid_validation():
         t_min(Q, pi, grid=[0.5, 1.0])
 
 
-def test_mixing_csv_renders_infinity():
-    report = mixing_report(four_cycle())
-    text = report.csv_rows()
-    assert text.splitlines()[0] == "epsilon,t_mix,factor,product"
-    assert "+inf" in text
+def test_mixing_csv_renders_infinity(tmp_path):
+    # the four-cycle
+    cfg = {"chain": {"kind": "polygonal_walk", "d": 4}, "n_max": 20}
+    assert run(tmp_path, "analyze", cfg) == 0
+    _, lines = read_csv(tmp_path, "out", "mixing.csv")
+    assert lines[0] == "epsilon,t_mix,factor,product"
+    assert "+inf" in "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # temperature sweep
 # ---------------------------------------------------------------------------
 
-def test_sweep_temperature_epsilon_nondecreasing():
+def test_sweep_temperature_epsilon_nondecreasing(tmp_path):
     spec = VocabSpec(2, 2)
     space = enumerate_states(spec)
     oracle = RandomLogitOracle(space, seed=4)
-    points = sweep_temperature(oracle, spec, [0.25, 0.5, 1.0, 2.0, 4.0])
+    temperatures = [0.25, 0.5, 1.0, 2.0, 4.0]
+    points = sweep_temperature(oracle, spec, temperatures)
     eps = [p.epsilon for p in points]
     assert all(0 < a <= b for a, b in zip(eps, eps[1:]))
     assert all(p.iterations >= 1 for p in points)
-    text = temperature_csv(points)
-    assert text.splitlines()[0] == "temperature,epsilon,iterations,converged"
-    assert len(text.strip().splitlines()) == 6
+    cfg = {"n_tokens": 2, "context_window": 2, "temperatures": temperatures,
+           "oracle": {"kind": "random_logits", "seed": 4}}
+    assert run(tmp_path, "sweep-temperature", cfg) == 0
+    _, lines = read_csv(tmp_path, "out", "sweep.csv")
+    assert lines[0] == "temperature,epsilon,iterations,converged"
+    assert len(lines) == 6
+    assert [line.split(",")[1] for line in lines[1:]] == list(map(repr, eps))
 
 
 # ---------------------------------------------------------------------------

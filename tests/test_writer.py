@@ -23,7 +23,9 @@ def written(path, config, payload):
     cli._write_json(path, config, 0, payload)
     text = path.read_text()
     doc = {"header": json.loads(text)["header"], **payload}
-    doc["matrix"] = doc["matrix"].to_payload()
+    matrix = doc["matrix"]
+    doc["matrix"] = {**cli._matrix_payload(matrix), "triplets": list(map(
+        list, zip(*(c.tolist() for c in matrix.triplet_columns()))))}
     return text, json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
