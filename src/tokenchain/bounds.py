@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -21,7 +20,7 @@ from .estimation import kl_divergence, tv_distance
 from .oracles import validate_distribution
 
 MC_BATCH = 10_000
-COIN_BLOCK = 1 << 15    # raw 64-bit words (256 KiB) per _coin_counts block
+COIN_BLOCK = 1 << 15    # raw 64-bit words (256 KiB, 2^21 coins) per block
 CHECK_SLACK = 1e-12
 DEFAULT_DELTA = 0.05
 
@@ -171,13 +170,13 @@ class ModelCard:
 def _deviation_constant(n, norm_bound, temperature, floor, mixing_norm=1.0,
                         log_power=None):
     """2 m sqrt(max(log n + 2 B / tau, log 1/floor)), the form every
-    deviation constant here shares; BoundOverflowError(log_power) if it
-    overflows."""
-    inside = max(math.log(n) + 2.0 * norm_bound / temperature,
-                 math.log(1.0 / floor))
+    deviation constant here shares; BoundOverflowError if it overflows,
+    carrying log_power only when 2 B / tau is what overflowed."""
+    scaled = 2.0 * norm_bound / temperature
+    inside = max(math.log(n) + scaled, math.log(1.0 / floor))
     constant = 2.0 * mixing_norm * math.sqrt(inside)
     if not math.isfinite(constant):
-        raise BoundOverflowError(log_power)
+        raise BoundOverflowError(log_power if math.isinf(scaled) else None)
     return constant
 
 
@@ -348,19 +347,54 @@ class TailReport:
         return all(row.ok for row in self.checks)
 
 
+def _block_rows(n, size):
+    """Rows of n coins per _coin_counts block: about COIN_BLOCK raw words,
+    a multiple of 64 / gcd(n, 64) rows so that the block ends on a whole
+    output, and no more than ``size``."""
+    step = 64 // math.gcd(n, 64)
+    return min(size, max(step, COIN_BLOCK * 64 // n // step * step))
+
+
 def _coin_counts(n, rng, size):
-    """Heads per row of ``rng.integers(0, 2, (size, n))``, which keeps the
-    top bit of each 32-bit half of a raw PCG64 output, low half first (the
-    uint32 view on a little-endian host).  Picklable, for mc_verify's
-    workers.  Blocks of an even row count end on whole outputs."""
-    rows = max(2, 2 * COIN_BLOCK // n & -2)
-    counts = np.empty(size, dtype=np.uint32)
+    """Heads per row of ``size`` rows of ``n`` fair coins, one coin per bit
+    of rng's raw PCG64 stream: row r is bits r*n to (r+1)*n - 1, and bit j
+    is bit j % 64, counted from the least significant, of output j // 64
+    (taken by shift and mask, so either byte order reads the same bits).
+
+    A row's count is the difference of the stream's head counts at its
+    two edges; the count at an edge is the popcount prefix of the whole
+    outputs before it plus the masked popcount of the partial one.  Every
+    block but the last ends on a whole output, so the counts do not depend
+    on COIN_BLOCK; the last block's spare bits go unused.  Picklable, for
+    mc_verify's workers."""
+    rows = _block_rows(n, size)
+    # each block starts on a whole output, so its row edges fall at the
+    # same words and bits of it
+    edges = np.arange(rows + 1, dtype=np.uint64) * np.uint64(n)
+    word = (edges >> np.uint64(6)).astype(np.intp)
+    mask = np.left_shift(np.uint64(1), edges & np.uint64(63), out=edges)
+    mask -= np.uint64(1)
+    counts = np.empty(size, dtype=np.int64)
     for start in range(0, size, rows):
         m = min(rows, size - start)
-        half = rng.bit_generator.random_raw(-(-m * n // 2)).view(np.uint32)
-        coins = np.right_shift(half, 31, out=half)[:m * n].reshape(m, n)
-        np.einsum("ij->i", coins, out=counts[start:start + m])
+        _block_counts(rng.bit_generator.random_raw(-(-m * n // 64)),
+                      word[:m + 1], mask[:m + 1], counts[start:start + m])
     return counts
+
+
+def _block_counts(words, word, mask, out):
+    """Heads between consecutive edges of ``words``' bits, an edge being a
+    word index and a mask of that word's bits before it; nothing outlives
+    the call, so one block's arrays are freed before the next is drawn."""
+    prefix = np.zeros(words.size + 1, dtype=np.uint64)
+    np.bitwise_count(words, out=prefix[1:])
+    np.cumsum(prefix, out=prefix)
+    heads = prefix[word]
+    # the last edge of a block that ends on a whole output has mask 0
+    part = np.take(words, word, mode="clip")
+    part &= mask
+    heads += np.bitwise_count(part, out=part)
+    np.subtract(heads[1:], heads[:-1], out=out)
 
 
 def _head_share(n, counts):
@@ -369,12 +403,15 @@ def _head_share(n, counts):
 
 
 def coin_check_bytes(n, n_samples) -> int:
-    """Bytes a check of the mean of ``n`` coins holds at once: c, a raw
-    _coin_counts block (a word per two coins, at most max(COIN_BLOCK, n))
-    and a batch's counts, values, deviations and flags (21 bytes each)."""
+    """Bytes a check of the mean of ``n`` coins holds at once: c; a
+    _coin_counts block of R rows in W raw words, each word with its
+    popcount prefix and each of the R + 1 row edges with its word index,
+    mask, prefix and partial word (8 bytes apiece); and a batch's counts,
+    values, deviations and flags (25 bytes each)."""
     batch = min(n_samples, MC_BATCH)
-    words = min(max(COIN_BLOCK, n), -(-batch * n // 2))
-    return 8 * n + 8 * words + 21 * batch
+    rows = _block_rows(n, batch)
+    words = -(-rows * n // 64)
+    return 8 * n + 16 * words + 8 + 32 * (rows + 1) + 25 * batch
 
 
 def _mc_hits(args):
@@ -428,6 +465,8 @@ def mc_verify(sampler, f, c, n_samples, u_grid, *, mean, seed=0,
     tasks = [(sampler, f, center, u_grid, seed, n_samples,
               range(j, n_batches, jobs)) for j in range(jobs)]
     if jobs > 1:
+        # imported here: most runs start no pool, and the import is slow
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             hits = sum(pool.map(_mc_hits, tasks))
     else:

@@ -12,7 +12,6 @@ import math
 import operator
 from bisect import bisect_right
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,6 +324,8 @@ def icl_risk_curve(Q_true, predictor, n_list, reps, seed=0, metric="tv",
     tasks = [(rows, predictor, n, [seed, i, rep], metric, start)
              for i, n in enumerate(n_list) for rep in range(reps)]
     if jobs > 1:
+        # imported here: most runs start no pool, and the import is slow
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             risks = list(pool.map(_one_replicate, tasks))
     else:

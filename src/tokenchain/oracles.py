@@ -10,6 +10,7 @@ studies.  The remote HTTP oracle lives in :mod:`tokenchain.remote`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -392,34 +393,37 @@ def train_toy(dataset, config: ToyModelConfig, n_tokens=None) -> ToyModel:
     bias = np.zeros(n_tokens)
     model = ToyModel(config, n_tokens, w_in, w_out, bias)
 
-    encoded = [(model._encode(ctx), y) for ctx, y in dataset]
+    # x, the K rows of w_in that x selects, and the target
+    encoded = [(x, np.flatnonzero(x), y)
+               for x, y in ((model._encode(ctx), y) for ctx, y in dataset)]
     order = np.arange(len(encoded))
     lr = config.learning_rate
-    for epoch in range(config.epochs):
-        rng.shuffle(order)
-        total = 0.0
-        for idx in order:
-            x, y = encoded[idx]
-            # an update that overflows shows in the next logits
-            with np.errstate(over="ignore", invalid="ignore"):
+    # an update that overflows shows in the next logits
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            rng.shuffle(order)
+            total = 0.0
+            for idx in order:
+                x, rows, y = encoded[idx]
                 h = x @ w_in
                 z = h @ w_out + bias
-                if not np.all(np.isfinite(z)):
+                top = z.max()
+                if not (math.isfinite(top) and math.isfinite(z.min())):
                     raise TrainingDivergedError(epoch, float("inf"))
-                e = np.exp(z - z.max())
-                p = e / e.sum()
-                total -= np.log(max(p[y], 1e-300))
-                # d(cross-entropy)/d(logits) = p - onehot(y)
-                g = p.copy()
+                e = np.exp(z - top)
+                g = e / e.sum()
+                total -= np.log(max(g[y], 1e-300))
+                # d(cross-entropy)/d(logits) = p - onehot(y); the rows of
+                # w_in that x leaves at 0 would lose lr * 0 * (g @ w_out.T),
+                # exactly 0 while that product is finite
                 g[y] -= 1.0
-                grad_in = np.outer(x, g @ w_out.T)
+                w_in[rows] -= lr * (g @ w_out.T)
                 w_out -= lr * np.outer(h, g)
                 bias -= lr * g
-                w_in -= lr * grad_in
-        loss = total / len(encoded)
-        model.loss_history.append(loss)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(epoch, loss)
+            loss = total / len(encoded)
+            model.loss_history.append(loss)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch, loss)
     return model
 
 

@@ -165,6 +165,18 @@ def test_depth_overflow_carries_exponent():
     with pytest.raises(BoundOverflowError) as err:
         depth_constant(p)
     assert_allclose(err.value.log_power, 10_000 * math.log(45.0), rtol=1e-12)
+    # a finite per-layer power whose 2 B / tau overflows
+    with pytest.raises(BoundOverflowError) as err:
+        depth_constant(depth(temperature=1e-320))
+    assert_allclose(err.value.log_power, 2 * math.log(45.0), rtol=1e-12)
+
+
+def test_depth_overflow_elsewhere_does_not_blame_the_layers():
+    # layer_bound 0, so only the mixing norm can overflow the constant
+    with pytest.raises(BoundOverflowError) as err:
+        depth_constant(depth(token_bound=0.0, mixing_norm=1e308))
+    assert err.value.log_power is None
+    assert str(err.value) == "deviation constant exceeds float range"
 
 
 def test_overflowing_constants_raise():

@@ -142,14 +142,14 @@ def test_streamed_outputs_are_pinned(tmp_path, command, cfg, digests):
             .hexdigest() for name in digests} == digests
 
 
-# sha256 of bounds.json as the coin rows were drawn whole and averaged:
-# the benchmark's 10^6 samples, and an odd n over a part batch
+# sha256 of bounds.json with each coin one bit of the raw stream: the
+# benchmark's 10^6 samples, and an odd n over a part batch
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("mc,digest", [
     ({"n_samples": 1_000_000},
-     "4927b0e8d6ab0689f918df9136ea783e66d9b84fabf66fcc2b95ee8487bbe28a"),
+     "25400bc8bdd0812967cde77ea0aed9d6ce433cb004ec17cdaf916927453bb756"),
     ({"n": 37, "n_samples": 25_001},
-     "dbc93856adaa11b45729ec1eb66db5cae3de170733091c77bb55ffdf07adc3f3"),
+     "9b12bccb11ad44b95430afe5b1d9b14c165d8d3d46c71835bdd5070f66e150a1"),
 ])
 def test_bounds_mc_is_pinned(tmp_path, mc, digest, jobs):
     assert run(tmp_path, "bounds", {"mc": mc}, jobs=jobs) == 0
@@ -697,6 +697,15 @@ def test_cli_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_imports_no_process_pool():
+    code = ("import sys, tokenchain.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_version_flag():
     out = subprocess.run(
         [sys.executable, "-m", "tokenchain.cli", "--version"],
@@ -862,21 +871,23 @@ COUNTED = {"config.mc.n": "coins"}
     # the path and the risk pass: 96 bytes per step of the longest point
     ("estimate", {"chain": CHAIN3, "estimator": FREQ,
                   "n_list": [10, 20, 60]}, "config.n_list[2]", 60, 5_760),
-    # c, a block of the batch's 1,000 coins in 500 raw words, and 21
-    # bytes per sample of the batch: 8 * 10 + 8 * 500 + 21 * 100
+    # c, a block of the batch's 1,000 coins in 16 raw words and their
+    # prefix, 32 bytes per row edge and 25 per sample of the batch:
+    # 8 * 10 + 16 * 16 + 8 + 32 * 101 + 25 * 100
     ("bounds", {"mc": {"n": 10, "n_samples": 100}}, "config.mc.n",
-     10, 6_180),
-    # two samples: c and a block of one word per two coins, 8 * 600 twice,
-    # and 21 * 2 for the batch
+     10, 6_076),
+    # two samples: c, 1,200 coins in 19 words, 3 edges and the batch:
+    # 8 * 600 + 16 * 19 + 8 + 32 * 3 + 25 * 2
     ("bounds", {"mc": {"n": 600, "n_samples": 2}}, "config.mc.n",
-     600, 9_642),
+     600, 5_258),
     # an n-gram fit's count rows: 8 * 25 * (min(49, 25) + min(49, 25^2))
     ("estimate", {"chain": {"kind": "random", "d": 25},
                   "estimator": {"kind": "ngram", "order": 2},
                   "n_list": [50]}, "config.n_list[0]", 50, 14_800),
-    # before any n-sized array: c alone, 8 * 10^11 bytes, would not fit
+    # before any n-sized array: c alone, 8 * 10^11 bytes, would not fit;
+    # with a one-row block of 10^11 / 64 words
     ("bounds", {"mc": {"n": 10 ** 11}}, "config.mc.n", 10 ** 11,
-     1_600_000_210_000),
+     825_000_250_072),
 ])
 def test_dense_bytes_checked_before_building(tmp_path, capsys, monkeypatch,
                                              command, cfg, key, count, need):

@@ -3,6 +3,8 @@ counts against loop references that keep the code they replaced; each pair
 must agree exactly."""
 
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -148,31 +150,66 @@ def test_sampler_matches_the_loop_across_a_block(d):
 # coin counts
 # ---------------------------------------------------------------------------
 
-COIN_NS = [1, 2, 7, 37, 100, 101]
+COIN_NS = [1, 2, 7, 37, 64, 65, 100, 101]
 COIN_SIZES = [1, 3, MC_BATCH]
+
+
+def raw_bit_rows(n, rng, size):
+    """size rows of n coins: bit j of the raw stream is bit j % 64, from
+    the least significant, of output j // 64."""
+    words = rng.bit_generator.random_raw(-(-size * n // 64))
+    bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    return bits.ravel()[:size * n].reshape(size, n)
 
 
 @pytest.mark.parametrize("size", COIN_SIZES)
 @pytest.mark.parametrize("n", COIN_NS)
-def test_coin_rows_are_numpys_bounded_draws(size, n):
+def test_coin_rows_are_consecutive_raw_bits(size, n):
     counts = _coin_counts(n, np.random.default_rng([9, n]), size)
-    expected = np.random.default_rng([9, n]).integers(0, 2, (size, n))
+    expected = raw_bit_rows(n, np.random.default_rng([9, n]), size)
     np.testing.assert_array_equal(counts, expected.sum(axis=1))
     np.testing.assert_array_equal(_head_share(n, counts),
                                   np.mean(expected, axis=1))
 
 
-# blocks of a few raw words: many blocks per batch, mostly of 2 rows, and
-# at an odd n a block of an odd row count would end inside a raw output
+# blocks of a few raw words: many blocks per batch, each the fewest rows
+# that end on a whole output (64 rows at an odd n)
 @pytest.mark.parametrize("block", [1, 3])
 @pytest.mark.parametrize("size", COIN_SIZES)
 @pytest.mark.parametrize("n", COIN_NS)
 def test_coin_counts_do_not_depend_on_the_block(monkeypatch, block, size, n):
     monkeypatch.setattr(bounds, "COIN_BLOCK", block)
-    expected = np.random.default_rng([9, n]).integers(0, 2, (size, n))
+    expected = raw_bit_rows(n, np.random.default_rng([9, n]), size)
     np.testing.assert_array_equal(
         _coin_counts(n, np.random.default_rng([9, n]), size),
         expected.sum(axis=1))
+
+
+def test_coin_tails_match_the_binomial():
+    """Each empirical tail of 2 * 10^5 means of 100 coins lies within 4
+    binomial standard errors of the exact tail, taken over the head counts
+    k that pass the check's own float test."""
+    n, n_samples = 100, 200_000
+    grid = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
+    report = bounds.mc_verify(partial(_coin_counts, n),
+                              partial(_head_share, n), np.full(n, 1.0 / n),
+                              n_samples, grid, mean=0.5, seed=11)
+    for check in report.checks:
+        exact = sum(math.comb(n, k) for k in range(n + 1)
+                    if abs(k / n - 0.5) >= check.u) / 2 ** n
+        stderr = math.sqrt(exact * (1.0 - exact) / n_samples)
+        assert abs(check.empirical - exact) <= 4.0 * stderr, check
+
+
+@pytest.mark.parametrize("n", [1, 100, 30_000])
+def test_coin_check_bytes_covers_the_sampler(n):
+    tracemalloc.start()
+    try:
+        _coin_counts(n, np.random.default_rng(n), MC_BATCH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bounds.coin_check_bytes(n, MC_BATCH)
 
 
 # ---------------------------------------------------------------------------
