@@ -172,6 +172,20 @@ def test_coin_rows_are_consecutive_raw_bits(size, n):
                                   np.mean(expected, axis=1))
 
 
+# numpy's bounded bool draws are the same stream: each takes the next bit,
+# from the least significant, of a 32-bit draw, and PCG64 hands out the low
+# half of each output before the high half
+@pytest.mark.parametrize("size", COIN_SIZES)
+@pytest.mark.parametrize("n", COIN_NS)
+def test_coin_rows_are_numpys_bounded_draws(size, n):
+    counts = _coin_counts(n, np.random.default_rng([9, n]), size)
+    expected = np.random.default_rng([9, n]).integers(0, 2, (size, n),
+                                                      dtype=bool)
+    np.testing.assert_array_equal(counts, expected.sum(axis=1))
+    np.testing.assert_array_equal(_head_share(n, counts),
+                                  np.mean(expected, axis=1))
+
+
 # blocks of a few raw words: many blocks per batch, each the fewest rows
 # that end on a whole output (64 rows at an odd n)
 @pytest.mark.parametrize("block", [1, 3])
