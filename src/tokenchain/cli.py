@@ -721,8 +721,10 @@ def cmd_train_toy(config, seed, out: Path, jobs: int) -> int:
     unseen_mass = reduce(operator.add, pi_full[~is_seen].tolist(), 0.0)
     ratio = math.inf if unseen_mass == 0.0 else seen_mass / unseen_mass
 
-    _write_json(out / "model.json", config, seed,
-                {"model": json.loads(model.to_json())})
+    _write_json(out / "model.json", config, seed, {"model": {
+        "config": asdict(model.config), "n_tokens": model.n_tokens,
+        "w_in": model.w_in.tolist(), "w_out": model.w_out.tolist(),
+        "bias": model.bias.tolist()}})
     _write_json(out / "matrix.json", config, seed, {"matrix": matrix})
     _write_json(out / "structure.json", config, seed,
                 {"structure": _structure_payload(report)})

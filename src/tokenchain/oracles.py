@@ -9,9 +9,8 @@ studies.  The remote HTTP oracle lives in :mod:`tokenchain.remote`.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -352,22 +351,6 @@ class ToyModel(Oracle):
 
     def _distribution(self, context):
         return apply_temperature(self.logits(context), self.config.temperature)
-
-    def to_json(self):
-        return json.dumps({
-            "config": asdict(self.config),
-            "n_tokens": self.n_tokens,
-            "w_in": self.w_in.tolist(),
-            "w_out": self.w_out.tolist(),
-            "bias": self.bias.tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text):
-        blob = json.loads(text)
-        return cls(ToyModelConfig(**blob["config"]), blob["n_tokens"],
-                   np.array(blob["w_in"]), np.array(blob["w_out"]),
-                   np.array(blob["bias"]))
 
 
 def train_toy(dataset, config: ToyModelConfig, n_tokens=None) -> ToyModel:

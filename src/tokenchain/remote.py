@@ -2,21 +2,21 @@
 
 Two clients: one for the native JSON protocol (POST {"context": [...],
 "alphabet": [...]} answered by {"probs": [...]}) and one for
-OpenAI-style completions responses carrying top log-probabilities.  A
-threaded in-process mock server speaks the native protocol for
-integration tests and the mock-serve command.
+OpenAI-style completions responses carrying top log-probabilities.  Both
+speak HTTP/1.1 over keep-alive sockets of their own.  A threaded
+in-process mock server speaks the native protocol for integration tests
+and the mock-serve command.
 """
 
 from __future__ import annotations
 
-import functools
-import http.client
 import json
 import math
 import queue
+import re
+import socket
 import threading
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit, urlunsplit
 
 import numpy as np
@@ -25,9 +25,11 @@ from .generators import random_chain
 from .oracles import Oracle, OracleError
 
 MOCK_P_MIN = 0.05
-# how a keep-alive connection the endpoint dropped fails
-_STALE = (http.client.RemoteDisconnected, ConnectionResetError,
-          BrokenPipeError)
+# http.client's caps on one reply line and on the header count
+_MAX_LINE, _MAX_HEADERS = 65_536, 100
+# a status line: its version (group 1) and its three-digit code (group 2)
+_STATUS = re.compile(rb"HTTP/(1\.[01]) +(\d{3})\b")
+_BLANK = (b"\r\n", b"\n", b"")
 
 
 class RemoteOracleError(OracleError):
@@ -52,14 +54,16 @@ class RemoteOracleConfig:
         # the stdlib client would drop user:password@ without a word
         try:
             url = urlsplit(self.endpoint)
+            # printable ASCII: the URL goes into the request line as is
             ok = url.scheme in ("http", "https") and url.hostname \
-                and url.username is None and url.port != 0
+                and url.username is None and url.port != 0 \
+                and all(" " < c < "\x7f" for c in self.endpoint)
         except ValueError:  # a port that is not a number in 1-65535
             ok = False
         if not ok:
             raise ValueError(
-                f"endpoint must be an http or https URL with a host and no "
-                f"user:password@, got {self.endpoint!r}")
+                f"endpoint must be an http or https URL in printable ASCII "
+                f"with a host and no user:password@, got {self.endpoint!r}")
         self.alphabet = tuple(str(s) for s in self.alphabet)
         if not self.alphabet:
             raise ValueError("alphabet must be nonempty")
@@ -74,10 +78,77 @@ class RemoteOracleConfig:
                 f"max_inflight must be >= 1, got {self.max_inflight}")
 
 
+class _Connection:
+    """A socket to the endpoint and one buffered reader of it."""
+
+    def __init__(self, host, port, timeout, tls):
+        self.sock = socket.create_connection((host, port), timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if tls:
+            import ssl
+            self.sock = ssl.create_default_context().wrap_socket(
+                self.sock, server_hostname=host)
+        self.rfile = self.sock.makefile("rb")
+
+    def line(self):
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise ValueError(f"reply line longer than {_MAX_LINE} bytes")
+        return line
+
+    def read(self, n):
+        data = self.rfile.read(n) if n >= 0 else b""
+        if len(data) != n:
+            raise ValueError(f"reply body is {len(data)} bytes, framed as {n}")
+        return data
+
+    def reply(self, line):
+        """Status, body and whether the connection stays open, of the reply
+        whose status line is ``line``; 1xx replies are skipped."""
+        while True:
+            if not (status := _STATUS.match(line)):
+                raise ValueError(f"bad status line {line[:80]!r}")
+            headers = {}
+            for _ in range(_MAX_HEADERS + 1):
+                if (line := self.line()) in _BLANK:
+                    break
+                # every value read below compares case-free
+                name, _, value = line.lower().partition(b":")
+                headers.setdefault(name.strip(), value.strip())
+            else:
+                raise ValueError(f"more than {_MAX_HEADERS} reply headers")
+            if not status[2].startswith(b"1"):
+                break
+            line = self.line()
+        code = int(status[2])
+        if headers.get(b"content-encoding", b"identity") != b"identity":
+            raise ValueError("reply is not identity-encoded")
+        if code in (204, 304):
+            body = b""
+        elif headers.get(b"transfer-encoding") == b"chunked":
+            body = b""
+            while n := int(self.line().split(b";")[0], 16):
+                body += self.read(n)
+                self.line()  # the CRLF that ends the chunk
+            while self.line() not in _BLANK:  # trailers
+                pass
+        elif b"content-length" in headers:
+            body = self.read(int(headers[b"content-length"]))
+        else:  # framed by the end of the stream
+            return code, self.rfile.read(), False
+        return code, body, status[1] == b"1.1" \
+            and b"close" not in headers.get(b"connection", b"")
+
+    def close(self):
+        self.rfile.close()
+        self.sock.close()
+
+
 class _HttpOracle(Oracle):
     """Shared transport: at most ``max_inflight`` keep-alive connections,
-    the most recently idle one taken first.  No redirect is followed and no
-    proxy variable read; ``https`` is verified against the system CAs."""
+    the most recently idle one taken first, each query one write.  No
+    redirect is followed and no proxy variable read; ``https`` is verified
+    against the system CAs."""
 
     def __init__(self, config: RemoteOracleConfig):
         self.config = config
@@ -85,11 +156,16 @@ class _HttpOracle(Oracle):
         self._gate = threading.BoundedSemaphore(config.max_inflight)
         self._idle = queue.LifoQueue()
         url = urlsplit(config.endpoint)
-        self._open = functools.partial(
-            http.client.HTTPSConnection if url.scheme == "https"
-            else http.client.HTTPConnection, url.hostname, url.port,
-            timeout=config.timeout_ms / 1000.0)
-        self._target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        tls = url.scheme == "https"
+        self._address = (url.hostname, url.port or (443 if tls else 80),
+                         config.timeout_ms / 1000.0, tls)
+        # the config admits no user:password@, so the netloc is the host
+        # (an IPv6 one in brackets) and the port when given
+        target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        self._head = (f"POST {target} HTTP/1.1\r\nHost: {url.netloc}\r\n"
+                      "Content-Type: application/json\r\n"
+                      "Accept-Encoding: identity\r\n"
+                      "Content-Length: ").encode()
 
     def close(self):
         """Close the idle connections; a later query opens a new one."""
@@ -110,32 +186,38 @@ class _HttpOracle(Oracle):
     def _exchange(self, body, reuse=True):
         """POST ``body`` on an idle connection or a new one; the status and
         the body bytes.  A reused connection that the endpoint dropped while
-        idle fails before any response: the POST goes once more, on a new
-        connection."""
+        idle fails before any byte of a reply: the POST goes once more, on
+        a new connection."""
         try:
-            conn = self._idle.get_nowait() if reuse else self._open()
+            conn = self._idle.get_nowait() if reuse \
+                else _Connection(*self._address)
         except queue.Empty:
-            conn, reuse = self._open(), False
-        resp = None
+            conn, reuse = _Connection(*self._address), False
+        line = None
         try:
-            conn.request("POST", self._target, body,
-                         {"Content-Type": "application/json"})
-            resp = conn.getresponse()
-            data = resp.read()
+            conn.sock.sendall(b"%s%d\r\n\r\n%s"
+                              % (self._head, len(body), body))
+            if not (line := conn.line()):
+                raise ConnectionAbortedError(
+                    "endpoint closed the connection without a reply")
+            status, data, keep = conn.reply(line)
         except BaseException as exc:
             conn.close()
-            if reuse and resp is None and isinstance(exc, _STALE):
+            if reuse and not line and isinstance(exc, ConnectionError):
                 return self._exchange(body, reuse=False)
             raise
-        # a connection the reply ended reopens on its next request
-        self._idle.put(conn)
-        return resp.status, data
+        if keep:
+            self._idle.put(conn)
+        else:
+            conn.close()
+        return status, data
 
     def _post(self, payload) -> dict:
         try:
             with self._gate:
                 status, body = self._exchange(json.dumps(payload).encode())
-        except (OSError, http.client.HTTPException) as exc:
+        # ValueError: a reply that the transport cannot frame
+        except (OSError, ValueError) as exc:
             raise RemoteOracleError(f"transport failure: {exc}") from exc
         if not 200 <= status < 300:
             raise RemoteOracleError(
@@ -252,61 +334,63 @@ class OpenAIRemoteOracle(_HttpOracle):
         return self._normalize(probs)
 
 
-class _MockHandler(BaseHTTPRequestHandler):
-    def log_message(self, fmt, *args):
-        pass
+def _mock_server(address, seed):
+    """A threaded HTTP server answering the native protocol.  http.server
+    is imported here, so that only a mock endpoint loads it."""
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-    def _reply(self, status, payload):
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    chains, lock = {}, threading.Lock()
 
-    def do_POST(self):
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            data = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, TypeError):
-            self._reply(400, {"error": "bad JSON"})
-            return
-        context = data.get("context")
-        alphabet = data.get("alphabet")
-        if not isinstance(alphabet, list) or not alphabet \
-                or not isinstance(context, list):
-            self._reply(400, {"error": 'need "context" and "alphabet" lists'})
-            return
-        index = {sym: i for i, sym in enumerate(alphabet)}
-        if len(index) != len(alphabet):
-            self._reply(400, {"error": "alphabet symbols must be distinct"})
-            return
-        unknown = [s for s in context if s not in index]
-        if unknown:
-            self._reply(400, {"error": f"unknown symbol {unknown[0]!r}"})
-            return
-        probs = self.server.oracle_probs(len(alphabet),
-                                         index[context[-1]] if context else None)
-        self._reply(200, {"probs": probs})
-
-
-class _MockServer(ThreadingHTTPServer):
-    daemon_threads = True
-
-    def __init__(self, address, seed):
-        super().__init__(address, _MockHandler)
-        self.seed = seed
-        self._chains = {}
-        self._lock = threading.Lock()
-
-    def oracle_probs(self, d, last_index):
+    def oracle_probs(d, last_index):
         if last_index is None:
             return [1.0 / d] * d
-        with self._lock:
-            if d not in self._chains:
-                self._chains[d] = random_chain(
-                    d, p_min=MOCK_P_MIN, seed=self.seed).dense()
-        return [float(x) for x in self._chains[d][last_index]]
+        with lock:
+            if d not in chains:
+                chains[d] = random_chain(d, p_min=MOCK_P_MIN,
+                                         seed=seed).dense()
+        return [float(x) for x in chains[d][last_index]]
+
+    class Handler(BaseHTTPRequestHandler):
+        def log_message(self, fmt, *args):
+            pass
+
+        def _reply(self, status, payload):
+            body = json.dumps(payload).encode()
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def do_POST(self):
+            try:
+                length = int(self.headers.get("Content-Length", "0"))
+                data = json.loads(self.rfile.read(length) or b"{}")
+            except (ValueError, TypeError):
+                self._reply(400, {"error": "bad JSON"})
+                return
+            context = data.get("context")
+            alphabet = data.get("alphabet")
+            if not isinstance(alphabet, list) or not alphabet \
+                    or not isinstance(context, list):
+                self._reply(400, {
+                    "error": 'need "context" and "alphabet" lists'})
+                return
+            index = {sym: i for i, sym in enumerate(alphabet)}
+            if len(index) != len(alphabet):
+                self._reply(400, {
+                    "error": "alphabet symbols must be distinct"})
+                return
+            unknown = [s for s in context if s not in index]
+            if unknown:
+                self._reply(400, {"error": f"unknown symbol {unknown[0]!r}"})
+                return
+            self._reply(200, {"probs": oracle_probs(
+                len(alphabet), index[context[-1]] if context else None)})
+
+    server = ThreadingHTTPServer(address, Handler)
+    server.daemon_threads = True
+    return server
 
 
 class MockOracleServer:
@@ -319,7 +403,7 @@ class MockOracleServer:
     """
 
     def __init__(self, seed=0, port=0):
-        self._server = _MockServer(("127.0.0.1", port), seed)
+        self._server = _mock_server(("127.0.0.1", port), seed)
         self._thread = None
 
     @property

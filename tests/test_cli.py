@@ -706,6 +706,18 @@ def test_cli_imports_no_process_pool():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_imports_no_http_stack():
+    # the remote transport is a plain socket: http.client, http.server,
+    # email and ssl load only for a mock endpoint or an https one
+    code = ("import sys, tokenchain.cli; print(sorted(m for m in ("
+            "'http.client', 'http.server', 'email.parser', 'ssl') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_version_flag():
     out = subprocess.run(
         [sys.executable, "-m", "tokenchain.cli", "--version"],

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 
+from tokenchain.cli import main
 from tokenchain.oracles import (
-    ChainOracle, NgramOracle, OracleError, RandomLogitOracle, ToyModelConfig,
-    TrainingDivergedError, UniformOracle, apply_temperature, fit_ngram,
-    parity_sequence, parity_spec, softmax_floor, train_toy,
+    ChainOracle, NgramOracle, OracleError, RandomLogitOracle, ToyModel,
+    ToyModelConfig, TrainingDivergedError, UniformOracle, apply_temperature,
+    fit_ngram, parity_sequence, parity_spec, softmax_floor, train_toy,
     validate_distribution, windowed_examples,
 )
 from tokenchain.states import VocabSpec, enumerate_states
@@ -276,10 +278,17 @@ def test_toy_model_pads_short_contexts():
     validate_distribution(model.query((1,)))
 
 
-def test_toy_model_json_roundtrip():
+def test_toy_model_json_roundtrip(tmp_path):
+    # train-toy's model.json holds all that the model's answers depend on
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_digits": 16, "epochs": 20}))
+    assert main(["train-toy", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 0
+    blob = json.loads((tmp_path / "out" / "model.json").read_text())["model"]
+    clone = ToyModel(ToyModelConfig(**blob["config"]), blob["n_tokens"],
+                     *(np.array(blob[k]) for k in ("w_in", "w_out", "bias")))
     examples = windowed_examples(parity_sequence(16))
-    model = train_toy(examples, ToyModelConfig(epochs=20))
-    clone = type(model).from_json(model.to_json())
+    model = train_toy(examples, ToyModelConfig(**blob["config"]), n_tokens=2)
     for ctx, _ in examples:
         npt.assert_array_equal(clone.query(ctx), model.query(ctx))
 
