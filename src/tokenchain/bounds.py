@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .estimation import kl_divergence, tv_distance
+from .estimation import kl_divergence, map_jobs, tv_distance
 from .oracles import validate_distribution
 
 MC_BATCH = 10_000
@@ -347,14 +347,6 @@ class TailReport:
         return all(row.ok for row in self.checks)
 
 
-def _block_rows(n, size):
-    """Rows of n coins per _coin_counts block: about COIN_BLOCK raw words,
-    a multiple of 64 / gcd(n, 64) rows so that the block ends on a whole
-    output, and no more than ``size``."""
-    step = 64 // math.gcd(n, 64)
-    return min(size, max(step, COIN_BLOCK * 64 // n // step * step))
-
-
 def _coin_counts(n, rng, size):
     """Heads per row of ``size`` rows of ``n`` fair coins, one coin per bit
     of rng's raw PCG64 stream: row r is bits r*n to (r+1)*n - 1, and bit j
@@ -362,39 +354,34 @@ def _coin_counts(n, rng, size):
     (taken by shift and mask, so either byte order reads the same bits).
 
     A row's count is the difference of the stream's head counts at its
-    two edges; the count at an edge is the popcount prefix of the whole
-    outputs before it plus the masked popcount of the partial one.  Every
-    block but the last ends on a whole output, so the counts do not depend
-    on COIN_BLOCK; the last block's spare bits go unused.  Picklable, for
-    mc_verify's workers."""
-    rows = _block_rows(n, size)
-    # each block starts on a whole output, so its row edges fall at the
-    # same words and bits of it
-    edges = np.arange(rows + 1, dtype=np.uint64) * np.uint64(n)
-    word = (edges >> np.uint64(6)).astype(np.intp)
-    mask = np.left_shift(np.uint64(1), edges & np.uint64(63), out=edges)
-    mask -= np.uint64(1)
+    two edges: the heads up to the end of the edge's output, carried
+    across blocks of COIN_BLOCK outputs (which the counts do not depend
+    on), less the popcount of that output's bits from the edge on.
+    Picklable, for mc_verify's workers."""
+    # counts[r - 1] holds the heads before edge r until the differences
     counts = np.empty(size, dtype=np.int64)
-    for start in range(0, size, rows):
-        m = min(rows, size - start)
-        _block_counts(rng.bit_generator.random_raw(-(-m * n // 64)),
-                      word[:m + 1], mask[:m + 1], counts[start:start + m])
+    n_words = -(-size * n // 64)
+    first, carried = 1, 0
+    for start in range(0, n_words, COIN_BLOCK):
+        words = rng.bit_generator.random_raw(min(COIN_BLOCK, n_words - start))
+        ends = np.empty(words.size, dtype=np.int64)
+        np.cumsum(np.bitwise_count(words, out=ends), out=ends)
+        ends += carried
+        # the edges before the block's end, bit 64 * (start + words.size)
+        last = min(size + 1, -(-64 * (start + words.size) // n))
+        bits = np.arange(first, last, dtype=np.uint64) * np.uint64(n)
+        at = (bits >> np.uint64(6)).astype(np.intp) - start
+        part = np.take(words, at)
+        part >>= bits & np.uint64(63)
+        heads = counts[first - 1:last - 1]
+        np.take(ends, at, out=heads, mode="clip")  # "raise" buffers out
+        heads -= np.bitwise_count(part)
+        carried, first = ends[-1], last
+        del words, ends, bits, at, part  # before the next block is drawn
+    counts[first - 1:] = carried  # an edge at the stream's very end
+    # ufuncs read an overlapping operand as it was: end less start edge
+    counts[1:] -= counts[:-1]
     return counts
-
-
-def _block_counts(words, word, mask, out):
-    """Heads between consecutive edges of ``words``' bits, an edge being a
-    word index and a mask of that word's bits before it; nothing outlives
-    the call, so one block's arrays are freed before the next is drawn."""
-    prefix = np.zeros(words.size + 1, dtype=np.uint64)
-    np.bitwise_count(words, out=prefix[1:])
-    np.cumsum(prefix, out=prefix)
-    heads = prefix[word]
-    # the last edge of a block that ends on a whole output has mask 0
-    part = np.take(words, word, mode="clip")
-    part &= mask
-    heads += np.bitwise_count(part, out=part)
-    np.subtract(heads[1:], heads[:-1], out=out)
 
 
 def _head_share(n, counts):
@@ -404,14 +391,14 @@ def _head_share(n, counts):
 
 def coin_check_bytes(n, n_samples) -> int:
     """Bytes a check of the mean of ``n`` coins holds at once: c; a
-    _coin_counts block of R rows in W raw words, each word with its
-    popcount prefix and each of the R + 1 row edges with its word index,
-    mask, prefix and partial word (8 bytes apiece); and a batch's counts,
-    values, deviations and flags (25 bytes each)."""
+    _coin_counts block of W <= COIN_BLOCK raw words with their popcount
+    prefix, and its E <= 64 W / n + 1 row edges with their bit, word offset,
+    partial word and shift (8 bytes apiece); and a batch's counts, values,
+    deviations and flags (25 bytes each)."""
     batch = min(n_samples, MC_BATCH)
-    rows = _block_rows(n, batch)
-    words = -(-rows * n // 64)
-    return 8 * n + 16 * words + 8 + 32 * (rows + 1) + 25 * batch
+    words = min(COIN_BLOCK, -(-batch * n // 64))
+    edges = min(batch, 64 * words // n + 1)
+    return 8 * n + 16 * words + 8 + 32 * (edges + 1) + 25 * batch
 
 
 def _mc_hits(args):
@@ -464,13 +451,7 @@ def mc_verify(sampler, f, c, n_samples, u_grid, *, mean, seed=0,
     jobs = min(jobs, n_batches)
     tasks = [(sampler, f, center, u_grid, seed, n_samples,
               range(j, n_batches, jobs)) for j in range(jobs)]
-    if jobs > 1:
-        # imported here: most runs start no pool, and the import is slow
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            hits = sum(pool.map(_mc_hits, tasks))
-    else:
-        hits = _mc_hits(tasks[0])
+    hits = sum(map_jobs(_mc_hits, tasks, jobs))
 
     checks = []
     for u, bound, hit in zip(u_grid, bounds, hits.tolist()):

@@ -181,8 +181,7 @@ def build_qf(oracle, spec: VocabSpec, space: StateSpace | None = None) -> Transi
                             meta={"n_tokens": T, "context_window": spec.context_window})
 
 
-def validate_structure(Q: TransitionMatrix, spec: VocabSpec,
-                       space: StateSpace | None = None) -> StructureReport:
+def validate_structure(Q: TransitionMatrix, spec: VocabSpec) -> StructureReport:
     """Check the sparsity pattern, block layout, and row sums of a built chain.
 
     The report records the exact nonzero count against the closed form
@@ -190,8 +189,7 @@ def validate_structure(Q: TransitionMatrix, spec: VocabSpec,
     and the smallest power at which the transient-to-transient block
     vanishes (it must, within K steps: sequences only grow until full).
     """
-    if space is None:
-        space = enumerate_states(spec)
+    space = enumerate_states(spec)
     n = Q.n_states
     if n != spec.state_count:
         raise ValueError(

@@ -286,7 +286,7 @@ _SOLVER = {"tol": _is(*_NUMBER, above=0), "max_iter": _is(int, at_least=1)}
 # ToyModelConfig's fields, less the window
 _TOY_FIELDS = {"embedding_dim": _INT, "learning_rate": _NUM, "epochs": _INT,
                "seed": _SEED, "temperature": _NUM}
-_REMOTE_FIELDS = {"endpoint": _STR, "alphabet": _LIST, "separator": _STR,
+_REMOTE_FIELDS = {"endpoint": _STR, "alphabet": _LIST,
                   "timeout_ms": _INT, "max_inflight": _INT}
 _ORACLE_FIELDS = {
     "uniform": {},

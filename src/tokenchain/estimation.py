@@ -290,6 +290,16 @@ def _one_replicate(args):
     return _METRICS[metric](rows, oracle, traj)
 
 
+def map_jobs(fn, tasks, jobs) -> list:
+    """[fn(t) for t in tasks], over ``jobs`` worker processes if jobs > 1."""
+    if jobs > 1:
+        # imported here: most runs start no pool, and the import is slow
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def context_length(n) -> int:
     """``n`` as a context length: a whole number of at least two states,
     so that every sampled trajectory holds a transition to fit."""
@@ -323,13 +333,7 @@ def icl_risk_curve(Q_true, predictor, n_list, reps, seed=0, metric="tv",
     rows = TransitionMatrix.of(Q_true).dense()
     tasks = [(rows, predictor, n, [seed, i, rep], metric, start)
              for i, n in enumerate(n_list) for rep in range(reps)]
-    if jobs > 1:
-        # imported here: most runs start no pool, and the import is slow
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            risks = list(pool.map(_one_replicate, tasks))
-    else:
-        risks = [_one_replicate(t) for t in tasks]
+    risks = map_jobs(_one_replicate, tasks, jobs)
     points = []
     for i, n in enumerate(n_list):
         vals = np.array(risks[i * reps:(i + 1) * reps])

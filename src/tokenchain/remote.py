@@ -51,7 +51,7 @@ class RemoteOracleConfig:
     max_inflight: int = 4
 
     def __post_init__(self):
-        # the stdlib client would drop user:password@ without a word
+        # no credentials: the netloc goes out as the Host header
         try:
             url = urlsplit(self.endpoint)
             # printable ASCII: the URL goes into the request line as is
@@ -97,7 +97,11 @@ class _Connection:
         return line
 
     def read(self, n):
-        data = self.rfile.read(n) if n >= 0 else b""
+        # in pieces: BufferedReader.read(n) allocates n bytes before reading
+        data = bytearray()
+        while len(data) < n and (piece := self.rfile.read(
+                min(n - len(data), 1 << 16))):
+            data += piece
         if len(data) != n:
             raise ValueError(f"reply body is {len(data)} bytes, framed as {n}")
         return data

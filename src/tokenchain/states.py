@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # Dense analysis of the full-length block needs O(T^K) rows in memory.
-DEFAULT_STATE_CAP = 1 << 24
+STATE_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,10 @@ class StateSpace:
     demand.
     """
 
-    def __init__(self, spec: VocabSpec, max_states: int = DEFAULT_STATE_CAP):
-        if spec.state_count > max_states:
-            raise ValueError(
-                f"state space needs {spec.state_count} states, "
-                f"above the cap of {max_states}")
+    def __init__(self, spec: VocabSpec):
+        if spec.state_count > STATE_CAP:
+            raise ValueError(f"state space needs {spec.state_count} states, "
+                             f"above the cap of {STATE_CAP}")
         self.spec = spec
         T, K = spec.n_tokens, spec.context_window
         # offsets[L] = number of states strictly shorter than L + 1 tokens
@@ -117,10 +116,9 @@ class StateSpace:
         return self.spec.transient_count
 
 
-def enumerate_states(spec: VocabSpec,
-                     max_states: int = DEFAULT_STATE_CAP) -> StateSpace:
+def enumerate_states(spec: VocabSpec) -> StateSpace:
     """Enumerate the full state space for the given vocabulary spec."""
-    return StateSpace(spec, max_states=max_states)
+    return StateSpace(spec)
 
 
 def state_path(path) -> np.ndarray:

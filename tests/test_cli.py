@@ -897,9 +897,10 @@ COUNTED = {"config.mc.n": "coins"}
                   "estimator": {"kind": "ngram", "order": 2},
                   "n_list": [50]}, "config.n_list[0]", 50, 14_800),
     # before any n-sized array: c alone, 8 * 10^11 bytes, would not fit;
-    # with a one-row block of 10^11 / 64 words
+    # with a block of COIN_BLOCK words, which holds one row edge, and a
+    # batch of 10^4 rows: 8 * 10^11 + 16 * 2^15 + 8 + 32 * 2 + 25 * 10^4
     ("bounds", {"mc": {"n": 10 ** 11}}, "config.mc.n", 10 ** 11,
-     825_000_250_072),
+     800_000_774_360),
 ])
 def test_dense_bytes_checked_before_building(tmp_path, capsys, monkeypatch,
                                              command, cfg, key, count, need):
@@ -992,6 +993,21 @@ def test_bad_endpoint_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"tokenchain: config.{section}.endpoint must be ")
     assert repr(endpoint) in err
+
+
+@pytest.mark.parametrize("command,section", [("build", "oracle"),
+                                             ("estimate", "estimator")])
+def test_remote_separator_is_an_unknown_key(tmp_path, capsys, command,
+                                            section):
+    # the native protocol posts the context as a JSON list of symbols, so
+    # a remote section has no separator to set
+    remote = {"kind": "remote", "endpoint": "http://127.0.0.1:9",
+              "separator": ","}
+    cfg = (dict(BUILD_CFG, oracle=remote) if command == "build" else
+           {"chain": CHAIN3, "estimator": remote, "n_list": [20]})
+    assert run(tmp_path, command, cfg) == 2
+    assert capsys.readouterr().err.startswith(
+        f"tokenchain: config.{section}.separator: unknown key")
 
 
 def test_estimate_takes_integral_float_context_lengths(tmp_path):

@@ -23,7 +23,7 @@ CHAIN = {"kind": "random", "d": 3, "p_min": 0.05, "seed": 1}
 TOY = {"n_digits": 8, "embedding_dim": 2, "learning_rate": 0.1, "epochs": 2,
        "seed": 1, "temperature": 1.0}
 REMOTE = {"kind": "remote", "endpoint": ENDPOINT, "alphabet": ["a", "b"],
-          "separator": ",", "timeout_ms": 2000, "max_inflight": 2}
+          "timeout_ms": 2000, "max_inflight": 2}
 
 
 def _build(oracle):

@@ -186,8 +186,8 @@ def test_coin_rows_are_numpys_bounded_draws(size, n):
                                   np.mean(expected, axis=1))
 
 
-# blocks of a few raw words: many blocks per batch, each the fewest rows
-# that end on a whole output (64 rows at an odd n)
+# blocks of a few raw words: many blocks per batch, and rows that cross
+# the edges between them
 @pytest.mark.parametrize("block", [1, 3])
 @pytest.mark.parametrize("size", COIN_SIZES)
 @pytest.mark.parametrize("n", COIN_NS)
@@ -215,15 +215,29 @@ def test_coin_tails_match_the_binomial():
         assert abs(check.empirical - exact) <= 4.0 * stderr, check
 
 
-@pytest.mark.parametrize("n", [1, 100, 30_000])
-def test_coin_check_bytes_covers_the_sampler(n):
+def sampler_peak(n, size):
+    # the generator is made first: a first one imports modules
+    rng = np.random.default_rng(n)
     tracemalloc.start()
     try:
-        _coin_counts(n, np.random.default_rng(n), MC_BATCH)
-        peak = tracemalloc.get_traced_memory()[1]
+        _coin_counts(n, rng, size)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bounds.coin_check_bytes(n, MC_BATCH)
+
+
+# odd n above 2^21 / 64 coins: 64 rows of them keep the test fast
+@pytest.mark.parametrize("n", [1, 100, 30_000, 40_001, 1_000_001])
+def test_coin_check_bytes_covers_the_sampler(n):
+    size = MC_BATCH if n <= 30_000 else 64
+    assert sampler_peak(n, size) <= bounds.coin_check_bytes(n, size)
+
+
+def test_wide_coin_rows_hold_one_block():
+    """64 rows of 1,000,001 coins are 10^6 raw words; the sampler holds
+    COIN_BLOCK of them and their prefix, where rounding a block to whole
+    outputs held all of them (16.0 MB)."""
+    assert sampler_peak(1_000_001, 64) < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -549,6 +549,21 @@ def test_unframeable_reply_is_a_transport_failure(bad):
     assert (stub.connections, len(stub.requests)) == (1, 2)
 
 
+@pytest.mark.parametrize("reply", [
+    http_reply("HTTP/1.1 200 OK", "Content-Length: 1000000000000"),
+    http_reply("HTTP/1.1 200 OK", "Transfer-Encoding: chunked",
+               body=b"%x\r\n" % 10 ** 12 + PROBS),
+], ids=["content-length", "chunk-size"])
+def test_huge_declared_body_is_a_transport_failure(reply):
+    """A body is read as it arrives: one that declares 10^12 bytes and
+    ends after a few is a short body, not a 10^12-byte allocation."""
+    with RawStub([(reply, True)]) as stub:
+        oracle = RemoteOracle(config_for(stub.url, timeout_ms=2000))
+        with pytest.raises(RemoteOracleError,
+                           match="transport failure: reply body is"):
+            oracle.query((0,))
+
+
 def test_compressed_reply_is_refused():
     body = gzip.compress(PROBS)
     with RawStub([(framed(body, "Content-Encoding: gzip"), True)]) as stub:

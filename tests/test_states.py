@@ -56,7 +56,7 @@ def test_index_rejects_bad_sequences():
 
 def test_state_cap_error_names_requirement():
     with pytest.raises(ValueError, match="16777216|states"):
-        enumerate_states(VocabSpec(2, 30), max_states=1000)
+        enumerate_states(VocabSpec(2, 30))
 
 
 def test_successors_append_below_window():
