@@ -393,12 +393,12 @@ def coin_check_bytes(n, n_samples) -> int:
     """Bytes a check of the mean of ``n`` coins holds at once: c; a
     _coin_counts block of W <= COIN_BLOCK raw words with their popcount
     prefix, and its E <= 64 W / n + 1 row edges with their bit, word offset,
-    partial word and shift (8 bytes apiece); and a batch's counts, values,
-    deviations and flags (25 bytes each)."""
+    partial word and shift (8 bytes apiece); a batch's counts, values,
+    deviations and flags (25 bytes each); and 24 KiB for mc_verify's own."""
     batch = min(n_samples, MC_BATCH)
     words = min(COIN_BLOCK, -(-batch * n // 64))
     edges = min(batch, 64 * words // n + 1)
-    return 8 * n + 16 * words + 8 + 32 * (edges + 1) + 25 * batch
+    return 8 * n + 16 * words + 8 + 32 * (edges + 1) + 25 * batch + 24_576
 
 
 def _mc_hits(args):

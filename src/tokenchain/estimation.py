@@ -22,12 +22,16 @@ from .states import state_path
 
 MAX_EXACT_RISK_STATES = 64
 SAMPLE_BLOCK = 1 << 16
-# up to this many states the sampler bisects rows held as Python lists,
-# at 32 bytes an entry; above it, in place in numpy
+# paths of d^3 + RANK_MIN_STEPS states or more, over at most this many,
+# step by rank lookup in a table of ~d^3 list entries (0.9 MB at 48)
+RANK_ROWS_MAX_STATES = 48
+RANK_MIN_STEPS = 256
+# else, up to this many states the sampler bisects rows held as Python
+# lists, at 32 bytes an entry; above it, in place in numpy
 LIST_ROWS_MAX_STATES = 64
-# bytes held per step: a sampled path's int64 state and float64 draw, and
-# in a curve replicate also the risk pass's context grouping, at most ten
-# int64 or float64 arrays as long as the path
+# bytes held per step (the rank table and a block of draws aside): a
+# sampled path's int64 state and float64 draw, and in a curve replicate
+# also the risk pass, at most ten int64 or float64 arrays of path length
 SAMPLE_STEP_BYTES = 16
 REPLICATE_STEP_BYTES = 96
 
@@ -67,12 +71,11 @@ def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
     """Sample an n-state path from a start state, distribution or None.
 
     Step k moves to the first state whose cumulative row entry exceeds
-    the k-th uniform draw (the last state if none does), found by
-    bisecting the row: ``np.searchsorted(side="right")``'s answer at a
-    fraction of its per-call cost.  Up to ``LIST_ROWS_MAX_STATES`` states
-    a row is bisected as a Python list, made the first time the path
-    reaches it; above, the numpy row is bisected in place, since making
-    a list of d floats costs as much as many steps.
+    the k-th uniform draw (the last state if none does).  On a long path
+    a block of draws is ranked among all rows' breakpoints by one
+    ``searchsorted``, and a step looks up its row's answer to the rank
+    (Chen and Asau's indexed search); otherwise a step bisects its row,
+    as a Python list made on the first visit, or as the numpy row.
     """
     rows = TransitionMatrix.of(Q).dense()
     d = rows.shape[0]
@@ -90,21 +93,34 @@ def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
                          f"nonnegative and summing to 1 within {SUM_TOL}")
     table = [None] * d if d <= LIST_ROWS_MAX_STATES else cum
     last = d - 1
+    ranked = d <= RANK_ROWS_MAX_STATES and n >= d ** 3 + RANK_MIN_STEPS
+    if ranked:
+        # a draw of rank r lies in [edges[r - 1], edges[r]): in row s it
+        # passes exactly the breakpoints up to edges[r - 1]
+        edges = np.unique(cum)
+        table = [[0, *np.minimum(np.searchsorted(row, edges, side="right"),
+                                 last).tolist()] for row in cum]
     out = np.empty(n, dtype=np.int64)
     out[0] = x
     draws = rng.random(n - 1)
-    # draws become Python floats a block at a time, to hold O(n) bytes
+    # draws become Python objects a block at a time, to hold O(n) bytes
     for a in range(0, n - 1, SAMPLE_BLOCK):
+        block = draws[a:a + SAMPLE_BLOCK]
         path = []
         step = path.append
-        for u in draws[a:a + SAMPLE_BLOCK].tolist():
-            row = table[x]
-            if row is None:
-                row = table[x] = cum[x].tolist()
-            x = bisect_right(row, u)
-            if x > last:
-                x = last
-            step(x)
+        if ranked:
+            for r in np.searchsorted(edges, block, side="right").tolist():
+                x = table[x][r]
+                step(x)
+        else:
+            for u in block.tolist():
+                row = table[x]
+                if row is None:
+                    row = table[x] = cum[x].tolist()
+                x = bisect_right(row, u)
+                if x > last:
+                    x = last
+                step(x)
         out[a + 1:a + 1 + len(path)] = path
     return Trajectory(states=out)
 
@@ -122,12 +138,11 @@ def frequentist_estimate(traj, d=None) -> TransitionMatrix:
         d = int(states.max()) + 1
     if states.max() >= d:
         raise ValueError(f"state {states.max()} outside [0, {d})")
-    counts = np.zeros((d, d))
-    np.add.at(counts, (states[:-1], states[1:]), 1.0)
+    counts = np.bincount(states[:-1] * d + states[1:],
+                         minlength=d * d).reshape(d, d)
     totals = counts.sum(axis=1)
     unvisited = np.flatnonzero(totals == 0)
-    totals[unvisited] = 1.0
-    rows = counts / totals[:, None]
+    rows = counts / np.maximum(totals, 1)[:, None]
     rows[unvisited] = 1.0 / d
     return TransitionMatrix(rows, meta={
         "estimator": "frequentist", "uniform_rows": [int(i) for i in unvisited]})
@@ -196,11 +211,11 @@ def kl_divergence(p, q) -> float:
 def _context_scores(states, cap, score) -> np.ndarray:
     """``score(context)`` at each step, the context being the path up to
     that step truncated to its last ``cap`` states.  With a finite cap
-    each distinct context is scored once, in order of first appearance,
-    and the scores are gathered back to the steps; with cap None every
-    step is scored.  Only the path's contexts are scored, so a record of
-    queries such as ``NgramOracle.unseen_queried`` names no state the
-    path misses."""
+    each distinct context is scored once (by state id for cap 1 and ids
+    below n, else in order of first appearance) and the scores gathered
+    back to the steps; with cap None every step is scored.  Only the
+    path's contexts are scored, so a record of queries such as
+    ``NgramOracle.unseen_queried`` names no state the path misses."""
     n = states.size
     if cap is None:
         return np.array([score(tuple(states[:k + 1])) for k in range(n)])
@@ -208,6 +223,11 @@ def _context_scores(states, cap, score) -> np.ndarray:
         raise ValueError(f"context cap must be at least 1, got {cap}")
     if n == 0:
         return np.empty(0)
+    if cap == 1 and states.max() < n:
+        present = np.flatnonzero(np.bincount(states))
+        table = np.zeros(n)
+        table[present] = [score((s,)) for s in present]
+        return table[states]
     # the widest grouping is the cap's; a one-slot deque keeps only it
     firsts, groups = deque(window_groups(states, min(cap, n)), maxlen=1)[0]
     scores = np.array([score(tuple(states[max(0, k + 1 - cap):k + 1]))

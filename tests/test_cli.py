@@ -202,6 +202,45 @@ def test_rendered_outputs_are_pinned(tmp_path, command, cfg, digests):
             .hexdigest() for name in digests} == digests
 
 
+# sha256 of outputs as the bisecting sampler, np.add.at transition counts
+# and lexsort-grouped one-state scoring wrote them: an order-2 n-gram
+# curve, the benchmark's frequentist curve shape (up to 10^4 steps, 20
+# replicates), and 300,000-step paths over 64 states (rows bisected as
+# lists) and 65 (numpy rows), each across several sampling blocks
+@pytest.mark.parametrize("command,cfg,digests", [
+    ("estimate", dict(ESTIMATE_CFG, estimator={"kind": "ngram", "order": 2}), {
+        "risk.csv":
+            "e0eb8a201718ea57f706059ea655882b20606b78dc39611bfc617ed8ccda36fc",
+        "fit.json":
+            "18d4a42669f69d85e058780e6e8638d9e007bb1b54449041d36d4e8bac0f230c",
+    }),
+    ("estimate", {"chain": {"kind": "random", "d": 3, "p_min": 0.05,
+                            "seed": 7},
+                  "estimator": {"kind": "frequentist"},
+                  "n_list": [100, 316, 1000, 3162, 10000], "reps": 20,
+                  "seed": 11}, {
+        "risk.csv":
+            "a6249908de7be6e8566e20a7840d5c3569969ea9606a75096165031cc4439cbf",
+        "fit.json":
+            "3a661f7582dec52856a0f99db24f60e678d8fd4a4f6039c3544f463b9ec8c3e3",
+    }),
+    ("generate", {"chain": {"kind": "random", "d": 64, "seed": 3},
+                  "sample": {"length": 300_000, "seed": 5}}, {
+        "trajectory.csv":
+            "1718cf97233b5ed4076553249b26f902f29af03a2f8e5332833ee7cf93f7e4fa",
+    }),
+    ("generate", {"chain": {"kind": "random", "d": 65, "seed": 3},
+                  "sample": {"length": 300_000, "seed": 5}}, {
+        "trajectory.csv":
+            "e158311ba4dfd9ff1dbb096fe38737b90ca08bc54f042a12c4c96595f143af59",
+    }),
+])
+def test_sampled_outputs_are_pinned(tmp_path, command, cfg, digests):
+    assert run(tmp_path, command, cfg) == 0
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
+            .hexdigest() for name in digests} == digests
+
+
 def test_matrix_json_reads_back_as_the_chain(tmp_path):
     """The triplets the CLI writes are the chain's, value for value."""
     cfg = {"n_tokens": 8, "context_window": 4,
@@ -884,23 +923,24 @@ COUNTED = {"config.mc.n": "coins"}
     ("estimate", {"chain": CHAIN3, "estimator": FREQ,
                   "n_list": [10, 20, 60]}, "config.n_list[2]", 60, 5_760),
     # c, a block of the batch's 1,000 coins in 16 raw words and their
-    # prefix, 32 bytes per row edge and 25 per sample of the batch:
-    # 8 * 10 + 16 * 16 + 8 + 32 * 101 + 25 * 100
+    # prefix, 32 bytes per row edge, 25 per sample of the batch and 24 KiB
+    # of fixed overhead: 8 * 10 + 16 * 16 + 8 + 32 * 101 + 25 * 100 + 24,576
     ("bounds", {"mc": {"n": 10, "n_samples": 100}}, "config.mc.n",
-     10, 6_076),
+     10, 30_652),
     # two samples: c, 1,200 coins in 19 words, 3 edges and the batch:
-    # 8 * 600 + 16 * 19 + 8 + 32 * 3 + 25 * 2
+    # 8 * 600 + 16 * 19 + 8 + 32 * 3 + 25 * 2 + 24,576
     ("bounds", {"mc": {"n": 600, "n_samples": 2}}, "config.mc.n",
-     600, 5_258),
+     600, 29_834),
     # an n-gram fit's count rows: 8 * 25 * (min(49, 25) + min(49, 25^2))
     ("estimate", {"chain": {"kind": "random", "d": 25},
                   "estimator": {"kind": "ngram", "order": 2},
                   "n_list": [50]}, "config.n_list[0]", 50, 14_800),
     # before any n-sized array: c alone, 8 * 10^11 bytes, would not fit;
     # with a block of COIN_BLOCK words, which holds one row edge, and a
-    # batch of 10^4 rows: 8 * 10^11 + 16 * 2^15 + 8 + 32 * 2 + 25 * 10^4
+    # batch of 10^4 rows and the overhead:
+    # 8 * 10^11 + 16 * 2^15 + 8 + 32 * 2 + 25 * 10^4 + 24,576
     ("bounds", {"mc": {"n": 10 ** 11}}, "config.mc.n", 10 ** 11,
-     800_000_774_360),
+     800_000_798_936),
 ])
 def test_dense_bytes_checked_before_building(tmp_path, capsys, monkeypatch,
                                              command, cfg, key, count, need):

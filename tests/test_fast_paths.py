@@ -4,6 +4,7 @@ must agree exactly."""
 
 import math
 import tracemalloc
+from bisect import bisect_right
 from functools import partial
 
 import numpy as np
@@ -14,6 +15,7 @@ from tokenchain import bounds, estimation
 from tokenchain.bounds import MC_BATCH, _coin_counts, _head_share
 from tokenchain.chains import TransitionMatrix
 from tokenchain.estimation import (
+    frequentist_estimate,
     kl_divergence,
     kl_risk,
     oracle_divergence,
@@ -22,7 +24,7 @@ from tokenchain.estimation import (
     tv_risk,
 )
 from tokenchain.generators import random_chain
-from tokenchain.oracles import NgramOracle, Oracle, fit_ngram
+from tokenchain.oracles import ChainOracle, NgramOracle, Oracle, fit_ngram
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +50,38 @@ def loop_sample(Q, start, n, seed=0):
         x = min(int(np.searchsorted(cum[x], draws[k], side="right")), d - 1)
         out[k + 1] = x
     return out
+
+
+def bisect_sample(Q, start, n, seed=0):
+    """The sampler before rank lookup: each step bisects its cumulative
+    row, held as a Python list, and clamps to the last state."""
+    rows = TransitionMatrix.of(Q).dense()
+    d = rows.shape[0]
+    rng = np.random.default_rng(seed)
+    if start is not None and np.ndim(start) == 0:
+        x = int(start)
+    else:
+        p = np.full(d, 1.0 / d) if start is None else np.asarray(start)
+        x = min(int(np.searchsorted(np.cumsum(p), rng.random(),
+                                    side="right")), d - 1)
+    cum = np.cumsum(rows, axis=1).tolist()
+    out = [x]
+    for u in rng.random(n - 1).tolist():
+        x = min(bisect_right(cum[x], u), d - 1)
+        out.append(x)
+    return np.array(out, dtype=np.int64)
+
+
+def add_at_estimate(states, d):
+    """frequentist_estimate's rows as np.add.at counted them."""
+    counts = np.zeros((d, d))
+    np.add.at(counts, (states[:-1], states[1:]), 1.0)
+    totals = counts.sum(axis=1)
+    unvisited = np.flatnonzero(totals == 0)
+    totals[unvisited] = 1.0
+    rows = counts / totals[:, None]
+    rows[unvisited] = 1.0 / d
+    return rows, unvisited.tolist()
 
 
 def loop_divergences(Q_true, predictor, traj, div):
@@ -99,15 +133,20 @@ def loop_ngram_counts(states, order, n_symbols):
 # sampling
 # ---------------------------------------------------------------------------
 
+def random_rows(rng, d, density):
+    """d random rows, some with zero entries (so repeated breakpoints) and
+    some with a single nonzero."""
+    keep = rng.random((d, d)) < density
+    keep[np.arange(d), rng.integers(0, d, d)] = True
+    rows = rng.random((d, d)) * keep
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
 @st.composite
 def sampling_cases(draw):
     d = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # rows with zero entries, some with a single nonzero
-    keep = rng.random((d, d)) < draw(st.sampled_from([0.1, 0.5, 1.0]))
-    keep[np.arange(d), rng.integers(0, d, d)] = True
-    rows = rng.random((d, d)) * keep
-    rows /= rows.sum(axis=1, keepdims=True)
+    rows = random_rows(rng, d, draw(st.sampled_from([0.1, 0.5, 1.0])))
     kind = draw(st.sampled_from(["none", "state", "vector"]))
     if kind == "none":
         start = None
@@ -144,6 +183,96 @@ def test_sampler_matches_the_loop_across_a_block(d):
     n = estimation.SAMPLE_BLOCK + 2
     np.testing.assert_array_equal(sample_trajectory(Q, None, n, seed=[d]).states,
                                   loop_sample(Q, None, n, [d]))
+
+
+def no_bisect(*args):
+    raise AssertionError("a ranked path bisects no row")
+
+
+def ranked(patch, block=None):
+    """Every path steps by rank lookup, up to 70 states."""
+    patch.setattr(estimation, "RANK_ROWS_MAX_STATES", 70)
+    patch.setattr(estimation, "RANK_MIN_STEPS", -70 ** 3)
+    patch.setattr(estimation, "bisect_right", no_bisect)
+    if block is not None:
+        patch.setattr(estimation, "SAMPLE_BLOCK", block)
+
+
+@st.composite
+def ranked_cases(draw):
+    # on both sides of LIST_ROWS_MAX_STATES
+    d = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = random_rows(rng, d, draw(st.sampled_from([0.1, 0.5, 1.0])))
+    start = draw(st.one_of(st.none(), st.integers(0, d - 1)))
+    block = draw(st.sampled_from([1, 7, 64]))
+    n = draw(st.sampled_from([1, 2, block, block + 1, 3 * block + 2, 300]))
+    return rows, start, n, draw(st.integers(0, 2**64 - 1)), block
+
+
+@settings(max_examples=150, deadline=None)
+@given(ranked_cases())
+def test_rank_lookup_matches_the_bisect_loop(case):
+    rows, start, n, seed, block = case
+    with pytest.MonkeyPatch.context() as patch:
+        ranked(patch, block)
+        fast = sample_trajectory(rows, start, n, seed=seed).states
+    np.testing.assert_array_equal(fast, bisect_sample(rows, start, n, seed))
+
+
+class ScriptedDraws(np.random.Generator):
+    """A generator whose ``random(size)`` hands out fixed draws."""
+
+    def __init__(self, draws):
+        super().__init__(np.random.PCG64(0))
+        self.draws = draws
+
+    def random(self, size=None):
+        return self.draws[:size].copy()
+
+
+# zero entries repeat breakpoints, and the last row sums to 1 - 2^-53, so
+# a draw at or above its last breakpoint is clamped to the last state
+EDGE_ROWS = np.array([[0.25, 0.0, 0.5, 0.25], [0.0, 0.0, 1.0, 0.0],
+                      [0.1, 0.2, 0.3, 0.4], [0.1, 0.7, 0.1, 0.1]])
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2])
+@pytest.mark.parametrize("block", [7, estimation.SAMPLE_BLOCK])
+def test_rank_lookup_on_and_beside_breakpoints(block, extra):
+    """Draws of 0, of every breakpoint and of each one's float neighbours,
+    shuffled so that every row meets them, over paths that end just
+    before, on and after a block edge."""
+    cum = np.unique(np.cumsum(EDGE_ROWS, axis=1))
+    assert cum[-2] < 1.0 and cum.size < 12
+    near = np.concatenate(([0.0], cum, np.nextafter(cum, 0.0),
+                           np.nextafter(cum, 2.0)))
+    near = np.unique(near[near < 1.0])
+    n = (block if block > 400 else 60 * block) + extra
+    draws = near[np.random.default_rng(0).permutation(
+        np.resize(np.arange(near.size), n - 1))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "SAMPLE_BLOCK", block)
+        patch.setattr(estimation, "bisect_right", no_bisect)
+        fast = sample_trajectory(EDGE_ROWS, 0, n,
+                                 seed=ScriptedDraws(draws)).states
+    slow = bisect_sample(EDGE_ROWS, 0, n, ScriptedDraws(draws))
+    np.testing.assert_array_equal(fast, slow)
+    assert np.bincount(slow, minlength=4).min() > 0
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (3, 1000), (7, 50),
+                                 (64, 300), (200, 1000)])
+def test_frequentist_counts_match_add_at(d, n):
+    states = sample_trajectory(random_chain(d, seed=d), 0, n,
+                               seed=n).states
+    # d + 3 leaves rows no path visits
+    for width in (None, d + 3):
+        fit = frequentist_estimate(states, width)
+        rows, unvisited = add_at_estimate(
+            states, width or int(states.max()) + 1)
+        assert fit.dense().tobytes() == rows.tobytes()
+        assert fit.meta["uniform_rows"] == unvisited
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +369,23 @@ def test_wide_coin_rows_hold_one_block():
     assert sampler_peak(1_000_001, 64) < 1 << 20
 
 
+@pytest.mark.parametrize("n,n_samples", [(40_001, 200), (1_000_001, 64)])
+def test_coin_check_bytes_covers_the_whole_check(n, n_samples):
+    """c, the sampler, and mc_verify's own generators, report and numpy
+    temporaries: the sampler's terms alone fell 7 and 13 KB short."""
+    np.random.default_rng(n)
+    grid = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
+    tracemalloc.start()
+    try:
+        bounds.mc_verify(partial(_coin_counts, n), partial(_head_share, n),
+                         np.full(n, 1.0 / n), n_samples, grid, mean=0.5,
+                         seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bounds.coin_check_bytes(n, n_samples)
+
+
 # ---------------------------------------------------------------------------
 # n-gram counts
 # ---------------------------------------------------------------------------
@@ -322,6 +468,49 @@ def test_context_scores_of_an_empty_path_and_a_zero_cap():
     assert estimation._context_scores(empty, 3, len).size == 0
     with pytest.raises(ValueError, match="context cap"):
         estimation._context_scores(np.array([0, 1]), 0, len)
+
+
+def per_step_scores(states, score):
+    """Each step's one-state context, scored on its own."""
+    return np.array([score((s,)) for s in states])
+
+
+# at d = 3, and at d = 200 over 3,000 steps, every state id is below the
+# path's length; at d = 200 over 60 steps some are not.  A 10-step fit
+# leaves transitions unseen, so at d = 3 some step's KL is infinite.
+@pytest.mark.parametrize("d,n", [(3, 400), (200, 60), (200, 3000)])
+@pytest.mark.parametrize("risk,div", [(tv_risk, tv_distance),
+                                      (kl_risk, kl_divergence)])
+def test_one_state_risks_match_per_step_scoring(d, n, risk, div):
+    Q = random_chain(d, seed=d)
+    rows = Q.dense()
+    traj = sample_trajectory(Q, None, n, seed=n)
+    fit_traj = sample_trajectory(Q, None, 10, seed=1)
+    for fitted in (lambda: ChainOracle(frequentist_estimate(fit_traj, d)),
+                   lambda: fit_ngram(fit_traj, 1, alpha=0.0, n_symbols=d)):
+        fast_oracle, slow_oracle = fitted(), fitted()
+        fast = risk(Q, fast_oracle, traj)
+        assert fast == float(np.mean(per_step_scores(
+            traj.states,
+            lambda ctx: div(rows[ctx[-1]], slow_oracle.query(ctx)))))
+        if risk is kl_risk and d == 3:
+            assert fast == math.inf
+        if isinstance(fast_oracle, NgramOracle):
+            # the 10-step fit saw at most 9 of the 200 contexts
+            assert bool(fast_oracle.unseen_queried) == (d == 200)
+            assert fast_oracle.unseen_queried == slow_oracle.unseen_queried
+
+
+def test_one_state_oracle_divergence_matches_per_step_scoring():
+    # a 3-step path over 5 states may hold an id above its length
+    trajs = [sample_trajectory(random_chain(5, seed=s), None, n, seed=s)
+             for s, n in ((1, 3), (2, 50), (3, 400))]
+    o1 = ChainOracle(random_chain(5, seed=8))
+    o2 = fit_ngram(trajs[1], 1, alpha=0.0, n_symbols=5)
+    slow = float(np.mean([np.mean(per_step_scores(
+        t.states, lambda ctx: tv_distance(o1.query(ctx), o2.query(ctx))))
+        for t in trajs]))
+    assert oracle_divergence(o1, o2, trajs) == slow
 
 
 @pytest.mark.parametrize("caps", [(1, 2), (2, 4), (1, None)])
