@@ -21,8 +21,8 @@ from .oracles import SUM_TOL, OracleError
 
 ROW_REPAIR_TOL = 1e-6
 
-# the CLI's cap on the dense arrays a command may hold, and
-# recurrent_block's cap on its dense T^K x T^K block
+# the CLI's cap on the dense arrays a command may hold, and the cap on the
+# dense n x n array of a sequence chain or its T^K x T^K block
 DENSE_BLOCK_CAP_BYTES = 1 << 31
 
 
@@ -34,11 +34,12 @@ class StructureError(Exception):
 class TransitionMatrix:
     """Row-stochastic matrix with transient/recurrent block metadata.
 
-    A sequence chain (``meta`` with ``n_tokens`` T and ``context_window``
-    K, as `build_qf` makes it) holds in ``probs`` its (n, T) next-token
+    A sequence chain (with the ``spec`` of its vocabulary T and window K,
+    as `build_qf` makes it) holds in ``probs`` its (n, T) next-token
     table: entry (i, t) is the probability of the t-th state of
     ``StateSpace.successor_table()`` row i.  Any other chain (generated
-    chains, extracted recurrent blocks) holds a dense (d, d) ndarray.
+    chains, extracted recurrent blocks) holds a dense (d, d) ndarray;
+    ``dense()`` refuses a table's (n, n) above DENSE_BLOCK_CAP_BYTES.
     States ``[0, n_transient)`` are the transient ones; the rest form the
     trailing recurrent-candidate block.
     """
@@ -47,6 +48,7 @@ class TransitionMatrix:
     n_transient: int = 0
     recurrent_only: bool = False
     meta: dict = field(default_factory=dict)
+    spec: VocabSpec | None = None
 
     @property
     def n_states(self) -> int:
@@ -54,11 +56,12 @@ class TransitionMatrix:
 
     @property
     def is_table(self) -> bool:
-        return "n_tokens" in self.meta
+        return self.spec is not None
 
     def dense(self) -> np.ndarray:
         if not self.is_table:
             return np.asarray(self.probs, dtype=float)
+        _admit_dense(self.n_states)
         out = np.zeros((self.n_states, self.n_states))
         rows, cols, values = self.triplet_columns()
         out[rows, cols] = values
@@ -83,8 +86,7 @@ class TransitionMatrix:
         at = np.flatnonzero(self.probs != 0.0)
         rows, cols = at // self.probs.shape[1], at % self.probs.shape[1]
         if self.is_table:
-            T, K = self.meta["n_tokens"], self.meta["context_window"]
-            cols = StateSpace(VocabSpec(T, K)).successor_table().ravel()[at]
+            cols = StateSpace(self.spec).successor_table().ravel()[at]
         return rows, cols, self.probs.ravel()[at]
 
     def left_product(self):
@@ -96,7 +98,7 @@ class TransitionMatrix:
             rows, cols, values = self.triplet_columns()
             return lambda x: np.bincount(cols, weights=x[rows] * values,
                                          minlength=n)
-        T, K = self.meta["n_tokens"], self.meta["context_window"]
+        T, K = self.spec.n_tokens, self.spec.context_window
         n_t, m = self.n_transient, T ** (K - 1)
         # state i < n_t - m moves to T + i T + t; the full-length state
         # n_t + r T + t has the predecessors n_t - m + r (if K > 1) and
@@ -147,7 +149,7 @@ class StructureReport:
         return not self.failures
 
 
-def build_qf(oracle, spec: VocabSpec, space: StateSpace | None = None) -> TransitionMatrix:
+def build_qf(oracle, spec: VocabSpec) -> TransitionMatrix:
     """Build the sequence-state transition matrix of a next-token oracle.
 
     Row i of its table holds the oracle's next-token probabilities for
@@ -157,11 +159,10 @@ def build_qf(oracle, spec: VocabSpec, space: StateSpace | None = None) -> Transi
     renormalized only when the drift is at most 1e-6, otherwise the oracle
     is considered buggy and the build fails.
     """
-    if space is None:
-        space = enumerate_states(spec)
+    space = enumerate_states(spec)
     T = spec.n_tokens
     n = len(space)
-    P = np.asarray(oracle.query_many(space, np.arange(n)), dtype=float)
+    P = np.asarray(oracle.query_many(space), dtype=float)
     if P.shape != (n, T):
         raise OracleError(f"oracle returned shape {P.shape[1:]} for state "
                           f"{space[0]}, expected ({T},)")
@@ -177,8 +178,7 @@ def build_qf(oracle, spec: VocabSpec, space: StateSpace | None = None) -> Transi
         raise OracleError(f"row for state {space[i]} sums to {sums[i]}; "
                           f"drift above {ROW_REPAIR_TOL}")
     P = np.where((drift > SUM_TOL)[:, None], P / sums[:, None], P)
-    return TransitionMatrix(P, n_transient=space.n_transient,
-                            meta={"n_tokens": T, "context_window": spec.context_window})
+    return TransitionMatrix(P, n_transient=space.n_transient, spec=spec)
 
 
 def validate_structure(Q: TransitionMatrix, spec: VocabSpec) -> StructureReport:
@@ -235,15 +235,20 @@ def _nilpotency_index(rows, cols, n_transient, K):
     return None
 
 
+def _admit_dense(n):
+    """Refuse a dense n x n array above DENSE_BLOCK_CAP_BYTES."""
+    if n * n * 8 > DENSE_BLOCK_CAP_BYTES:
+        raise MemoryError(
+            f"dense block of {n} states needs {n * n * 8} bytes, "
+            f"above the cap of {DENSE_BLOCK_CAP_BYTES}")
+
+
 def recurrent_block(Q: TransitionMatrix) -> TransitionMatrix:
     """Extract the dense full-length-state block of a sequence-state chain,
     refused above DENSE_BLOCK_CAP_BYTES."""
     n_t = Q.n_transient
     n_r = Q.n_states - n_t
-    if n_r * n_r * 8 > DENSE_BLOCK_CAP_BYTES:
-        raise MemoryError(
-            f"dense block of {n_r} states needs {n_r * n_r * 8} bytes, "
-            f"above the cap of {DENSE_BLOCK_CAP_BYTES}")
+    _admit_dense(n_r)
     rows, cols, values = Q.triplet_columns()
     inside = (rows >= n_t) & (cols >= n_t)
     block = np.zeros((n_r, n_r))

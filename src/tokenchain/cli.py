@@ -42,8 +42,8 @@ from .estimation import (
     curve_settings,
     fit_power_law,
     icl_risk_curve,
-    REPLICATE_STEP_BYTES,
-    SAMPLE_STEP_BYTES,
+    replicate_bytes,
+    sample_bytes,
     sample_trajectory,
     start_distribution,
 )
@@ -419,14 +419,15 @@ def _start_vector(cfg, d, path):
         return start_distribution(start, d)
 
 
-def _require_ok(report):
+def _sequence_chain(oracle, spec):
+    """The chain of ``oracle`` on ``spec`` and its structure.json payload,
+    once the structure is ok."""
+    matrix = build_qf(oracle, spec)
+    report = validate_structure(matrix, spec)
     if not report.ok:
         raise StructureError("; ".join(report.failures))
-
-
-def _structure_payload(report):
-    return {**asdict(report), "ok": report.ok,
-            "nonzero_proportion": str(report.nonzero_proportion)}
+    return matrix, {**asdict(report), "ok": report.ok,
+                    "nonzero_proportion": str(report.nonzero_proportion)}
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +438,13 @@ def cmd_build(config, seed, out: Path, jobs: int) -> int:
     """build a sequence-state transition matrix from an oracle"""
     _checked(config, {**_VOCAB, "seed": _SEED}, required=_VOCAB)
     spec = _vocab_spec(config["n_tokens"], config["context_window"])
-    matrix = build_qf(_oracle(config["oracle"], spec, seed), spec)
-    report = validate_structure(matrix, spec)
-    _require_ok(report)
+    matrix, structure = _sequence_chain(
+        _oracle(config["oracle"], spec, seed), spec)
     _write_json(out / "matrix.json", config, seed, {"matrix": matrix})
     _write_json(out / "structure.json", config, seed,
-                {"structure": _structure_payload(report)})
-    print(f"built {report.n_states} states, {report.nonzero_count} nonzeros "
-          f"(proportion {report.nonzero_proportion}), ok={report.ok}")
+                {"structure": structure})
+    print("built {n_states} states, {nonzero_count} nonzeros (proportion "
+          "{nonzero_proportion}), ok={ok}".format(**structure))
     return 0
 
 
@@ -562,7 +562,7 @@ def cmd_generate(config, seed, out: Path, jobs: int) -> int:
         length = sample["length"]
         _check_dense("config.sample.length",
                      f"a trajectory of {length} states",
-                     SAMPLE_STEP_BYTES * length)
+                     sample_bytes(chain.d, length))
     with _library_errors("config.chain"):
         matrix = build_chain(chain)
     if sample is not None:
@@ -593,11 +593,11 @@ def cmd_estimate(config, seed, out: Path, jobs: int) -> int:
     with _library_errors("config"):
         longest = curve_settings(config["n_list"], reps, **metric)[-1]
     last = f"config.n_list[{len(config['n_list']) - 1}]"
-    _check_dense(last, f"a replicate of {longest} states",
-                 REPLICATE_STEP_BYTES * longest)
     if isinstance(predictor, NgramEstimator):
         _check_dense(last, f"an order-{predictor.order} n-gram fit to "
                      f"{longest} states", predictor.fit_bytes(longest))
+    _check_dense(last, f"a replicate of {longest} states",
+                 replicate_bytes(chain.d, longest))
     start = _start_vector(config, chain.d, "config.start")
     with _library_errors("config.chain"):
         matrix = build_chain(chain)
@@ -705,9 +705,7 @@ def cmd_train_toy(config, seed, out: Path, jobs: int) -> int:
                                 ToyModelConfig.context_length)
     spec = _vocab_spec(2, context_length, "config.context_length")
     model, dataset = _toy_model(config, context_length, seed, "config")
-    matrix = build_qf(model, spec)
-    report = validate_structure(matrix, spec)
-    _require_ok(report)
+    matrix, structure = _sequence_chain(model, spec)
     stat = stationary(matrix, **_set(config, _SOLVER))
 
     space = enumerate_states(spec)
@@ -727,7 +725,7 @@ def cmd_train_toy(config, seed, out: Path, jobs: int) -> int:
         "bias": model.bias.tolist()}})
     _write_json(out / "matrix.json", config, seed, {"matrix": matrix})
     _write_json(out / "structure.json", config, seed,
-                {"structure": _structure_payload(report)})
+                {"structure": structure})
     _write_csv(out / "loss.csv", config, seed, _csv(
         "epoch,loss", enumerate(map(float, model.loss_history))))
     _write_json(out / "parity.json", config, seed, {"parity": {
@@ -737,7 +735,7 @@ def cmd_train_toy(config, seed, out: Path, jobs: int) -> int:
         "seen_mass": seen_mass,
         "unseen_mass": unseen_mass,
         "ratio": _render(ratio),
-        "structure_ok": bool(report.ok),
+        "structure_ok": structure["ok"],
     }})
     print(f"trained on {len(dataset)} examples over {spec.state_count} "
           f"states; seen/unseen stationary mass ratio "

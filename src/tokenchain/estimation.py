@@ -29,11 +29,6 @@ RANK_MIN_STEPS = 256
 # else, up to this many states the sampler bisects rows held as Python
 # lists, at 32 bytes an entry; above it, in place in numpy
 LIST_ROWS_MAX_STATES = 64
-# bytes held per step (the rank table and a block of draws aside): a
-# sampled path's int64 state and float64 draw, and in a curve replicate
-# also the risk pass, at most ten int64 or float64 arrays of path length
-SAMPLE_STEP_BYTES = 16
-REPLICATE_STEP_BYTES = 96
 
 
 @dataclass
@@ -123,6 +118,27 @@ def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
                 step(x)
         out[a + 1:a + 1 + len(path)] = path
     return Trajectory(states=out)
+
+
+def sample_bytes(d, n) -> int:
+    """At most the bytes `sample_trajectory` holds for an n-state path over
+    d states: 16 a step for the path and its draws; 80 apiece for a block
+    of up to SAMPLE_BLOCK draws or ranks as Python objects with their
+    states; 8 d^2 + 64 d for the cumulative rows and a vector a row; up
+    to LIST_ROWS_MAX_STATES states, 32 d^2 for the list rows (or the rank
+    table's breakpoints and temporaries); and up to RANK_ROWS_MAX_STATES
+    states, 8 d^3 for the rank table."""
+    return (16 * n + 80 * min(n, SAMPLE_BLOCK) + 8 * d * d + 64 * d
+            + 32 * d * d * (d <= LIST_ROWS_MAX_STATES)
+            + 8 * d ** 3 * (d <= RANK_ROWS_MAX_STATES))
+
+
+def replicate_bytes(d, n) -> int:
+    """At most the bytes one risk-curve replicate holds on an n-state
+    path over d states: the sampler's; the risk pass, at most ten int64
+    or float64 arrays of path length; and a frequentist fit's int64
+    counts, its rows and numpy's casting buffers, 32 bytes an entry."""
+    return sample_bytes(d, n) + 80 * n + 32 * d * d
 
 
 def frequentist_estimate(traj, d=None) -> TransitionMatrix:

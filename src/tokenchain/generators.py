@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chains import TransitionMatrix
+from .estimation import Trajectory, frequentist_estimate
 
 CHAIN_KINDS = ("random", "constrained_walk", "polygonal_walk", "clique_rim",
                "discretized_process")
@@ -176,7 +177,6 @@ def discretize(series, d):
     Ties on an interior bin edge go to the lower bin.  Returns a Trajectory
     of bin indices in [0, d).
     """
-    from .estimation import Trajectory
     series = np.asarray(series, dtype=float)
     if series.ndim != 1 or series.size == 0:
         raise ValueError("series must be a nonempty vector")
@@ -230,7 +230,6 @@ def build_chain(spec) -> TransitionMatrix:
         tau = spec.tau or [0] * (spec.d // 3 if spec.d % 3 == 0 else 0)
         return clique_rim(spec.d, spec.eta, tau, spec.rim_eps)
     if spec.kind == "discretized_process":
-        from .estimation import frequentist_estimate
         process = dict(spec.process)
         kind = process.pop("kind", None)
         if kind is None:

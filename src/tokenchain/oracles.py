@@ -91,18 +91,18 @@ class Oracle:
             context = context[-cap:]
         return self._distribution(context)
 
-    def query_many(self, space, rows) -> np.ndarray:
-        """Next-token distributions of the states ``space[i]`` for i in
-        ``rows``, as an (m, T) array.  By default ``query`` answers them
-        one at a time; an override must return exactly the same rows."""
+    def query_many(self, space) -> np.ndarray:
+        """Next-token distributions of every state of ``space``, in index
+        order, as an (n, T) array.  By default ``query`` answers them one
+        at a time; an override must return exactly the same rows."""
         T = space.spec.n_tokens
-        out = np.empty((len(rows), T))
-        for k, i in enumerate(rows):
-            p = np.asarray(self.query(space[i]), dtype=float)
+        out = np.empty((len(space), T))
+        for i, state in enumerate(space):
+            p = np.asarray(self.query(state), dtype=float)
             if p.shape != (T,):
                 raise OracleError(f"oracle returned shape {p.shape} for "
-                                  f"state {space[i]}, expected ({T},)")
-            out[k] = p
+                                  f"state {state}, expected ({T},)")
+            out[i] = p
         return out
 
     def _distribution(self, context):
@@ -126,10 +126,10 @@ class ChainOracle(Oracle):
     def _distribution(self, context):
         return self.rows[context[-1]]
 
-    def query_many(self, space, rows):
+    def query_many(self, space):
         # the last token of state o_L + v is v mod T, and every o_L is a
         # multiple of T
-        return self.rows[np.asarray(rows) % space.spec.n_tokens]
+        return self.rows[np.arange(len(space)) % space.spec.n_tokens]
 
 
 class UniformOracle(Oracle):
@@ -145,8 +145,8 @@ class UniformOracle(Oracle):
     def _distribution(self, context):
         return self._row
 
-    def query_many(self, space, rows):
-        return np.tile(self._row, (len(rows), 1))
+    def query_many(self, space):
+        return np.tile(self._row, (len(space), 1))
 
 
 class RandomLogitOracle(Oracle):
@@ -184,10 +184,10 @@ class RandomLogitOracle(Oracle):
         row = self.logits[self.space.index(context)]
         return apply_temperature(row, self.temperature)
 
-    def query_many(self, space, rows):
+    def query_many(self, space):
         if space.spec != self.space.spec:
-            return super().query_many(space, rows)
-        return apply_temperature(self.logits[rows], self.temperature)
+            return super().query_many(space)
+        return apply_temperature(self.logits, self.temperature)
 
 
 class NgramOracle(Oracle):
@@ -306,8 +306,8 @@ class ToyModelConfig:
 class ToyModel(Oracle):
     """Linear softmax classifier over a one-hot encoded, padded context.
 
-    Contexts shorter than the window are left-padded with a reserved pad id,
-    then each position is one-hot encoded over T + 1 symbols and the
+    Contexts shorter than the window are left-padded with the reserved pad
+    id T, then each position is one-hot encoded over T + 1 symbols and the
     concatenation is mapped through a rank-limited linear layer
     (D x embedding_dim x T) to next-token logits.
     """
@@ -324,13 +324,9 @@ class ToyModel(Oracle):
         self.loss_history = loss_history or []
         self.name = "toy-model"
 
-    @property
-    def pad_id(self):
-        return self.n_tokens
-
     def _encode(self, context):
         K, width = self.config.context_length, self.n_tokens + 1
-        padded = (self.pad_id,) * (K - len(context)) + tuple(context)
+        padded = (self.n_tokens,) * (K - len(context)) + tuple(context)
         x = np.zeros(K * width)
         for pos, tok in enumerate(padded):
             x[pos * width + tok] = 1.0

@@ -46,7 +46,6 @@ class RemoteOracleConfig:
 
     endpoint: str
     alphabet: tuple
-    separator: str = ","
     timeout_ms: int = 10_000
     max_inflight: int = 4
 
@@ -69,8 +68,6 @@ class RemoteOracleConfig:
             raise ValueError("alphabet must be nonempty")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("alphabet symbols must be distinct")
-        if not self.separator:
-            raise ValueError("separator must be non-empty")
         if self.timeout_ms <= 0:
             raise ValueError(f"timeout_ms must be > 0, got {self.timeout_ms}")
         if self.max_inflight < 1:
@@ -319,16 +316,19 @@ class OpenAIRemoteOracle(_HttpOracle):
     name = "remote-openai"
 
     def __init__(self, config: RemoteOracleConfig, model=None,
-                 top_logprobs=20):
+                 top_logprobs=20, separator=","):
+        if not separator:
+            raise ValueError("separator must be non-empty")
         super().__init__(config)
         self.model = model
         self.top_logprobs = int(top_logprobs)
+        self.separator = separator
 
     def _distribution(self, context):
         symbols = self._symbols(context)
         prompt = ""
         if symbols:
-            prompt = self.config.separator.join(symbols) + self.config.separator
+            prompt = self.separator.join(symbols) + self.separator
         payload = {"prompt": prompt, "max_tokens": 1,
                    "logprobs": self.top_logprobs, "temperature": 0.0}
         if self.model is not None:
@@ -408,27 +408,11 @@ class MockOracleServer:
 
     def __init__(self, seed=0, port=0):
         self._server = _mock_server(("127.0.0.1", port), seed)
-        self._thread = None
 
     @property
     def url(self) -> str:
         host, port = self._server.server_address[:2]
         return f"http://{host}:{port}"
-
-    def start(self):
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._server.serve_forever,
-                kwargs={"poll_interval": 0.05}, daemon=True)
-            self._thread.start()
-        return self
-
-    def stop(self):
-        if self._thread is not None:
-            self._server.shutdown()
-            self._thread.join()
-            self._thread = None
-        self._server.server_close()
 
     def serve_forever(self):
         """Run in the foreground until interrupted."""
@@ -438,8 +422,15 @@ class MockOracleServer:
             self._server.server_close()
 
     def __enter__(self):
-        return self.start()
+        """Serve from a background thread until the block ends."""
+        self._thread = threading.Thread(
+            target=self._server.serve_forever,
+            kwargs={"poll_interval": 0.05}, daemon=True)
+        self._thread.start()
+        return self
 
     def __exit__(self, *exc):
-        self.stop()
+        self._server.shutdown()
+        self._thread.join()
+        self._server.server_close()
         return False

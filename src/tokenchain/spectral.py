@@ -294,9 +294,8 @@ def doeblin_epsilon(Q, window=None) -> float:
     Any other chain or window takes a dense power.
     """
     Q = TransitionMatrix.of(Q)
-    K = Q.meta.get("context_window")
-    if window is None:
-        window = K or 1
+    K = Q.spec.context_window if Q.is_table else 1
+    window = K if window is None else window
     if not Q.is_table or window != K:
         block = recurrent_block(Q).probs if Q.n_transient else Q.dense()
         return float(np.linalg.matrix_power(block, window).min())
@@ -304,7 +303,7 @@ def doeblin_epsilon(Q, window=None) -> float:
     # the least product (from 1, left to right) over the paths ending at v,
     # one step on, exactly, as rounding is monotone on nonnegative floats.
     # The table is read entry by entry, so a zero probability gives 0.
-    T, P = Q.meta["n_tokens"], Q.probs[Q.n_transient:]
+    T, P = Q.spec.n_tokens, Q.probs[Q.n_transient:]
     f = np.ones(T**K)
     for _ in range(K):
         f = (f[:, None] * P).reshape(T, -1, T).min(axis=0).ravel()
@@ -352,7 +351,7 @@ def convergence_profile(Q, window=None, n_max=DEFAULT_N_MAX, pi=None) -> Converg
     Q = TransitionMatrix.of(Q)
     D = Q.dense()
     if window is None:
-        window = Q.meta.get("context_window", 1)
+        window = Q.spec.context_window if Q.is_table else 1
     if n_max < window:
         raise ValueError(f"n_max={n_max} is below the window {window}")
     eps = doeblin_epsilon(Q, window)
@@ -472,8 +471,8 @@ class TemperaturePoint:
     converged: bool
 
 
-def sweep_temperature(oracle, spec, temperatures, space=None,
-                      tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def sweep_temperature(oracle, spec, temperatures, tol=DEFAULT_TOL,
+                      max_iter=DEFAULT_MAX_ITER):
     """Rebuild the chain of ``oracle`` at each temperature.
 
     Reports the envelope rate constant, the power-iteration step count and
@@ -481,7 +480,7 @@ def sweep_temperature(oracle, spec, temperatures, space=None,
     """
     points = []
     for tau in temperatures:
-        Q = build_qf(oracle.with_temperature(tau), spec, space)
+        Q = build_qf(oracle.with_temperature(tau), spec)
         result = stationary(Q, tol, max_iter)
         eps = doeblin_epsilon(Q, spec.context_window)
         points.append(TemperaturePoint(temperature=float(tau), epsilon=eps,

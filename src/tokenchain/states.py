@@ -39,12 +39,6 @@ class VocabSpec:
         T, K = self.n_tokens, self.context_window
         return T * (T**K - 1) // (T - 1)
 
-    @property
-    def transient_count(self) -> int:
-        """Number of sequences shorter than the context window."""
-        T, K = self.n_tokens, self.context_window
-        return T * (T ** (K - 1) - 1) // (T - 1)
-
 
 class StateSpace:
     """All sequences of length 1..K over T tokens, addressed by index arithmetic.
@@ -113,7 +107,8 @@ class StateSpace:
 
     @property
     def n_transient(self) -> int:
-        return self.spec.transient_count
+        """Number of sequences shorter than the context window."""
+        return self._offsets[-2]
 
 
 def enumerate_states(spec: VocabSpec) -> StateSpace:

@@ -87,7 +87,7 @@ def test_criterion_02_unichain_and_nilpotent_transients():
             space = enumerate_states(spec)
             for seed in (0, 1):
                 oracle = RandomLogitOracle(space, seed=seed, scale=2.0)
-                matrix = build_qf(oracle, spec, space)
+                matrix = build_qf(oracle, spec)
                 report = classify_states(matrix)
                 n_recurrent = n_tokens ** window
                 assert len(report.recurrent_classes) == 1
@@ -130,9 +130,9 @@ def test_criterion_03_convergence_envelope(parity_pipeline):
     space = enumerate_states(spec)
     for seed in range(50):
         oracle = RandomLogitOracle(space, seed=seed)
-        assert _envelope_violations(build_qf(oracle, spec, space)) == 0
+        assert _envelope_violations(build_qf(oracle, spec)) == 0
     model, _ = parity_pipeline
-    assert _envelope_violations(build_qf(model, spec, space)) == 0
+    assert _envelope_violations(build_qf(model, spec)) == 0
     _ok(3, "geometric convergence envelope, zero violations")
 
 
@@ -152,7 +152,7 @@ def test_criterion_04_temperature_monotonicity():
     monotone = 0
     for seed in range(20):
         oracle = RandomLogitOracle(space, seed=seed, scale=2.0)
-        points = sweep_temperature(oracle, spec, taus, space=space)
+        points = sweep_temperature(oracle, spec, taus)
         eps = [p.epsilon for p in points]
         if all(b >= a * (1.0 - 1e-12) for a, b in zip(eps, eps[1:])):
             monotone += 1

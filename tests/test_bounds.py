@@ -315,6 +315,13 @@ def test_mcdiarmid_tail_validation():
         mcdiarmid_tail(0.1, np.full(5, 0.2), mixing_norm=0.5)
 
 
+def test_tail_refuses_a_matrix_of_constants():
+    with pytest.raises(ValueError, match="^c must be a nonempty 1-D vector$"):
+        mcdiarmid_tail(0.1, np.full((2, 2), 0.1))
+    with pytest.raises(ValueError, match="^c must be a nonempty 1-D vector$"):
+        mcdiarmid_markov_tail(0.1, [[0.1]], 4.0)
+
+
 def test_mcdiarmid_markov_tail_values():
     c = np.full(100, 0.01)
     assert_allclose(mcdiarmid_markov_tail(0.2, c, 4.0),

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,9 @@ from tokenchain import chains, cli
 from tokenchain.chains import (
     TransitionMatrix, build_qf, recurrent_block, validate_structure,
 )
+from tokenchain.estimation import sample_trajectory
 from tokenchain.oracles import Oracle, OracleError, RandomLogitOracle, UniformOracle
+from tokenchain.spectral import doeblin_epsilon, stationary
 from tokenchain.states import VocabSpec, enumerate_states, successors
 
 
@@ -61,7 +64,7 @@ def test_rows_reproduce_the_oracle():
     spec = VocabSpec(2, 3)
     space = enumerate_states(spec)
     oracle = RandomLogitOracle(space, seed=5)
-    Q = build_qf(oracle, spec, space)
+    Q = build_qf(oracle, spec)
     for state in [(0,), (1, 0), (0, 1, 1), (1, 1, 1)]:
         i = space.index(state)
         row = Q.dense()[i]
@@ -162,7 +165,7 @@ def scatter(payload):
 def test_json_roundtrip(tmp_path):
     spec = VocabSpec(2, 3)
     space = enumerate_states(spec)
-    Q = build_qf(RandomLogitOracle(space, seed=9), spec, space)
+    Q = build_qf(RandomLogitOracle(space, seed=9), spec)
     blob = written(Q, tmp_path)
     # the table's rows, scattered onto the successor indices
     expected = np.zeros((Q.n_states, Q.n_states))
@@ -230,12 +233,61 @@ def test_recurrent_block_respects_memory_cap(monkeypatch):
         recurrent_block(Q)
 
 
+class WideOracle(Oracle):
+    """Answers every state of a space with three probabilities."""
+
+    n_symbols = 3
+
+    def query_many(self, space):
+        return np.full((len(space), 3), 1 / 3)
+
+
+def test_build_refuses_an_answer_of_the_wrong_shape():
+    with pytest.raises(OracleError, match=r"^oracle returned shape \(3,\) "
+                       r"for state \(0,\), expected \(2,\)$"):
+        build_qf(WideOracle(), VocabSpec(2, 2))
+
+
+def test_dense_form_of_a_sequence_chain_is_checked_before_allocating():
+    # 131,070 states: the dense form would take 131,070^2 doubles, 137 GB
+    Q = build_qf(UniformOracle(2), VocabSpec(2, 16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="dense block of 131070 states "
+                           "needs 137434759200 bytes"):
+            sample_trajectory(Q, 0, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_dense_form_of_a_small_sequence_chain_is_under_the_cap(monkeypatch):
+    Q = build_qf(UniformOracle(2), VocabSpec(2, 3))
+    monkeypatch.setattr(chains, "DENSE_BLOCK_CAP_BYTES", 14 * 14 * 8)
+    assert Q.dense().shape == (14, 14)
+    monkeypatch.setattr(chains, "DENSE_BLOCK_CAP_BYTES", 14 * 14 * 8 - 1)
+    with pytest.raises(MemoryError, match="dense block of 14 states"):
+        Q.dense()
+    # a dense chain is dense already and is not checked again
+    assert TransitionMatrix(np.eye(14)).dense().shape == (14, 14)
+
+
+def test_a_dense_chain_is_not_a_table_whatever_its_meta():
+    rows = np.array([[0.5, 0.5], [0.25, 0.75]])
+    Q = TransitionMatrix(rows, meta={"n_tokens": 2, "context_window": 3})
+    assert not Q.is_table and Q.spec is None
+    npt.assert_allclose(stationary(Q).pi, [1 / 3, 2 / 3], rtol=1e-12)
+    assert doeblin_epsilon(Q) == 0.25
+    assert build_qf(UniformOracle(2), VocabSpec(2, 3)).spec == VocabSpec(2, 3)
+
+
 def csr_of(Q):
     """Q as a CSR matrix that stores every table entry, zeros too."""
     if not Q.is_table:
         return sp.csr_matrix(Q.probs)
     n, T = Q.probs.shape
-    succ = enumerate_states(VocabSpec(T, Q.meta["context_window"]))
+    succ = enumerate_states(Q.spec)
     return sp.csr_matrix((Q.probs.ravel(), succ.successor_table().ravel(),
                           np.arange(0, n * T + 1, T)), shape=(n, n))
 
@@ -245,7 +297,7 @@ def csr_of(Q):
 def test_left_product_of_a_table_matches_a_csr_product(T, K):
     spec = VocabSpec(T, K)
     space = enumerate_states(spec)
-    Q = build_qf(RandomLogitOracle(space, seed=T + K, scale=3.0), spec, space)
+    Q = build_qf(RandomLogitOracle(space, seed=T + K, scale=3.0), spec)
     _assert_steps_match(Q)
 
 

@@ -16,7 +16,7 @@ from tokenchain.cli import main
 from tokenchain.remote import MockOracleServer, RemoteOracle
 from tokenchain.states import VocabSpec
 
-from test_remote import KeepAliveStub, post_json
+from test_remote import KeepAliveStub, RawStub, http_reply, post_json
 
 
 def run(tmp_path, command, config, out="out", seed=None, jobs=None):
@@ -916,12 +916,15 @@ COUNTED = {"config.mc.n": "coins"}
      "config.chain.d", 10, 16_000),
     # mixing_bytes(14, 10_000): 8 * 14^2 * (14 + 6)
     ("analyze", BUILD_CFG, "config.n_tokens/context_window", 14, 31_360),
-    # an int64 state and a float64 draw per step
+    # sample_bytes(3, 400): 16 bytes a step, a block of 400 Python objects
+    # at 80 bytes, the cumulative rows, a vector a row, the list rows and
+    # the rank table: 16 * 400 + 80 * 400 + 8 * 9 + 64 * 3 + 32 * 9 + 8 * 27
     ("generate", {"chain": CHAIN3, "sample": {"length": 400}},
-     "config.sample.length", 400, 6_400),
-    # the path and the risk pass: 96 bytes per step of the longest point
+     "config.sample.length", 400, 39_168),
+    # replicate_bytes(3, 60): sample_bytes(3, 60), the risk pass at 80 bytes
+    # a step and a frequentist fit at 32 bytes an entry: 6,528 + 80 * 60 + 32 * 9
     ("estimate", {"chain": CHAIN3, "estimator": FREQ,
-                  "n_list": [10, 20, 60]}, "config.n_list[2]", 60, 5_760),
+                  "n_list": [10, 20, 60]}, "config.n_list[2]", 60, 11_616),
     # c, a block of the batch's 1,000 coins in 16 raw words and their
     # prefix, 32 bytes per row edge, 25 per sample of the batch and 24 KiB
     # of fixed overhead: 8 * 10 + 16 * 16 + 8 + 32 * 101 + 25 * 100 + 24,576
@@ -1056,3 +1059,33 @@ def test_estimate_takes_integral_float_context_lengths(tmp_path):
     assert run(tmp_path, "estimate", cfg) == 0
     _, body = read_csv(tmp_path, "out", "risk.csv")
     assert [line.split(",")[0] for line in body[1:]] == ["100", "316"]
+
+
+def test_parity_toy_needs_a_binary_alphabet(tmp_path, capsys):
+    cfg = {"n_tokens": 3, "context_window": 2,
+           "oracle": {"kind": "parity_toy", "epochs": 1}}
+    assert run(tmp_path, "build", cfg) == 2
+    assert capsys.readouterr().err == ("tokenchain: config.n_tokens: "
+                                       "parity_toy needs a binary alphabet, "
+                                       "got 3\n")
+
+
+def test_train_toy_needs_a_digit_past_the_window(tmp_path, capsys):
+    cfg = {"n_digits": 4, "context_length": 4, "epochs": 1}
+    assert run(tmp_path, "train-toy", cfg) == 2
+    assert capsys.readouterr().err == (
+        "tokenchain: config: a sequence of 4 tokens has no window of 4 "
+        "with a next token\n")
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_estimate_against_a_bad_status_line_exits_3(tmp_path, capsys):
+    reply = http_reply("HTTP/1.1 OK 200", "Content-Length: 2", body=b"{}")
+    with RawStub([(reply, True)]) as stub:
+        cfg = {"chain": CHAIN3, "n_list": [2, 3], "reps": 2,
+               "estimator": {"kind": "remote", "endpoint": stub.url,
+                             "timeout_ms": 2000}}
+        assert run(tmp_path, "estimate", cfg) == 3
+    assert capsys.readouterr().err.startswith(
+        "tokenchain: oracle failure: transport failure: bad status line "
+        "b'HTTP/1.1 OK 200\\r\\n'")

@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tokenchain import cli
+from tokenchain import cli, estimation
 from tokenchain.estimation import (
     FrequentistEstimator, NgramEstimator, RiskCurve, RiskPoint, Trajectory,
     expected_tv_risk, fit_power_law, frequentist_estimate, icl_risk_curve,
@@ -74,6 +75,34 @@ def test_ngram_fit_bytes_bound_the_count_rows(d, order, n):
                                                  for w in widths)
 
 
+def _traced_peak(fn):
+    """fn's tracemalloc peak, after an untraced warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d,n", [
+    *itertools.product((3, 16, 48, 64, 65, 200), (300, 3_000, 30_000)),
+    (3, 10 ** 6), (48, 10 ** 6)])
+def test_sampler_and_replicate_peaks_within_their_counts(d, n):
+    """Each path of the sampler (the rank table at d <= 48 on long paths,
+    list rows up to 64 states, numpy rows above) and one frequentist
+    replicate stay within the bytes the CLI admits them by; at 10^6 steps
+    the sampler alone, as a replicate's count has 80 bytes a step spare."""
+    rows = random_chain(d, seed=d).dense()
+    sample = _traced_peak(lambda: sample_trajectory(rows, None, n, seed=1))
+    assert sample <= estimation.sample_bytes(d, n)
+    if n < 10 ** 6:
+        replicate = _traced_peak(lambda: estimation._one_replicate(
+            (rows, FrequentistEstimator(d), n, [1, 0, 0], "tv", None)))
+        assert replicate <= estimation.replicate_bytes(d, n)
+
+
 @pytest.mark.parametrize("alpha", [math.inf, math.nan, -1.0])
 def test_ngram_estimator_refuses_bad_alpha_at_construction(alpha):
     with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
@@ -106,6 +135,11 @@ def test_frequentist_flags_unvisited_rows():
     assert Q.meta["uniform_rows"] == [1, 2]
     with pytest.raises(ValueError):
         frequentist_estimate(Trajectory([0]))
+
+
+def test_frequentist_refuses_a_state_outside_d():
+    with pytest.raises(ValueError, match=r"^state 3 outside \[0, 3\)$"):
+        frequentist_estimate([0, 3, 1], d=3)
 
 
 def test_frequentist_refuses_a_negative_state_id():

@@ -243,6 +243,12 @@ def test_discretize_edge_goes_to_lower_bin():
     npt.assert_array_equal(traj.states, [0, 0, 1])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_discretize_refuses_a_non_finite_series(bad):
+    with pytest.raises(ValueError, match="^series must be finite$"):
+        discretize([0.0, bad, 1.0], 3)
+
+
 def test_discretize_monotone_hits_every_bin():
     traj = discretize(np.arange(10.0), 10)
     npt.assert_array_equal(traj.states, np.arange(10))

@@ -183,10 +183,12 @@ class KeepAliveStub:
 
 
 def post_json(url, payload):
-    """Status and body bytes of one POST made with urllib, no proxy."""
+    """Status and body bytes of one POST made with urllib, no proxy; a
+    payload of bytes goes out as it is."""
+    if not isinstance(payload, bytes):
+        payload = json.dumps(payload).encode()
     request = urllib.request.Request(
-        url, json.dumps(payload).encode(),
-        {"Content-Type": "application/json"})
+        url, payload, {"Content-Type": "application/json"})
     opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
     try:
         with opener.open(request, timeout=5) as resp:
@@ -205,7 +207,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RemoteOracleConfig("http://x", ("a", "a"))
     with pytest.raises(ValueError):
-        RemoteOracleConfig("http://x", ("a", "b"), separator="")
+        OpenAIRemoteOracle(RemoteOracleConfig("http://x", ("a", "b")),
+                           separator="")
     with pytest.raises(ValueError):
         RemoteOracleConfig("http://x", ("a", "b"), timeout_ms=0)
     with pytest.raises(ValueError):
@@ -266,6 +269,19 @@ def test_mock_server_rejects_unknown_symbol():
         assert status == 400
         status, _ = post_json(server.url, {"context": [], "alphabet": []})
         assert status == 400
+
+
+def test_mock_server_rejects_a_body_that_is_not_json():
+    with MockOracleServer() as server:
+        assert post_json(server.url, b"{not json") == (
+            400, b'{"error": "bad JSON"}')
+
+
+def test_mock_server_rejects_a_repeated_alphabet_symbol():
+    with MockOracleServer() as server:
+        assert post_json(server.url, {"context": ["a"],
+                                      "alphabet": ["a", "b", "a"]}) == (
+            400, b'{"error": "alphabet symbols must be distinct"}')
 
 
 def test_remote_error_is_oracle_error():
@@ -674,3 +690,12 @@ def test_openai_oracle_end_to_end():
         assert sent["model"] == "test-model"
         assert oracle.query(()).shape == (2,)
         assert server.last_payload["prompt"] == ""
+
+
+def test_openai_oracle_joins_the_context_with_its_separator():
+    table = {" a": math.log(0.6), " b": math.log(0.4)}
+    with StubServer(payload=completions_response(table)) as server:
+        oracle = OpenAIRemoteOracle(
+            config_for(server.url, alphabet=("a", "b")), separator=" | ")
+        oracle.query((1, 0, 0))
+        assert server.last_payload["prompt"] == "b | a | a | "

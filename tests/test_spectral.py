@@ -83,7 +83,7 @@ def test_stationary_reports_nonconvergence():
 def test_classify_sequence_chain_is_aperiodic_unichain():
     spec = VocabSpec(2, 3)
     space = enumerate_states(spec)
-    Q = build_qf(RandomLogitOracle(space, seed=2), spec, space)
+    Q = build_qf(RandomLogitOracle(space, seed=2), spec)
     report = classify_states(Q)
     assert report.is_unichain
     assert report.aperiodic
@@ -197,7 +197,7 @@ def least_path_product(oracle, spec):
     space = enumerate_states(spec)
     T, K = spec.n_tokens, spec.context_window
     n = T**K
-    probs = oracle.query_many(space, np.arange(space.n_transient, len(space)))
+    probs = oracle.query_many(space)[space.n_transient:]
     tokens = [np.arange(n) // T**(K - 1 - j) % T for j in range(K)]
     best = math.inf
     for lo in range(0, n, 256):
@@ -214,7 +214,7 @@ def test_epsilon_never_makes_the_full_chain_dense(monkeypatch):
     spec = VocabSpec(2, 6)
     space = enumerate_states(spec)
     oracle = RandomLogitOracle(space, seed=3, scale=2.0)
-    Q = build_qf(oracle, spec, space)
+    Q = build_qf(oracle, spec)
     expected = least_path_product(oracle, spec)
 
     def no_dense(self):
@@ -230,7 +230,7 @@ def test_epsilon_is_the_least_path_product(T, K, tau):
     spec = VocabSpec(T, K)
     space = enumerate_states(spec)
     oracle = RandomLogitOracle(space, seed=7, scale=2.0, temperature=tau)
-    Q = build_qf(oracle, spec, space)
+    Q = build_qf(oracle, spec)
     eps = doeblin_epsilon(Q)
     assert eps == least_path_product(oracle, spec)
     dense = np.linalg.matrix_power(recurrent_block(Q).probs, K).min()
@@ -270,7 +270,7 @@ def test_profile_uniform_two_state_chain_is_exact():
 def test_profile_runs_on_full_chain_and_recurrent_block():
     spec = VocabSpec(2, 3)
     space = enumerate_states(spec)
-    Q = build_qf(RandomLogitOracle(space, seed=0), spec, space)
+    Q = build_qf(RandomLogitOracle(space, seed=0), spec)
     full = convergence_profile(Q, n_max=200)
     assert 0 < full.epsilon <= 0.5
     assert len(full.empirical_curve) == 200 - 3 + 1
@@ -549,7 +549,7 @@ def test_stationary_loop_only_above_the_powers_budget(monkeypatch):
     spec = VocabSpec(2, 3)
     space = enumerate_states(spec)
     Q = build_qf(RandomLogitOracle(space, seed=0, scale=2.0,
-                                   temperature=0.3), spec, space)
+                                   temperature=0.3), spec)
     doubled = stationary(Q)
     assert doubled.iterations > spectral._switch_step(
         Q.n_states, Q.probs.size, 1, DEFAULT_MAX_ITER)
