@@ -326,6 +326,9 @@ class ToyModel(Oracle):
 
     def _encode(self, context):
         K, width = self.config.context_length, self.n_tokens + 1
+        if not all(0 <= t < self.n_tokens for t in context):
+            raise ValueError(f"context {tuple(context)}: tokens must lie "
+                             f"in [0, {self.n_tokens})")
         padded = (self.n_tokens,) * (K - len(context)) + tuple(context)
         x = np.zeros(K * width)
         for pos, tok in enumerate(padded):
@@ -359,12 +362,15 @@ def train_toy(dataset, config: ToyModelConfig, n_tokens=None) -> ToyModel:
     if not dataset:
         raise ValueError("dataset is empty")
     dataset = [(tuple(ctx), int(y)) for ctx, y in dataset]
-    for ctx, y in dataset:
-        if len(ctx) > config.context_length:
-            raise ValueError(f"context {ctx} longer than the window")
     if n_tokens is None:
         n_tokens = 1 + max(max((max(c) for c, _ in dataset if c), default=0),
                            max(y for _, y in dataset))
+    for i, (ctx, y) in enumerate(dataset):
+        if len(ctx) > config.context_length:
+            raise ValueError(f"context {ctx} longer than the window")
+        if not all(0 <= t < n_tokens for t in (*ctx, y)):
+            raise ValueError(f"example {i} {ctx} -> {y}: tokens must lie "
+                             f"in [0, {n_tokens})")
     rng = np.random.default_rng(config.seed)
     dim_in = config.context_length * (n_tokens + 1)
     w_in = 0.01 * rng.standard_normal((dim_in, config.embedding_dim))
@@ -373,10 +379,14 @@ def train_toy(dataset, config: ToyModelConfig, n_tokens=None) -> ToyModel:
     model = ToyModel(config, n_tokens, w_in, w_out, bias)
 
     # x, the K rows of w_in that x selects, and the target
-    encoded = [(x, np.flatnonzero(x), y)
+    encoded = [(x, [w_in[r] for r in np.flatnonzero(x)], y)
                for x, y in ((model._encode(ctx), y) for ctx, y in dataset)]
     order = np.arange(len(encoded))
     lr = config.learning_rate
+    h, dh = np.empty(config.embedding_dim), np.empty(config.embedding_dim)
+    z, g, db = np.empty(n_tokens), np.empty(n_tokens), np.empty(n_tokens)
+    # views kept for the whole run: every update below is in place
+    dW, w_out_t, h_col = np.empty_like(w_out), w_out.T, h[:, None]
     # an update that overflows shows in the next logits
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
@@ -384,21 +394,24 @@ def train_toy(dataset, config: ToyModelConfig, n_tokens=None) -> ToyModel:
             total = 0.0
             for idx in order:
                 x, rows, y = encoded[idx]
-                h = x @ w_in
-                z = h @ w_out + bias
-                top = z.max()
-                if not (math.isfinite(top) and math.isfinite(z.min())):
+                np.matmul(x, w_in, out=h)
+                np.add(np.matmul(h, w_out, out=z), bias, out=z)
+                logits = z.tolist()
+                if not all(map(math.isfinite, logits)):
                     raise TrainingDivergedError(epoch, float("inf"))
-                e = np.exp(z - top)
-                g = e / e.sum()
+                np.exp(np.subtract(z, max(logits), out=g), out=g)
+                np.divide(g, np.add.reduce(g), out=g)
                 total -= np.log(max(g[y], 1e-300))
                 # d(cross-entropy)/d(logits) = p - onehot(y); the rows of
                 # w_in that x leaves at 0 would lose lr * 0 * (g @ w_out.T),
                 # exactly 0 while that product is finite
                 g[y] -= 1.0
-                w_in[rows] -= lr * (g @ w_out.T)
-                w_out -= lr * np.outer(h, g)
-                bias -= lr * g
+                np.multiply(lr, np.matmul(g, w_out_t, out=dh), out=dh)
+                for row in rows:
+                    np.subtract(row, dh, out=row)
+                np.subtract(w_out, np.multiply(
+                    lr, np.multiply(h_col, g, out=dW), out=dW), out=w_out)
+                np.subtract(bias, np.multiply(lr, g, out=db), out=bias)
             loss = total / len(encoded)
             model.loss_history.append(loss)
             if not np.isfinite(loss):

@@ -114,8 +114,9 @@ def test_spectral_outputs_are_pinned(tmp_path, command, extra, digests):
 
 
 # sha256 of outputs as json.dumps and a one-string CSV body wrote them:
-# a 19.6 MB matrix.json over many triplet chunks, and a sample longer than
-# one CSV block
+# a 19.6 MB matrix.json over many triplet chunks, a sample longer than
+# one CSV block, and the toy's files as SGD steps with fancy-indexed row
+# updates and fresh arrays trained it
 @pytest.mark.parametrize("command,cfg,digests", [
     ("build", {"n_tokens": 2, "context_window": 16,
                "oracle": {"kind": "random_logits", "seed": 0}}, {
@@ -132,6 +133,12 @@ def test_spectral_outputs_are_pinned(tmp_path, command, extra, digests):
     ("train-toy", {"epochs": 50}, {
         "matrix.json":
             "8456f165fe6fe200d4a8e4c39fb153a79f10e2232d24a21864751fc1988afde2",
+        "model.json":
+            "cd0d0227de85d417bbe829f846a0d5525b75ba6198f62157d14d0019c15c1838",
+        "loss.csv":
+            "f244afc47a69cb1421d43678549dc29306ad2918dca99398227eb5034d0efdb8",
+        "parity.json":
+            "f943d8b4210631371bf15b21a4ae9bf704b1b21ee9dd0baae85d5e5da203d375",
     }),
 ])
 def test_streamed_outputs_are_pinned(tmp_path, command, cfg, digests):

@@ -1,6 +1,6 @@
-"""The array forms of sampling, context risks, n-gram counting and coin
-counts against loop references that keep the code they replaced; each pair
-must agree exactly."""
+"""The array forms of sampling, context risks, n-gram counting, coin
+counts, the convergence profile and toy training against loop references
+that keep the code they replaced; each pair must agree exactly."""
 
 import math
 import tracemalloc
@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tokenchain import bounds, estimation
+from tokenchain import bounds, estimation, spectral
 from tokenchain.bounds import MC_BATCH, _coin_counts, _head_share
-from tokenchain.chains import TransitionMatrix
+from tokenchain.chains import TransitionMatrix, build_qf
 from tokenchain.estimation import (
     frequentist_estimate,
     kl_divergence,
@@ -24,7 +24,31 @@ from tokenchain.estimation import (
     tv_risk,
 )
 from tokenchain.generators import random_chain
-from tokenchain.oracles import ChainOracle, NgramOracle, Oracle, fit_ngram
+from tokenchain.oracles import (
+    ChainOracle,
+    NgramOracle,
+    Oracle,
+    RandomLogitOracle,
+    ToyModel,
+    ToyModelConfig,
+    TrainingDivergedError,
+    fit_ngram,
+    parity_sequence,
+    train_toy,
+    windowed_examples,
+)
+from tokenchain.spectral import (
+    DEFAULT_N_MAX,
+    DEFAULT_T_CAP,
+    ConvergenceProfile,
+    _polish_fixpoint,
+    convergence_profile,
+    doeblin_epsilon,
+    envelope,
+    mixing_bytes,
+    stationary,
+)
+from tokenchain.states import VocabSpec, enumerate_states
 
 
 # ---------------------------------------------------------------------------
@@ -521,3 +545,269 @@ def test_oracle_divergence_matches_the_loop(caps):
     o1, o2 = (_fitted(cap, fit_traj) for cap in caps)
     assert oracle_divergence(o1, o2, trajs) == pytest.approx(
         loop_oracle_divergence(o1, o2, trajs), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# convergence profile: one dense product per step
+# ---------------------------------------------------------------------------
+
+def loop_profile(Q, window=None, n_max=DEFAULT_N_MAX, pi=None) -> ConvergenceProfile:
+    Q = TransitionMatrix.of(Q)
+    D = Q.dense()
+    if window is None:
+        window = Q.spec.context_window if Q.is_table else 1
+    if n_max < window:
+        raise ValueError(f"n_max={n_max} is below the window {window}")
+    eps = doeblin_epsilon(Q, window)
+    M = np.linalg.matrix_power(D, window)
+    if pi is None:
+        pi = stationary(Q).pi
+    pi = np.asarray(pi, dtype=float)
+    if eps > 0.0:
+        pi = _polish_fixpoint(pi, D)
+    steps = range(window, n_max + 1)
+    bounds = envelope(eps, window, steps).tolist()
+    bound_curve, empirical_curve = [], []
+    violations = 0
+    for n, b in zip(steps, bounds):
+        dev = float(np.abs(M - pi[None, :]).max())
+        empirical_curve.append((n, dev))
+        bound_curve.append((n, b))
+        if eps > 0 and dev > b + 1e-12:
+            violations += 1
+        if n < n_max:
+            M = M @ D
+    return ConvergenceProfile(epsilon=eps, window=window,
+                              bound_curve=bound_curve,
+                              empirical_curve=empirical_curve,
+                              vacuous=eps <= 0.0, violations=violations)
+
+
+def first_repeat(Q, window, n_max):
+    """(m, p) for the first n = m + p <= n_max with Q^n == Q^m bit for
+    bit, or None."""
+    D = TransitionMatrix.of(Q).dense()
+    M = np.linalg.matrix_power(D, window)
+    seen = {}
+    for n in range(window, n_max + 1):
+        m = seen.setdefault(M.tobytes(), n)
+        if m != n:
+            return m, n - m
+        M = M @ D
+    return None
+
+
+def random_logit_chain(T, K, seed):
+    spec = VocabSpec(T, K)
+    return build_qf(RandomLogitOracle(enumerate_states(spec), seed=seed), spec)
+
+
+def counted_profile(monkeypatch, *args, **kwargs):
+    """The profile and the number of products its step loop took."""
+    products, np_matmul = [], np.matmul
+
+    def matmul(*a, **kw):
+        products.append(1)
+        return np_matmul(*a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "matmul", matmul)
+        return convergence_profile(*args, **kwargs), len(products)
+
+
+# T=2, K=6 random-logit chains at seeds 0, 2, 7 and 11 first repeat at
+# n = 347 + 1, 246 + 12, 561 + 3 and 225 + 2; seed 1 not by n = 1000
+@pytest.mark.parametrize("Q,kwargs", [
+    # a rank-one chain: Q^n = Q from the start
+    ([[0.5, 0.25, 0.25]] * 3, {}),
+    (np.eye(2), {"window": 1, "n_max": 5}),
+    # the periodic walk: a 3-cycle of period 3, eps = 0
+    (np.roll(np.eye(3), 1, axis=1), {"n_max": 50}),
+    # a multichain: two closed classes and a transient state
+    ([[0.5, 0.5, 0, 0, 0], [0.25, 0.75, 0, 0, 0], [0, 0, 0.5, 0.5, 0],
+      [0, 0, 0.3, 0.7, 0], [0.2, 0.2, 0.2, 0.2, 0.2]], {"n_max": 300}),
+    ([[0.9, 0.1], [0.2, 0.8]], {"window": 3, "n_max": 3}),
+    (random_logit_chain(2, 6, 0), {}),
+    (random_logit_chain(2, 6, 1), {}),
+    (random_logit_chain(2, 6, 2), {}),
+    (random_logit_chain(2, 6, 7), {}),
+    (random_logit_chain(2, 6, 11), {}),
+    # T=2, K=4, seed 19: period 6 from n = 175, two deviations in a period
+    (random_logit_chain(2, 4, 19), {}),
+    # repeats past n_max
+    (random_logit_chain(2, 6, 11), {"n_max": 100}),
+    (random_logit_chain(2, 6, 2), {"n_max": 250}),
+    # a zero "stationary" vector: violations past the repeat as well
+    ([[0.9, 0.1], [0.2, 0.8]], {"window": 1, "n_max": 400, "pi": np.zeros(2)}),
+])
+def test_profile_matches_the_product_loop(monkeypatch, Q, kwargs):
+    profile, products = counted_profile(monkeypatch, Q, **kwargs)
+    assert profile == loop_profile(Q, **kwargs)
+    window = profile.window
+    n_max = kwargs.get("n_max", DEFAULT_N_MAX)
+    repeat = first_repeat(Q, window, n_max)
+    if repeat is None:
+        assert products == n_max - window
+    else:
+        onset, period = repeat
+        assert products <= min(onset + 2 * period, n_max) - window
+
+
+def test_profile_checks_each_fingerprint_match(monkeypatch):
+    """With every fingerprint 0, each candidate repeat is false until the
+    check of one more period proves one; the curve stays the loop's."""
+    class ZeroFingerprints:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def dot(x, y):
+            return np.uint64(0) if x.dtype == np.uint64 else np.dot(x, y)
+
+    chains = [random_logit_chain(2, 4, 19), random_logit_chain(2, 6, 1)]
+    loops = [loop_profile(Q) for Q in chains]
+    monkeypatch.setattr(spectral, "np", ZeroFingerprints())
+    assert [convergence_profile(Q) for Q in chains] == loops
+
+
+def test_profile_peak_is_admitted_by_mixing_bytes():
+    """The iterate, its work buffer, the check copy of a candidate repeat
+    and the fingerprint's weights, next to the dense chain: within what
+    analyze admits."""
+    Q = random_logit_chain(2, 7, 3)
+    n, pi = Q.n_states, stationary(Q).pi
+    convergence_profile(Q, n_max=20, pi=pi)
+    tracemalloc.start()
+    try:
+        convergence_profile(Q, pi=pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mixing_bytes(n, 0) <= mixing_bytes(n, DEFAULT_T_CAP)
+
+
+# ---------------------------------------------------------------------------
+# toy SGD: fresh arrays and fancy-indexed row updates
+# ---------------------------------------------------------------------------
+
+def loop_train_toy(dataset, config: ToyModelConfig, n_tokens=None) -> ToyModel:
+    if not dataset:
+        raise ValueError("dataset is empty")
+    dataset = [(tuple(ctx), int(y)) for ctx, y in dataset]
+    for ctx, y in dataset:
+        if len(ctx) > config.context_length:
+            raise ValueError(f"context {ctx} longer than the window")
+    if n_tokens is None:
+        n_tokens = 1 + max(max((max(c) for c, _ in dataset if c), default=0),
+                           max(y for _, y in dataset))
+    rng = np.random.default_rng(config.seed)
+    dim_in = config.context_length * (n_tokens + 1)
+    w_in = 0.01 * rng.standard_normal((dim_in, config.embedding_dim))
+    w_out = 0.01 * rng.standard_normal((config.embedding_dim, n_tokens))
+    bias = np.zeros(n_tokens)
+    model = ToyModel(config, n_tokens, w_in, w_out, bias)
+
+    # x, the K rows of w_in that x selects, and the target
+    encoded = [(x, np.flatnonzero(x), y)
+               for x, y in ((model._encode(ctx), y) for ctx, y in dataset)]
+    order = np.arange(len(encoded))
+    lr = config.learning_rate
+    # an update that overflows shows in the next logits
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            rng.shuffle(order)
+            total = 0.0
+            for idx in order:
+                x, rows, y = encoded[idx]
+                h = x @ w_in
+                z = h @ w_out + bias
+                top = z.max()
+                if not (math.isfinite(top) and math.isfinite(z.min())):
+                    raise TrainingDivergedError(epoch, float("inf"))
+                e = np.exp(z - top)
+                g = e / e.sum()
+                total -= np.log(max(g[y], 1e-300))
+                # d(cross-entropy)/d(logits) = p - onehot(y); the rows of
+                # w_in that x leaves at 0 would lose lr * 0 * (g @ w_out.T),
+                # exactly 0 while that product is finite
+                g[y] -= 1.0
+                w_in[rows] -= lr * (g @ w_out.T)
+                w_out -= lr * np.outer(h, g)
+                bias -= lr * g
+            loss = total / len(encoded)
+            model.loss_history.append(loss)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch, loss)
+    return model
+
+
+def training_outcome(train, dataset, config, n_tokens=None):
+    try:
+        model = train(dataset, config, n_tokens=n_tokens)
+    except TrainingDivergedError as exc:
+        return "diverged", exc.epoch, str(exc)
+    return ("trained", model.w_in.tobytes(), model.w_out.tobytes(),
+            model.bias.tobytes(), np.array(model.loss_history).tobytes())
+
+
+PARITY = windowed_examples(parity_sequence(40))
+THREE_TOKENS = [((0, 2), 1), ((2,), 0), ((1, 1), 2), ((), 2), ((2, 0), 0)]
+
+
+@pytest.mark.parametrize("dataset,n_tokens,context_length", [
+    (PARITY, 2, 3), (THREE_TOKENS, None, 2), (THREE_TOKENS, 4, 3)])
+@pytest.mark.parametrize("embedding_dim", [1, 2, 16, 40])
+@pytest.mark.parametrize("learning_rate,seed", [(0.1, 0), (0.5, 3), (1.0, 7)])
+def test_train_toy_matches_the_loop(dataset, n_tokens, context_length,
+                                    embedding_dim, learning_rate, seed):
+    config = ToyModelConfig(context_length=context_length,
+                            embedding_dim=embedding_dim,
+                            learning_rate=learning_rate, epochs=15, seed=seed)
+    outcome = training_outcome(train_toy, dataset, config, n_tokens)
+    assert outcome[0] == "trained"
+    assert outcome == training_outcome(loop_train_toy, dataset, config,
+                                       n_tokens)
+
+
+@pytest.mark.parametrize("learning_rate,epochs", [
+    (1e12, 50), (1e150, 5), (1e308, 2)])
+def test_train_toy_diverges_as_the_loop(learning_rate, epochs):
+    config = ToyModelConfig(learning_rate=learning_rate, epochs=epochs)
+    outcome = training_outcome(train_toy, PARITY[:9], config, 2)
+    assert outcome[0] == "diverged"
+    assert outcome == training_outcome(loop_train_toy, PARITY[:9], config, 2)
+
+
+np_default_rng = np.random.default_rng
+
+
+class CraftedWeights:
+    """A generator whose normal draws are the given arrays, in turn."""
+
+    def __init__(self, seed, draws):
+        self.rng = np_default_rng(seed)
+        self.draws = list(draws)
+
+    def standard_normal(self, shape):
+        draw = self.draws.pop(0)
+        assert draw.shape == shape
+        return draw
+
+    def shuffle(self, x):
+        self.rng.shuffle(x)
+
+
+def test_train_toy_stops_at_a_nan_past_the_first_logit(monkeypatch):
+    """w_out's second column holds +inf and -inf, so the second logit is
+    inf - inf = NaN behind a finite first one: Python's max and min pass
+    over such a NaN, z.max() does not."""
+    w_in = np.ones((2 * 3, 2))
+    w_out = np.array([[1.0, math.inf], [1.0, -math.inf]])
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: CraftedWeights(seed, [w_in, w_out]))
+    config = ToyModelConfig(context_length=2, embedding_dim=2, epochs=3)
+    dataset = [((0, 1), 1), ((1, 1), 0)]
+    outcome = training_outcome(train_toy, dataset, config, 2)
+    assert outcome == ("diverged", 0,
+                       "training loss became non-finite at epoch 0: inf")
+    assert outcome == training_outcome(loop_train_toy, dataset, config, 2)

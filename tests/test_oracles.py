@@ -300,6 +300,25 @@ def test_train_toy_validation():
         train_toy([((0, 1, 0, 1), 0)], ToyModelConfig(context_length=3))
 
 
+@pytest.mark.parametrize("example,n_tokens", [
+    (((0, 3), 1), 2), (((0, 1), -1), 2), (((0, 1), 2), 2),
+    (((-1, 0), 1), None), (((0, 1), -1), None)])
+def test_train_toy_refuses_tokens_out_of_range(example, n_tokens):
+    dataset = [((0, 1), 1), example]
+    with pytest.raises(ValueError, match=r"example 1 .* tokens must lie in"):
+        train_toy(dataset, ToyModelConfig(context_length=2, epochs=1),
+                  n_tokens=n_tokens)
+
+
+@pytest.mark.parametrize("context", [(0, -1), (3, 0), (2,), (-4,)])
+def test_toy_model_refuses_tokens_out_of_range(context):
+    model = train_toy([((0, 1), 1)], ToyModelConfig(context_length=2,
+                                                    epochs=1), n_tokens=2)
+    with pytest.raises(ValueError, match=r"tokens must lie in \[0, 2\)"):
+        model.query(context)
+    validate_distribution(model.query((1, 0)))
+
+
 def test_train_toy_divergence_is_reported():
     examples = windowed_examples(parity_sequence(12))
     with pytest.raises(TrainingDivergedError):
