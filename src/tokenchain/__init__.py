@@ -96,9 +96,7 @@ from .remote import (
     RemoteOracleConfig,
     RemoteOracle,
     RemoteOracleError,
-    OpenAIRemoteOracle,
     MockOracleServer,
-    probs_from_openai_response,
 )
 
 # the classes and functions imported above

@@ -448,10 +448,8 @@ def mc_verify(sampler, f, c, n_samples, u_grid, *, mean, seed=0,
     bounds = tail_bounds(c, u_grid, n_samples, mixing_norm, t_min)
     center = float(mean)
     n_batches = -(-n_samples // MC_BATCH)
-    jobs = min(jobs, n_batches)
-    tasks = [(sampler, f, center, u_grid, seed, n_samples,
-              range(j, n_batches, jobs)) for j in range(jobs)]
-    hits = sum(map_jobs(_mc_hits, tasks, jobs))
+    hits = sum(map_jobs(_mc_hits, (sampler, f, center, u_grid, seed,
+                                   n_samples), n_batches, jobs))
 
     checks = []
     for u, bound, hit in zip(u_grid, bounds, hits.tolist()):

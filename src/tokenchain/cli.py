@@ -39,6 +39,7 @@ from .estimation import (
     FrequentistEstimator,
     NgramEstimator,
     context_length,
+    curve_bytes,
     curve_settings,
     fit_power_law,
     icl_risk_curve,
@@ -78,6 +79,7 @@ from .spectral import (
     convergence_profile,
     mixing_bytes,
     mixing_report,
+    profile_bytes,
     stationary,
     sweep_temperature,
 )
@@ -157,11 +159,10 @@ def _library_errors(path, sep=": "):
 
 
 def _check_dense(path, what, need):
-    """Refuse, before any work, dense arrays above the byte cap."""
+    """Refuse, before any work, a run that holds more bytes than the cap."""
     if need > DENSE_BLOCK_CAP_BYTES:
-        raise ConfigError(
-            f"{path}: {what} needs {need} bytes of "
-            f"dense arrays, above the cap of {DENSE_BLOCK_CAP_BYTES}")
+        raise ConfigError(f"{path}: {what} needs {need} bytes, above the "
+                          f"cap of {DENSE_BLOCK_CAP_BYTES}")
 
 
 def _render(x):
@@ -179,9 +180,12 @@ def _cell(x) -> str:
     return str(_render(x) if isinstance(x, float) else x)
 
 
-def _csv(header, rows) -> str:
-    """The header line, then each row's `_cell`s, comma-separated."""
-    return "".join(",".join(map(_cell, r)) + "\n" for r in [[header], *rows])
+def _csv(header, rows):
+    """The header line, then each row's `_cell`s, comma-separated: lines
+    made as they are written, so a long CSV is never held whole."""
+    yield header + "\n"
+    for r in rows:
+        yield ",".join(map(_cell, r)) + "\n"
 
 
 def _canonical(config) -> str:
@@ -475,6 +479,9 @@ def cmd_analyze(config, seed, out: Path, jobs: int) -> int:
                           f"{window}, got {n_max}")
     _check_dense(path, f"analyzing {n_states} states",
                  mixing_bytes(n_states, t_cap))
+    _check_dense("config.n_max", f"a profile of {n_max - window + 1} steps "
+                 f"over {n_states} states",
+                 profile_bytes(n_states, window, n_max))
     if "chain" in config:
         with _library_errors("config.chain"):
             matrix = build_chain(chain)
@@ -596,8 +603,11 @@ def cmd_estimate(config, seed, out: Path, jobs: int) -> int:
     if isinstance(predictor, NgramEstimator):
         _check_dense(last, f"an order-{predictor.order} n-gram fit to "
                      f"{longest} states", predictor.fit_bytes(longest))
-    _check_dense(last, f"a replicate of {longest} states",
-                 replicate_bytes(chain.d, longest))
+    replicate = replicate_bytes(chain.d, longest)
+    _check_dense(last, f"a replicate of {longest} states", replicate)
+    n_points = len(config["n_list"])
+    _check_dense("config.reps", f"a curve of {reps} replicates at each of "
+                 f"{n_points} lengths", replicate + curve_bytes(n_points, reps))
     start = _start_vector(config, chain.d, "config.start")
     with _library_errors("config.chain"):
         matrix = build_chain(chain)

@@ -326,14 +326,34 @@ def _one_replicate(args):
     return _METRICS[metric](rows, oracle, traj)
 
 
-def map_jobs(fn, tasks, jobs) -> list:
-    """[fn(t) for t in tasks], over ``jobs`` worker processes if jobs > 1."""
+def _replicates(args):
+    """The risks of the replicates numbered in ``stripe``: number k is
+    replicate k % reps at context length n_list[k // reps]."""
+    rows, predictor, n_list, reps, seed, metric, start, stripe = args
+    return np.fromiter((_one_replicate(
+        (rows, predictor, n_list[k // reps], [seed, k // reps, k % reps],
+         metric, start)) for k in stripe), float, len(stripe))
+
+
+def map_jobs(fn, args, count, jobs) -> list:
+    """fn((*args, stripe)) for the stripes range(j, count, jobs) of items
+    0..count-1, j < min(jobs, count), over that many worker processes if
+    it is above 1 (fork starts them all at the first task)."""
+    jobs = min(jobs, count)
+    tasks = [(*args, range(j, count, jobs)) for j in range(jobs)]
     if jobs > 1:
         # imported here: most runs start no pool, and the import is slow
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
+
+
+def curve_bytes(n_points, reps) -> int:
+    """Bytes a risk curve holds for its risks besides the replicate at
+    work: 8 a replicate in the curve, 8 in the stripe that returned it,
+    and 16 a replicate of one length for the temporaries of its spread."""
+    return 16 * (n_points + 1) * reps
 
 
 def context_length(n) -> int:
@@ -363,16 +383,21 @@ def icl_risk_curve(Q_true, predictor, n_list, reps, seed=0, metric="tv",
     Fitting estimators (anything with ``.fit``) are refit on each sampled
     trajectory; fixed oracles are queried as-is.  Replicate seeds are
     derived as (seed, point-index, replicate), so curves are reproducible
-    and independent of ``jobs``.
+    and independent of ``jobs``.  The replicates are dealt to ``jobs``
+    stripes in turn, so that each worker gets as many long paths as short
+    ones and no per-replicate task is ever built.
     """
     n_list = curve_settings(n_list, reps, metric)
     rows = TransitionMatrix.of(Q_true).dense()
-    tasks = [(rows, predictor, n, [seed, i, rep], metric, start)
-             for i, n in enumerate(n_list) for rep in range(reps)]
-    risks = map_jobs(_one_replicate, tasks, jobs)
+    count = len(n_list) * reps
+    parts = map_jobs(_replicates, (rows, predictor, n_list, reps, seed,
+                                   metric, start), count, jobs)
+    risks = np.empty(count)
+    for j, part in enumerate(parts):
+        risks[j::len(parts)] = part
     points = []
     for i, n in enumerate(n_list):
-        vals = np.array(risks[i * reps:(i + 1) * reps])
+        vals = risks[i * reps:(i + 1) * reps]
         if np.all(np.isfinite(vals)):
             mean = float(vals.mean())
             sem = float(vals.std(ddof=1) / math.sqrt(reps))

@@ -1,17 +1,14 @@
 """Next-token oracles served over HTTP.
 
-Two clients: one for the native JSON protocol (POST {"context": [...],
-"alphabet": [...]} answered by {"probs": [...]}) and one for
-OpenAI-style completions responses carrying top log-probabilities.  Both
-speak HTTP/1.1 over keep-alive sockets of their own.  A threaded
-in-process mock server speaks the native protocol for integration tests
-and the mock-serve command.
+One client for the native JSON protocol: POST {"context": [...],
+"alphabet": [...]}, answered by {"probs": [...]}, over HTTP/1.1
+keep-alive sockets of its own.  A threaded in-process mock server speaks
+the same protocol for integration tests and the mock-serve command.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import queue
 import re
 import socket
@@ -75,6 +72,17 @@ class RemoteOracleConfig:
                 f"max_inflight must be >= 1, got {self.max_inflight}")
 
 
+def _read_body(rfile, n, what):
+    """The next ``n`` bytes of ``rfile``, the body of a ``what``, read in
+    pieces: BufferedReader's read(n) allocates n bytes before reading any."""
+    data = bytearray()
+    while len(data) < n and (piece := rfile.read(min(n - len(data), 1 << 16))):
+        data += piece
+    if len(data) != n:
+        raise ValueError(f"{what} body is {len(data)} bytes, framed as {n}")
+    return data
+
+
 class _Connection:
     """A socket to the endpoint and one buffered reader of it."""
 
@@ -92,16 +100,6 @@ class _Connection:
         if len(line) > _MAX_LINE:
             raise ValueError(f"reply line longer than {_MAX_LINE} bytes")
         return line
-
-    def read(self, n):
-        # in pieces: BufferedReader.read(n) allocates n bytes before reading
-        data = bytearray()
-        while len(data) < n and (piece := self.rfile.read(
-                min(n - len(data), 1 << 16))):
-            data += piece
-        if len(data) != n:
-            raise ValueError(f"reply body is {len(data)} bytes, framed as {n}")
-        return data
 
     def reply(self, line):
         """Status, body and whether the connection stays open, of the reply
@@ -129,12 +127,13 @@ class _Connection:
         elif headers.get(b"transfer-encoding") == b"chunked":
             body = b""
             while n := int(self.line().split(b";")[0], 16):
-                body += self.read(n)
+                body += _read_body(self.rfile, n, "reply")
                 self.line()  # the CRLF that ends the chunk
             while self.line() not in _BLANK:  # trailers
                 pass
         elif b"content-length" in headers:
-            body = self.read(int(headers[b"content-length"]))
+            body = _read_body(
+                self.rfile, int(headers[b"content-length"]), "reply")
         else:  # framed by the end of the stream
             return code, self.rfile.read(), False
         return code, body, status[1] == b"1.1" \
@@ -145,11 +144,13 @@ class _Connection:
         self.sock.close()
 
 
-class _HttpOracle(Oracle):
-    """Shared transport: at most ``max_inflight`` keep-alive connections,
-    the most recently idle one taken first, each query one write.  No
-    redirect is followed and no proxy variable read; ``https`` is verified
-    against the system CAs."""
+class RemoteOracle(Oracle):
+    """Client for the native oracle protocol: at most ``max_inflight``
+    keep-alive connections, the most recently idle one taken first, each
+    query one write.  No redirect is followed and no proxy variable read;
+    ``https`` is verified against the system CAs."""
+
+    name = "remote"
 
     def __init__(self, config: RemoteOracleConfig):
         self.config = config
@@ -175,14 +176,6 @@ class _HttpOracle(Oracle):
                 self._idle.get_nowait().close()
             except queue.Empty:
                 return
-
-    def _symbols(self, context):
-        out = []
-        for s in context:
-            if not 0 <= s < self.n_symbols:
-                raise ValueError(f"state {s} outside the alphabet")
-            out.append(self.config.alphabet[s])
-        return out
 
     def _exchange(self, body, reuse=True):
         """POST ``body`` on an idle connection or a new one; the status and
@@ -213,26 +206,6 @@ class _HttpOracle(Oracle):
             conn.close()
         return status, data
 
-    def _post(self, payload) -> dict:
-        try:
-            with self._gate:
-                status, body = self._exchange(json.dumps(payload).encode())
-        # ValueError: a reply that the transport cannot frame
-        except (OSError, ValueError) as exc:
-            raise RemoteOracleError(f"transport failure: {exc}") from exc
-        if not 200 <= status < 300:
-            raise RemoteOracleError(
-                f"endpoint returned status {status}: "
-                f"{body.decode('utf-8', 'replace')[:200]}")
-        try:
-            data = json.loads(body)
-        except ValueError as exc:
-            raise RemoteOracleError("response body is not JSON") from exc
-        if not isinstance(data, dict):
-            raise RemoteOracleError(
-                f"expected a JSON object, got {type(data).__name__}")
-        return data
-
     @staticmethod
     def _normalize(vec) -> np.ndarray:
         arr = np.asarray(vec, dtype=float)
@@ -248,153 +221,33 @@ class _HttpOracle(Oracle):
             raise RemoteOracleError("endpoint probabilities have no mass")
         return arr / total
 
-
-class RemoteOracle(_HttpOracle):
-    """Client for the native oracle protocol."""
-
-    name = "remote"
-
     def _distribution(self, context):
-        payload = {"context": self._symbols(context),
-                   "alphabet": list(self.config.alphabet)}
-        data = self._post(payload)
-        if "probs" not in data:
-            raise RemoteOracleError('response lacks the "probs" field')
-        probs = data["probs"]
+        alphabet = self.config.alphabet
+        for s in context:
+            if not 0 <= s < self.n_symbols:
+                raise ValueError(f"state {s} outside the alphabet")
+        body = json.dumps({"context": [alphabet[s] for s in context],
+                           "alphabet": list(alphabet)}).encode()
+        try:
+            with self._gate:
+                status, body = self._exchange(body)
+        # ValueError: a reply that the transport cannot frame
+        except (OSError, ValueError) as exc:
+            raise RemoteOracleError(f"transport failure: {exc}") from exc
+        if not 200 <= status < 300:
+            raise RemoteOracleError(
+                f"endpoint returned status {status}: "
+                f"{body.decode('utf-8', 'replace')[:200]}")
+        try:
+            data = json.loads(body)
+        except ValueError as exc:
+            raise RemoteOracleError("response body is not JSON") from exc
+        probs = data.get("probs") if isinstance(data, dict) else None
         if not isinstance(probs, list) or len(probs) != self.n_symbols:
             raise RemoteOracleError(
-                f"expected {self.n_symbols} probabilities, got "
-                f"{probs if not isinstance(probs, list) else len(probs)}")
+                f'expected {{"probs": [...]}} with {self.n_symbols} '
+                f"probabilities, got {body.decode('utf-8', 'replace')[:200]}")
         return self._normalize(probs)
-
-
-def probs_from_openai_response(response, alphabet) -> np.ndarray:
-    """Restrict a completions response's first-token top logprobs to the
-    alphabet.
-
-    A symbol matches its exact token or the single-leading-space variant.
-    Symbols absent from the (truncated) list share the residual mass
-    1 - sum(exp(logprob)) equally; the restriction is then renormalized.
-    """
-    try:
-        table = response["choices"][0]["logprobs"]["top_logprobs"][0]
-    except (KeyError, IndexError, TypeError):
-        raise RemoteOracleError(
-            "response carries no top_logprobs table") from None
-    if not isinstance(table, dict) or not table:
-        raise RemoteOracleError("top_logprobs table is empty")
-    try:
-        listed = {tok: math.exp(float(lp)) for tok, lp in table.items()}
-    except (TypeError, ValueError) as exc:
-        raise RemoteOracleError(f"bad logprob value: {exc}") from exc
-    residual = max(0.0, 1.0 - sum(listed.values()))
-    out = np.zeros(len(alphabet))
-    missing = []
-    for i, sym in enumerate(alphabet):
-        if sym in listed:
-            out[i] = listed[sym]
-        elif " " + sym in listed:
-            out[i] = listed[" " + sym]
-        else:
-            missing.append(i)
-    if missing:
-        out[missing] = residual / len(missing)
-    total = out.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise RemoteOracleError(
-            "no alphabet symbol received any probability mass")
-    return out / total
-
-
-class OpenAIRemoteOracle(_HttpOracle):
-    """Client for OpenAI-compatible completions endpoints.
-
-    The context is rendered as separator-joined symbols with a trailing
-    separator so the next completion token is a bare state symbol.
-    """
-
-    name = "remote-openai"
-
-    def __init__(self, config: RemoteOracleConfig, model=None,
-                 top_logprobs=20, separator=","):
-        if not separator:
-            raise ValueError("separator must be non-empty")
-        super().__init__(config)
-        self.model = model
-        self.top_logprobs = int(top_logprobs)
-        self.separator = separator
-
-    def _distribution(self, context):
-        symbols = self._symbols(context)
-        prompt = ""
-        if symbols:
-            prompt = self.separator.join(symbols) + self.separator
-        payload = {"prompt": prompt, "max_tokens": 1,
-                   "logprobs": self.top_logprobs, "temperature": 0.0}
-        if self.model is not None:
-            payload["model"] = self.model
-        data = self._post(payload)
-        probs = probs_from_openai_response(data, self.config.alphabet)
-        return self._normalize(probs)
-
-
-def _mock_server(address, seed):
-    """A threaded HTTP server answering the native protocol.  http.server
-    is imported here, so that only a mock endpoint loads it."""
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    chains, lock = {}, threading.Lock()
-
-    def oracle_probs(d, last_index):
-        if last_index is None:
-            return [1.0 / d] * d
-        with lock:
-            if d not in chains:
-                chains[d] = random_chain(d, p_min=MOCK_P_MIN,
-                                         seed=seed).dense()
-        return [float(x) for x in chains[d][last_index]]
-
-    class Handler(BaseHTTPRequestHandler):
-        def log_message(self, fmt, *args):
-            pass
-
-        def _reply(self, status, payload):
-            body = json.dumps(payload).encode()
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def do_POST(self):
-            try:
-                length = int(self.headers.get("Content-Length", "0"))
-                data = json.loads(self.rfile.read(length) or b"{}")
-            except (ValueError, TypeError):
-                self._reply(400, {"error": "bad JSON"})
-                return
-            context = data.get("context")
-            alphabet = data.get("alphabet")
-            if not isinstance(alphabet, list) or not alphabet \
-                    or not isinstance(context, list):
-                self._reply(400, {
-                    "error": 'need "context" and "alphabet" lists'})
-                return
-            index = {sym: i for i, sym in enumerate(alphabet)}
-            if len(index) != len(alphabet):
-                self._reply(400, {
-                    "error": "alphabet symbols must be distinct"})
-                return
-            unknown = [s for s in context if s not in index]
-            if unknown:
-                self._reply(400, {"error": f"unknown symbol {unknown[0]!r}"})
-                return
-            self._reply(200, {"probs": oracle_probs(
-                len(alphabet), index[context[-1]] if context else None)})
-
-    server = ThreadingHTTPServer(address, Handler)
-    server.daemon_threads = True
-    return server
 
 
 class MockOracleServer:
@@ -407,7 +260,59 @@ class MockOracleServer:
     """
 
     def __init__(self, seed=0, port=0):
-        self._server = _mock_server(("127.0.0.1", port), seed)
+        # imported here, so that only a mock endpoint loads http.server
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        chains, lock = {}, threading.Lock()
+
+        def oracle_probs(d, last_index):
+            if last_index is None:
+                return [1.0 / d] * d
+            with lock:
+                if d not in chains:
+                    chains[d] = random_chain(d, p_min=MOCK_P_MIN,
+                                             seed=seed).dense()
+            return [float(x) for x in chains[d][last_index]]
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, fmt, *args):
+                pass
+
+            def do_POST(self):
+                status, payload = self._answer()
+                body = json.dumps(payload).encode()
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def _answer(self):
+                length = self.headers.get("Content-Length", "0")
+                if not (length.isascii() and length.isdigit()):
+                    return 400, {"error": "bad Content-Length"}
+                try:  # int() refuses more than 4,300 digits
+                    data = json.loads(_read_body(
+                        self.rfile, int(length), "request") or b"{}")
+                except ValueError:
+                    return 400, {"error": "bad JSON"}
+                data = data if isinstance(data, dict) else {}
+                context, alphabet = data.get("context"), data.get("alphabet")
+                if not isinstance(alphabet, list) or not alphabet \
+                        or not isinstance(context, list):
+                    return 400, {
+                        "error": 'need "context" and "alphabet" lists'}
+                index = {sym: i for i, sym in enumerate(alphabet)}
+                if len(index) != len(alphabet):
+                    return 400, {"error": "alphabet symbols must be distinct"}
+                unknown = [s for s in context if s not in index]
+                if unknown:
+                    return 400, {"error": f"unknown symbol {unknown[0]!r}"}
+                return 200, {"probs": oracle_probs(
+                    len(alphabet), index[context[-1]] if context else None)}
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", port), Handler)
+        self._server.daemon_threads = True
 
     @property
     def url(self) -> str:

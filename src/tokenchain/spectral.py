@@ -391,6 +391,7 @@ def convergence_profile(Q, window=None, n_max=DEFAULT_N_MAX, pi=None) -> Converg
             check = None
         np.matmul(M, D, out=work)
         M, work = work, M
+    del first, check, M, work  # before the curves: a fingerprint a step
     steps = range(window, n_max + 1)
     bounds = envelope(eps, window, steps).tolist()
     violations = sum(e > bound + 1e-12 for e, bound in zip(devs, bounds)
@@ -431,6 +432,14 @@ def mixing_bytes(n_states, t_cap=DEFAULT_T_CAP) -> int:
     t_cap.bit_length() stored powers of Q, the search's start and bracket
     rows, the two temporaries of the distance, and the caller's matrix."""
     return 8 * n_states**2 * (max(t_cap.bit_length(), 1) + 6)
+
+
+def profile_bytes(n_states, window, n_max) -> int:
+    """Peak bytes of `convergence_profile` up to ``n_max``: six n x n
+    arrays (the chain, powers, iterates and fingerprint weights), 320 a
+    step for the fingerprint table or the deviations, the bounds and their
+    two curves, and 128 KiB for the rest."""
+    return 48 * n_states**2 + 320 * (n_max - window + 1) + (1 << 17)
 
 
 def mixing_time(Q, pi, eps, t_cap=DEFAULT_T_CAP):

@@ -827,6 +827,21 @@ def test_analyze_over_dense_cap_exits_2_before_building(tmp_path, capsys,
     assert not (tmp_path / "out" / "analysis.json").exists()
 
 
+def test_analyze_over_profile_cap_exits_2_naming_n_max(tmp_path, capsys,
+                                                        monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("admission must come before the build")
+
+    monkeypatch.setattr(cli, "DENSE_BLOCK_CAP_BYTES", 200_000)
+    assert run(tmp_path, "analyze", dict(BUILD_CFG, n_max=20)) == 0
+    monkeypatch.setattr(cli, "build_qf", no_build)
+    assert run(tmp_path, "analyze", dict(BUILD_CFG, n_max=1000)) == 2
+    err = capsys.readouterr().err
+    # profile_bytes(14, 3, 1000): 48 * 14^2 + 320 * 998 + 2^17
+    assert err.startswith("tokenchain: config.n_max: a profile of 998 steps "
+                          "over 14 states needs 459840 bytes")
+
+
 def test_analyze_reports_envelope_violations(tmp_path):
     assert run(tmp_path, "analyze", dict(BUILD_CFG, n_max=20)) == 0
     doc = read_json(tmp_path, "out", "analysis.json")["analysis"]
@@ -967,6 +982,23 @@ def test_dense_bytes_checked_before_building(tmp_path, capsys, monkeypatch,
     assert f"{count} {COUNTED.get(key, 'states')} " in err
     assert f"{need} bytes" in err
     assert "cap of 5000" in err
+
+
+def test_estimate_over_curve_cap_exits_2_naming_reps(tmp_path, capsys,
+                                                     monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("admission must come before any work")
+
+    for name in ("build_chain", "icl_risk_curve"):
+        monkeypatch.setattr(cli, name, no_work)
+    cfg = {"chain": CHAIN3, "estimator": FREQ, "n_list": [10, 20, 60],
+           "reps": 10 ** 8}
+    assert run(tmp_path, "estimate", cfg) == 2
+    # replicate_bytes(3, 60) + curve_bytes(3, 10^8): 11,616 + 16 * 4 * 10^8
+    assert capsys.readouterr().err == (
+        "tokenchain: config.reps: a curve of 100000000 replicates at each "
+        "of 3 lengths needs 6400011616 bytes, above the cap of 2147483648\n")
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_bounds_admits_wide_coin_rows(tmp_path, monkeypatch):

@@ -315,6 +315,65 @@ def test_parallel_curve_matches_serial():
            [(p.mean, p.lo, p.hi) for p in parallel.points]
 
 
+class RecordingPool:
+    """ProcessPoolExecutor's stand-in: records its worker count and maps
+    in this process."""
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(RecordingPool, "workers", [])
+    return RecordingPool.workers
+
+
+def test_map_jobs_starts_no_more_workers_than_items(pools):
+    def stripe(args):
+        return args[0], list(args[1])
+
+    assert estimation.map_jobs(stripe, ("a",), 2, 16) == [("a", [0]),
+                                                          ("a", [1])]
+    assert estimation.map_jobs(stripe, ("b",), 5, 2) == [("b", [0, 2, 4]),
+                                                         ("b", [1, 3])]
+    assert estimation.map_jobs(stripe, ("c",), 1, 16) == [("c", [0])]
+    assert pools == [2, 2]
+
+
+def test_curve_stripes_match_serial_at_every_job_count(pools):
+    Q = random_chain(3, seed=8)
+    kw = dict(n_list=[40, 80], reps=3, seed=2)
+    serial = icl_risk_curve(Q, FrequentistEstimator(3), jobs=1, **kw)
+    for jobs in (2, 4, 6, 16):
+        striped = icl_risk_curve(Q, FrequentistEstimator(3), jobs=jobs, **kw)
+        assert striped.points == serial.points
+    assert pools == [2, 4, 6, 6]
+
+
+def test_curve_peak_within_its_count():
+    """No task is built per replicate: the risks are the curve's only
+    per-replicate storage."""
+    Q = random_chain(3, seed=1)
+    peak = _traced_peak(lambda: icl_risk_curve(
+        Q, FrequentistEstimator(3), [2, 3], reps=2_000))
+    assert peak <= estimation.curve_bytes(2, 2_000) \
+        + estimation.replicate_bytes(3, 3)
+
+
 @pytest.mark.parametrize("n", [100.5, math.inf, math.nan, 1])
 def test_curve_refuses_context_lengths_that_are_not_integers_from_2(n):
     Q = random_chain(3, seed=1)

@@ -1,6 +1,5 @@
 import gzip
 import json
-import math
 import re
 import socket
 import subprocess
@@ -22,12 +21,9 @@ from tokenchain.oracles import OracleError
 from tokenchain.remote import (
     MOCK_P_MIN,
     MockOracleServer,
-    OpenAIRemoteOracle,
     RemoteOracle,
     RemoteOracleConfig,
     RemoteOracleError,
-    _HttpOracle,
-    probs_from_openai_response,
 )
 
 
@@ -207,9 +203,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RemoteOracleConfig("http://x", ("a", "a"))
     with pytest.raises(ValueError):
-        OpenAIRemoteOracle(RemoteOracleConfig("http://x", ("a", "b")),
-                           separator="")
-    with pytest.raises(ValueError):
         RemoteOracleConfig("http://x", ("a", "b"), timeout_ms=0)
     with pytest.raises(ValueError):
         RemoteOracleConfig("http://x", ("a", "b"), max_inflight=0)
@@ -271,10 +264,31 @@ def test_mock_server_rejects_unknown_symbol():
         assert status == 400
 
 
+@pytest.mark.parametrize("payload", [[1, 2], "a", 3])
+def test_mock_server_answers_json_that_is_not_an_object(payload):
+    with MockOracleServer() as server:
+        status, body = post_json(server.url, payload)
+    assert (status, json.loads(body)) == (
+        400, {"error": 'need "context" and "alphabet" lists'})
+
+
 def test_mock_server_rejects_a_body_that_is_not_json():
     with MockOracleServer() as server:
         assert post_json(server.url, b"{not json") == (
             400, b'{"error": "bad JSON"}')
+
+
+@pytest.mark.parametrize("length", [b"-1", b"x", b"1e3"])
+def test_mock_server_answers_a_bad_content_length_at_once(length):
+    # -1 once read the request until the client closed the connection
+    with MockOracleServer() as server:
+        host, port = server.url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=1) as sock:
+            sock.sendall(b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                         + length + b"\r\n\r\n")
+            reply = sock.makefile("rb").read()
+    assert reply.startswith(b"HTTP/1.0 400 ")
+    assert reply.endswith(b'{"error": "bad Content-Length"}')
 
 
 def test_mock_server_rejects_a_repeated_alphabet_symbol():
@@ -328,7 +342,7 @@ def test_answer_whose_sum_overflows_is_rescaled():
     # 1e308 + 1e308 is inf; the answer is still proportional to uniform
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p = _HttpOracle._normalize([1e308, 1e308])
+        p = RemoteOracle._normalize([1e308, 1e308])
     assert_array_equal(p, [0.5, 0.5])
 
 
@@ -630,72 +644,3 @@ def test_one_request_is_one_write(monkeypatch):
         assert head.startswith(b"POST / HTTP/1.1\r\n")
         assert json.loads(body)["context"] == context
         assert f"Content-Length: {len(body)}".encode() in head
-
-
-def completions_response(table):
-    return {"choices": [{"text": "a", "logprobs": {"top_logprobs": [table]}}]}
-
-
-def test_openai_adapter_superset_restriction():
-    table = {" a": math.log(0.5), " b": math.log(0.25), " c": math.log(0.25)}
-    p = probs_from_openai_response(completions_response(table), ("a", "b"))
-    assert_allclose(p, [2 / 3, 1 / 3], rtol=1e-12)
-
-
-def test_openai_adapter_residual_split():
-    table = {"a": math.log(0.5), "b": math.log(0.3)}
-    p = probs_from_openai_response(completions_response(table),
-                                   ("a", "b", "c"))
-    assert_allclose(p, [0.5, 0.3, 0.2], rtol=1e-12)
-    p = probs_from_openai_response(
-        {"choices": [{"logprobs": {"top_logprobs": [
-            {"a": math.log(0.5)}]}}]}, ("a", "b", "c"))
-    assert_allclose(p, [0.5, 0.25, 0.25], rtol=1e-12)
-
-
-def test_openai_adapter_prefers_exact_token():
-    table = {"a": math.log(0.9), " a": math.log(0.05), "b": math.log(0.05)}
-    p = probs_from_openai_response(completions_response(table), ("a", "b"))
-    assert_allclose(p, [0.9 / 0.95, 0.05 / 0.95], rtol=1e-12)
-
-
-def test_openai_adapter_error_paths():
-    with pytest.raises(RemoteOracleError):
-        probs_from_openai_response({}, ("a",))
-    with pytest.raises(RemoteOracleError):
-        probs_from_openai_response({"choices": []}, ("a",))
-    with pytest.raises(RemoteOracleError):
-        probs_from_openai_response(completions_response({}), ("a",))
-    # listed tokens exhaust the mass and none match the alphabet
-    table = {"z": 0.0}
-    with pytest.raises(RemoteOracleError):
-        probs_from_openai_response(completions_response(table), ("a", "b"))
-    with pytest.raises(RemoteOracleError):
-        probs_from_openai_response(completions_response({"a": "oops"}),
-                                   ("a",))
-
-
-def test_openai_oracle_end_to_end():
-    table = {" a": math.log(0.6), " b": math.log(0.4)}
-    with StubServer(payload=completions_response(table)) as server:
-        oracle = OpenAIRemoteOracle(
-            config_for(server.url, alphabet=("a", "b")), model="test-model",
-            top_logprobs=5)
-        p = oracle.query((0, 1))
-        assert_allclose(p, [0.6, 0.4], rtol=1e-12)
-        sent = server.last_payload
-        assert sent["prompt"] == "a,b,"
-        assert sent["max_tokens"] == 1
-        assert sent["logprobs"] == 5
-        assert sent["model"] == "test-model"
-        assert oracle.query(()).shape == (2,)
-        assert server.last_payload["prompt"] == ""
-
-
-def test_openai_oracle_joins_the_context_with_its_separator():
-    table = {" a": math.log(0.6), " b": math.log(0.4)}
-    with StubServer(payload=completions_response(table)) as server:
-        oracle = OpenAIRemoteOracle(
-            config_for(server.url, alphabet=("a", "b")), separator=" | ")
-        oracle.query((1, 0, 0))
-        assert server.last_payload["prompt"] == "b | a | a | "

@@ -21,6 +21,7 @@ from tokenchain.spectral import (
 from tokenchain.states import VocabSpec, enumerate_states
 
 from test_cli import read_csv, run
+from test_estimation import _traced_peak
 
 LAZY = np.array([[0.9, 0.1], [0.2, 0.8]])
 
@@ -292,6 +293,21 @@ def test_profile_vacuous_when_block_has_zeros():
 def test_profile_rejects_short_horizon():
     with pytest.raises(ValueError):
         convergence_profile(np.eye(2), window=3, n_max=2)
+
+
+@pytest.mark.parametrize("rows,pi,repeats", [
+    ([[0.7, 0.3], [0.4, 0.6]], [4 / 7, 3 / 7], True),
+    # moves with probability 1e-9: every iterate differs from the last
+    ([[1 - 1e-9, 1e-9], [1e-9, 1 - 1e-9]], [0.5, 0.5], False),
+], ids=["repeats", "no-repeat"])
+def test_profile_peak_within_its_count(rows, pi, repeats):
+    n_max = 20_000
+    devs = [e for _, e in convergence_profile(
+        rows, window=1, n_max=n_max, pi=pi).empirical_curve]
+    assert (len(set(devs)) < n_max) == repeats
+    peak = _traced_peak(
+        lambda: convergence_profile(rows, window=1, n_max=n_max, pi=pi))
+    assert peak <= spectral.profile_bytes(2, 1, n_max)
 
 
 def test_envelope_slows_down_with_larger_window():
