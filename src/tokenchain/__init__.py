@@ -92,14 +92,20 @@ from .bounds import (
     mc_verify,
     log_ratio_checks,
 )
-from .remote import (
-    RemoteOracleConfig,
-    RemoteOracle,
-    RemoteOracleError,
-    MockOracleServer,
-)
 
-# the classes and functions imported above
+# the remote client, which loads socket and queue, is imported on first use
+_REMOTE = ("RemoteOracleConfig", "RemoteOracle", "RemoteOracleError",
+           "MockOracleServer")
+
+
+def __getattr__(name):
+    if name not in _REMOTE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import remote
+    return getattr(remote, name)
+
+
+# the classes and functions imported above, and the remote ones
 __all__ = ["__version__", *(
     name for name, obj in list(globals().items())
-    if getattr(obj, "__module__", "").startswith(__name__ + "."))]
+    if getattr(obj, "__module__", "").startswith(__name__ + ".")), *_REMOTE]

@@ -71,7 +71,6 @@ from .oracles import (
     train_toy,
     windowed_examples,
 )
-from .remote import MockOracleServer, RemoteOracle, RemoteOracleConfig
 from .spectral import (
     DEFAULT_N_MAX,
     DEFAULT_T_CAP,
@@ -341,7 +340,8 @@ def _vocab_spec(n_tokens, context_window,
 _remotes: list = []
 
 
-def _remote(cfg, n_symbols, path) -> RemoteOracle:
+def _remote(cfg, n_symbols, path):
+    from .remote import RemoteOracle, RemoteOracleConfig
     alphabet = cfg.get("alphabet", [str(i) for i in range(n_symbols)])
     if len(alphabet) != n_symbols:
         raise ConfigError(f"{path}.alphabet: need {n_symbols} symbols, "
@@ -614,7 +614,7 @@ def cmd_estimate(config, seed, out: Path, jobs: int) -> int:
     if predictor is None:
         predictor = ChainOracle(matrix, name="exact")
     # a remote session cannot cross process boundaries
-    curve_jobs = 1 if isinstance(predictor, RemoteOracle) else jobs
+    curve_jobs = 1 if predictor in _remotes else jobs
     curve = icl_risk_curve(matrix, predictor, config["n_list"], reps,
                            seed=seed, start=start, jobs=curve_jobs, **metric)
     _write_csv(out / "risk.csv", config, seed, _csv(
@@ -756,6 +756,7 @@ def cmd_train_toy(config, seed, out: Path, jobs: int) -> int:
 def cmd_mock_serve(config, seed, out: Path, jobs: int) -> int:
     """run the bundled oracle-protocol mock server"""
     _checked(config, {"seed": _SEED, "port": _INT})
+    from .remote import MockOracleServer
     with _library_errors("config"):
         try:
             server = MockOracleServer(seed=seed, **_set(config, ("port",)))

@@ -225,29 +225,39 @@ def kl_divergence(p, q) -> float:
 
 
 def _context_scores(states, cap, score) -> np.ndarray:
-    """``score(context)`` at each step, the context being the path up to
-    that step truncated to its last ``cap`` states.  With a finite cap
-    each distinct context is scored once (by state id for cap 1 and ids
-    below n, else in order of first appearance) and the scores gathered
-    back to the steps; with cap None every step is scored.  Only the
-    path's contexts are scored, so a record of queries such as
-    ``NgramOracle.unseen_queried`` names no state the path misses."""
+    """The score of each step's context: the path up to that step, cut
+    to its last ``cap`` states unless cap is None.  Each distinct context
+    is scored once (by state id for cap 1 and ids below n, else in order
+    of first appearance) and the scores gathered back to the steps:
+    ``score(contexts, lasts)`` yields them in turn, where each call of
+    ``contexts()`` makes the contexts anew, one at a time, and ``lasts``
+    holds their last states.  Only the path's contexts are scored, so a
+    record of queries such as ``NgramOracle.unseen_queried`` names no
+    state the path misses."""
     n = states.size
-    if cap is None:
-        return np.array([score(tuple(states[:k + 1])) for k in range(n)])
-    if cap < 1:
+    if cap is not None and cap < 1:
         raise ValueError(f"context cap must be at least 1, got {cap}")
     if n == 0:
         return np.empty(0)
     if cap == 1 and states.max() < n:
-        present = np.flatnonzero(np.bincount(states))
+        lasts = np.flatnonzero(np.bincount(states))
+        ends, groups, context = lasts.tolist(), None, lambda s: (s,)
+    else:
+        if cap is None:  # every prefix is distinct
+            cap, ends, groups = n, range(n), slice(None)
+        else:
+            # the widest grouping is the cap's; a one-slot deque keeps it
+            firsts, groups = deque(window_groups(states, min(cap, n)),
+                                   maxlen=1)[0]
+            ends = firsts.tolist()
+        lasts = states[ends]
+        context = lambda k: tuple(states[max(0, k + 1 - cap):k + 1].tolist())
+    scores = np.fromiter(score(lambda: map(context, ends), lasts), float,
+                         len(ends))
+    if groups is None:  # gathered back through a table by state id
         table = np.zeros(n)
-        table[present] = [score((s,)) for s in present]
+        table[lasts] = scores
         return table[states]
-    # the widest grouping is the cap's; a one-slot deque keeps only it
-    firsts, groups = deque(window_groups(states, min(cap, n)), maxlen=1)[0]
-    scores = np.array([score(tuple(states[max(0, k + 1 - cap):k + 1]))
-                       for k in firsts.tolist()])
     return scores[groups]
 
 
@@ -255,7 +265,8 @@ def _per_step_divergences(Q_true, predictor, traj, div):
     rows = TransitionMatrix.of(Q_true).dense()
     return _context_scores(
         state_path(traj), getattr(predictor, "context_cap", None),
-        lambda ctx: div(rows[ctx[-1]], predictor.query(ctx)))
+        lambda contexts, lasts: map(div, map(rows.__getitem__, lasts),
+                                    predictor.query_many(contexts())))
 
 
 def tv_risk(Q_true, predictor, traj) -> float:
@@ -422,8 +433,9 @@ def oracle_divergence(o1, o2, trajs) -> float:
     caps = [getattr(o, "context_cap", None) for o in (o1, o2)]
     cap = None if None in caps else max(caps)
 
-    def tv(ctx):
-        return tv_distance(o1.query(ctx), o2.query(ctx))
+    def tv(contexts, lasts):
+        return map(tv_distance, o1.query_many(contexts()),
+                   o2.query_many(contexts()))
 
     return float(np.mean([np.mean(_context_scores(state_path(traj), cap, tv))
                           for traj in trajs]))

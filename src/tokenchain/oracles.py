@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .states import VocabSpec, state_path
+from .states import StateSpace, VocabSpec, state_path
 
 SUM_TOL = 1e-9
 
@@ -91,19 +91,23 @@ class Oracle:
             context = context[-cap:]
         return self._distribution(context)
 
-    def query_many(self, space) -> np.ndarray:
-        """Next-token distributions of every state of ``space``, in index
-        order, as an (n, T) array.  By default ``query`` answers them one
-        at a time; an override must return exactly the same rows."""
-        T = space.spec.n_tokens
-        out = np.empty((len(space), T))
-        for i, state in enumerate(space):
-            p = np.asarray(self.query(state), dtype=float)
-            if p.shape != (T,):
-                raise OracleError(f"oracle returned shape {p.shape} for "
-                                  f"state {state}, expected ({T},)")
-            out[i] = p
-        return out
+    def query_many(self, contexts) -> np.ndarray:
+        """Next-token distributions of ``contexts``, any iterable of them
+        or a StateSpace (its states in index order), as an (n, T) array.
+        By default ``query`` answers them one at a time; an override must
+        return exactly the same rows."""
+        space = isinstance(contexts, StateSpace)
+        T = contexts.spec.n_tokens if space else self.n_symbols
+
+        def rows():
+            for context in contexts:
+                p = np.asarray(self.query(context), dtype=float)
+                if p.shape != (T,):
+                    raise OracleError(f"oracle returned shape {p.shape} for "
+                                      f"state {context}, expected ({T},)")
+                yield p
+        return np.fromiter(rows(), np.dtype((float, T)),
+                           len(contexts) if space else -1)
 
     def _distribution(self, context):
         raise NotImplementedError
@@ -126,10 +130,12 @@ class ChainOracle(Oracle):
     def _distribution(self, context):
         return self.rows[context[-1]]
 
-    def query_many(self, space):
+    def query_many(self, contexts):
         # the last token of state o_L + v is v mod T, and every o_L is a
         # multiple of T
-        return self.rows[np.arange(len(space)) % space.spec.n_tokens]
+        return self.rows[np.arange(len(contexts)) % contexts.spec.n_tokens
+                         if isinstance(contexts, StateSpace)
+                         else [context[-1] for context in contexts]]
 
 
 class UniformOracle(Oracle):
@@ -145,8 +151,10 @@ class UniformOracle(Oracle):
     def _distribution(self, context):
         return self._row
 
-    def query_many(self, space):
-        return np.tile(self._row, (len(space), 1))
+    def query_many(self, contexts):
+        if not isinstance(contexts, StateSpace):
+            return super().query_many(contexts)
+        return np.tile(self._row, (len(contexts), 1))
 
 
 class RandomLogitOracle(Oracle):
@@ -184,9 +192,9 @@ class RandomLogitOracle(Oracle):
         row = self.logits[self.space.index(context)]
         return apply_temperature(row, self.temperature)
 
-    def query_many(self, space):
-        if space.spec != self.space.spec:
-            return super().query_many(space)
+    def query_many(self, contexts):
+        if getattr(contexts, "spec", None) != self.space.spec:
+            return super().query_many(contexts)
         return apply_temperature(self.logits, self.temperature)
 
 

@@ -2,8 +2,9 @@
 
 One client for the native JSON protocol: POST {"context": [...],
 "alphabet": [...]}, answered by {"probs": [...]}, over HTTP/1.1
-keep-alive sockets of its own.  A threaded in-process mock server speaks
-the same protocol for integration tests and the mock-serve command.
+keep-alive sockets of its own, a batch's requests pipelined.  A threaded
+in-process mock server speaks the same protocol for integration tests
+and the mock-serve command.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import queue
 import re
 import socket
 import threading
+from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
 from urllib.parse import urlsplit, urlunsplit
 
@@ -27,6 +30,8 @@ _MAX_LINE, _MAX_HEADERS = 65_536, 100
 # a status line: its version (group 1) and its three-digit code (group 2)
 _STATUS = re.compile(rb"HTTP/(1\.[01]) +(\d{3})\b")
 _BLANK = (b"\r\n", b"\n", b"")
+# the request bytes a batch writes ahead of the replies it has read
+PIPELINE_BYTES = 1 << 15
 
 
 class RemoteOracleError(OracleError):
@@ -147,8 +152,9 @@ class _Connection:
 class RemoteOracle(Oracle):
     """Client for the native oracle protocol: at most ``max_inflight``
     keep-alive connections, the most recently idle one taken first, each
-    query one write.  No redirect is followed and no proxy variable read;
-    ``https`` is verified against the system CAs."""
+    request one write, and a batch's requests pipelined on one connection
+    (a query is a batch of one).  No redirect is followed and no proxy
+    variable read; ``https`` is verified against the system CAs."""
 
     name = "remote"
 
@@ -157,6 +163,7 @@ class RemoteOracle(Oracle):
         self.n_symbols = len(config.alphabet)
         self._gate = threading.BoundedSemaphore(config.max_inflight)
         self._idle = queue.LifoQueue()
+        self._symbols = [json.dumps(s).encode() for s in config.alphabet]
         url = urlsplit(config.endpoint)
         tls = url.scheme == "https"
         self._address = (url.hostname, url.port or (443 if tls else 80),
@@ -177,34 +184,87 @@ class RemoteOracle(Oracle):
             except queue.Empty:
                 return
 
-    def _exchange(self, body, reuse=True):
-        """POST ``body`` on an idle connection or a new one; the status and
-        the body bytes.  A reused connection that the endpoint dropped while
-        idle fails before any byte of a reply: the POST goes once more, on
-        a new connection."""
+    def _rows(self, requests):
+        """Yield the answer to each request, in order.  On a connection
+        that has answered in this batch, requests go back to back, at most
+        PIPELINE_BYTES of them (one always) ahead of the replies read.
+        What a closing connection leaves unanswered goes once more, each
+        request first on a new connection, whose close before its reply
+        is an error."""
+        requests, todo, sent = iter(requests), deque(), deque()
+        conn = None
         try:
-            conn = self._idle.get_nowait() if reuse \
-                else _Connection(*self._address)
-        except queue.Empty:
-            conn, reuse = _Connection(*self._address), False
-        line = None
-        try:
-            conn.sock.sendall(b"%s%d\r\n\r\n%s"
-                              % (self._head, len(body), body))
-            if not (line := conn.line()):
-                raise ConnectionAbortedError(
-                    "endpoint closed the connection without a reply")
-            status, data, keep = conn.reply(line)
-        except BaseException as exc:
-            conn.close()
-            if reuse and not line and isinstance(exc, ConnectionError):
-                return self._exchange(body, reuse=False)
+            while True:
+                if not todo and (request := next(requests, None)):
+                    todo.append((request, False))
+                if not (todo or sent):
+                    break
+                request, again = todo[0] if todo else (None, False)
+                # the next request goes on a connection with none pending,
+                # or into the window of one that has answered
+                write = request and (not sent or not again and answered and
+                                     ahead + len(request) <= PIPELINE_BYTES)
+                line = keep = None
+                try:
+                    if write:
+                        if not sent and (again or conn is None):
+                            if conn:
+                                conn.close()
+                            conn, new, answered, ahead = None, True, 0, 0
+                            if not again:
+                                with suppress(queue.Empty):
+                                    conn, new = self._idle.get_nowait(), False
+                            conn = conn or _Connection(*self._address)
+                        sent.append(todo.popleft()[0])
+                        ahead += len(request)
+                        conn.sock.sendall(request)
+                        continue
+                    if not (line := conn.line()):
+                        raise ConnectionAbortedError(
+                            "endpoint closed the connection without a reply")
+                    status, body, keep = conn.reply(line)
+                # ValueError: a reply that the transport cannot frame
+                except (OSError, ValueError) as exc:
+                    if line or not isinstance(exc, ConnectionError) \
+                            or new and not answered:
+                        raise RemoteOracleError(
+                            f"transport failure: {exc}") from exc
+                if keep is not None:
+                    ahead -= len(sent.popleft())
+                    answered += 1
+                    yield self._answer(status, body)
+                if not keep:  # the connection closed, or ends here
+                    conn.close()
+                    conn = None
+                    todo.extendleft((r, True) for r in reversed(sent))
+                    sent.clear()
+        except BaseException:
+            if conn:
+                conn.close()
             raise
-        if keep:
+        if conn:
             self._idle.put(conn)
-        else:
-            conn.close()
-        return status, data
+
+    def _request(self, context):
+        """The POST of ``context``: json.dumps's bytes, symbol by symbol."""
+        symbols = self._symbols
+        for s in context:
+            if not 0 <= s < self.n_symbols:
+                raise ValueError(f"state {s} outside the alphabet")
+        body = b'{"context": [%s], "alphabet": [%s]}' % (
+            b", ".join([symbols[s] for s in context]), b", ".join(symbols))
+        return b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
+
+    def query_many(self, contexts) -> np.ndarray:
+        """The answers to ``contexts`` (or to a StateSpace's states, in
+        index order), each POST made when its turn comes; the batch holds
+        one of the ``max_inflight`` slots."""
+        with self._gate:
+            return np.fromiter(self._rows(map(self._request, contexts)),
+                               np.dtype((float, self.n_symbols)))
+
+    def _distribution(self, context):
+        return self.query_many((context,))[0]
 
     @staticmethod
     def _normalize(vec) -> np.ndarray:
@@ -221,19 +281,8 @@ class RemoteOracle(Oracle):
             raise RemoteOracleError("endpoint probabilities have no mass")
         return arr / total
 
-    def _distribution(self, context):
-        alphabet = self.config.alphabet
-        for s in context:
-            if not 0 <= s < self.n_symbols:
-                raise ValueError(f"state {s} outside the alphabet")
-        body = json.dumps({"context": [alphabet[s] for s in context],
-                           "alphabet": list(alphabet)}).encode()
-        try:
-            with self._gate:
-                status, body = self._exchange(body)
-        # ValueError: a reply that the transport cannot frame
-        except (OSError, ValueError) as exc:
-            raise RemoteOracleError(f"transport failure: {exc}") from exc
+    def _answer(self, status, body):
+        """The normalized probabilities of a reply's status and body."""
         if not 200 <= status < 300:
             raise RemoteOracleError(
                 f"endpoint returned status {status}: "
@@ -275,8 +324,17 @@ class MockOracleServer:
             return [float(x) for x in chains[d][last_index]]
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # a connection idle or stalled mid-request this long is ended
+            timeout = 5.0
+            disable_nagle_algorithm = True
+
             def log_message(self, fmt, *args):
                 pass
+
+            def handle(self):
+                with suppress(OSError):  # the client left before its reply
+                    super().handle()
 
             def do_POST(self):
                 status, payload = self._answer()
@@ -284,12 +342,15 @@ class MockOracleServer:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
+                if self.close_connection:
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(body)
 
             def _answer(self):
                 length = self.headers.get("Content-Length", "0")
                 if not (length.isascii() and length.isdigit()):
+                    self.close_connection = True  # no end to read up to
                     return 400, {"error": "bad Content-Length"}
                 try:  # int() refuses more than 4,300 digits
                     data = json.loads(_read_body(

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tokenchain import bounds, cli
+from tokenchain import bounds, cli, remote
 from tokenchain.chains import TransitionMatrix, build_qf
 from tokenchain.cli import main
 from tokenchain.remote import MockOracleServer, RemoteOracle
@@ -632,7 +632,8 @@ def test_estimate_closes_its_remote_connections(tmp_path, monkeypatch,
             super().__init__(*args, **kwargs)
             built.append(self)
 
-    monkeypatch.setattr(cli, "RemoteOracle", Kept)
+    # the command imports the client from tokenchain.remote when it runs
+    monkeypatch.setattr(remote, "RemoteOracle", Kept)
     with KeepAliveStub(status=status) as stub:
         cfg = {"chain": {"kind": "random", "d": 3},
                "estimator": {"kind": "remote", "endpoint": stub.url},

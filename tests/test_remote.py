@@ -1,4 +1,6 @@
+import contextlib
 import gzip
+import itertools
 import json
 import re
 import socket
@@ -6,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 import warnings
@@ -280,14 +283,16 @@ def test_mock_server_rejects_a_body_that_is_not_json():
 
 @pytest.mark.parametrize("length", [b"-1", b"x", b"1e3"])
 def test_mock_server_answers_a_bad_content_length_at_once(length):
-    # -1 once read the request until the client closed the connection
+    # -1 once read the request until the client closed the connection; the
+    # request has no end, so the reply ends the connection
     with MockOracleServer() as server:
         host, port = server.url.removeprefix("http://").split(":")
         with socket.create_connection((host, int(port)), timeout=1) as sock:
             sock.sendall(b"POST / HTTP/1.1\r\nHost: x\r\nContent-Length: "
                          + length + b"\r\n\r\n")
             reply = sock.makefile("rb").read()
-    assert reply.startswith(b"HTTP/1.0 400 ")
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert b"\r\nConnection: close\r\n" in reply
     assert reply.endswith(b'{"error": "bad Content-Length"}')
 
 
@@ -644,3 +649,343 @@ def test_one_request_is_one_write(monkeypatch):
         assert head.startswith(b"POST / HTTP/1.1\r\n")
         assert json.loads(body)["context"] == context
         assert f"Content-Length: {len(body)}".encode() in head
+
+
+# ---------------------------------------------------------------------------
+# pipelined batches
+# ---------------------------------------------------------------------------
+
+def scripted_row(alphabet, context):
+    """The scripted stub's answer, which tells contexts of different
+    lengths or last symbols apart."""
+    return [1.0 + len(context) % 7 + (bool(context) and sym == context[-1])
+            for sym in alphabet]
+
+
+class ScriptedStub:
+    """Native-protocol endpoint on raw sockets that reads pipelined requests
+    in turn and logs the context of every request it reads.  ``act(conn,
+    k)``, for the k-th request (from 0) on its conn-th connection (from
+    0), picks the reply: "ok"; "500"; "close" (a reply that says
+    Connection: close); "http10" (an HTTP/1.0 reply); or "drop" (none).
+    After a reply that ends the connection, or a drop, the stub shuts its
+    sending side and reads on to the client's close, so a request the
+    client still sends is logged and no reset reaches it."""
+
+    def __init__(self, act):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.act = act
+        self.log = []
+        self.connections = 0
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    @property
+    def url(self):
+        return "http://127.0.0.1:%d" % self._listener.getsockname()[1]
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:  # the listener was closed
+                return
+            number, self.connections = self.connections, self.connections + 1
+            threading.Thread(target=self._talk, args=(conn, number),
+                             daemon=True).start()
+
+    def _talk(self, conn, number):
+        # a client that ends the batch early closes while replies are due
+        with conn, conn.makefile("rb") as rfile, \
+                contextlib.suppress(ConnectionError):
+            ended = False
+            for k in itertools.count():
+                head = []
+                while (line := rfile.readline()) not in (b"\r\n", b""):
+                    head.append(line)
+                if not line:  # the client closed the connection
+                    return
+                head = b"".join(head)
+                length = int(re.search(rb"Content-Length: (\d+)", head)[1])
+                data = json.loads(rfile.read(length))
+                self.log.append(tuple(data["context"]))
+                if ended:
+                    continue
+                act = self.act(number, k)
+                if act == "drop":
+                    conn.shutdown(socket.SHUT_WR)
+                    ended = True
+                    continue
+                body = json.dumps({"probs": scripted_row(
+                    data["alphabet"], data["context"])}).encode()
+                if act == "500":
+                    body = b'{"error": "scripted"}'
+                status = {"500": "HTTP/1.1 500 Oops", "http10":
+                          "HTTP/1.0 200 OK"}.get(act, "HTTP/1.1 200 OK")
+                extra = "Connection: close\r\n" if act == "close" else ""
+                conn.sendall(f"{status}\r\nContent-Length: {len(body)}\r\n"
+                             f"{extra}\r\n".encode() + body)
+                if act in ("close", "http10"):
+                    conn.shutdown(socket.SHUT_WR)
+                    ended = True
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
+        self._listener.close()
+        self._thread.join(timeout=5)
+        return False
+
+
+ALPHABET = ("a", "b", "c")
+
+
+def batch_contexts(count, seed=0):
+    rng = np.random.default_rng(seed)
+    return [tuple(rng.integers(0, 3, size=rng.integers(0, 9)).tolist())
+            for _ in range(count)]
+
+
+def one_at_a_time(contexts):
+    """The answers to one query per context, on a stub that always
+    answers."""
+    with ScriptedStub(lambda conn, k: "ok") as stub:
+        oracle = RemoteOracle(config_for(stub.url, timeout_ms=5000))
+        rows = np.array([oracle.query(c) for c in contexts])
+        oracle.close()
+    return rows
+
+
+def sent_at_most_twice(stub, contexts):
+    symbols = [tuple(ALPHABET[s] for s in c) for c in contexts]
+    counts = {c: stub.log.count(c) for c in set(symbols)}
+    # each distinct context is counted over all its copies in the batch
+    return all(counts[c] <= 2 * symbols.count(c) for c in counts)
+
+
+SCRIPTS = {
+    "all-answered": lambda conn, k: "ok",
+    "closes-after-5-of-n": lambda conn, k: "drop" if k == 5 else "ok",
+    "first-connection-closes-after-5":
+        lambda conn, k: "drop" if conn == 0 and k == 5 else "ok",
+    "connection-close-on-reply-4":
+        lambda conn, k: "close" if k == 4 else "ok",
+    "http-1.0": lambda conn, k: "http10",
+}
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_pipelined_batch_matches_one_at_a_time(name):
+    contexts = batch_contexts(40)
+    want = one_at_a_time(contexts)
+    with ScriptedStub(SCRIPTS[name]) as stub:
+        oracle = RemoteOracle(config_for(stub.url, timeout_ms=5000))
+        got = oracle.query_many(contexts)
+        oracle.close()
+    assert_array_equal(got, want)
+    assert sent_at_most_twice(stub, contexts)
+    if name == "all-answered":
+        # one connection, and every context sent once
+        assert stub.connections == 1
+        assert len(stub.log) == len(contexts)
+    if name == "connection-close-on-reply-4":
+        # the requests written behind reply 4 went out again
+        assert len(stub.log) > len(contexts)
+
+
+def test_pipelined_batch_on_a_fresh_connection_that_drops_raises():
+    with ScriptedStub(lambda conn, k: "drop") as stub:
+        oracle = RemoteOracle(config_for(stub.url, timeout_ms=5000))
+        with pytest.raises(RemoteOracleError, match="transport failure: "
+                           "endpoint closed the connection without a reply"):
+            oracle.query_many(batch_contexts(10))
+    # the one request on the fresh connection, and no other
+    assert (stub.connections, len(stub.log)) == (1, 1)
+
+
+def test_pipelined_batch_stops_at_an_error_status():
+    contexts = [(0,) * (i + 1) for i in range(10)]
+    with ScriptedStub(lambda conn, k: "500" if k == 2 else "ok") as stub:
+        oracle = RemoteOracle(config_for(stub.url, timeout_ms=5000))
+        with pytest.raises(RemoteOracleError, match="status 500"):
+            oracle.query_many(contexts)
+        # the connection holds unread replies: it is not pooled
+        assert oracle._idle.empty()
+    assert stub.connections == 1
+    assert sent_at_most_twice(stub, contexts)
+
+
+def test_request_above_the_pipeline_bound_goes_alone():
+    from tokenchain import remote
+
+    big = (1,) * (remote.PIPELINE_BYTES // 2)  # about 2.5 bytes a symbol
+    contexts = [(0,), big, (2,), big, (1, 2)]
+    want = one_at_a_time(contexts)
+    with ScriptedStub(lambda conn, k: "ok") as stub:
+        oracle = RemoteOracle(config_for(stub.url, timeout_ms=5000))
+        started = time.monotonic()
+        assert_array_equal(oracle.query_many(contexts), want)
+        assert time.monotonic() - started < 4
+        oracle.close()
+    assert len(stub.log) == len(contexts)
+
+
+def test_stale_pooled_connection_is_probed_before_pipelining():
+    contexts = batch_contexts(30)
+    want = one_at_a_time(contexts)
+    # the pooled connection is dropped at the batch's first request, as an
+    # endpoint drops one that sat idle
+    with ScriptedStub(lambda conn, k: "drop" if (conn, k) == (0, 1)
+                      else "ok") as stub:
+        oracle = RemoteOracle(config_for(stub.url, timeout_ms=5000))
+        oracle.query((0,))
+        assert_array_equal(oracle.query_many(contexts), want)
+        oracle.close()
+    # the batch's first request went alone on the pooled connection, and
+    # once more on a new one; nothing else was sent twice
+    assert stub.connections == 2
+    assert len(stub.log) == 1 + len(contexts) + 1
+
+
+def test_a_request_sent_again_goes_on_a_new_connection():
+    """With two stale connections pooled, the request that the first one
+    drops goes again on a new connection, not on the other pooled one."""
+    from tokenchain.remote import _Connection
+
+    contexts = batch_contexts(10)
+    want = one_at_a_time(contexts)
+    # connections 0 and 1 drop their first request, as stale pooled ones do
+    with ScriptedStub(lambda conn, k: "drop" if conn < 2 else "ok") as stub:
+        oracle = RemoteOracle(config_for(stub.url, timeout_ms=5000))
+        for _ in range(2):
+            oracle._idle.put(_Connection(*oracle._address))
+        assert_array_equal(oracle.query_many(contexts), want)
+        oracle.close()
+    assert sent_at_most_twice(stub, contexts)
+    assert stub.connections == 3
+
+
+def test_batch_holds_one_gate_slot():
+    contexts = batch_contexts(20)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with KeepAliveStub(delay_s=0.005) as stub:
+            oracle = RemoteOracle(config_for(stub.url, max_inflight=1))
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(
+                    lambda _: oracle.query_many(contexts), range(4)))
+            oracle.close()
+    finally:
+        sys.setswitchinterval(interval)
+    assert stub.peak("busy") == 1
+    assert len(stub.clients) == 1
+    for rows in results[1:]:
+        assert_array_equal(rows, results[0])
+
+
+class ChainRows:
+    """An oracle that answers a StateSpace with the given rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def query_many(self, space):
+        return self.rows
+
+
+def test_remote_build_against_the_mock_opens_one_connection(monkeypatch):
+    from tokenchain.chains import build_qf
+    from tokenchain.states import VocabSpec, enumerate_states
+
+    opened = []
+    connect = socket.create_connection
+    monkeypatch.setattr(socket, "create_connection",
+                        lambda *a, **kw: opened.append(a) or connect(*a, **kw))
+    spec = VocabSpec(3, 3)
+    with MockOracleServer(seed=2) as server:
+        oracle = RemoteOracle(config_for(server.url))
+        matrix = build_qf(oracle, spec)
+        oracle.close()
+        assert len(opened) == 1
+        alone = RemoteOracle(config_for(server.url))
+        rows = np.array([alone.query(s) for s in enumerate_states(spec)])
+        alone.close()
+    assert_array_equal(build_qf(ChainRows(rows), spec).dense(), matrix.dense())
+
+
+def test_mock_server_ends_a_connection_close_request_after_its_reply():
+    with MockOracleServer() as server:
+        host, port = server.url.removeprefix("http://").split(":")
+        body = b'{"context": ["a"], "alphabet": ["a", "b"]}'
+        with socket.create_connection((host, int(port)), timeout=2) as sock:
+            sock.sendall(b"POST / HTTP/1.1\r\nHost: x\r\nConnection: close"
+                         b"\r\nContent-Length: %d\r\n\r\n%s"
+                         % (len(body), body))
+            reply = sock.makefile("rb").read()  # up to the server's close
+    assert reply.startswith(b"HTTP/1.1 200 ")
+    assert b'"probs": [' in reply
+
+
+@pytest.mark.parametrize("leave", ["half-close", "close"])
+def test_mock_server_ends_a_short_body_quietly(capfd, leave):
+    with MockOracleServer() as server:
+        host, port = server.url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=2) as sock:
+            sock.sendall(b"POST / HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: 10\r\n\r\n{}")
+            if leave == "close":
+                sock.close()
+                time.sleep(0.3)  # the server writes its reply, if any
+                reply = b""
+            else:
+                sock.shutdown(socket.SHUT_WR)
+                reply = sock.makefile("rb").read()
+    assert reply == b"" or reply.startswith(b"HTTP/1.1 400 ")
+    assert capfd.readouterr().err == ""
+
+
+def test_cli_import_leaves_the_remote_client_out():
+    code = ("import sys, tokenchain.cli; "
+            "assert 'tokenchain.remote' not in sys.modules; "
+            "assert 'socket' not in sys.modules; "
+            "import tokenchain; print(tokenchain.RemoteOracle.__module__)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert (done.returncode, done.stdout) == (0, "tokenchain.remote\n")
+
+
+def test_remote_risk_pass_peak_within_the_replicate_count():
+    """A remote predictor reads whole prefixes.  The risk pass makes each
+    one when its request's turn comes, so a 5,000-step replicate stays
+    within the bytes the CLI admits it by, where a list of its prefixes
+    would hold about 0.5 GB."""
+    from tokenchain import estimation
+
+    # served from another process, so that tracemalloc sees the client only
+    server = subprocess.Popen(
+        [sys.executable, "-c", "from tokenchain.remote import "
+         "MockOracleServer as M; s = M(); print(s.url, flush=True); "
+         "s.serve_forever()"], stdout=subprocess.PIPE, text=True)
+    try:
+        oracle = RemoteOracle(config_for(server.stdout.readline().strip()))
+        rows, n = random_chain(3, seed=4).dense(), 5_000
+        # an untraced warm-up on the same paths of the sampler (the rank
+        # table from 283 steps) and of the client
+        estimation._one_replicate((rows, oracle, 300, [1, 0, 0], "tv", None))
+        tracemalloc.start()
+        try:
+            risk = estimation._one_replicate(
+                (rows, oracle, n, [1, 0, 0], "tv", None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        oracle.close()
+    finally:
+        server.terminate()
+        server.wait()
+        server.stdout.close()
+    assert 0 < risk < 1
+    assert peak <= estimation.replicate_bytes(3, n)
