@@ -80,14 +80,16 @@ class TransitionMatrix:
         return cls(np.asarray(Q.toarray() if hasattr(Q, "toarray") else Q,
                               dtype=float))
 
-    def triplet_columns(self):
-        """The nonzero entries as (row, col, value) arrays in row-major
-        order."""
-        at = np.flatnonzero(self.probs != 0.0)
-        rows, cols = at // self.probs.shape[1], at % self.probs.shape[1]
+    def triplet_columns(self, start=0, stop=None):
+        """The nonzero entries of rows [start, stop), by default all of
+        them, as (row, col, value) arrays in row-major order."""
+        block = self.probs[start:stop]
+        at = np.flatnonzero(block != 0.0)
+        rows, cols = start + at // block.shape[1], at % block.shape[1]
         if self.is_table:
-            cols = StateSpace(self.spec).successor_table().ravel()[at]
-        return rows, cols, self.probs.ravel()[at]
+            cols = StateSpace(self.spec).successor_table(
+                start, stop).ravel()[at]
+        return rows, cols, block.ravel()[at]
 
     def left_product(self):
         """The map x -> x Q.  Entry j of x Q is summed from 0.0 over the
@@ -168,7 +170,8 @@ def build_qf(oracle, spec: VocabSpec) -> TransitionMatrix:
                           f"{space[0]}, expected ({T},)")
     negative = ~(P >= 0).all(axis=1)
     sums = P.sum(axis=1)
-    drift = np.abs(sums - 1.0)
+    drift = sums - 1.0
+    np.abs(drift, out=drift)
     bad = np.flatnonzero(negative | (drift > ROW_REPAIR_TOL))
     if bad.size:
         i = bad[0]
@@ -177,7 +180,9 @@ def build_qf(oracle, spec: VocabSpec) -> TransitionMatrix:
                 f"negative or NaN probability in row for state {space[i]}")
         raise OracleError(f"row for state {space[i]} sums to {sums[i]}; "
                           f"drift above {ROW_REPAIR_TOL}")
-    P = np.where((drift > SUM_TOL)[:, None], P / sums[:, None], P)
+    repair = (drift > SUM_TOL)[:, None]
+    if repair.any():
+        P = np.divide(P, sums[:, None], out=P.copy(), where=repair)
     return TransitionMatrix(P, n_transient=space.n_transient, spec=spec)
 
 
@@ -190,46 +195,53 @@ def validate_structure(Q: TransitionMatrix, spec: VocabSpec) -> StructureReport:
     vanishes (it must, within K steps: sequences only grow until full).
     """
     space = enumerate_states(spec)
-    n = Q.n_states
-    if n != spec.state_count:
-        raise ValueError(
-            f"matrix has {n} states, spec wants {spec.state_count}")
+    n, n_t = Q.n_states, space.n_transient
+    if n != spec.state_count or Q.spec not in (None, spec):
+        raise ValueError(f"a matrix of {n} states (spec {Q.spec}) is not "
+                         f"a chain of {spec}, {spec.state_count} states")
     T, K = spec.n_tokens, spec.context_window
-    rows, cols, _ = Q.triplet_columns()
-
-    # the T successors of a state are consecutive indices
-    offset = cols - space.successor_table()[:, 0][rows]
-    pattern_ok = bool(np.all((offset >= 0) & (offset < T)))
+    if Q.is_table:
+        # row i's columns are its successors by construction; the state
+        # i < first moves to T + i T + t, inside the transient block
+        first, pattern_ok = max(n_t - T ** (K - 1), 0), True
+        nilpotency = _nilpotency_index(
+            Q.probs[:first] != 0.0,
+            lambda alive: alive[T:].reshape(first, T), n_t, K)
+    else:
+        rows, cols, _ = Q.triplet_columns()
+        # the T successors of a state are consecutive indices
+        offset = cols - space.successor_table()[:, 0][rows]
+        pattern_ok = bool(np.all((offset >= 0) & (offset < T)))
+        nilpotency = _nilpotency_index(Q.probs[:n_t, :n_t] != 0.0,
+                                       lambda alive: alive, n_t, K)
 
     # pairwise sums, row by row: a table's row sums are pinned in
     # structure.json, and probs.sum(axis=1) rounds some rows differently
-    row_sums = np.add.reduceat(Q.probs, [0], axis=1)[:, 0]
-    row_err = float(np.abs(row_sums - 1.0).max()) if n else 0.0
-
+    row_err = np.abs(np.add.reduceat(Q.probs, [0], axis=1)[:, 0] - 1.0)
+    row_err = float(row_err.max())
+    nonzeros = Q.nonzero_count()
     return StructureReport(
         n_states=n,
-        nonzero_count=rows.size,
-        nonzero_proportion=Fraction(rows.size, n * n),
+        nonzero_count=nonzeros,
+        nonzero_proportion=Fraction(nonzeros, n * n),
         expected_nonzero_count=T * T * (T**K - 1) // (T - 1),
         row_sum_max_error=row_err,
         block_pattern_ok=pattern_ok,
-        nilpotency_index=_nilpotency_index(rows, cols, space.n_transient, K),
+        nilpotency_index=nilpotency,
     )
 
 
-def _nilpotency_index(rows, cols, n_transient, K):
+def _nilpotency_index(moves, targets, n_transient, K):
     """Smallest k <= K with the transient block's k-th power identically
-    zero, from the nonzero entries (rows, cols).
-
-    B^k vanishes iff no state starts a k-step path inside the block.
-    """
+    zero: no state starts a k-step path inside the block.  Row i of the
+    bool ``moves`` marks state i's moves inside it, and ``targets(alive)``
+    which of their targets are alive; the states past its rows leave it."""
     if n_transient == 0:
         return 0
-    inside = (rows < n_transient) & (cols < n_transient)
-    rows, cols = rows[inside], cols[inside]
     alive = np.ones(n_transient, dtype=bool)
     for k in range(1, K + 1):
-        alive = np.bincount(rows[alive[cols]], minlength=n_transient) > 0
+        alive[:len(moves)] = (moves & targets(alive)).any(axis=1)
+        alive[len(moves):] = False
         if not alive.any():
             return k
     return None

@@ -222,21 +222,36 @@ _CELL, _NEXT = ",\n        ", "\n      ],\n      [\n        "
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _triplet_blocks(columns):
-    """json.dumps(indent=2) of a top-level member's triplets, from their
-    (row, col, value) columns, TRIPLET_CHUNK triplets a block."""
-    n, finite = len(columns[0]), np.isfinite(columns[2]).all()
-    yield "[\n      [\n        " if n else "["
-    for a in range(0, n, TRIPLET_CHUNK):
-        # repr of a list of Python ints or floats spells each as json does,
-        # but for json's NaN and Infinity
-        rows, cols, values = (repr(c[a:a + TRIPLET_CHUNK].tolist())[1:-1]
-                              .split(", ") for c in columns)
-        if not finite:
-            values = map(_JSON_SPELLING.get, values, values)
-        yield (_NEXT if a else "") + _NEXT.join(
-            map(_CELL.join, zip(rows, cols, values)))
-    yield "\n      ]\n    ]" if n else "]"
+def build_bytes(spec: VocabSpec) -> int:
+    """Bytes that building, checking and writing the chain of ``spec`` may
+    hold at once: three (n, T) float tables (the oracle's, the answers and
+    their repair), two masks, four state vectors and one writer block."""
+    n, T = spec.state_count, spec.n_tokens
+    return 26 * n * T + 32 * n + 512 * min(n * T, max(T, TRIPLET_CHUNK))
+
+
+def _triplet_blocks(matrix):
+    """json.dumps(indent=2) of a top-level member's triplets, joined from
+    the matrix's `triplet_columns` a block of rows (about TRIPLET_CHUNK
+    triplets) at a time, each row's index spelled once; str of a Python
+    int and repr of a float are json's spellings, but for NaN and Infinity."""
+    n, width = matrix.probs.shape
+    step, sep = max(1, TRIPLET_CHUNK // width), "[\n      [\n        "
+    for a in range(0, n, step):
+        rows, cols, values = matrix.triplet_columns(a, a + step)
+        if not rows.size:
+            continue
+        heads = [f"{_NEXT}{i}{_CELL}" for i in range(a, rows[-1] + 1)]
+        parts = [_CELL] * (4 * rows.size)
+        parts[0::4] = np.array(heads, object)[rows - a].tolist()
+        parts[1::4] = map(str, cols.tolist())
+        parts[3::4] = map(repr, values.tolist())
+        if not np.isfinite(values).all():
+            parts[3::4] = [_JSON_SPELLING.get(v, v) for v in parts[3::4]]
+        parts[0] = sep + parts[0][len(_NEXT):]
+        yield "".join(parts)
+        sep = _NEXT
+    yield "\n      ]\n    ]" if sep is _NEXT else "[]"
 
 
 def _trajectory_blocks(states):
@@ -258,7 +273,7 @@ def _matrix_payload(matrix) -> dict:
 def _write_json(path: Path, config, seed, payload: dict):
     """The header and ``payload`` as json.dumps(indent=2, sort_keys=True);
     a TransitionMatrix under "matrix" as its `_matrix_payload`, with its
-    ``triplet_columns`` as the [row, col, value] triplets."""
+    `_triplet_blocks` as the [row, col, value] triplets."""
     blob = _canonical(config)
     doc = {"header": {
         "tool": "tokenchain",
@@ -276,8 +291,7 @@ def _write_json(path: Path, config, seed, payload: dict):
     # strings escape their newlines and an object's keys are unique, so the
     # first such slot after the top-level key is the matrix's own
     at = text.index(_SLOT + "[]", text.index('\n  "matrix": {')) + len(_SLOT)
-    _stream(path, text[:at], _triplet_blocks(matrix.triplet_columns()),
-            text[at + len("[]"):])
+    _stream(path, text[:at], _triplet_blocks(matrix), text[at + len("[]"):])
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +382,8 @@ def _toy_model(cfg, context_length, seed, path):
 
 def _oracle(cfg, spec: VocabSpec, seed, path="config.oracle"):
     kind, fields = _kind(cfg, _ORACLE_FIELDS, path)
+    _check_dense("config.n_tokens/context_window", "building a chain of "
+                 f"{spec.state_count} states", build_bytes(spec))
     if kind == "uniform":
         return UniformOracle(spec.n_tokens)
     if kind == "random_logits":
@@ -448,7 +464,7 @@ def cmd_build(config, seed, out: Path, jobs: int) -> int:
     _write_json(out / "structure.json", config, seed,
                 {"structure": structure})
     print("built {n_states} states, {nonzero_count} nonzeros (proportion "
-          "{nonzero_proportion}), ok={ok}".format(**structure))
+          "{nonzero_proportion})".format(**structure))
     return 0
 
 
@@ -745,7 +761,6 @@ def cmd_train_toy(config, seed, out: Path, jobs: int) -> int:
         "seen_mass": seen_mass,
         "unseen_mass": unseen_mass,
         "ratio": _render(ratio),
-        "structure_ok": structure["ok"],
     }})
     print(f"trained on {len(dataset)} examples over {spec.state_count} "
           f"states; seen/unseen stationary mass ratio "

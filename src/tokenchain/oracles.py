@@ -57,10 +57,11 @@ def apply_temperature(logits, temperature):
             raise OracleError(f"temperature {temperature!r} is too small: "
                               f"logits / temperature overflow float64")
         raise ValueError("logits must be finite")
-    # a spread that overflows leaves -inf, whose exp is 0
+    # in place in the fresh x; a spread that overflows leaves -inf, exp 0
     with np.errstate(over="ignore"):
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+        x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    return np.divide(x, x.sum(axis=-1, keepdims=True), out=x)
 
 
 def softmax_floor(logits):

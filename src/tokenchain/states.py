@@ -91,9 +91,10 @@ class StateSpace:
             value = value * T + t
         return self._offsets[len(tokens) - 1] + value
 
-    def successor_table(self) -> np.ndarray:
+    def successor_table(self, start=0, stop=None) -> np.ndarray:
         """(n, T) int64 array whose row i lists the indices of
-        ``successors(space[i])``, ascending in the appended token.
+        ``successors(space[i])``, ascending in the appended token; or its
+        rows [start, stop), made alone.
 
         State o_L + v keeps its last h = min(L, K - 1) tokens, v mod T^h,
         and appends t: its successors are o_{h+1} + (v mod T^h) T + t.
@@ -101,7 +102,8 @@ class StateSpace:
         than K, and n_t + (v mod T^(K-1)) T + t for a full-length one.
         """
         T, K = self.spec.n_tokens, self.spec.context_window
-        i, n_t = np.arange(len(self), dtype=np.int64), self.n_transient
+        i = np.arange(*slice(start, stop).indices(len(self)), dtype=np.int64)
+        n_t = self.n_transient
         first = np.where(i < n_t, T + i * T, n_t + (i - n_t) % T**(K - 1) * T)
         return first[:, None] + np.arange(T)
 

@@ -322,6 +322,37 @@ def _assert_steps_match(Q, steps=200):
         x = y / y.sum()
 
 
+def _table_cases():
+    for T, K in [(2, 1), (2, 2), (2, 5), (3, 1), (3, 3), (4, 2), (4, 4)]:
+        spec = VocabSpec(T, K)
+        yield build_qf(RandomLogitOracle(enumerate_states(spec), seed=T * K,
+                                         scale=3.0), spec)
+    # zero successors: one token never follows, a transient row that ends
+    # every path early, and rows with no successor at all
+    yield build_qf(FixedRowOracle([1.0, 0.0]), VocabSpec(2, 4))
+    yield build_qf(FixedRowOracle([0.0, 1.0, 0.0]), VocabSpec(3, 3))
+    Q = build_qf(UniformOracle(2), VocabSpec(2, 4))
+    Q.probs[[0, 3, 20]] = 0.0
+    Q.probs[1] = [1.0, -0.0]
+    yield Q
+
+
+@pytest.mark.parametrize("Q", list(_table_cases()),
+                         ids=lambda Q: f"T{Q.spec.n_tokens}K"
+                                       f"{Q.spec.context_window}")
+def test_table_validation_matches_the_dense_path(Q):
+    dense = TransitionMatrix(Q.dense(), n_transient=Q.n_transient)
+    assert not dense.is_table
+    assert validate_structure(Q, Q.spec) == validate_structure(dense, Q.spec)
+
+
+def test_validation_refuses_the_table_of_another_spec():
+    # both specs have 30 states
+    Q = build_qf(UniformOracle(5), VocabSpec(5, 2))
+    with pytest.raises(ValueError, match="is not a chain of"):
+        validate_structure(Q, VocabSpec(2, 4))
+
+
 def test_nilpotency_index_at_131070_states():
     spec = VocabSpec(2, 16)
     report = validate_structure(build_qf(UniformOracle(2), spec), spec)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import signal
@@ -138,7 +139,7 @@ def test_spectral_outputs_are_pinned(tmp_path, command, extra, digests):
         "loss.csv":
             "f244afc47a69cb1421d43678549dc29306ad2918dca99398227eb5034d0efdb8",
         "parity.json":
-            "f943d8b4210631371bf15b21a4ae9bf704b1b21ee9dd0baae85d5e5da203d375",
+            "a0162d88ef90b21d1d1ba560a27dad3ccd11b8040b43fddf2f342f85cbe48867",
     }),
 ])
 def test_streamed_outputs_are_pinned(tmp_path, command, cfg, digests):
@@ -196,7 +197,7 @@ ESTIMATE_CFG = {"chain": {"kind": "random", "d": 3, "seed": 2},
         "model.json":
             "cd0d0227de85d417bbe829f846a0d5525b75ba6198f62157d14d0019c15c1838",
         "parity.json":
-            "f943d8b4210631371bf15b21a4ae9bf704b1b21ee9dd0baae85d5e5da203d375",
+            "a0162d88ef90b21d1d1ba560a27dad3ccd11b8040b43fddf2f342f85cbe48867",
     }),
     ("analyze", {"chain": {"kind": "polygonal_walk", "d": 4}}, {
         "mixing.csv":
@@ -691,7 +692,7 @@ def test_train_toy_pipeline(tmp_path):
     assert doc["n_states"] == 14
     assert doc["n_examples"] == 37
     assert doc["seen_contexts"] == ["001", "011", "100", "110"]
-    assert doc["structure_ok"] is True
+    assert "structure_ok" not in doc
     assert doc["ratio"] == "+inf" or doc["ratio"] > 1.0
     _, body = read_csv(tmp_path, "out", "loss.csv")
     assert body[0] == "epoch,loss"
@@ -1000,6 +1001,56 @@ def test_estimate_over_curve_cap_exits_2_naming_reps(tmp_path, capsys,
         "tokenchain: config.reps: a curve of 100000000 replicates at each "
         "of 3 lengths needs 6400011616 bytes, above the cap of 2147483648\n")
     assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("build", {}), ("sweep-temperature", {"temperatures": [1.0]})])
+def test_chain_memory_is_admitted_before_any_oracle(tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    extra):
+    """16,004,000 states pass the state cap, but their tables do not fit:
+    the build exited 1 on a 477 GiB allocation."""
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("admission must come before any oracle")
+
+    monkeypatch.setattr(cli, "RandomLogitOracle", no_oracle)
+    cfg = {"n_tokens": 4000, "context_window": 2,
+           "oracle": {"kind": "random_logits", "seed": 1}, **extra}
+    assert run(tmp_path, command, cfg) == 2
+    # 26 * 16,004,000 * 4000 + 32 * 16,004,000 + 512 * 4000
+    assert capsys.readouterr().err == (
+        "tokenchain: config.n_tokens/context_window: building a chain of "
+        "16004000 states needs 1664930176000 bytes, above the cap of "
+        "2147483648\n")
+    assert not any((tmp_path / "out").iterdir())
+    # the state cap's largest binary chain is admitted
+    assert cli.build_bytes(VocabSpec(2, 23)) <= cli.DENSE_BLOCK_CAP_BYTES
+
+
+@pytest.mark.parametrize("T,K,oracle", [
+    (2, 16, {"kind": "random_logits", "seed": 1}),
+    (4, 7, {"kind": "random_logits", "seed": 2, "scale": 3.0}),
+    (2, 16, {"kind": "uniform"}),
+    (3, 9, {"kind": "matrix",
+            "rows": [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.0, 0.0, 1.0]]}),
+    (2, 12, {"kind": "parity_toy", "epochs": 5}),
+    (3, 6, {"kind": "remote"}),
+])
+def test_build_peak_within_build_bytes(tmp_path, T, K, oracle):
+    """The whole command, oracle and writer included, holds no more than
+    `build_bytes` counts."""
+    cfg = {"n_tokens": T, "context_window": K, "oracle": oracle}
+    with contextlib.ExitStack() as stack:
+        if oracle["kind"] == "remote":
+            server = stack.enter_context(MockOracleServer(seed=4))
+            cfg["oracle"] = {**oracle, "endpoint": server.url}
+        tracemalloc.start()
+        try:
+            assert run(tmp_path, "build", cfg) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= cli.build_bytes(VocabSpec(T, K))
 
 
 def test_bounds_admits_wide_coin_rows(tmp_path, monkeypatch):

@@ -236,8 +236,8 @@ def test_import_does_not_load_requests():
 
 def test_mock_round_trip_matches_seeded_chain():
     expected = random_chain(3, p_min=MOCK_P_MIN, seed=3).dense()
-    with MockOracleServer(seed=3) as server:
-        oracle = RemoteOracle(config_for(server.url))
+    with MockOracleServer(seed=3) as server, contextlib.closing(
+            RemoteOracle(config_for(server.url))) as oracle:
         assert oracle.n_symbols == 3
         assert oracle.name == "remote"
         # the boundary renormalization may shave one ulp off each entry
@@ -248,13 +248,13 @@ def test_mock_round_trip_matches_seeded_chain():
 
 
 def test_mock_server_reproducible_across_instances():
-    with MockOracleServer(seed=5) as first:
-        p1 = RemoteOracle(config_for(first.url)).query((1,))
-    with MockOracleServer(seed=5) as second:
-        p2 = RemoteOracle(config_for(second.url)).query((1,))
+    def answer(seed):
+        with MockOracleServer(seed=seed) as server, contextlib.closing(
+                RemoteOracle(config_for(server.url))) as oracle:
+            return oracle.query((1,))
+
+    p1, p2, p3 = answer(5), answer(5), answer(6)
     assert_array_equal(p1, p2)
-    with MockOracleServer(seed=6) as third:
-        p3 = RemoteOracle(config_for(third.url)).query((1,))
     assert np.any(p1 != p3)
 
 
@@ -360,9 +360,9 @@ def test_out_of_range_state_rejected_client_side():
 
 def test_concurrent_queries_respect_gate():
     expected = random_chain(4, p_min=MOCK_P_MIN, seed=0).dense()
-    with MockOracleServer() as server:
-        oracle = RemoteOracle(config_for(
-            server.url, alphabet=("w", "x", "y", "z"), max_inflight=2))
+    with MockOracleServer() as server, contextlib.closing(RemoteOracle(
+            config_for(server.url, alphabet=("w", "x", "y", "z"),
+                       max_inflight=2))) as oracle:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda i: oracle.query((i % 4,)),
                                     range(32)))

@@ -1,6 +1,6 @@
 """The output writers against json.dumps: a matrix's triplets are streamed
-from its columns a chunk at a time, and must come out in exactly the
-bytes json.dumps(indent=2, sort_keys=True) gives the whole document."""
+from its rows a block at a time, and must come out in exactly the bytes
+json.dumps(indent=2, sort_keys=True) gives the whole document."""
 
 import json
 import tracemalloc
@@ -8,12 +8,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tokenchain import cli
 from tokenchain.chains import TransitionMatrix, build_qf
 from tokenchain.oracles import RandomLogitOracle
-from tokenchain.states import VocabSpec, enumerate_states
+from tokenchain.states import VocabSpec, enumerate_states, successors
 
 CONFIG = {"n_tokens": 2, "context_window": 1, "oracle": {"kind": "uniform"}}
 
@@ -59,6 +59,46 @@ def test_streamed_matrix_equals_json_dumps(tmp_path, matrix, chunk, meta):
         text, expected = written(tmp_path / "m.json", CONFIG,
                                  {"matrix": matrix, "meta": meta})
     assert text == expected
+
+
+@st.composite
+def tables(draw):
+    """A table chain with T 2-4 and K 1-4, zeros and edge floats in it:
+    a drawn run of cells, repeated to fill the table."""
+    spec = VocabSpec(draw(st.integers(2, 4)), draw(st.integers(1, 4)))
+    n, T = spec.state_count, spec.n_tokens
+    cells = draw(st.lists(CELLS, min_size=1, max_size=41))
+    return TransitionMatrix(np.resize(np.array(cells, dtype=float), (n, T)),
+                            n_transient=enumerate_states(spec).n_transient,
+                            spec=spec)
+
+
+def table_triplets(matrix):
+    """The nonzero triplets of a table, each column found by sequence."""
+    space = enumerate_states(matrix.spec)
+    return [[i, space.index(v), float(p)] for i in range(len(space))
+            for v, p in zip(successors(space[i], matrix.spec), matrix.probs[i])
+            if p != 0.0]
+
+
+# a transient row with a zero successor, and a first row all zeros
+ZERO_ROWS = TransitionMatrix(
+    np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.75], [1.0, 0.0], [0.0, 1.0],
+              [-0.0, 1.0]]), n_transient=2, spec=VocabSpec(2, 2))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(matrix=tables(), chunk=st.sampled_from([1, 2, 3, 7, 2048]))
+@example(matrix=ZERO_ROWS, chunk=1)
+@example(matrix=ZERO_ROWS, chunk=3)
+def test_streamed_table_equals_json_dumps(tmp_path, matrix, chunk):
+    with mock.patch.object(cli, "TRIPLET_CHUNK", chunk):
+        cli._write_json(tmp_path / "m.json", CONFIG, 0, {"matrix": matrix})
+    text = (tmp_path / "m.json").read_text()
+    doc = {"header": json.loads(text)["header"], "matrix": {
+        **cli._matrix_payload(matrix), "triplets": table_triplets(matrix)}}
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("matrix", [
@@ -114,13 +154,11 @@ def test_strings_equal_to_the_slot_are_left_alone(tmp_path, lookalike):
 
 
 def test_matrix_write_holds_a_chunk_not_the_file(tmp_path):
-    """The columns are the matrix's own O(nnz) arrays; beyond them the
-    writer holds O(TRIPLET_CHUNK) bytes, where json.dumps held O(file)."""
+    """The writer holds O(TRIPLET_CHUNK) bytes, its triplet columns
+    included, where json.dumps held O(file) and the columns O(nnz)."""
     spec = VocabSpec(2, 14)
     space = enumerate_states(spec)
     matrix = build_qf(RandomLogitOracle(space, seed=0), spec)
-    columns = matrix.triplet_columns()
-    matrix.triplet_columns = lambda: columns
     path = tmp_path / "matrix.json"
     tracemalloc.start()
     try:
@@ -128,7 +166,7 @@ def test_matrix_write_holds_a_chunk_not_the_file(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(columns[0]) == 65_532
+    assert matrix.nonzero_count() == 65_532
     assert peak < 512 * cli.TRIPLET_CHUNK < path.stat().st_size / 4
 
 
