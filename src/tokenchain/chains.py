@@ -92,14 +92,17 @@ class TransitionMatrix:
         return rows, cols, block.ravel()[at]
 
     def left_product(self):
-        """The map x -> x Q.  Entry j of x Q is summed from 0.0 over the
-        predecessors of j in increasing index order, whichever way the
-        chain is held, so that iterates are reproducible to the bit."""
+        """The map x -> x Q, into ``out`` if given.  Entry j of x Q is
+        summed from 0.0 over the predecessors of j in increasing index
+        order, however the chain is held: iterates repeat to the bit."""
         n = self.n_states
         if not self.is_table:
             rows, cols, values = self.triplet_columns()
-            return lambda x: np.bincount(cols, weights=x[rows] * values,
-                                         minlength=n)
+
+            def step(x, out=None):
+                y = np.bincount(cols, weights=x[rows] * values, minlength=n)
+                return y if out is None else np.copyto(out, y) or out
+            return step
         T, K = self.spec.n_tokens, self.spec.context_window
         n_t, m = self.n_transient, T ** (K - 1)
         # state i < n_t - m moves to T + i T + t; the full-length state
@@ -108,18 +111,18 @@ class TransitionMatrix:
         # turns a stored -0.0 into 0.0, as a sum from 0.0 does.
         first = n_t - m if K > 1 else 0
         PT = np.ascontiguousarray(self.probs.T) + 0.0
+        head, body = PT[:, :first], PT[:, first:]
         tail = np.empty((T, n - first))
+        blocks = list(tail.reshape(T, -1, m).swapaxes(0, 1))
 
-        def step(x):
-            y = np.empty(n)
+        def step(x, out=None):
+            y = np.empty(n) if out is None else out
             y[:T] = 0.0
-            np.multiply(PT[:, :first], x[:first],
-                        out=y[T:n_t].reshape(-1, T).T)
-            np.multiply(PT[:, first:], x[first:], out=tail)
-            blocks, out = tail.reshape(T, -1, m), y[n_t:].reshape(m, T).T
-            np.add(blocks[:, 0], blocks[:, 1], out=out)
-            for k in range(2, blocks.shape[1]):
-                out += blocks[:, k]
+            np.multiply(head, x[:first], out=y[T:n_t].reshape(-1, T).T)
+            np.multiply(body, x[first:], out=tail)
+            acc = np.add(blocks[0], blocks[1], out=y[n_t:].reshape(m, T).T)
+            for block in blocks[2:]:
+                acc += block
             return y
         return step
 

@@ -22,7 +22,7 @@ import operator
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -800,6 +800,7 @@ _COMMANDS = {
 }
 
 
+@cache  # built once per process, however often main runs
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tokenchain",

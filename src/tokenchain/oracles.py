@@ -381,10 +381,13 @@ def train_toy(dataset, config: ToyModelConfig, n_tokens=None) -> ToyModel:
             raise ValueError(f"example {i} {ctx} -> {y}: tokens must lie "
                              f"in [0, {n_tokens})")
     rng = np.random.default_rng(config.seed)
-    dim_in = config.context_length * (n_tokens + 1)
-    w_in = 0.01 * rng.standard_normal((dim_in, config.embedding_dim))
-    w_out = 0.01 * rng.standard_normal((config.embedding_dim, n_tokens))
-    bias = np.zeros(n_tokens)
+    dim_in, E = config.context_length * (n_tokens + 1), config.embedding_dim
+    w_in = 0.01 * rng.standard_normal((dim_in, E))
+    # w_out and then bias, as the rows of one array: one outer product
+    # with (h, 1.0) updates both
+    w_ob = np.zeros((E + 1, n_tokens))
+    w_ob[:E] = 0.01 * rng.standard_normal((E, n_tokens))
+    w_out, bias = w_ob[:E], w_ob[E]
     model = ToyModel(config, n_tokens, w_in, w_out, bias)
 
     # x, the K rows of w_in that x selects, and the target
@@ -392,36 +395,36 @@ def train_toy(dataset, config: ToyModelConfig, n_tokens=None) -> ToyModel:
                for x, y in ((model._encode(ctx), y) for ctx, y in dataset)]
     order = np.arange(len(encoded))
     lr = config.learning_rate
-    h, dh = np.empty(config.embedding_dim), np.empty(config.embedding_dim)
-    z, g, db = np.empty(n_tokens), np.empty(n_tokens), np.empty(n_tokens)
+    h1, dh, dW = np.ones(E + 1), np.empty(E), np.empty_like(w_ob)
+    z, g, p_y = np.empty(n_tokens), np.empty(n_tokens), np.empty(len(order))
     # views kept for the whole run: every update below is in place
-    dW, w_out_t, h_col = np.empty_like(w_out), w_out.T, h[:, None]
+    h, w_out_t, h1_col = h1[:E], w_out.T, h1[:, None]
     # an update that overflows shows in the next logits
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             rng.shuffle(order)
-            total = 0.0
-            for idx in order:
+            for i, idx in enumerate(order):
                 x, rows, y = encoded[idx]
-                np.matmul(x, w_in, out=h)
-                np.add(np.matmul(h, w_out, out=z), bias, out=z)
+                np.dot(x, w_in, out=h)
+                np.add(np.dot(h, w_out, out=z), bias, out=z)
                 logits = z.tolist()
                 if not all(map(math.isfinite, logits)):
                     raise TrainingDivergedError(epoch, float("inf"))
                 np.exp(np.subtract(z, max(logits), out=g), out=g)
                 np.divide(g, np.add.reduce(g), out=g)
-                total -= np.log(max(g[y], 1e-300))
+                p_y[i] = g[y]
                 # d(cross-entropy)/d(logits) = p - onehot(y); the rows of
                 # w_in that x leaves at 0 would lose lr * 0 * (g @ w_out.T),
                 # exactly 0 while that product is finite
                 g[y] -= 1.0
-                np.multiply(lr, np.matmul(g, w_out_t, out=dh), out=dh)
+                np.multiply(lr, np.dot(g, w_out_t, out=dh), out=dh)
                 for row in rows:
                     np.subtract(row, dh, out=row)
-                np.subtract(w_out, np.multiply(
-                    lr, np.multiply(h_col, g, out=dW), out=dW), out=w_out)
-                np.subtract(bias, np.multiply(lr, g, out=db), out=bias)
-            loss = total / len(encoded)
+                np.subtract(w_ob, np.multiply(
+                    lr, np.multiply(h1_col, g, out=dW), out=dW), out=w_ob)
+            # the cross-entropies, subtracted in step order from 0.0
+            loss = np.subtract.reduce(np.log(np.maximum(p_y, 1e-300)),
+                                      initial=0.0) / len(encoded)
             model.loss_history.append(loss)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, loss)

@@ -9,7 +9,6 @@ mixing times down to the minimized constant of the in-context bound.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +26,10 @@ POLISH_ROUNDS = 5000
 # stationary's doubling search stores up to log2(max_iter) dense n x n
 # powers; a chain whose powers need more keeps the step loop
 POWERS_BUDGET_BYTES = 1 << 28
+# stationary checks its stopping rule once a pass of up to this many
+# loop steps, or of as many iterates as fill CHECK_BYTES if fewer
+CHECK_STEPS = 32
+CHECK_BYTES = 1 << 18
 
 
 @dataclass
@@ -98,9 +101,9 @@ def classify_states(Q) -> MixingReport:
     """
     Q = TransitionMatrix.of(Q)
     n = Q.n_states
-    src, dst, _ = Q.triplet_columns()
     base = Q.n_transient if Q.is_table else 0
-    src, dst, m = src[src >= base] - base, dst[src >= base] - base, n - base
+    src, dst, _ = Q.triplet_columns(base)
+    src, dst, m = src - base, dst - base, n - base
     forward, backward = _adjacency(src, dst, m), _adjacency(dst, src, m)
     unknown = np.ones(m, dtype=bool)
     found = []  # (members, period) of each closed class
@@ -180,29 +183,33 @@ def stationary(Q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     step = Q.left_product()
     # the entries a step reads: a table's all, a dense chain's nonzeros
     stored = Q.probs.size if Q.is_table else Q.nonzero_count()
-    pi = np.full(n, 1.0 / n)
-    history = deque([pi], maxlen=window + 1)
-    diff = np.empty(n)
-    iterations = 0
-    stopped = False
-    for t in range(1, _switch_step(n, stored, window, max_iter) + 1):
-        pi = step(pi)
-        total = pi.sum()
-        if total > 0:
-            pi /= total
-        history.append(pi)
-        iterations = t
-        if len(history) == window + 1:
-            np.abs(np.subtract(history[-1], history[0], out=diff), out=diff)
-            if diff.sum() / window <= tol:
-                stopped = True
-                break
-    tail = list(history)[-window:]
+    switch = _switch_step(n, stored, window, max_iter)
+    # a ring of the last R iterates, iterate t in row t % R; a pass's steps
+    # are checked at once, a step below the window against a row of NaN
+    R = window + max(1, min(CHECK_STEPS, CHECK_BYTES // (8 * n)))
+    X, diff = np.full((R, n), np.nan), np.empty((R - window, n))
+    X[0] = 1.0 / n
+    t, stopped = 0, False
+    while t < switch and not stopped:
+        new, old = (t + 1) % R, (t + 1 - window) % R
+        b = min(switch - t, R - new, R - old, R - window)
+        for r in range(new, new + b):
+            y = step(X[r - 1], out=X[r])
+            total = y.sum()
+            if total > 0:
+                y /= total
+        np.abs(np.subtract(X[new:new + b], X[old:old + b], out=diff[:b]),
+               out=diff[:b])
+        met = np.flatnonzero(diff[:b].sum(axis=1) / window <= tol)
+        stopped = met.size > 0
+        t += int(met[0]) + 1 if stopped else b
+    iterations = t
+    tail = [X[k % R] for k in range(max(0, t + 1 - window), t + 1)]
     out = tail[0] if window == 1 else np.mean(tail, axis=0)
     if not stopped and iterations < max_iter:
         # both rows move on by Q^s: the window's step difference, whose L1
         # norm never grows under a stochastic Q, and the window average
-        start = np.vstack([history[-1] - history[0], out])
+        start = np.vstack([X[t % R] - X[(t - window) % R], out])
         steps, rows = _doubling_search(
             start, [Q.dense()], lambda x: np.abs(x[0]).sum() / window,
             tol, max_iter - iterations)
@@ -217,9 +224,9 @@ def stationary(Q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
 
 # What one loop step of `stationary` costs beyond its products, in
 # flops of dense matrix product.  On a 2-vCPU Xeon with OpenBLAS a step
-# takes 13-35 us and dense products run at 50-100 GFlop/s, so a step is
-# worth about 1-3 Mflop; the smaller constant moves the switch 3-10x past
-# break-even, toward the loop, which needs no second core.
+# takes 9-16 us up to 1,022 states and dense products run at 50-120
+# GFlop/s, so a step is worth 0.5-2 Mflop; the smaller constant moves the
+# switch 2.5-10x past break-even, toward the loop, which needs no 2nd core.
 STEP_OVERHEAD_FLOPS = 200_000
 
 

@@ -31,6 +31,20 @@ def run(tmp_path, command, config, out="out", seed=None, jobs=None):
     return main(argv)
 
 
+def test_main_builds_its_parser_once(capsys):
+    """One parser serves every call of main in a process: a second --help
+    or usage error prints what the first did, and what a fresh parser
+    prints."""
+    texts = []
+    for argv in (["--help"], ["--help"], ["bogus"], ["bogus"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        texts.append(capsys.readouterr())
+    assert texts[0] == texts[1] and texts[2] == texts[3]
+    assert cli.build_parser() is cli.build_parser()
+    assert texts[0].out == cli.build_parser.__wrapped__().format_help()
+
+
 def read_json(tmp_path, out, name):
     return json.loads((tmp_path / out / name).read_text())
 

@@ -1,10 +1,12 @@
 """The array forms of sampling, context risks, n-gram counting, coin
-counts, the convergence profile and toy training against loop references
-that keep the code they replaced; each pair must agree exactly."""
+counts, the convergence profile, the stationary step loop and toy training
+against loop references that keep the code they replaced; each pair must
+agree exactly."""
 
 import math
 import tracemalloc
 from bisect import bisect_right
+from collections import deque
 from functools import partial
 
 import numpy as np
@@ -38,10 +40,15 @@ from tokenchain.oracles import (
     windowed_examples,
 )
 from tokenchain.spectral import (
+    DEFAULT_MAX_ITER,
     DEFAULT_N_MAX,
     DEFAULT_T_CAP,
+    DEFAULT_TOL,
     ConvergenceProfile,
+    StationaryResult,
+    _doubling_search,
     _polish_fixpoint,
+    classify_states,
     convergence_profile,
     doeblin_epsilon,
     envelope,
@@ -687,6 +694,197 @@ def test_profile_peak_is_admitted_by_mixing_bytes():
 
 
 # ---------------------------------------------------------------------------
+# stationary: a fresh iterate and one stopping check a step
+# ---------------------------------------------------------------------------
+
+def loop_stationary(Q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
+                    classification=None) -> StationaryResult:
+    Q = TransitionMatrix.of(Q)
+    n = Q.n_states
+    if classification is None:
+        classification = classify_states(Q)
+    window = max(1, classification.period)
+    step = Q.left_product()
+    # the entries a step reads: a table's all, a dense chain's nonzeros
+    stored = Q.probs.size if Q.is_table else Q.nonzero_count()
+    pi = np.full(n, 1.0 / n)
+    history = deque([pi], maxlen=window + 1)
+    diff = np.empty(n)
+    iterations = 0
+    stopped = False
+    for t in range(1, spectral._switch_step(n, stored, window, max_iter) + 1):
+        pi = step(pi)
+        total = pi.sum()
+        if total > 0:
+            pi /= total
+        history.append(pi)
+        iterations = t
+        if len(history) == window + 1:
+            np.abs(np.subtract(history[-1], history[0], out=diff), out=diff)
+            if diff.sum() / window <= tol:
+                stopped = True
+                break
+    tail = list(history)[-window:]
+    out = tail[0] if window == 1 else np.mean(tail, axis=0)
+    if not stopped and iterations < max_iter:
+        # both rows move on by Q^s: the window's step difference, whose L1
+        # norm never grows under a stochastic Q, and the window average
+        start = np.vstack([history[-1] - history[0], out])
+        steps, rows = _doubling_search(
+            start, [Q.dense()], lambda x: np.abs(x[0]).sum() / window,
+            tol, max_iter - iterations)
+        iterations = min(iterations + steps, max_iter)
+        out = rows[1]
+    out = out / out.sum()
+    residual = float(np.abs(step(out) - out).max())
+    return StationaryResult(pi=out, iterations=iterations, residual=residual,
+                            converged=residual <= tol,
+                            periodic=window > 1)
+
+
+def stationary_outcome(solve, Q, **kwargs):
+    result = solve(Q, **kwargs)
+    return (result.pi.tobytes(), result.iterations, result.residual,
+            result.converged, result.periodic)
+
+
+def cyclic_rows(seed, d, period, stay=0.0):
+    """d random rows that move from class i % period to the next one, with
+    ``stay`` of each row on state i + 1 (d a multiple of the period): the
+    larger ``stay``, the slower the chain mixes."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(d) % period
+    P = rng.random((d, d)) * (labels[None, :] == (labels[:, None] + 1) % period)
+    return (stay * np.roll(np.eye(d), 1, axis=1)
+            + (1 - stay) * P / P.sum(axis=1, keepdims=True))
+
+
+def cyclic_table(seed, T, K, period):
+    """The sequence chain whose next token follows the last one by the
+    rows of `cyclic_rows`: its period is the rows'."""
+    spec = VocabSpec(T, K)
+    return build_qf(ChainOracle(cyclic_rows(seed, T, period)), spec)
+
+
+def slow_table(T, K, seed, temperature):
+    spec = VocabSpec(T, K)
+    return build_qf(RandomLogitOracle(enumerate_states(spec), seed=seed,
+                                      scale=2.0, temperature=temperature), spec)
+
+
+# (chain, its period): table and dense chains, windows 1 to 3
+STATIONARY_CHAINS = [
+    (slow_table(2, 3, 0, 0.5), 1),
+    (slow_table(2, 6, 0, 1.0), 1),
+    (slow_table(3, 4, 1, 0.7), 1),
+    (random_logit_chain(4, 2, 5), 1),
+    (cyclic_table(3, 4, 1, 2), 2),
+    (cyclic_table(4, 4, 2, 2), 2),
+    (cyclic_table(5, 6, 2, 3), 3),
+    (cyclic_table(6, 3, 1, 3), 3),
+    (cyclic_rows(7, 6, 1), 1),
+    (cyclic_rows(8, 5, 1, stay=0.95), 1),
+    (cyclic_rows(9, 6, 2, stay=0.9), 2),
+    (cyclic_rows(10, 6, 3), 3),
+    (cyclic_rows(11, 9, 3, stay=0.9), 3),
+    # the uniform start is every iterate: only a full window may stop it
+    (np.roll(np.eye(3), 1, axis=1), 3),
+]
+
+
+def no_switch(n, nnz, window, max_iter):
+    return max_iter
+
+
+@pytest.mark.parametrize("check_steps", [None, 1, 4])
+@pytest.mark.parametrize("loop_only", [False, True])
+@pytest.mark.parametrize("Q,period", STATIONARY_CHAINS)
+def test_stationary_matches_the_step_loop(monkeypatch, Q, period, loop_only,
+                                          check_steps):
+    assert classify_states(Q).period == period
+    if loop_only:
+        monkeypatch.setattr(spectral, "_switch_step", no_switch)
+    if check_steps is not None:
+        monkeypatch.setattr(spectral, "CHECK_STEPS", check_steps)
+    for kwargs in ({}, {"max_iter": 3000}, {"tol": 1e-6}):
+        outcome = stationary_outcome(stationary, Q, **kwargs)
+        assert outcome == stationary_outcome(loop_stationary, Q, **kwargs)
+        assert outcome[4] == (period > 1)
+
+
+def loop_measures(Q, window, steps):
+    """The stopping rule's measure at steps 1..steps, inf below the
+    window, as the step loop computes it."""
+    step, n = Q.left_product(), Q.n_states
+    pi = np.full(n, 1.0 / n)
+    history = deque([pi], maxlen=window + 1)
+    measures = []
+    for _ in range(steps):
+        pi = step(pi)
+        pi /= pi.sum()
+        history.append(pi)
+        measures.append(np.abs(history[-1] - history[0]).sum() / window
+                        if len(history) == window + 1 else math.inf)
+    return measures
+
+
+# slow chains, whose measure falls strictly for 70 steps at least
+STOP_CHAINS = [(cyclic_rows(8, 5, 1, stay=0.95), 1),
+               (slow_table(2, 3, 0, 0.5), 1),
+               (cyclic_rows(9, 6, 2, stay=0.9), 2),
+               (cyclic_rows(11, 9, 3, stay=0.9), 3)]
+
+
+@pytest.mark.parametrize("check_steps,stops", [
+    # every offset of the passes of 4 steps (a ring of 4 + window rows),
+    # the first step and the edges of the passes of 32
+    (4, range(1, 16)), (None, [1, 2, 3, 31, 32, 33, 34, 35, 64, 65, 66])])
+@pytest.mark.parametrize("Q,period", STOP_CHAINS)
+def test_stationary_stops_where_the_loop_stops(monkeypatch, Q, period,
+                                               check_steps, stops):
+    Q = TransitionMatrix.of(Q)
+    monkeypatch.setattr(spectral, "_switch_step", no_switch)
+    if check_steps is not None:
+        monkeypatch.setattr(spectral, "CHECK_STEPS", check_steps)
+    measures = loop_measures(Q, period, max(stops))
+    for stop in stops:
+        if stop < period:
+            continue
+        # the first step at which the measure is at most tol is `stop`
+        tol = measures[stop - 1]
+        assert min(measures[:stop - 1], default=math.inf) > tol
+        outcome = stationary_outcome(stationary, Q, tol=tol)
+        assert outcome[1] == stop
+        assert outcome == stationary_outcome(loop_stationary, Q, tol=tol)
+
+
+@pytest.mark.parametrize("check_steps", [None, 4])
+@pytest.mark.parametrize("Q,period", STOP_CHAINS)
+def test_stationary_ends_inside_a_pass_as_the_loop(monkeypatch, Q, period,
+                                                   check_steps):
+    """A max_iter, or a switch to the doubling search, that falls inside
+    a pass: the same iterate, window and search start as the loop."""
+    if check_steps is not None:
+        monkeypatch.setattr(spectral, "CHECK_STEPS", check_steps)
+    ends = [1, 2, 3, 5, 6, 7, 9, 30, 33, 34, 37, 70]
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_switch_step", no_switch)
+        for max_iter in ends:
+            kwargs = {"tol": 1e-300, "max_iter": max_iter}
+            outcome = stationary_outcome(stationary, Q, **kwargs)
+            assert outcome[1] == max_iter and not outcome[3]
+            assert outcome == stationary_outcome(loop_stationary, Q, **kwargs)
+    for switch in ends:
+        if switch < period:
+            continue
+        patch_switch = partial(lambda s, n, nnz, w, m: min(m, s), switch)
+        monkeypatch.setattr(spectral, "_switch_step", patch_switch)
+        for kwargs in ({}, {"tol": 1e-300, "max_iter": 10**4 + 7}):
+            outcome = stationary_outcome(stationary, Q, **kwargs)
+            assert outcome == stationary_outcome(loop_stationary, Q, **kwargs)
+
+
+# ---------------------------------------------------------------------------
 # toy SGD: fresh arrays and fancy-indexed row updates
 # ---------------------------------------------------------------------------
 
@@ -752,10 +950,14 @@ def training_outcome(train, dataset, config, n_tokens=None):
 
 PARITY = windowed_examples(parity_sequence(40))
 THREE_TOKENS = [((0, 2), 1), ((2,), 0), ((1, 1), 2), ((), 2), ((2, 0), 0)]
+# 9 logits: np.add.reduce sums them pairwise, and the products are longer
+NINE_TOKENS = [((0, 8), 3), ((5,), 7), ((2, 2), 8), ((), 1), ((8, 4), 0),
+               ((6, 1), 5), ((3, 3), 2), ((7, 0), 4), ((4,), 6)]
 
 
 @pytest.mark.parametrize("dataset,n_tokens,context_length", [
-    (PARITY, 2, 3), (THREE_TOKENS, None, 2), (THREE_TOKENS, 4, 3)])
+    (PARITY, 2, 3), (THREE_TOKENS, None, 2), (THREE_TOKENS, 4, 3),
+    (NINE_TOKENS, 9, 2)])
 @pytest.mark.parametrize("embedding_dim", [1, 2, 16, 40])
 @pytest.mark.parametrize("learning_rate,seed", [(0.1, 0), (0.5, 3), (1.0, 7)])
 def test_train_toy_matches_the_loop(dataset, n_tokens, context_length,
