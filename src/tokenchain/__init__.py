@@ -9,7 +9,7 @@ concentration-bound constants.
 
 __version__ = "0.1.0"
 
-from .states import VocabSpec, StateSpace, enumerate_states, successors, is_incompatible
+from .states import VocabSpec, StateSpace, enumerate_states, successors
 from .chains import TransitionMatrix, StructureReport, build_qf, validate_structure, recurrent_block
 from .oracles import (
     Oracle,
@@ -22,12 +22,10 @@ from .oracles import (
     ToyModel,
     ToyModelConfig,
     apply_temperature,
-    softmax_floor,
     validate_distribution,
     fit_ngram,
     train_toy,
     parity_sequence,
-    parity_spec,
     windowed_examples,
 )
 from .spectral import (
@@ -39,8 +37,6 @@ from .spectral import (
     doeblin_epsilon,
     envelope,
     convergence_profile,
-    mixing_time,
-    t_min,
     mixing_report,
     sweep_temperature,
 )
@@ -66,9 +62,7 @@ from .estimation import (
     kl_divergence,
     tv_risk,
     kl_risk,
-    expected_tv_risk,
     icl_risk_curve,
-    oracle_divergence,
     fit_power_law,
 )
 from .bounds import (

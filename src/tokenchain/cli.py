@@ -88,6 +88,11 @@ from .states import VocabSpec, enumerate_states
 _NUMBER = (int, float)
 
 
+def _is_number(value):
+    """A JSON number: a JSON boolean is not one."""
+    return isinstance(value, _NUMBER) and not isinstance(value, bool)
+
+
 class ConfigError(Exception):
     """Config failed schema validation; the message names the bad path."""
 
@@ -107,7 +112,7 @@ def _is(*kinds, at_least=None, above=None):
     return check
 
 
-def _list_of(wanted, ok=lambda v: isinstance(v, _NUMBER), nonempty=False):
+def _list_of(wanted, ok=_is_number, nonempty=False):
     """A list whose every item passes ``ok``, which may raise ValueError."""
     def check(values, at):
         _LIST(values, at)
@@ -127,6 +132,8 @@ _STR = _is(str)
 _LIST = _is(list)
 _DICT = _is(dict)
 _NUMBERS = _list_of("a number")
+_ROWS = _list_of("a list of numbers", lambda row: isinstance(row, list)
+                 and all(map(_is_number, row)))
 _SEED = _is(int, at_least=0)
 
 
@@ -393,6 +400,8 @@ def _oracle(cfg, spec: VocabSpec, seed, path="config.oracle"):
     if kind == "matrix":
         with _library_errors(path):
             rows = np.asarray(cfg["rows"], dtype=float)
+        # numpy names a value that is no number, but reads true as 1.0
+        _ROWS(cfg["rows"], f"{path}.rows")
         if rows.shape != (spec.n_tokens, spec.n_tokens):
             raise ConfigError(
                 f"{path}.rows: need shape "
@@ -478,7 +487,7 @@ def cmd_analyze(config, seed, out: Path, jobs: int) -> int:
     _checked(config, {
         **_SOLVER, "n_max": _INT, "t_cap": _is(int, at_least=0),
         "grid": _list_of("a number in [0, 1)",
-                         lambda e: isinstance(e, _NUMBER) and 0 <= e < 1,
+                         lambda e: _is_number(e) and 0 <= e < 1,
                          nonempty=True),
         **source, "seed": _SEED}, required=_VOCAB)
     n_max = config.get("n_max", DEFAULT_N_MAX)
@@ -550,7 +559,7 @@ def cmd_sweep_temperature(config, seed, out: Path, jobs: int) -> int:
     """epsilon and convergence steps across temperatures"""
     _checked(config, {
         "temperatures": _list_of("a positive number",
-                                 lambda t: isinstance(t, _NUMBER) and t > 0,
+                                 lambda t: _is_number(t) and t > 0,
                                  nonempty=True),
         **_VOCAB, **_SOLVER, "seed": _SEED},
         required=("temperatures", *_VOCAB))
@@ -605,7 +614,7 @@ def cmd_estimate(config, seed, out: Path, jobs: int) -> int:
     """risk curves and power-law fit for an estimator"""
     _checked(config, {
         "chain": _DICT, "estimator": _DICT,
-        "n_list": _list_of("a number", lambda n: isinstance(n, _NUMBER)
+        "n_list": _list_of("a number", lambda n: _is_number(n)
                            and context_length(n)),
         "reps": _INT, "metric": _STR, "start": _is(int, list),
         "seed": _SEED}, required=("chain", "estimator", "n_list"))

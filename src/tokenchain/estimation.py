@@ -2,8 +2,8 @@
 
 The risk of a predictor against a ground-truth chain is the trajectory
 average of a per-step divergence between the true next-state row and the
-predictor's answer on the growing context.  Curves over context length,
-oracle-to-oracle divergences, and log-log power-law fits live here too.
+predictor's answer on the growing context.  Curves over context length
+and log-log power-law fits live here too.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .chains import TransitionMatrix
 from .oracles import SUM_TOL, ChainOracle, fit_ngram, smoothing, window_groups
 from .states import state_path
 
-MAX_EXACT_RISK_STATES = 64
 SAMPLE_BLOCK = 1 << 16
 # paths of d^3 + RANK_MIN_STEPS states or more, over at most this many,
 # step by rank lookup in a table of ~d^3 list entries (0.9 MB at 48)
@@ -229,11 +228,11 @@ def _context_scores(states, cap, score) -> np.ndarray:
     to its last ``cap`` states unless cap is None.  Each distinct context
     is scored once (by state id for cap 1 and ids below n, else in order
     of first appearance) and the scores gathered back to the steps:
-    ``score(contexts, lasts)`` yields them in turn, where each call of
-    ``contexts()`` makes the contexts anew, one at a time, and ``lasts``
-    holds their last states.  Only the path's contexts are scored, so a
-    record of queries such as ``NgramOracle.unseen_queried`` names no
-    state the path misses."""
+    ``score(contexts, lasts)`` yields them in turn, where ``contexts``
+    yields the contexts one at a time and ``lasts`` holds their last
+    states.  Only the path's contexts are scored, so a record of queries
+    such as ``NgramOracle.unseen_queried`` names no state the path
+    misses."""
     n = states.size
     if cap is not None and cap < 1:
         raise ValueError(f"context cap must be at least 1, got {cap}")
@@ -252,8 +251,7 @@ def _context_scores(states, cap, score) -> np.ndarray:
             ends = firsts.tolist()
         lasts = states[ends]
         context = lambda k: tuple(states[max(0, k + 1 - cap):k + 1].tolist())
-    scores = np.fromiter(score(lambda: map(context, ends), lasts), float,
-                         len(ends))
+    scores = np.fromiter(score(map(context, ends), lasts), float, len(ends))
     if groups is None:  # gathered back through a table by state id
         table = np.zeros(n)
         table[lasts] = scores
@@ -266,7 +264,7 @@ def _per_step_divergences(Q_true, predictor, traj, div):
     return _context_scores(
         state_path(traj), getattr(predictor, "context_cap", None),
         lambda contexts, lasts: map(div, map(rows.__getitem__, lasts),
-                                    predictor.query_many(contexts())))
+                                    predictor.query_many(contexts)))
 
 
 def tv_risk(Q_true, predictor, traj) -> float:
@@ -278,32 +276,6 @@ def kl_risk(Q_true, predictor, traj) -> float:
     """Mean KL risk; math.inf as soon as any step is infinite."""
     vals = _per_step_divergences(Q_true, predictor, traj, kl_divergence)
     return float(np.mean(vals))
-
-
-def expected_tv_risk(Q_true, predictor, n_steps, start=None) -> float:
-    """Exact expectation of the TV risk via state marginals.
-
-    Only for predictors that read a single trailing state, and only up to
-    64 states; the marginal at each step is propagated explicitly instead
-    of sampling trajectories.
-    """
-    rows = TransitionMatrix.of(Q_true).dense()
-    d = rows.shape[0]
-    if d > MAX_EXACT_RISK_STATES:
-        raise ValueError(f"exact risk limited to {MAX_EXACT_RISK_STATES} states, got {d}")
-    if getattr(predictor, "context_cap", None) != 1:
-        raise ValueError("exact risk needs a predictor that reads one state")
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    tv_table = np.array([tv_distance(rows[i], predictor.query((i,)))
-                         for i in range(d)])
-    start = start_distribution(start, d)
-    dist = np.eye(d)[start] if isinstance(start, int) else start
-    total = 0.0
-    for _ in range(n_steps):
-        total += float(dist @ tv_table)
-        dist = dist @ rows
-    return total / n_steps
 
 
 # ---------------------------------------------------------------------------
@@ -419,26 +391,6 @@ def icl_risk_curve(Q_true, predictor, n_list, reps, seed=0, metric="tv",
                                     reps, finite=False))
     name = getattr(predictor, "name", type(predictor).__name__)
     return RiskCurve(points=points, metric=metric, estimator=name)
-
-
-def oracle_divergence(o1, o2, trajs) -> float:
-    """Trajectory-averaged mean TV between two oracles' answers.
-
-    Symmetric and nonnegative by construction; a metric up to the Monte
-    Carlo averaging over the supplied trajectories.
-    """
-    trajs = list(trajs)
-    if not trajs:
-        raise ValueError("need at least one trajectory")
-    caps = [getattr(o, "context_cap", None) for o in (o1, o2)]
-    cap = None if None in caps else max(caps)
-
-    def tv(contexts, lasts):
-        return map(tv_distance, o1.query_many(contexts()),
-                   o2.query_many(contexts()))
-
-    return float(np.mean([np.mean(_context_scores(state_path(traj), cap, tv))
-                          for traj in trajs]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .states import StateSpace, VocabSpec, state_path
+from .states import StateSpace, state_path
 
 SUM_TOL = 1e-9
 
@@ -62,15 +62,6 @@ def apply_temperature(logits, temperature):
         x -= x.max(axis=-1, keepdims=True)
     np.exp(x, out=x)
     return np.divide(x, x.sum(axis=-1, keepdims=True), out=x)
-
-
-def softmax_floor(logits):
-    """Guaranteed lower bound on every softmax entry: 1 / (m * exp(2 * ||x||_1)).
-
-    Holds for any vector x of m finite logits at unit temperature.
-    """
-    x = np.asarray(logits, dtype=float)
-    return 1.0 / (x.size * np.exp(2.0 * np.abs(x).sum()))
 
 
 class Oracle:
@@ -454,7 +445,3 @@ def windowed_examples(sequence, context_length=3):
                          f"{context_length} with a next token")
     return [(tuple(seq[i:i + context_length]), seq[i + context_length])
             for i in range(len(seq) - context_length)]
-
-
-def parity_spec() -> VocabSpec:
-    return VocabSpec(n_tokens=2, context_window=3)

@@ -449,13 +449,19 @@ def profile_bytes(n_states, window, n_max) -> int:
     return 48 * n_states**2 + 320 * (n_max - window + 1) + (1 << 17)
 
 
-def mixing_time(Q, pi, eps, t_cap=DEFAULT_T_CAP):
-    """Smallest t <= t_cap with sup-start TV(Q^t, pi) <= eps, else math.inf."""
-    times = _first_crossing_times(Q, pi, [eps], t_cap)
-    return times[float(eps)]
+def mixing_report(Q, pi=None, grid=None, t_cap=DEFAULT_T_CAP,
+                  classification=None) -> MixingReport:
+    """Full mixing picture: classes, period, the t_mix schedule, and t_min.
 
-
-def _mixing_rows(Q, pi, grid, t_cap):
+    t_min is the min over the grid of t_mix(eps/2) * ((2 - eps)/(1 - eps))^2.
+    Ties break toward the smallest threshold; math.inf when no threshold
+    is reached within t_cap, which periodic chains never do.  A
+    ``classification`` from `classify_states` is reused, not redone.
+    """
+    if classification is None:
+        classification = classify_states(Q)
+    if pi is None:
+        pi = stationary(Q, classification=classification).pi
     grid = [float(e) for e in (DEFAULT_EPS_GRID if grid is None else grid)]
     if not grid:
         raise ValueError("threshold grid is empty")
@@ -473,30 +479,6 @@ def _mixing_rows(Q, pi, grid, t_cap):
     for r in rows:
         if r.product < best:
             best, best_eps = r.product, r.epsilon
-    return rows, best, best_eps
-
-
-def t_min(Q, pi, grid=None, t_cap=DEFAULT_T_CAP):
-    """min over the grid of t_mix(eps/2) * ((2 - eps)/(1 - eps))^2.
-
-    Ties break toward the smallest threshold; math.inf when no threshold
-    is reached within t_cap, which periodic chains never do.
-    """
-    _, best, _ = _mixing_rows(Q, pi, grid, t_cap)
-    return best
-
-
-def mixing_report(Q, pi=None, grid=None, t_cap=DEFAULT_T_CAP,
-                  classification=None) -> MixingReport:
-    """Full mixing picture: classes, period, the t_mix schedule, and t_min.
-
-    A ``classification`` from `classify_states` is reused, not redone.
-    """
-    if classification is None:
-        classification = classify_states(Q)
-    if pi is None:
-        pi = stationary(Q, classification=classification).pi
-    rows, best, best_eps = _mixing_rows(Q, pi, grid, t_cap)
     return replace(classification, rows=rows, t_min=best,
                    argmin_epsilon=best_eps)
 

@@ -4,8 +4,7 @@ A model with vocabulary size ``T`` and context window ``K`` walks on the
 set of all token sequences of length 1..K.  Sequences grow by appending
 tokens until they hit the window, after which the oldest token is dropped
 (front truncation).  This module numbers that state space in closed
-form, maps sequences to indices and back, and decides which ordered
-pairs of sequences can follow each other in one step.
+form and maps sequences to indices and back.
 """
 
 from __future__ import annotations
@@ -145,20 +144,3 @@ def successors(u, spec: VocabSpec) -> list[tuple[int, ...]]:
     else:
         head = u[1:]
     return [head + (t,) for t in range(spec.n_tokens)]
-
-
-def is_incompatible(u, v, spec: VocabSpec) -> bool:
-    """True iff ``v`` cannot follow ``u`` in one generation step.
-
-    Compatibility means either a pure append (``v`` extends ``u`` by one
-    token while staying within the window) or a shift-and-append at the
-    window boundary (both are full length and ``v`` starts with the last
-    K - 1 tokens of ``u``).
-    """
-    u, v = tuple(u), tuple(v)
-    K = spec.context_window
-    if len(v) == len(u) + 1 and len(v) <= K and v[:len(u)] == u:
-        return False
-    if len(u) == len(v) == K and v[:K - 1] == u[1:]:
-        return False
-    return True

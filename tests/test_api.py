@@ -1,0 +1,32 @@
+import tokenchain
+
+# The package's public names.  A name added or removed here is a library
+# contract change, to be recorded as one.
+PUBLIC_API = [
+    "BoundOverflowError", "ChainOracle", "ChainSpec", "ConvergenceProfile",
+    "DepthBoundParams", "FrequentistEstimator", "IclBoundParams",
+    "MixingReport", "MockOracleServer", "ModelCard", "NgramEstimator",
+    "NgramOracle", "Oracle", "OracleError", "PowerLawFit",
+    "PretrainBoundParams", "RandomLogitOracle", "RemoteOracle",
+    "RemoteOracleConfig", "RemoteOracleError", "RiskCurve", "StateSpace",
+    "StationaryResult", "StructureReport", "ToyModel", "ToyModelConfig",
+    "TrainingDivergedError", "Trajectory", "TransitionMatrix",
+    "UniformOracle", "VocabSpec", "__version__", "apply_temperature",
+    "approximation_error", "build_chain", "build_qf", "builtin_model_cards",
+    "classify_states", "clique_rim", "constrained_walk",
+    "convergence_profile", "depth_constant", "discretize",
+    "doeblin_epsilon", "enumerate_states", "envelope", "fit_ngram",
+    "fit_power_law", "frequentist_estimate", "generalization_gap",
+    "icl_constant", "icl_gap", "icl_risk_curve", "kl_divergence", "kl_risk",
+    "layer_bound", "log_ratio_checks", "mc_verify", "mcdiarmid_markov_tail",
+    "mcdiarmid_tail", "mixing_report", "parity_sequence", "polygonal_walk",
+    "predictor_table", "pretrain_constant", "random_chain",
+    "recurrent_block", "sample_complexity", "sample_trajectory",
+    "simulate_process", "stationary", "successors", "sweep_temperature",
+    "train_toy", "tv_distance", "tv_risk", "validate_distribution",
+    "validate_structure", "windowed_examples",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(tokenchain.__all__) == PUBLIC_API

@@ -903,6 +903,28 @@ def test_malformed_values_exit_2(tmp_path, capsys, command, cfg, key):
     assert not any((tmp_path / "out").iterdir())
 
 
+# a JSON boolean is not a number, inside a list as outside one; each of
+# these configs would run if true were read as 1 and false as 0
+@pytest.mark.parametrize("command,cfg,key", [
+    ("sweep-temperature", dict(BUILD_CFG, oracle={"kind": "random_logits"},
+                               temperatures=[True, 2]),
+     "config.temperatures[0]"),
+    ("analyze", {"chain": CHAIN3, "grid": [False, 0.5]}, "config.grid[0]"),
+    ("generate", {"chain": {"kind": "random", "d": 2},
+                  "sample": {"length": 5, "start": [True, False]}},
+     "config.sample.start[0]"),
+    ("bounds", {"mc": {"u_grid": [True]}}, "config.mc.u_grid[0]"),
+    ("build", dict(BUILD_CFG, oracle={"kind": "matrix", "rows": [
+        [True, False], [False, True]]}), "config.oracle.rows[0]"),
+])
+def test_booleans_in_number_lists_exit_2(tmp_path, capsys, command, cfg,
+                                         key):
+    assert run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tokenchain: {key}: expected ")
+    assert not any((tmp_path / "out").iterdir())
+
+
 @pytest.mark.parametrize("command,cfg,message", [
     ("generate", {"chain": CHAIN3, "sample": {"length": 5, "start": 7}},
      "config.sample.start: state 7 outside [0, 3)"),

@@ -20,7 +20,6 @@ from tokenchain.estimation import (
     frequentist_estimate,
     kl_divergence,
     kl_risk,
-    oracle_divergence,
     sample_trajectory,
     tv_distance,
     tv_risk,
@@ -130,21 +129,6 @@ def loop_divergences(Q_true, predictor, traj, div):
         ctx = tuple(states[lo:k + 1])
         out[k] = div(rows[states[k]], predictor.query(ctx))
     return out
-
-
-def loop_oracle_divergence(o1, o2, trajs):
-    caps = [getattr(o, "context_cap", None) for o in (o1, o2)]
-    cap = None if None in caps else max(caps)
-    totals = []
-    for traj in trajs:
-        states = traj.states
-        acc = 0.0
-        for k in range(states.size):
-            lo = 0 if cap is None else max(0, k + 1 - cap)
-            ctx = tuple(states[lo:k + 1])
-            acc += tv_distance(o1.query(ctx), o2.query(ctx))
-        totals.append(acc / states.size)
-    return float(np.mean(totals))
 
 
 def loop_ngram_counts(states, order, n_symbols):
@@ -495,10 +479,13 @@ def test_unseen_queried_names_only_the_paths_contexts(cap):
 
 
 def test_context_scores_of_an_empty_path_and_a_zero_cap():
+    def score(contexts, lasts):
+        return map(len, contexts)
+
     empty = np.empty(0, dtype=np.int64)
-    assert estimation._context_scores(empty, 3, len).size == 0
+    assert estimation._context_scores(empty, 3, score).size == 0
     with pytest.raises(ValueError, match="context cap"):
-        estimation._context_scores(np.array([0, 1]), 0, len)
+        estimation._context_scores(np.array([0, 1]), 0, score)
 
 
 def per_step_scores(states, score):
@@ -530,28 +517,6 @@ def test_one_state_risks_match_per_step_scoring(d, n, risk, div):
             # the 10-step fit saw at most 9 of the 200 contexts
             assert bool(fast_oracle.unseen_queried) == (d == 200)
             assert fast_oracle.unseen_queried == slow_oracle.unseen_queried
-
-
-def test_one_state_oracle_divergence_matches_per_step_scoring():
-    # a 3-step path over 5 states may hold an id above its length
-    trajs = [sample_trajectory(random_chain(5, seed=s), None, n, seed=s)
-             for s, n in ((1, 3), (2, 50), (3, 400))]
-    o1 = ChainOracle(random_chain(5, seed=8))
-    o2 = fit_ngram(trajs[1], 1, alpha=0.0, n_symbols=5)
-    slow = float(np.mean([np.mean(per_step_scores(
-        t.states, lambda ctx: tv_distance(o1.query(ctx), o2.query(ctx))))
-        for t in trajs]))
-    assert oracle_divergence(o1, o2, trajs) == slow
-
-
-@pytest.mark.parametrize("caps", [(1, 2), (2, 4), (1, None)])
-def test_oracle_divergence_matches_the_loop(caps):
-    Q = random_chain(3, seed=21)
-    trajs = [sample_trajectory(Q, None, 200, seed=s) for s in range(3)]
-    fit_traj = sample_trajectory(Q, None, 60, seed=22)
-    o1, o2 = (_fitted(cap, fit_traj) for cap in caps)
-    assert oracle_divergence(o1, o2, trajs) == pytest.approx(
-        loop_oracle_divergence(o1, o2, trajs), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

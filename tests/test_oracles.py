@@ -10,8 +10,8 @@ from tokenchain.cli import main
 from tokenchain.oracles import (
     ChainOracle, NgramOracle, OracleError, RandomLogitOracle, ToyModel,
     ToyModelConfig, TrainingDivergedError, UniformOracle, apply_temperature,
-    fit_ngram, parity_sequence, parity_spec, softmax_floor, train_toy,
-    validate_distribution, windowed_examples,
+    fit_ngram, parity_sequence, train_toy, validate_distribution,
+    windowed_examples,
 )
 from tokenchain.states import VocabSpec, enumerate_states
 
@@ -66,9 +66,17 @@ def test_overflowing_logit_spread_gives_one_hot_without_warning():
                                [1.0, 0.0])
 
 
+def softmax_floor(logits):
+    """The paper's lower bound on every softmax entry of m finite logits
+    at unit temperature: 1 / (m * exp(2 * ||x||_1))."""
+    return 1.0 / (logits.size * np.exp(2.0 * np.abs(logits).sum()))
+
+
 def test_softmax_floor_zero_logits_is_tight():
     # ||x||_1 = 0, so the bound 1/(m e^0) = 1/m is attained exactly
-    assert softmax_floor(np.zeros(5)) == pytest.approx(0.2)
+    logits = np.zeros(5)
+    assert softmax_floor(logits) == pytest.approx(0.2)
+    npt.assert_allclose(apply_temperature(logits, 1.0), softmax_floor(logits))
 
 
 def test_softmax_floor_bounds_every_entry():
@@ -120,7 +128,7 @@ def test_uniform_oracle():
 
 
 def test_random_logit_oracle_is_deterministic_and_valid():
-    space = enumerate_states(parity_spec())
+    space = enumerate_states(VocabSpec(2, 3))
     a = RandomLogitOracle(space, seed=3)
     b = RandomLogitOracle(space, seed=3)
     for state in space:
@@ -129,7 +137,7 @@ def test_random_logit_oracle_is_deterministic_and_valid():
 
 
 def test_with_temperature_shares_frozen_logits():
-    space = enumerate_states(parity_spec())
+    space = enumerate_states(VocabSpec(2, 3))
     base = RandomLogitOracle(space, seed=1)
     hot = base.with_temperature(1e6)
     assert hot.logits is base.logits

@@ -15,8 +15,8 @@ from tokenchain.generators import clique_rim, constrained_walk, polygonal_walk
 from tokenchain.oracles import ChainOracle, RandomLogitOracle, UniformOracle
 from tokenchain.spectral import (
     DEFAULT_EPS_GRID, DEFAULT_MAX_ITER, DEFAULT_TOL, classify_states,
-    convergence_profile, doeblin_epsilon, envelope, mixing_report,
-    mixing_time, stationary, sweep_temperature, t_min,
+    DEFAULT_T_CAP, convergence_profile, doeblin_epsilon, envelope,
+    mixing_report, stationary, sweep_temperature,
 )
 from tokenchain.states import VocabSpec, enumerate_states
 
@@ -352,13 +352,21 @@ def test_envelope_is_the_profile_bound_to_the_bit():
 # mixing times
 # ---------------------------------------------------------------------------
 
+def mixing_time(Q, pi, eps):
+    """t_mix(eps): the schedule's row at grid point 2 * eps, whose time is
+    the first crossing of eps."""
+    return mixing_report(Q, pi=pi, grid=[2 * eps]).rows[0].t_mix
+
+
 def test_mixing_time_uniform_two_state():
     pi = np.array([0.5, 0.5])
     Q = [[0.5, 0.5], [0.5, 0.5]]
     assert mixing_time(Q, pi, 0.01) == 1
     assert mixing_time(Q, pi, 0.3) == 1
-    # at threshold 1/2 the identity already qualifies
-    assert mixing_time(Q, pi, 0.5) == 0
+    # at threshold 1/2 the identity already qualifies; the grid point 1
+    # lies outside the schedule's [0, 1), so ask the crossing search
+    assert spectral._first_crossing_times(
+        Q, pi, [0.5], DEFAULT_T_CAP) == {0.5: 0}
 
 
 def test_mixing_time_matches_brute_force_powers():
@@ -375,7 +383,9 @@ def test_mixing_time_matches_brute_force_powers():
 
 def test_mixing_time_monotone_in_threshold():
     pi = stationary(LAZY).pi
-    times = [mixing_time(LAZY, pi, eps) for eps in np.linspace(0.01, 0.5, 12)]
+    # the schedule's rows run in increasing threshold; 1/2 is outside it
+    grid = [2 * eps for eps in np.linspace(0.01, 0.5, 12)[:-1]]
+    times = [r.t_mix for r in mixing_report(LAZY, pi=pi, grid=grid).rows]
     assert all(a >= b for a, b in zip(times, times[1:]))
 
 
@@ -383,13 +393,13 @@ def test_periodic_chain_never_mixes():
     P = four_cycle()
     pi = stationary(P).pi
     assert mixing_time(P, pi, 0.25) == math.inf
-    assert t_min(P, pi) == math.inf
+    assert mixing_report(P, pi=pi).t_min == math.inf
 
 
 def test_t_min_uniform_two_state_is_four():
     pi = np.array([0.5, 0.5])
     Q = [[0.5, 0.5], [0.5, 0.5]]
-    assert t_min(Q, pi) == 4.0
+    assert mixing_report(Q, pi=pi).t_min == 4.0
     report = mixing_report(Q)
     assert report.t_min == 4.0
     assert report.argmin_epsilon == 0.0
@@ -410,9 +420,9 @@ def test_t_min_grid_validation():
     pi = np.array([0.5, 0.5])
     Q = [[0.5, 0.5], [0.5, 0.5]]
     with pytest.raises(ValueError):
-        t_min(Q, pi, grid=[])
+        mixing_report(Q, pi=pi, grid=[])
     with pytest.raises(ValueError):
-        t_min(Q, pi, grid=[0.5, 1.0])
+        mixing_report(Q, pi=pi, grid=[0.5, 1.0])
 
 
 def test_mixing_csv_renders_infinity(tmp_path):

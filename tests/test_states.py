@@ -3,9 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tokenchain.states import (
-    VocabSpec, enumerate_states, is_incompatible, successors,
-)
+from tokenchain.states import VocabSpec, enumerate_states, successors
 
 
 def brute_force_states(T, K):
@@ -76,33 +74,41 @@ def test_successor_count_is_vocab_size(T, K):
         assert len(successors(state, spec)) == T
 
 
+def is_incompatible(u, v, K):
+    """Independent pair rule: ``v`` can follow ``u`` in one step only by a
+    pure append within the window, or by a shift-and-append at the window
+    boundary (both full length, ``v`` starting with ``u``'s last K - 1)."""
+    if len(v) == len(u) + 1 and len(v) <= K and v[:len(u)] == u:
+        return False
+    return not (len(u) == len(v) == K and v[:K - 1] == u[1:])
+
+
 def test_incompatibility_examples():
     spec = VocabSpec(3, 3)
     a, b, c, = 0, 1, 2
-    assert not is_incompatible((a, b), (a, b, c), spec)      # append
-    assert is_incompatible((a, b), (c, c, c), spec)          # wrong prefix
-    assert not is_incompatible((a, b, c), (b, c, a), spec)   # shift
+    assert (a, b, c) in successors((a, b), spec)          # append
+    assert (c, c, c) not in successors((a, b), spec)      # wrong prefix
+    assert (b, c, a) in successors((a, b, c), spec)       # shift
 
 
 @pytest.mark.parametrize("T,K", [(2, 1), (2, 2), (2, 3), (2, 4),
                                  (3, 1), (3, 2), (3, 3), (3, 4)])
 def test_incompatible_iff_not_a_successor(T, K):
-    """Exhaustive agreement between the pair test and the successor sets."""
+    """Exhaustive agreement between the pair rule and the successor sets."""
     spec = VocabSpec(T, K)
     space = enumerate_states(spec)
     for u in space:
         succ = set(successors(u, spec))
         for v in space:
-            assert is_incompatible(u, v, spec) == (v not in succ)
+            assert is_incompatible(u, v, K) == (v not in succ)
 
 
 @pytest.mark.parametrize("T,K", [(2, 3), (2, 4), (3, 2), (3, 4), (4, 4)])
 def test_compatible_pair_count_closed_form(T, K):
     spec = VocabSpec(T, K)
-    space = enumerate_states(spec)
-    pairs = sum(1 for u in space for v in space
-                if not is_incompatible(u, v, spec))
-    assert pairs == T * T * (T**K - 1) // (T - 1)
+    pairs = {(u, v) for u in enumerate_states(spec)
+             for v in successors(u, spec)}
+    assert len(pairs) == T * T * (T**K - 1) // (T - 1)
 
 
 @settings(max_examples=40, deadline=None)
