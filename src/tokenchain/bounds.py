@@ -12,7 +12,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -266,6 +265,8 @@ def default_unembed_bound(n_tokens, embed_dim) -> float:
 
 def builtin_model_cards() -> list:
     """The eight shipped checkpoint cards."""
+    # imported here: the import is slow, and most commands never need it
+    from importlib import resources
     raw = resources.files("tokenchain").joinpath(
         "data/model_cards.json").read_text()
     return [ModelCard(**row) for row in json.loads(raw)]

@@ -21,8 +21,8 @@ from .oracles import SUM_TOL, OracleError
 
 ROW_REPAIR_TOL = 1e-6
 
-# the CLI's cap on the dense arrays a command may hold, and the cap on the
-# dense n x n array of a sequence chain or its T^K x T^K block
+# the CLI's cap on the dense arrays a command may hold, and the cap on a
+# sequence chain's dense n x n array
 DENSE_BLOCK_CAP_BYTES = 1 << 31
 
 
@@ -32,21 +32,18 @@ class StructureError(Exception):
 
 @dataclass
 class TransitionMatrix:
-    """Row-stochastic matrix with transient/recurrent block metadata.
+    """Row-stochastic matrix, held as a next-token table or densely.
 
     A sequence chain (with the ``spec`` of its vocabulary T and window K,
     as `build_qf` makes it) holds in ``probs`` its (n, T) next-token
     table: entry (i, t) is the probability of the t-th state of
-    ``StateSpace.successor_table()`` row i.  Any other chain (generated
-    chains, extracted recurrent blocks) holds a dense (d, d) ndarray;
-    ``dense()`` refuses a table's (n, n) above DENSE_BLOCK_CAP_BYTES.
-    States ``[0, n_transient)`` are the transient ones; the rest form the
-    trailing recurrent-candidate block.
+    ``StateSpace.successor_table()`` row i, and the states shorter than K,
+    ``[0, n_transient)``, are transient.  Any other chain holds a dense
+    (d, d) ndarray, with none marked transient.  ``dense()`` refuses a
+    table's (n, n) above DENSE_BLOCK_CAP_BYTES.
     """
 
     probs: np.ndarray
-    n_transient: int = 0
-    recurrent_only: bool = False
     meta: dict = field(default_factory=dict)
     spec: VocabSpec | None = None
 
@@ -58,11 +55,21 @@ class TransitionMatrix:
     def is_table(self) -> bool:
         return self.spec is not None
 
+    @property
+    def n_transient(self) -> int:
+        if not self.is_table:
+            return 0
+        return self.n_states - self.spec.n_tokens ** self.spec.context_window
+
     def dense(self) -> np.ndarray:
         if not self.is_table:
             return np.asarray(self.probs, dtype=float)
-        _admit_dense(self.n_states)
-        out = np.zeros((self.n_states, self.n_states))
+        n = self.n_states
+        if n * n * 8 > DENSE_BLOCK_CAP_BYTES:
+            raise MemoryError(
+                f"dense block of {n} states needs {n * n * 8} bytes, "
+                f"above the cap of {DENSE_BLOCK_CAP_BYTES}")
+        out = np.zeros((n, n))
         rows, cols, values = self.triplet_columns()
         out[rows, cols] = values
         return out
@@ -72,13 +79,11 @@ class TransitionMatrix:
 
     @classmethod
     def of(cls, Q) -> "TransitionMatrix":
-        """``Q`` itself if it is a TransitionMatrix; otherwise ``Q`` as a
-        dense chain with no transient block, a sparse matrix (anything
-        with ``toarray``) summed into its dense form."""
+        """``Q`` itself if it is a TransitionMatrix; otherwise ``Q``, an
+        array or nested lists, as a dense chain."""
         if isinstance(Q, cls):
             return Q
-        return cls(np.asarray(Q.toarray() if hasattr(Q, "toarray") else Q,
-                              dtype=float))
+        return cls(np.asarray(Q, dtype=float))
 
     def triplet_columns(self, start=0, stop=None):
         """The nonzero entries of rows [start, stop), by default all of
@@ -186,37 +191,27 @@ def build_qf(oracle, spec: VocabSpec) -> TransitionMatrix:
     repair = (drift > SUM_TOL)[:, None]
     if repair.any():
         P = np.divide(P, sums[:, None], out=P.copy(), where=repair)
-    return TransitionMatrix(P, n_transient=space.n_transient, spec=spec)
+    return TransitionMatrix(P, spec=spec)
 
 
 def validate_structure(Q: TransitionMatrix, spec: VocabSpec) -> StructureReport:
-    """Check the sparsity pattern, block layout, and row sums of a built chain.
+    """Check the row sums and transient block of the table of ``spec``'s
+    chain; any other matrix is a ValueError.
 
     The report records the exact nonzero count against the closed form
     T^2 (T^K - 1)/(T - 1), the nonzero proportion as an exact rational,
     and the smallest power at which the transient-to-transient block
     vanishes (it must, within K steps: sequences only grow until full).
+    A table's columns are its successors, so its pattern always holds.
     """
-    space = enumerate_states(spec)
-    n, n_t = Q.n_states, space.n_transient
-    if n != spec.state_count or Q.spec not in (None, spec):
+    n = Q.n_states
+    if n != spec.state_count or Q.spec != spec:
         raise ValueError(f"a matrix of {n} states (spec {Q.spec}) is not "
                          f"a chain of {spec}, {spec.state_count} states")
-    T, K = spec.n_tokens, spec.context_window
-    if Q.is_table:
-        # row i's columns are its successors by construction; the state
-        # i < first moves to T + i T + t, inside the transient block
-        first, pattern_ok = max(n_t - T ** (K - 1), 0), True
-        nilpotency = _nilpotency_index(
-            Q.probs[:first] != 0.0,
-            lambda alive: alive[T:].reshape(first, T), n_t, K)
-    else:
-        rows, cols, _ = Q.triplet_columns()
-        # the T successors of a state are consecutive indices
-        offset = cols - space.successor_table()[:, 0][rows]
-        pattern_ok = bool(np.all((offset >= 0) & (offset < T)))
-        nilpotency = _nilpotency_index(Q.probs[:n_t, :n_t] != 0.0,
-                                       lambda alive: alive, n_t, K)
+    T, K, n_t = spec.n_tokens, spec.context_window, Q.n_transient
+    # the state i < first moves to T + i T + t, inside the transient block
+    first = max(n_t - T ** (K - 1), 0)
+    nilpotency = _nilpotency_index(Q.probs[:first] != 0.0, n_t, K)
 
     # pairwise sums, row by row: a table's row sums are pinned in
     # structure.json, and probs.sum(axis=1) rounds some rows differently
@@ -229,43 +224,23 @@ def validate_structure(Q: TransitionMatrix, spec: VocabSpec) -> StructureReport:
         nonzero_proportion=Fraction(nonzeros, n * n),
         expected_nonzero_count=T * T * (T**K - 1) // (T - 1),
         row_sum_max_error=row_err,
-        block_pattern_ok=pattern_ok,
+        block_pattern_ok=True,
         nilpotency_index=nilpotency,
     )
 
 
-def _nilpotency_index(moves, targets, n_transient, K):
+def _nilpotency_index(moves, n_transient, K):
     """Smallest k <= K with the transient block's k-th power identically
     zero: no state starts a k-step path inside the block.  Row i of the
-    bool ``moves`` marks state i's moves inside it, and ``targets(alive)``
-    which of their targets are alive; the states past its rows leave it."""
+    (first, T) bool ``moves`` marks state i's moves to T + i T + t; the
+    states from ``first`` on leave the block."""
     if n_transient == 0:
         return 0
+    first, T = moves.shape
     alive = np.ones(n_transient, dtype=bool)
     for k in range(1, K + 1):
-        alive[:len(moves)] = (moves & targets(alive)).any(axis=1)
-        alive[len(moves):] = False
+        alive[:first] = (moves & alive[T:].reshape(first, T)).any(axis=1)
+        alive[first:] = False
         if not alive.any():
             return k
     return None
-
-
-def _admit_dense(n):
-    """Refuse a dense n x n array above DENSE_BLOCK_CAP_BYTES."""
-    if n * n * 8 > DENSE_BLOCK_CAP_BYTES:
-        raise MemoryError(
-            f"dense block of {n} states needs {n * n * 8} bytes, "
-            f"above the cap of {DENSE_BLOCK_CAP_BYTES}")
-
-
-def recurrent_block(Q: TransitionMatrix) -> TransitionMatrix:
-    """Extract the dense full-length-state block of a sequence-state chain,
-    refused above DENSE_BLOCK_CAP_BYTES."""
-    n_t = Q.n_transient
-    n_r = Q.n_states - n_t
-    _admit_dense(n_r)
-    rows, cols, values = Q.triplet_columns()
-    inside = (rows >= n_t) & (cols >= n_t)
-    block = np.zeros((n_r, n_r))
-    block[rows[inside] - n_t, cols[inside] - n_t] = values[inside]
-    return TransitionMatrix(block, n_transient=0, recurrent_only=True)

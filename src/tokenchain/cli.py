@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import operator
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -273,8 +274,7 @@ def _matrix_payload(matrix) -> dict:
     """matrix.json's "matrix", its triplets left for `_write_json`."""
     n, n_t = matrix.n_states, matrix.n_transient
     return {"n": n, "triplets": [], "blocks": {
-        "transient": [0, n_t], "recurrent": [n_t, n],
-        "recurrent_only": matrix.recurrent_only}}
+        "transient": [0, n_t], "recurrent": [n_t, n]}}
 
 
 def _write_json(path: Path, config, seed, payload: dict):
@@ -826,7 +826,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", metavar="DIR", default=".",
                          help="output directory (created if missing)")
         cmd.add_argument("--jobs", metavar="N", type=int, default=1,
-                         help="worker processes for batched work")
+                         help="worker processes for batched work, at most "
+                         "the machine's CPU count")
     return parser
 
 
@@ -853,9 +854,11 @@ def main(argv=None) -> int:
             raise ConfigError(f"config.seed: must fit in u64, got {seed}")
         if args.jobs < 1:
             raise ConfigError(f"config.jobs: must be >= 1, got {args.jobs}")
+        # stripes make the outputs the same at any job count
+        jobs = min(args.jobs, os.cpu_count() or 1)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, seed, out, args.jobs)
+        return _COMMANDS[args.command](config, seed, out, jobs)
     except ConfigError as exc:
         print(f"tokenchain: {exc}", file=sys.stderr)
         return 2

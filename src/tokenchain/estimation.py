@@ -406,16 +406,13 @@ class PowerLawFit:
     n_points: int
 
 
-def fit_power_law(curve) -> PowerLawFit:
+def fit_power_law(curve: RiskCurve) -> PowerLawFit:
     """Least squares on (log N, log mean risk); infinite points are skipped.
 
     A flat curve fits slope 0 with r2 = 1 by convention (zero residual
     around zero variance).
     """
-    if isinstance(curve, RiskCurve):
-        pts = [(p.n_icl, p.mean) for p in curve.points if p.finite]
-    else:
-        pts = [(n, m) for n, m in curve if math.isfinite(m)]
+    pts = [(p.n_icl, p.mean) for p in curve.points if p.finite]
     if any(m <= 0 for _, m in pts):
         raise ValueError("power-law fit needs positive risks")
     if len(pts) < 3:

@@ -216,10 +216,8 @@ class ChainSpec:
         return cls(**blob)
 
 
-def build_chain(spec) -> TransitionMatrix:
-    """Materialize a ChainSpec (or an equivalent dict)."""
-    if isinstance(spec, dict):
-        spec = ChainSpec.from_dict(spec)
+def build_chain(spec: ChainSpec) -> TransitionMatrix:
+    """Materialize a ChainSpec."""
     if spec.kind == "random":
         return random_chain(spec.d, spec.p_min, spec.seed)
     if spec.kind == "constrained_walk":

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chains import TransitionMatrix, build_qf, recurrent_block
+from .chains import TransitionMatrix, build_qf
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10**6
@@ -100,8 +100,7 @@ def classify_states(Q) -> MixingReport:
     block is searched: shorter states are transient by construction.
     """
     Q = TransitionMatrix.of(Q)
-    n = Q.n_states
-    base = Q.n_transient if Q.is_table else 0
+    n, base = Q.n_states, Q.n_transient
     src, dst, _ = Q.triplet_columns(base)
     src, dst, m = src - base, dst - base, n - base
     forward, backward = _adjacency(src, dst, m), _adjacency(dst, src, m)
@@ -291,26 +290,23 @@ def _doubling_search(start, powers, measure, threshold, cap):
     return hi, x_hi
 
 
-def doeblin_epsilon(Q, window=None) -> float:
-    """Minimum entry of the recurrent block of Q^window; the window
-    defaults to the chain's context window, or 1.
+def doeblin_epsilon(Q) -> float:
+    """Minimum entry of the recurrent block of Q^window, the window being
+    the chain's context window K, or 1 for a dense chain.
 
-    On a sequence chain (held as its next-token table) at window K, each
-    entry is the product along the one K-step path, and the least such
-    product is found, bit for bit, in O(K T^(K+1)) with no dense block.
-    Any other chain or window takes a dense power.
+    On a sequence chain (held as its next-token table) each entry is the
+    product along the one K-step path, and the least such product is
+    found, bit for bit, in O(K T^(K+1)) with no dense block.
     """
     Q = TransitionMatrix.of(Q)
-    K = Q.spec.context_window if Q.is_table else 1
-    window = K if window is None else window
-    if not Q.is_table or window != K:
-        block = recurrent_block(Q).probs if Q.n_transient else Q.dense()
-        return float(np.linalg.matrix_power(block, window).min())
+    if not Q.is_table:
+        return float(Q.dense().min())
     # u = a T^(K-1) + r appending t moves to r T + t: a pass carries f(v),
     # the least product (from 1, left to right) over the paths ending at v,
     # one step on, exactly, as rounding is monotone on nonnegative floats.
     # The table is read entry by entry, so a zero probability gives 0.
-    T, P = Q.spec.n_tokens, Q.probs[Q.n_transient:]
+    T, K = Q.spec.n_tokens, Q.spec.context_window
+    P = Q.probs[Q.n_transient:]
     f = np.ones(T**K)
     for _ in range(K):
         f = (f[:, None] * P).reshape(T, -1, T).min(axis=0).ravel()
@@ -345,15 +341,15 @@ def _polish_fixpoint(v, D):
     return v
 
 
-def convergence_profile(Q, window=None, n_max=DEFAULT_N_MAX, pi=None) -> ConvergenceProfile:
+def convergence_profile(Q, n_max=DEFAULT_N_MAX, pi=None) -> ConvergenceProfile:
     """Both sides of the geometric convergence envelope for n = window..n_max.
 
-    Accepts either a full sequence-state chain (the deviation then runs over
-    every state, with the stationary vector zero on transient entries) or an
-    extracted recurrent block.  The rate constant is `doeblin_epsilon`'s,
-    and a zero constant is reported as a vacuous bound rather than an
-    error.  Steps where a nonvacuous bound is exceeded by more than 1e-12
-    are counted in ``violations``.
+    The window is a sequence chain's context window K, or 1 for a dense
+    chain; on a sequence chain the deviation runs over every state, with
+    the stationary vector zero on transient entries.  The rate constant
+    is `doeblin_epsilon`'s, and a zero constant is reported as a vacuous
+    bound rather than an error.  Steps where a nonvacuous bound is
+    exceeded by more than 1e-12 are counted in ``violations``.
 
     The iterate Q^n often repeats exactly (a float fixed point or a short
     cycle).  A repeat of a fingerprint of every entry's bits, at steps m
@@ -364,11 +360,10 @@ def convergence_profile(Q, window=None, n_max=DEFAULT_N_MAX, pi=None) -> Converg
     """
     Q = TransitionMatrix.of(Q)
     D = Q.dense()
-    if window is None:
-        window = Q.spec.context_window if Q.is_table else 1
+    window = Q.spec.context_window if Q.is_table else 1
     if n_max < window:
         raise ValueError(f"n_max={n_max} is below the window {window}")
-    eps = doeblin_epsilon(Q, window)
+    eps = doeblin_epsilon(Q)
     M = np.linalg.matrix_power(D, window)
     if pi is None:
         pi = stationary(Q).pi
@@ -502,7 +497,7 @@ def sweep_temperature(oracle, spec, temperatures, tol=DEFAULT_TOL,
     for tau in temperatures:
         Q = build_qf(oracle.with_temperature(tau), spec)
         result = stationary(Q, tol, max_iter)
-        eps = doeblin_epsilon(Q, spec.context_window)
+        eps = doeblin_epsilon(Q)
         points.append(TemperaturePoint(temperature=float(tau), epsilon=eps,
                                        iterations=result.iterations,
                                        converged=result.converged))

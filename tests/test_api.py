@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import tokenchain
 
 # The package's public names.  A name added or removed here is a library
@@ -21,7 +24,7 @@ PUBLIC_API = [
     "layer_bound", "log_ratio_checks", "mc_verify", "mcdiarmid_markov_tail",
     "mcdiarmid_tail", "mixing_report", "parity_sequence", "polygonal_walk",
     "predictor_table", "pretrain_constant", "random_chain",
-    "recurrent_block", "sample_complexity", "sample_trajectory",
+    "sample_complexity", "sample_trajectory",
     "simulate_process", "stationary", "successors", "sweep_temperature",
     "train_toy", "tv_distance", "tv_risk", "validate_distribution",
     "validate_structure", "windowed_examples",
@@ -30,3 +33,26 @@ PUBLIC_API = [
 
 def test_public_names_are_pinned():
     assert sorted(tokenchain.__all__) == PUBLIC_API
+
+
+def test_modules_use_every_name_they_import():
+    """No module of the package but ``__init__`` imports a name it never
+    reads, ``from __future__`` imports aside."""
+    unused = []
+    for path in sorted(Path(tokenchain.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.split(".")[0]
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and \
+                    node.module != "__future__":
+                imported.update(alias.asname or alias.name
+                                for alias in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert unused == []

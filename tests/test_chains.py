@@ -8,13 +8,11 @@ import pytest
 import scipy.sparse as sp
 
 from tokenchain import chains, cli
-from tokenchain.chains import (
-    TransitionMatrix, build_qf, recurrent_block, validate_structure,
-)
+from tokenchain.chains import TransitionMatrix, build_qf, validate_structure
 from tokenchain.estimation import sample_trajectory
 from tokenchain.oracles import Oracle, OracleError, RandomLogitOracle, UniformOracle
 from tokenchain.spectral import doeblin_epsilon, stationary
-from tokenchain.states import VocabSpec, enumerate_states, successors
+from tokenchain.states import StateSpace, VocabSpec, enumerate_states, successors
 
 
 class FixedRowOracle(Oracle):
@@ -134,11 +132,30 @@ def test_build_errors_name_the_first_offending_state():
 
 
 def test_corrupted_pattern_is_detected():
+    # a table holds only successor entries; a dense matrix is refused
     spec = VocabSpec(2, 2)
     dense = build_qf(UniformOracle(2), spec).dense()
     dense[0, 0] = 0.5  # (0,) -> (0,) is not a legal step
-    bad = TransitionMatrix(dense, n_transient=2)
-    assert not validate_structure(bad, spec).block_pattern_ok
+    with pytest.raises(ValueError, match="is not a chain of"):
+        validate_structure(TransitionMatrix(dense), spec)
+
+
+def test_validation_refuses_a_dense_matrix_of_the_right_state_count():
+    spec = VocabSpec(2, 3)
+    Q = build_qf(UniformOracle(2), spec)
+    assert validate_structure(Q, spec).ok
+    with pytest.raises(ValueError, match=r"a matrix of 14 states \(spec "
+                       r"None\) is not a chain of"):
+        validate_structure(TransitionMatrix(Q.dense()), spec)
+
+
+@pytest.mark.parametrize("T", [2, 3, 4])
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_n_transient_is_derived_from_the_spec(T, K):
+    spec = VocabSpec(T, K)
+    Q = build_qf(UniformOracle(T), spec)
+    assert Q.n_transient == StateSpace(spec).n_transient
+    assert TransitionMatrix(Q.dense()).n_transient == 0
 
 
 def test_state_count_mismatch_is_an_error():
@@ -174,8 +191,7 @@ def test_json_roundtrip(tmp_path):
     npt.assert_array_equal(Q.dense(), expected)
     assert blob["triplets"] == [list(t) for t in zip(
         *(c.tolist() for c in Q.triplet_columns()))]
-    assert blob["blocks"]["transient"] == [0, Q.n_transient]
-    assert not blob["blocks"]["recurrent_only"]
+    assert blob["blocks"] == {"transient": [0, 6], "recurrent": [6, 14]}
 
 
 def test_json_triplets_sorted_and_zero_free(tmp_path):
@@ -185,52 +201,7 @@ def test_json_triplets_sorted_and_zero_free(tmp_path):
     keys = [(r, c) for r, c, _ in blob["triplets"]]
     assert keys == sorted(keys)
     assert all(v != 0.0 for _, _, v in blob["triplets"])
-    assert blob["blocks"] == {"transient": [0, 2], "recurrent": [2, 6],
-                              "recurrent_only": False}
-
-
-def test_triplets_of_unsorted_csr_are_row_major():
-    rng = np.random.default_rng(4)
-    dense = rng.random((6, 6)) * (rng.random((6, 6)) < 0.5)
-    m = sp.csr_matrix(dense)
-    # reverse each row's column order, leaving the indices unsorted
-    for r in range(6):
-        a, b = m.indptr[r], m.indptr[r + 1]
-        m.indices[a:b], m.data[a:b] = m.indices[a:b][::-1], m.data[a:b][::-1]
-    m.has_sorted_indices = False
-    coo = m.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    reference = (coo.row[order], coo.col[order], coo.data[order])
-    for got, want in zip(TransitionMatrix.of(m).triplet_columns(), reference):
-        npt.assert_array_equal(got, want)
-
-
-def test_duplicate_entries_are_written_summed(tmp_path):
-    m = sp.csr_matrix(([0.25, 0.5, 0.25, 1.0], [1, 0, 1, 1], [0, 3, 4]),
-                      shape=(2, 2))
-    blob = written(TransitionMatrix.of(m), tmp_path)
-    assert blob["triplets"] == [[0, 0, 0.5], [0, 1, 0.5], [1, 1, 1.0]]
-    npt.assert_array_equal(scatter(blob), [[0.5, 0.5], [0.0, 1.0]])
-
-
-def test_recurrent_block_extraction():
-    spec = VocabSpec(2, 2)
-    Q = build_qf(UniformOracle(2), spec)
-    block = recurrent_block(Q)
-    assert block.recurrent_only
-    assert block.n_transient == 0
-    assert block.probs.shape == (4, 4)
-    # every full-length state keeps T outgoing edges: T^(K+1) nonzeros
-    assert block.nonzero_count() == 8
-    npt.assert_allclose(block.dense().sum(axis=1), 1.0)
-
-
-def test_recurrent_block_respects_memory_cap(monkeypatch):
-    spec = VocabSpec(2, 3)
-    Q = build_qf(UniformOracle(2), spec)
-    monkeypatch.setattr(chains, "DENSE_BLOCK_CAP_BYTES", 100)
-    with pytest.raises(MemoryError):
-        recurrent_block(Q)
+    assert blob["blocks"] == {"transient": [0, 2], "recurrent": [2, 6]}
 
 
 class WideOracle(Oracle):
@@ -341,9 +312,32 @@ def _table_cases():
                          ids=lambda Q: f"T{Q.spec.n_tokens}K"
                                        f"{Q.spec.context_window}")
 def test_table_validation_matches_the_dense_path(Q):
-    dense = TransitionMatrix(Q.dense(), n_transient=Q.n_transient)
-    assert not dense.is_table
-    assert validate_structure(Q, Q.spec) == validate_structure(dense, Q.spec)
+    assert validate_structure(Q, Q.spec) == dense_report(Q)
+
+
+def dense_report(Q):
+    """The structure report of a table, read off its dense form: the
+    nonzeros and a power of the transient block."""
+    spec, D = Q.spec, Q.dense()
+    T, K, n, n_t = spec.n_tokens, spec.context_window, Q.n_states, Q.n_transient
+    rows, cols = np.nonzero(D)
+    # the T successors of a state are consecutive indices
+    offset = cols - StateSpace(spec).successor_table()[:, 0][rows]
+    block = (D[:n_t, :n_t] != 0.0).astype(np.int64)
+    nilpotency, power = None, np.eye(n_t, dtype=np.int64)
+    for k in range(K + 1):
+        if not power.any():
+            nilpotency = k
+            break
+        power = np.minimum(power @ block, 1)
+    return chains.StructureReport(
+        n_states=n, nonzero_count=rows.size,
+        nonzero_proportion=Fraction(rows.size, n * n),
+        expected_nonzero_count=T * T * (T**K - 1) // (T - 1),
+        row_sum_max_error=float(np.abs(np.add.reduceat(
+            Q.probs, [0], axis=1)[:, 0] - 1.0).max()),
+        block_pattern_ok=bool(np.all((offset >= 0) & (offset < T))),
+        nilpotency_index=nilpotency)
 
 
 def test_validation_refuses_the_table_of_another_spec():
@@ -372,17 +366,12 @@ def test_build_and_validate_at_two_million_states():
     assert report.ok
 
 
-def test_of_wraps_lists_arrays_and_sparse_matrices():
+def test_of_wraps_lists_and_arrays():
     rows = [[0.25, 0.75], [1.0, 0.0]]
     for given in (rows, np.array(rows), np.array([[1, 0], [0, 1]])):
         Q = TransitionMatrix.of(given)
         assert not Q.is_table and Q.probs.dtype == float
         assert Q.n_transient == 0 and Q.meta == {}
-    # a sparse matrix is summed into its dense form, read through toarray
-    Q = TransitionMatrix.of(sp.coo_matrix(rows))
-    assert not Q.is_table and type(Q.probs) is np.ndarray
-    assert Q.n_transient == 0 and Q.meta == {}
-    npt.assert_array_equal(Q.dense(), rows)
 
 
 def test_of_returns_a_chain_unchanged():

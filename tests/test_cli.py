@@ -88,7 +88,8 @@ def test_build_reruns_are_byte_identical(tmp_path):
 
 
 def test_build_outputs_are_pinned(tmp_path):
-    """sha256 of the outputs as the tuple-per-state build wrote them."""
+    """sha256 of the outputs as the tuple-per-state build wrote them,
+    matrix.json less its dropped "recurrent_only" key."""
     cfg = {"n_tokens": 3, "context_window": 4,
            "oracle": {"kind": "random_logits", "seed": 0}}
     assert run(tmp_path, "build", cfg) == 0
@@ -96,7 +97,7 @@ def test_build_outputs_are_pinned(tmp_path):
                .hexdigest() for name in ("matrix.json", "structure.json")}
     assert digests == {
         "matrix.json":
-            "dc7569a61fe23c029334807f757911c82aa6272f716613adbc5b4b85283e6d99",
+            "023380018b50453197b08981dd671f92b8e51f7e385e68a0a790b5c587945351",
         "structure.json":
             "4a790709bb633646d8c94c67a9529880873f2c5a04e6b4d22e4f5449bf180c9a",
     }
@@ -131,23 +132,24 @@ def test_spectral_outputs_are_pinned(tmp_path, command, extra, digests):
 # sha256 of outputs as json.dumps and a one-string CSV body wrote them:
 # a 19.6 MB matrix.json over many triplet chunks, a sample longer than
 # one CSV block, and the toy's files as SGD steps with fancy-indexed row
-# updates and fresh arrays trained it
+# updates and fresh arrays trained it (matrix.json less its dropped
+# "recurrent_only" key)
 @pytest.mark.parametrize("command,cfg,digests", [
     ("build", {"n_tokens": 2, "context_window": 16,
                "oracle": {"kind": "random_logits", "seed": 0}}, {
         "matrix.json":
-            "248e32b1f1763d6b05bccb8aeec72cead75e973a201b9875120a3fea8251968b",
+            "2f856c65ca23a753bb374a0066ffda66c72da1481301bdae4127515cc18bc98a",
     }),
     ("generate", {"chain": {"kind": "random", "d": 40, "seed": 3},
                   "sample": {"length": 100_000, "seed": 5}}, {
         "matrix.json":
-            "56e3f09dd7db0381b8c93508419df3d4731a08c414a9c6ebfe5aeb39d7433b07",
+            "a1cbbb05c6a544f4618d9c63d37b319e8688dde3cee18b2b94f9ce77829cd710",
         "trajectory.csv":
             "c426dcd1a869a3bb3b76d209ab8e403a757ba27d5445116ea8f1ae79f585d56c",
     }),
     ("train-toy", {"epochs": 50}, {
         "matrix.json":
-            "8456f165fe6fe200d4a8e4c39fb153a79f10e2232d24a21864751fc1988afde2",
+            "ade7f5365d85971b4802d64d4455480c331d1dd4c10dadad2c1a87d53a0a8331",
         "model.json":
             "cd0d0227de85d417bbe829f846a0d5525b75ba6198f62157d14d0019c15c1838",
         "loss.csv":

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -360,6 +361,24 @@ def test_curve_stripes_match_serial_at_every_job_count(pools):
     assert pools == [2, 4, 6, 6]
 
 
+def test_cli_jobs_are_bounded_by_the_cpu_count(tmp_path, monkeypatch, pools):
+    """--jobs 100000 starts one worker a CPU, and writes what --jobs 1
+    does; the recording pool starts no process."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = dict(ESTIMATE_CFG, n_list=[50, 100, 200, 400, 800], reps=4)
+    assert run(tmp_path, "estimate", cfg, out="one", jobs=1) == 0
+    assert run(tmp_path, "estimate", cfg, out="many", jobs=100_000) == 0
+    assert pools == [3]
+    for name in ("risk.csv", "fit.json"):
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "many" / name).read_bytes()
+    # no CPU count known: one job, no pool
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run(tmp_path, "estimate", cfg, out="none", jobs=100_000) == 0
+    assert pools == [3]
+
+
+
 def test_curve_peak_within_its_count():
     """No task is built per replicate: the risks are the curve's only
     per-replicate storage."""
@@ -452,8 +471,8 @@ def test_fit_skips_infinite_points():
     assert fit.n_points == 3
 
 
-def test_fit_accepts_plain_pairs_and_serializes(tmp_path, monkeypatch):
-    fit = fit_power_law([(100, 0.3), (400, 0.15), (1600, 0.075)])
+def test_fit_is_written_to_fit_json(tmp_path, monkeypatch):
+    fit = fit_power_law(make_curve([(100, 0.3), (400, 0.15), (1600, 0.075)]))
     monkeypatch.setattr(cli, "fit_power_law", lambda curve: fit)
     assert run(tmp_path, "estimate", ESTIMATE_CFG) == 0
     blob = read_json(tmp_path, "out", "fit.json")["fit"]

@@ -523,14 +523,13 @@ def test_one_state_risks_match_per_step_scoring(d, n, risk, div):
 # convergence profile: one dense product per step
 # ---------------------------------------------------------------------------
 
-def loop_profile(Q, window=None, n_max=DEFAULT_N_MAX, pi=None) -> ConvergenceProfile:
+def loop_profile(Q, n_max=DEFAULT_N_MAX, pi=None) -> ConvergenceProfile:
     Q = TransitionMatrix.of(Q)
     D = Q.dense()
-    if window is None:
-        window = Q.spec.context_window if Q.is_table else 1
+    window = Q.spec.context_window if Q.is_table else 1
     if n_max < window:
         raise ValueError(f"n_max={n_max} is below the window {window}")
-    eps = doeblin_epsilon(Q, window)
+    eps = doeblin_epsilon(Q)
     M = np.linalg.matrix_power(D, window)
     if pi is None:
         pi = stationary(Q).pi
@@ -592,13 +591,14 @@ def counted_profile(monkeypatch, *args, **kwargs):
 @pytest.mark.parametrize("Q,kwargs", [
     # a rank-one chain: Q^n = Q from the start
     ([[0.5, 0.25, 0.25]] * 3, {}),
-    (np.eye(2), {"window": 1, "n_max": 5}),
+    (np.eye(2), {"n_max": 5}),
     # the periodic walk: a 3-cycle of period 3, eps = 0
     (np.roll(np.eye(3), 1, axis=1), {"n_max": 50}),
     # a multichain: two closed classes and a transient state
     ([[0.5, 0.5, 0, 0, 0], [0.25, 0.75, 0, 0, 0], [0, 0, 0.5, 0.5, 0],
       [0, 0, 0.3, 0.7, 0], [0.2, 0.2, 0.2, 0.2, 0.2]], {"n_max": 300}),
-    ([[0.9, 0.1], [0.2, 0.8]], {"window": 3, "n_max": 3}),
+    # a profile of one step, at the window
+    (random_logit_chain(2, 3, 5), {"n_max": 3}),
     (random_logit_chain(2, 6, 0), {}),
     (random_logit_chain(2, 6, 1), {}),
     (random_logit_chain(2, 6, 2), {}),
@@ -610,7 +610,7 @@ def counted_profile(monkeypatch, *args, **kwargs):
     (random_logit_chain(2, 6, 11), {"n_max": 100}),
     (random_logit_chain(2, 6, 2), {"n_max": 250}),
     # a zero "stationary" vector: violations past the repeat as well
-    ([[0.9, 0.1], [0.2, 0.8]], {"window": 1, "n_max": 400, "pi": np.zeros(2)}),
+    ([[0.9, 0.1], [0.2, 0.8]], {"n_max": 400, "pi": np.zeros(2)}),
 ])
 def test_profile_matches_the_product_loop(monkeypatch, Q, kwargs):
     profile, products = counted_profile(monkeypatch, Q, **kwargs)

@@ -274,14 +274,19 @@ def test_discretize_validation():
 # chain specs
 # ---------------------------------------------------------------------------
 
+def built(blob):
+    """build_chain on the ChainSpec of a config dict."""
+    return build_chain(ChainSpec.from_dict(blob))
+
+
 def test_build_chain_from_dict():
-    Q = build_chain({"kind": "random", "d": 3, "p_min": 0.05, "seed": 1})
+    Q = built({"kind": "random", "d": 3, "p_min": 0.05, "seed": 1})
     assert Q.dense().shape == (3, 3)
     assert Q.dense().min() >= 0.05
 
 
 def test_build_chain_clique_defaults_to_unbiased_tau():
-    Q = build_chain({"kind": "clique_rim", "d": 9, "eta": 0.02})
+    Q = built({"kind": "clique_rim", "d": 9, "eta": 0.02})
     assert Q.meta["tau"] == [0, 0, 0]
 
 
@@ -297,10 +302,10 @@ def test_build_chain_discretized_process():
 
 def test_build_chain_validation():
     with pytest.raises(ValueError):
-        build_chain({"kind": "moebius", "d": 3})
+        built({"kind": "moebius", "d": 3})
     with pytest.raises(ValueError):
-        build_chain({"kind": "random", "d": 3, "wheels": 4})
+        built({"kind": "random", "d": 3, "wheels": 4})
     with pytest.raises(ValueError):
-        build_chain({"d": 3})
+        built({"d": 3})
     with pytest.raises(ValueError):
-        build_chain({"kind": "discretized_process", "d": 3, "process": {}})
+        built({"kind": "discretized_process", "d": 3, "process": {}})

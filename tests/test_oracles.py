@@ -4,7 +4,6 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.sparse as sp
 
 from tokenchain.cli import main
 from tokenchain.oracles import (
@@ -109,12 +108,6 @@ def test_chain_oracle_reads_row_of_last_token():
     npt.assert_array_equal(oracle.query((1,)), P[1])
     # longer histories are truncated to the single trailing token
     npt.assert_array_equal(oracle.query((1, 1, 0)), P[0])
-
-
-def test_chain_oracle_takes_a_scipy_matrix():
-    P = np.array([[0.2, 0.8], [0.0, 1.0]])
-    npt.assert_array_equal(ChainOracle(sp.csr_matrix(P)).rows,
-                           ChainOracle(P).rows)
 
 
 def test_chain_oracle_rejects_nonsquare():

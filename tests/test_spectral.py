@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings, strategies as st
 
 from tokenchain import spectral
-from tokenchain.chains import TransitionMatrix, build_qf, recurrent_block
+from tokenchain.chains import TransitionMatrix, build_qf
 from tokenchain.generators import clique_rim, constrained_walk, polygonal_walk
 from tokenchain.oracles import ChainOracle, RandomLogitOracle, UniformOracle
 from tokenchain.spectral import (
@@ -182,13 +182,22 @@ def test_classify_matches_scipy_strong_components():
 # ---------------------------------------------------------------------------
 
 def test_epsilon_of_uniform_chains():
-    assert doeblin_epsilon([[0.5, 0.5], [0.5, 0.5]], window=1) == 0.5
+    assert doeblin_epsilon([[0.5, 0.5], [0.5, 0.5]]) == 0.5
     spec = VocabSpec(2, 3)
     Q = build_qf(UniformOracle(2), spec)
     # three uniform coin flips reach any 3-token state: (1/2)^3
     assert doeblin_epsilon(Q) == pytest.approx(1 / 8)
-    block = recurrent_block(Q)
-    assert doeblin_epsilon(block, window=3) == pytest.approx(1 / 8)
+    block = np.linalg.matrix_power(recurrent_block(Q), 3)
+    assert doeblin_epsilon(block) == pytest.approx(1 / 8)
+
+
+def recurrent_block(Q):
+    """The dense full-length-state block of a sequence chain."""
+    n_t = Q.n_transient
+    rows, cols, values = Q.triplet_columns(n_t)
+    block = np.zeros((Q.n_states - n_t,) * 2)
+    block[rows - n_t, cols - n_t] = values
+    return block
 
 
 def least_path_product(oracle, spec):
@@ -234,7 +243,7 @@ def test_epsilon_is_the_least_path_product(T, K, tau):
     Q = build_qf(oracle, spec)
     eps = doeblin_epsilon(Q)
     assert eps == least_path_product(oracle, spec)
-    dense = np.linalg.matrix_power(recurrent_block(Q).probs, K).min()
+    dense = np.linalg.matrix_power(recurrent_block(Q), K).min()
     assert abs(eps - dense) <= 1e-12 * dense
 
 
@@ -246,21 +255,8 @@ def test_epsilon_reads_a_zero_probability_as_zero():
     assert doeblin_epsilon(Q) == 0.0
 
 
-def test_epsilon_off_the_window_takes_the_dense_power(monkeypatch):
-    spec = VocabSpec(2, 3)
-    Q = build_qf(RandomLogitOracle(enumerate_states(spec), seed=1), spec)
-    expected = float(np.linalg.matrix_power(recurrent_block(Q).probs, 4).min())
-    block = mock.Mock(wraps=recurrent_block)
-    monkeypatch.setattr(spectral, "recurrent_block", block)
-    assert doeblin_epsilon(Q, window=4) == expected
-    block.assert_called_once_with(Q)
-    # at the window, the path products: no dense block
-    assert doeblin_epsilon(Q) > 0
-    block.assert_called_once()
-
-
 def test_profile_uniform_two_state_chain_is_exact():
-    profile = convergence_profile([[0.5, 0.5], [0.5, 0.5]], window=1, n_max=10)
+    profile = convergence_profile([[0.5, 0.5], [0.5, 0.5]], n_max=10)
     assert profile.epsilon == 0.5
     assert not profile.vacuous
     assert profile.bound_curve[0] == (1, 1.0)
@@ -275,24 +271,28 @@ def test_profile_runs_on_full_chain_and_recurrent_block():
     full = convergence_profile(Q, n_max=200)
     assert 0 < full.epsilon <= 0.5
     assert len(full.empirical_curve) == 200 - 3 + 1
-    block = convergence_profile(recurrent_block(Q), window=3, n_max=200)
-    assert block.epsilon == pytest.approx(full.epsilon)
-    # the block mode ignores transient rows, so it can only be tighter
-    for (n, e_block), (_, e_full) in zip(block.empirical_curve,
+    # the recurrent block as a dense chain, at its own window of one step
+    block = convergence_profile(recurrent_block(Q), n_max=200)
+    assert block.window == 1 and len(block.empirical_curve) == 200
+    assert block.epsilon == recurrent_block(Q).min()
+    # its powers are the full chain's recurrent rows and columns, so its
+    # deviations can only be smaller at each step n
+    for (n, e_block), (m, e_full) in zip(block.empirical_curve[2:],
                                          full.empirical_curve):
-        assert e_block <= e_full + 1e-12
+        assert n == m and e_block <= e_full + 1e-12
 
 
 def test_profile_vacuous_when_block_has_zeros():
-    profile = convergence_profile(np.eye(2), window=1, n_max=5)
+    profile = convergence_profile(np.eye(2), n_max=5)
     assert profile.epsilon == 0.0
     assert profile.vacuous
     assert all(b == 1.0 for _, b in profile.bound_curve)
 
 
 def test_profile_rejects_short_horizon():
-    with pytest.raises(ValueError):
-        convergence_profile(np.eye(2), window=3, n_max=2)
+    with pytest.raises(ValueError, match="n_max=2 is below the window 3"):
+        convergence_profile(build_qf(UniformOracle(2), VocabSpec(2, 3)),
+                            n_max=2)
 
 
 @pytest.mark.parametrize("rows,pi,repeats", [
@@ -303,10 +303,10 @@ def test_profile_rejects_short_horizon():
 def test_profile_peak_within_its_count(rows, pi, repeats):
     n_max = 20_000
     devs = [e for _, e in convergence_profile(
-        rows, window=1, n_max=n_max, pi=pi).empirical_curve]
+        rows, n_max=n_max, pi=pi).empirical_curve]
     assert (len(set(devs)) < n_max) == repeats
     peak = _traced_peak(
-        lambda: convergence_profile(rows, window=1, n_max=n_max, pi=pi))
+        lambda: convergence_profile(rows, n_max=n_max, pi=pi))
     assert peak <= spectral.profile_bytes(2, 1, n_max)
 
 
@@ -601,6 +601,6 @@ def test_stationary_search_stops_at_max_iter():
 def test_profile_counts_envelope_violations():
     # a zero "stationary" vector is a fixed point of the polish, so every
     # step deviates by the largest entry of Q^n, above the decaying bound
-    profile = convergence_profile(LAZY, window=1, n_max=20, pi=np.zeros(2))
+    profile = convergence_profile(LAZY, n_max=20, pi=np.zeros(2))
     assert profile.violations > 0
-    assert convergence_profile(LAZY, window=1, n_max=20).violations == 0
+    assert convergence_profile(LAZY, n_max=20).violations == 0

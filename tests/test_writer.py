@@ -30,8 +30,7 @@ def written(path, config, payload):
 
 
 def matrix_of(cells, n, dtype=float):
-    return TransitionMatrix(np.asarray(cells, dtype=dtype).reshape(n, n),
-                            n_transient=n // 2)
+    return TransitionMatrix(np.asarray(cells, dtype=dtype).reshape(n, n))
 
 
 EDGE_FLOATS = [5e-324, 1e-7, 1e16, 0.1 + 0.2, -0.0, 1.0, 2.5e-308]
@@ -69,7 +68,6 @@ def tables(draw):
     n, T = spec.state_count, spec.n_tokens
     cells = draw(st.lists(CELLS, min_size=1, max_size=41))
     return TransitionMatrix(np.resize(np.array(cells, dtype=float), (n, T)),
-                            n_transient=enumerate_states(spec).n_transient,
                             spec=spec)
 
 
@@ -84,7 +82,7 @@ def table_triplets(matrix):
 # a transient row with a zero successor, and a first row all zeros
 ZERO_ROWS = TransitionMatrix(
     np.array([[0.0, 0.0], [0.5, 0.0], [0.25, 0.75], [1.0, 0.0], [0.0, 1.0],
-              [-0.0, 1.0]]), n_transient=2, spec=VocabSpec(2, 2))
+              [-0.0, 1.0]]), spec=VocabSpec(2, 2))
 
 
 @settings(max_examples=100, deadline=None,
