@@ -9,7 +9,7 @@ concentration-bound constants.
 
 __version__ = "0.1.0"
 
-from .states import VocabSpec, StateSpace, enumerate_states, successors
+from .states import VocabSpec, successors
 from .chains import TransitionMatrix, StructureReport, build_qf, validate_structure
 from .oracles import (
     Oracle,

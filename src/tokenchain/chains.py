@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .states import VocabSpec, StateSpace, enumerate_states
+from .states import VocabSpec
 from .oracles import SUM_TOL, OracleError
 
 ROW_REPAIR_TOL = 1e-6
@@ -37,7 +37,7 @@ class TransitionMatrix:
     A sequence chain (with the ``spec`` of its vocabulary T and window K,
     as `build_qf` makes it) holds in ``probs`` its (n, T) next-token
     table: entry (i, t) is the probability of the t-th state of
-    ``StateSpace.successor_table()`` row i, and the states shorter than K,
+    ``spec.successor_table()`` row i, and the states shorter than K,
     ``[0, n_transient)``, are transient.  Any other chain holds a dense
     (d, d) ndarray, with none marked transient.  ``dense()`` refuses a
     table's (n, n) above DENSE_BLOCK_CAP_BYTES.
@@ -57,9 +57,7 @@ class TransitionMatrix:
 
     @property
     def n_transient(self) -> int:
-        if not self.is_table:
-            return 0
-        return self.n_states - self.spec.n_tokens ** self.spec.context_window
+        return self.spec.n_transient if self.is_table else 0
 
     def dense(self) -> np.ndarray:
         if not self.is_table:
@@ -92,8 +90,7 @@ class TransitionMatrix:
         at = np.flatnonzero(block != 0.0)
         rows, cols = start + at // block.shape[1], at % block.shape[1]
         if self.is_table:
-            cols = StateSpace(self.spec).successor_table(
-                start, stop).ravel()[at]
+            cols = self.spec.successor_table(start, stop).ravel()[at]
         return rows, cols, block.ravel()[at]
 
     def left_product(self):
@@ -140,19 +137,13 @@ class StructureReport:
     expected_nonzero_count: int
     row_sum_max_error: float
     block_pattern_ok: bool
-    nilpotency_index: int | None
+    nilpotency_index: int
 
     @property
     def failures(self) -> list[str]:
         """The failed checks, by name; empty when the chain is ok."""
-        checks = [
-            (self.block_pattern_ok, "pattern: a nonzero off the successor set"),
-            (self.row_sum_max_error <= SUM_TOL,
-             f"row sums: max error {self.row_sum_max_error!r} > {SUM_TOL}"),
-            (self.nilpotency_index is not None,
-             "nilpotency: transient block not nilpotent within K steps"),
-        ]
-        return [what for passed, what in checks if not passed]
+        return [] if self.row_sum_max_error <= SUM_TOL else [
+            f"row sums: max error {self.row_sum_max_error!r} > {SUM_TOL}"]
 
     @property
     def ok(self):
@@ -169,13 +160,11 @@ def build_qf(oracle, spec: VocabSpec) -> TransitionMatrix:
     renormalized only when the drift is at most 1e-6, otherwise the oracle
     is considered buggy and the build fails.
     """
-    space = enumerate_states(spec)
-    T = spec.n_tokens
-    n = len(space)
-    P = np.asarray(oracle.query_many(space), dtype=float)
+    n, T = len(spec), spec.n_tokens
+    P = np.asarray(oracle.query_many(spec), dtype=float)
     if P.shape != (n, T):
         raise OracleError(f"oracle returned shape {P.shape[1:]} for state "
-                          f"{space[0]}, expected ({T},)")
+                          f"{spec[0]}, expected ({T},)")
     negative = ~(P >= 0).all(axis=1)
     sums = P.sum(axis=1)
     drift = sums - 1.0
@@ -185,8 +174,8 @@ def build_qf(oracle, spec: VocabSpec) -> TransitionMatrix:
         i = bad[0]
         if negative[i]:
             raise OracleError(
-                f"negative or NaN probability in row for state {space[i]}")
-        raise OracleError(f"row for state {space[i]} sums to {sums[i]}; "
+                f"negative or NaN probability in row for state {spec[i]}")
+        raise OracleError(f"row for state {spec[i]} sums to {sums[i]}; "
                           f"drift above {ROW_REPAIR_TOL}")
     repair = (drift > SUM_TOL)[:, None]
     if repair.any():
@@ -201,8 +190,8 @@ def validate_structure(Q: TransitionMatrix, spec: VocabSpec) -> StructureReport:
     The report records the exact nonzero count against the closed form
     T^2 (T^K - 1)/(T - 1), the nonzero proportion as an exact rational,
     and the smallest power at which the transient-to-transient block
-    vanishes (it must, within K steps: sequences only grow until full).
-    A table's columns are its successors, so its pattern always holds.
+    vanishes.  A table's columns are its successors, so its pattern
+    always holds.
     """
     n = Q.n_states
     if n != spec.state_count or Q.spec != spec:
@@ -211,7 +200,7 @@ def validate_structure(Q: TransitionMatrix, spec: VocabSpec) -> StructureReport:
     T, K, n_t = spec.n_tokens, spec.context_window, Q.n_transient
     # the state i < first moves to T + i T + t, inside the transient block
     first = max(n_t - T ** (K - 1), 0)
-    nilpotency = _nilpotency_index(Q.probs[:first] != 0.0, n_t, K)
+    nilpotency = _nilpotency_index(Q.probs[:first] != 0.0, n_t)
 
     # pairwise sums, row by row: a table's row sums are pinned in
     # structure.json, and probs.sum(axis=1) rounds some rows differently
@@ -229,18 +218,17 @@ def validate_structure(Q: TransitionMatrix, spec: VocabSpec) -> StructureReport:
     )
 
 
-def _nilpotency_index(moves, n_transient, K):
-    """Smallest k <= K with the transient block's k-th power identically
-    zero: no state starts a k-step path inside the block.  Row i of the
+def _nilpotency_index(moves, n_transient):
+    """Smallest k with the transient block's k-th power identically zero:
+    no state starts a k-step path inside the block.  Row i of the
     (first, T) bool ``moves`` marks state i's moves to T + i T + t; the
-    states from ``first`` on leave the block."""
-    if n_transient == 0:
-        return 0
+    states from ``first`` on leave the block.  Every move inside the block
+    lengthens the sequence, so k is at most K - 1."""
     first, T = moves.shape
     alive = np.ones(n_transient, dtype=bool)
-    for k in range(1, K + 1):
+    k = 0
+    while alive.any():
         alive[:first] = (moves & alive[T:].reshape(first, T)).any(axis=1)
         alive[first:] = False
-        if not alive.any():
-            return k
-    return None
+        k += 1
+    return k

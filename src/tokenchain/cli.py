@@ -69,6 +69,7 @@ from .oracles import (
     ToyModelConfig,
     UniformOracle,
     parity_sequence,
+    toy_bytes,
     train_toy,
     windowed_examples,
 )
@@ -83,7 +84,7 @@ from .spectral import (
     stationary,
     sweep_temperature,
 )
-from .states import VocabSpec, enumerate_states
+from .states import VocabSpec
 
 
 _NUMBER = (int, float)
@@ -349,11 +350,9 @@ def _kind(cfg, tables, path):
 
 def _vocab_spec(n_tokens, context_window,
                 path="config.n_tokens/context_window") -> VocabSpec:
-    """The spec, once its state space is known to fit under the state cap."""
+    """The spec, which refuses a state space above the state cap."""
     with _library_errors(path):
-        spec = VocabSpec(n_tokens, context_window)
-        enumerate_states(spec)
-    return spec
+        return VocabSpec(n_tokens, context_window)
 
 
 # the remote oracles the running command built; main closes them when it
@@ -381,6 +380,9 @@ def _toy_model(cfg, context_length, seed, path):
     with _library_errors(path, sep="."):
         model_config = ToyModelConfig(context_length=context_length, **{
             "seed": seed, **_set(cfg, _TOY_FIELDS)})
+    if "n_digits" in cfg:
+        _check_dense(f"{path}.n_digits", f"training on {cfg['n_digits']} "
+                     "digits", toy_bytes(cfg["n_digits"], context_length))
     with _library_errors(path):
         dataset = windowed_examples(
             parity_sequence(**_set(cfg, ("n_digits",))), context_length)
@@ -395,7 +397,7 @@ def _oracle(cfg, spec: VocabSpec, seed, path="config.oracle"):
         return UniformOracle(spec.n_tokens)
     if kind == "random_logits":
         with _library_errors(path):
-            return RandomLogitOracle(enumerate_states(spec), **{
+            return RandomLogitOracle(spec, **{
                 "seed": seed, **_set(cfg, fields)})
     if kind == "matrix":
         with _library_errors(path):
@@ -743,11 +745,10 @@ def cmd_train_toy(config, seed, out: Path, jobs: int) -> int:
     matrix, structure = _sequence_chain(model, spec)
     stat = stationary(matrix, **_set(config, _SOLVER))
 
-    space = enumerate_states(spec)
     seen = {context for context, _ in dataset}
-    pi_full = stat.pi[space.n_transient:]
+    pi_full = stat.pi[spec.n_transient:]
     is_seen = np.zeros(pi_full.size, dtype=bool)
-    is_seen[[space.index(c) - space.n_transient for c in seen]] = True
+    is_seen[[spec.index(c) - spec.n_transient for c in seen]] = True
     # one addition at a time in ascending index order (sum() compensates
     # float rounding from Python 3.12 on)
     seen_mass = reduce(operator.add, pi_full[is_seen].tolist(), 0.0)

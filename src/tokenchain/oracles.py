@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .states import StateSpace, state_path
+from .states import VocabSpec, state_path
 
 SUM_TOL = 1e-9
 
@@ -85,11 +85,11 @@ class Oracle:
 
     def query_many(self, contexts) -> np.ndarray:
         """Next-token distributions of ``contexts``, any iterable of them
-        or a StateSpace (its states in index order), as an (n, T) array.
+        or a VocabSpec (its states in index order), as an (n, T) array.
         By default ``query`` answers them one at a time; an override must
         return exactly the same rows."""
-        space = isinstance(contexts, StateSpace)
-        T = contexts.spec.n_tokens if space else self.n_symbols
+        space = isinstance(contexts, VocabSpec)
+        T = contexts.n_tokens if space else self.n_symbols
 
         def rows():
             for context in contexts:
@@ -125,8 +125,8 @@ class ChainOracle(Oracle):
     def query_many(self, contexts):
         # the last token of state o_L + v is v mod T, and every o_L is a
         # multiple of T
-        return self.rows[np.arange(len(contexts)) % contexts.spec.n_tokens
-                         if isinstance(contexts, StateSpace)
+        return self.rows[np.arange(len(contexts)) % contexts.n_tokens
+                         if isinstance(contexts, VocabSpec)
                          else [context[-1] for context in contexts]]
 
 
@@ -144,48 +144,49 @@ class UniformOracle(Oracle):
         return self._row
 
     def query_many(self, contexts):
-        if not isinstance(contexts, StateSpace):
+        if not isinstance(contexts, VocabSpec):
             return super().query_many(contexts)
         return np.tile(self._row, (len(contexts), 1))
 
 
 class RandomLogitOracle(Oracle):
-    """Fixed random logit table over a state space, read out through a softmax.
+    """Fixed random logits over a spec's states, read out through a softmax.
 
     The logits are frozen at construction; only the temperature varies, so
     rebuilding the chain across a temperature grid probes exactly the
     flattening effect of the softmax.
     """
 
-    def __init__(self, space, seed=0, temperature=1.0, scale=1.0, _logits=None):
+    def __init__(self, spec, seed=0, temperature=1.0, scale=1.0, _logits=None):
         if not temperature > 0:
             raise ValueError(f"temperature must be > 0, got {temperature}")
-        self.space = space
+        self.spec = spec
         self.seed = seed
         self.temperature = float(temperature)
         if _logits is None:
             rng = np.random.default_rng(seed)
             with np.errstate(over="ignore", invalid="ignore"):
                 _logits = scale * rng.standard_normal(
-                    (len(space), space.spec.n_tokens))
+                    (len(spec), spec.n_tokens))
             if not np.all(np.isfinite(_logits)):
                 raise ValueError(f"scale {scale!r} times a standard normal "
                                  f"draw is not a finite float64")
         self.logits = _logits
-        self.n_symbols = space.spec.n_tokens
-        self.context_cap = space.spec.context_window
+        self.n_symbols = spec.n_tokens
+        self.context_cap = spec.context_window
         self.name = f"random-logits-{seed}"
 
     def with_temperature(self, temperature):
-        return RandomLogitOracle(self.space, self.seed, temperature,
+        return RandomLogitOracle(self.spec, self.seed, temperature,
                                  _logits=self.logits)
 
     def _distribution(self, context):
-        row = self.logits[self.space.index(context)]
+        row = self.logits[self.spec.index(context)]
         return apply_temperature(row, self.temperature)
 
     def query_many(self, contexts):
-        if getattr(contexts, "spec", None) != self.space.spec:
+        # a spec is a sequence: compared with an array, numpy would walk it
+        if not isinstance(contexts, VocabSpec) or contexts != self.spec:
             return super().query_many(contexts)
         return apply_temperature(self.logits, self.temperature)
 
@@ -350,6 +351,13 @@ class ToyModel(Oracle):
 
     def _distribution(self, context):
         return apply_temperature(self.logits(context), self.config.temperature)
+
+
+def toy_bytes(n_digits, context_length) -> int:
+    """Bytes that training on the windows of ``parity_sequence(n_digits)``
+    may hold at once: per window its tuples, encoding and row views, which
+    peak at 0.6-4 KB for windows of 1-23 under tracemalloc."""
+    return (512 + 192 * context_length) * n_digits + (1 << 16)
 
 
 def train_toy(dataset, config: ToyModelConfig, n_tokens=None) -> ToyModel:

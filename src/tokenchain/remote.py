@@ -72,6 +72,11 @@ class RemoteOracleConfig:
             raise ValueError("alphabet symbols must be distinct")
         if self.timeout_ms <= 0:
             raise ValueError(f"timeout_ms must be > 0, got {self.timeout_ms}")
+        # the longest wait that a socket or a lock can take
+        if self.timeout_ms > threading.TIMEOUT_MAX * 1000:
+            raise ValueError(f"timeout_ms must be at most "
+                             f"{threading.TIMEOUT_MAX * 1000:.0f}, "
+                             f"got {self.timeout_ms}")
         if self.max_inflight < 1:
             raise ValueError(
                 f"max_inflight must be >= 1, got {self.max_inflight}")
@@ -256,7 +261,7 @@ class RemoteOracle(Oracle):
         return b"%s%d\r\n\r\n%s" % (self._head, len(body), body)
 
     def query_many(self, contexts) -> np.ndarray:
-        """The answers to ``contexts`` (or to a StateSpace's states, in
+        """The answers to ``contexts`` (or to a VocabSpec's states, in
         index order), each POST made when its turn comes; the batch holds
         one of the ``max_inflight`` slots."""
         with self._gate:

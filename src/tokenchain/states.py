@@ -20,67 +20,63 @@ STATE_CAP = 1 << 24
 
 @dataclass(frozen=True)
 class VocabSpec:
-    """Vocabulary size and context window of a next-token model."""
+    """Vocabulary size T and context window K of a next-token model, and
+    its state space: the sequences of length 1..K over T tokens, ordered
+    by length, then by base-T value.  The length-L sequence of value v
+    sits at index o_L + v, o_L = T(T^(L-1) - 1)/(T - 1) counting the
+    shorter ones, so the transient states (shorter than K) lead and the
+    T^K full-length ones trail.  A space above STATE_CAP states is refused.
+    """
 
     n_tokens: int
     context_window: int
 
     def __post_init__(self):
-        if self.n_tokens < 2:
-            raise ValueError(f"n_tokens must be >= 2, got {self.n_tokens}")
-        if self.context_window < 1:
-            raise ValueError(
-                f"context_window must be >= 1, got {self.context_window}")
+        T, K = self.n_tokens, self.context_window
+        if T < 2:
+            raise ValueError(f"n_tokens must be >= 2, got {T}")
+        if K < 1:
+            raise ValueError(f"context_window must be >= 1, got {K}")
+        # counted exactly only while T^K has a few hundred digits at most
+        small = K <= 64 and T <= STATE_CAP
+        if not small or self.state_count > STATE_CAP:
+            count = self.state_count if small else f"at least {T}^{K}"
+            raise ValueError(f"state space needs {count} states, "
+                             f"above the cap of {STATE_CAP}")
+
+    def _offset(self, length) -> int:
+        T = self.n_tokens
+        return T * (T ** (length - 1) - 1) // (T - 1)
 
     @property
     def state_count(self) -> int:
         """Number of token sequences of length 1..K, i.e. T(T^K - 1)/(T - 1)."""
-        T, K = self.n_tokens, self.context_window
-        return T * (T**K - 1) // (T - 1)
+        return self._offset(self.context_window + 1)
 
-
-class StateSpace:
-    """All sequences of length 1..K over T tokens, addressed by index arithmetic.
-
-    States are ordered by length first, then by the base-T numeric value of
-    the token list: the length-L sequence with value v sits at index
-    o_L + v, where o_L counts the sequences shorter than L.  Shorter-than-K
-    sequences therefore occupy the leading indices and the T^K full-length
-    sequences the trailing block, which fixes the transient/recurrent
-    matrix layout.  Only the offsets are stored; tuples are decoded on
-    demand.
-    """
-
-    def __init__(self, spec: VocabSpec):
-        if spec.state_count > STATE_CAP:
-            raise ValueError(f"state space needs {spec.state_count} states, "
-                             f"above the cap of {STATE_CAP}")
-        self.spec = spec
-        T, K = spec.n_tokens, spec.context_window
-        # offsets[L] = number of states strictly shorter than L + 1 tokens
-        self._offsets = [0]
-        for length in range(1, K + 1):
-            self._offsets.append(self._offsets[-1] + T**length)
+    @property
+    def n_transient(self) -> int:
+        """Number of sequences shorter than the context window."""
+        return self._offset(self.context_window)
 
     def __len__(self) -> int:
-        return self._offsets[-1]
+        return self.state_count
 
     def __iter__(self):
-        for length in range(1, self.spec.context_window + 1):
-            yield from itertools.product(range(self.spec.n_tokens),
-                                         repeat=length)
+        for L in range(1, self.context_window + 1):
+            yield from itertools.product(range(self.n_tokens), repeat=L)
 
     def __getitem__(self, i) -> tuple[int, ...]:
         i = range(len(self))[i]  # list semantics: negative i, IndexError
-        length = next(L for L, o in enumerate(self._offsets) if i < o)
-        digits = np.unravel_index(i - self._offsets[length - 1],
-                                  (self.spec.n_tokens,) * length)
+        length = next(L for L in range(1, self.context_window + 1)
+                      if i < self._offset(L + 1))
+        digits = np.unravel_index(i - self._offset(length),
+                                  (self.n_tokens,) * length)
         return tuple(map(int, digits))
 
     def index(self, tokens) -> int:
         """Canonical index of a sequence: length-major, base-T within a length."""
         tokens = tuple(tokens)
-        T, K = self.spec.n_tokens, self.spec.context_window
+        T, K = self.n_tokens, self.context_window
         if not 1 <= len(tokens) <= K:
             raise ValueError(f"sequence length {len(tokens)} outside 1..{K}")
         value = 0
@@ -88,11 +84,11 @@ class StateSpace:
             if not 0 <= t < T:
                 raise ValueError(f"token {t} outside the vocabulary of size {T}")
             value = value * T + t
-        return self._offsets[len(tokens) - 1] + value
+        return self._offset(len(tokens)) + value
 
     def successor_table(self, start=0, stop=None) -> np.ndarray:
         """(n, T) int64 array whose row i lists the indices of
-        ``successors(space[i])``, ascending in the appended token; or its
+        ``successors(spec[i])``, ascending in the appended token; or its
         rows [start, stop), made alone.
 
         State o_L + v keeps its last h = min(L, K - 1) tokens, v mod T^h,
@@ -100,21 +96,11 @@ class StateSpace:
         As o_{L+1} = T + T o_L, that is T + i T + t for a state i shorter
         than K, and n_t + (v mod T^(K-1)) T + t for a full-length one.
         """
-        T, K = self.spec.n_tokens, self.spec.context_window
+        T, K = self.n_tokens, self.context_window
         i = np.arange(*slice(start, stop).indices(len(self)), dtype=np.int64)
         n_t = self.n_transient
         first = np.where(i < n_t, T + i * T, n_t + (i - n_t) % T**(K - 1) * T)
         return first[:, None] + np.arange(T)
-
-    @property
-    def n_transient(self) -> int:
-        """Number of sequences shorter than the context window."""
-        return self._offsets[-2]
-
-
-def enumerate_states(spec: VocabSpec) -> StateSpace:
-    """Enumerate the full state space for the given vocabulary spec."""
-    return StateSpace(spec)
 
 
 def state_path(path) -> np.ndarray:

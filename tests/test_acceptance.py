@@ -46,7 +46,7 @@ from tokenchain.spectral import (
     stationary,
     sweep_temperature,
 )
-from tokenchain.states import VocabSpec, enumerate_states
+from tokenchain.states import VocabSpec
 
 
 def _ok(number, label):
@@ -84,7 +84,7 @@ def test_criterion_02_unichain_and_nilpotent_transients():
     for n_tokens in (2, 3):
         for window in (1, 2, 3, 4):
             spec = VocabSpec(n_tokens, window)
-            space = enumerate_states(spec)
+            space = spec
             for seed in (0, 1):
                 oracle = RandomLogitOracle(space, seed=seed, scale=2.0)
                 matrix = build_qf(oracle, spec)
@@ -127,7 +127,7 @@ def _envelope_violations(matrix, n_max=3000):
 
 def test_criterion_03_convergence_envelope(parity_pipeline):
     spec = VocabSpec(2, 3)
-    space = enumerate_states(spec)
+    space = spec
     for seed in range(50):
         oracle = RandomLogitOracle(space, seed=seed)
         assert _envelope_violations(build_qf(oracle, spec)) == 0
@@ -148,7 +148,7 @@ def test_criterion_04_temperature_monotonicity():
             assert all(b >= a for a, b in zip(mins, mins[1:]))
 
     spec = VocabSpec(2, 3)
-    space = enumerate_states(spec)
+    space = spec
     monotone = 0
     for seed in range(20):
         oracle = RandomLogitOracle(space, seed=seed, scale=2.0)
@@ -168,7 +168,7 @@ def test_criterion_05_parity_pipeline_numbers(parity_pipeline):
 
     matrix = build_qf(model, spec)
     pi = stationary(matrix).pi
-    space = enumerate_states(spec)
+    space = spec
     seen = {context for context, _ in dataset}
     seen_mass = sum(float(pi[i]) for i in range(space.n_transient, len(space))
                     if space[i] in seen)

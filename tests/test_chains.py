@@ -12,7 +12,7 @@ from tokenchain.chains import TransitionMatrix, build_qf, validate_structure
 from tokenchain.estimation import sample_trajectory
 from tokenchain.oracles import Oracle, OracleError, RandomLogitOracle, UniformOracle
 from tokenchain.spectral import doeblin_epsilon, stationary
-from tokenchain.states import StateSpace, VocabSpec, enumerate_states, successors
+from tokenchain.states import VocabSpec, successors
 
 
 class FixedRowOracle(Oracle):
@@ -60,18 +60,17 @@ def test_no_transient_states_when_window_is_one():
 
 def test_rows_reproduce_the_oracle():
     spec = VocabSpec(2, 3)
-    space = enumerate_states(spec)
-    oracle = RandomLogitOracle(space, seed=5)
+    oracle = RandomLogitOracle(spec, seed=5)
     Q = build_qf(oracle, spec)
     for state in [(0,), (1, 0), (0, 1, 1), (1, 1, 1)]:
-        i = space.index(state)
+        i = spec.index(state)
         row = Q.dense()[i]
         expected = oracle.query(state)
         for t, v in enumerate(successors(state, spec)):
-            assert row[space.index(v)] == pytest.approx(expected[t], abs=1e-15)
+            assert row[spec.index(v)] == pytest.approx(expected[t], abs=1e-15)
         # and nothing outside the successor set
         support = set(np.nonzero(row)[0])
-        assert support <= {space.index(v) for v in successors(state, spec)}
+        assert support <= {spec.index(v) for v in successors(state, spec)}
 
 
 def test_explicit_zeros_do_not_count():
@@ -154,7 +153,7 @@ def test_validation_refuses_a_dense_matrix_of_the_right_state_count():
 def test_n_transient_is_derived_from_the_spec(T, K):
     spec = VocabSpec(T, K)
     Q = build_qf(UniformOracle(T), spec)
-    assert Q.n_transient == StateSpace(spec).n_transient
+    assert Q.n_transient == spec.n_transient
     assert TransitionMatrix(Q.dense()).n_transient == 0
 
 
@@ -181,12 +180,11 @@ def scatter(payload):
 
 def test_json_roundtrip(tmp_path):
     spec = VocabSpec(2, 3)
-    space = enumerate_states(spec)
-    Q = build_qf(RandomLogitOracle(space, seed=9), spec)
+    Q = build_qf(RandomLogitOracle(spec, seed=9), spec)
     blob = written(Q, tmp_path)
     # the table's rows, scattered onto the successor indices
     expected = np.zeros((Q.n_states, Q.n_states))
-    np.put_along_axis(expected, space.successor_table(), Q.probs, axis=1)
+    np.put_along_axis(expected, spec.successor_table(), Q.probs, axis=1)
     npt.assert_array_equal(scatter(blob), expected)
     npt.assert_array_equal(Q.dense(), expected)
     assert blob["triplets"] == [list(t) for t in zip(
@@ -258,8 +256,7 @@ def csr_of(Q):
     if not Q.is_table:
         return sp.csr_matrix(Q.probs)
     n, T = Q.probs.shape
-    succ = enumerate_states(Q.spec)
-    return sp.csr_matrix((Q.probs.ravel(), succ.successor_table().ravel(),
+    return sp.csr_matrix((Q.probs.ravel(), Q.spec.successor_table().ravel(),
                           np.arange(0, n * T + 1, T)), shape=(n, n))
 
 
@@ -267,8 +264,7 @@ def csr_of(Q):
                                  (4, 4), (5, 2), (8, 3)])
 def test_left_product_of_a_table_matches_a_csr_product(T, K):
     spec = VocabSpec(T, K)
-    space = enumerate_states(spec)
-    Q = build_qf(RandomLogitOracle(space, seed=T + K, scale=3.0), spec)
+    Q = build_qf(RandomLogitOracle(spec, seed=T + K, scale=3.0), spec)
     _assert_steps_match(Q)
 
 
@@ -296,7 +292,7 @@ def _assert_steps_match(Q, steps=200):
 def _table_cases():
     for T, K in [(2, 1), (2, 2), (2, 5), (3, 1), (3, 3), (4, 2), (4, 4)]:
         spec = VocabSpec(T, K)
-        yield build_qf(RandomLogitOracle(enumerate_states(spec), seed=T * K,
+        yield build_qf(RandomLogitOracle(spec, seed=T * K,
                                          scale=3.0), spec)
     # zero successors: one token never follows, a transient row that ends
     # every path early, and rows with no successor at all
@@ -322,7 +318,7 @@ def dense_report(Q):
     T, K, n, n_t = spec.n_tokens, spec.context_window, Q.n_states, Q.n_transient
     rows, cols = np.nonzero(D)
     # the T successors of a state are consecutive indices
-    offset = cols - StateSpace(spec).successor_table()[:, 0][rows]
+    offset = cols - spec.successor_table()[:, 0][rows]
     block = (D[:n_t, :n_t] != 0.0).astype(np.int64)
     nilpotency, power = None, np.eye(n_t, dtype=np.int64)
     for k in range(K + 1):

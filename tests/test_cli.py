@@ -300,6 +300,35 @@ def test_over_cap_train_toy_exits_2(tmp_path, capsys):
     assert "16777216" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,cfg,path", [
+    ("build", {"n_tokens": 3, "context_window": 20_000,
+               "oracle": {"kind": "uniform"}}, "n_tokens/context_window"),
+    ("build", {"n_tokens": 2, "context_window": 20_000,
+               "oracle": {"kind": "uniform"}}, "n_tokens/context_window"),
+    ("train-toy", {"context_length": 20_000, "epochs": 1}, "context_length"),
+])
+def test_a_window_past_the_int_string_limit_names_the_cap(
+        tmp_path, capsys, command, cfg, path):
+    assert run(tmp_path, command, cfg) == 2
+    T = cfg.get("n_tokens", 2)
+    assert capsys.readouterr().err == (
+        f"tokenchain: config.{path}: state space needs at least "
+        f"{T}^20000 states, above the cap of 16777216\n")
+
+
+def test_a_huge_window_is_refused_at_once(tmp_path):
+    # counting 3^(10^8) states takes minutes, so a hang shows as a timeout
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_tokens": 3, "context_window": 10**8,
+                                  "oracle": {"kind": "uniform"}}))
+    out = subprocess.run(
+        [sys.executable, "-m", "tokenchain.cli", "build", "--config",
+         str(config), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=10)
+    assert out.returncode == 2
+    assert "at least 3^100000000 states" in out.stderr
+
+
 @pytest.mark.parametrize("command,cfg", [
     ("build", BUILD_CFG),
     ("train-toy", {"n_digits": 12, "epochs": 2}),
@@ -310,13 +339,31 @@ def test_failed_structure_check_exits_3_before_writing(
 
     def broken(matrix, spec):
         report = real(matrix, spec)
-        report.block_pattern_ok = False
+        report.row_sum_max_error = 1.0
         return report
 
     monkeypatch.setattr(cli, "validate_structure", broken)
     assert run(tmp_path, command, cfg) == 3
-    assert "pattern" in capsys.readouterr().err
+    assert "row sums" in capsys.readouterr().err
     assert not (tmp_path / "out" / "matrix.json").exists()
+
+
+@pytest.mark.parametrize("command,cfg,path", [
+    ("train-toy", {"n_digits": 10**9, "epochs": 1}, "config"),
+    ("build", dict(BUILD_CFG, oracle={"kind": "parity_toy",
+                                      "n_digits": 10**9}), "config.oracle"),
+])
+def test_a_parity_dataset_past_the_cap_exits_2_before_it_is_made(
+        tmp_path, capsys, monkeypatch, command, cfg, path):
+    def no_dataset(*args, **kwargs):
+        raise AssertionError("the dataset must be admitted first")
+
+    monkeypatch.setattr(cli, "parity_sequence", no_dataset)
+    assert run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tokenchain: {path}.n_digits: training on "
+                          f"1000000000 digits needs ")
+    assert err.endswith(f"above the cap of {cli.DENSE_BLOCK_CAP_BYTES}\n")
 
 
 @pytest.mark.parametrize("command,cfg,path", [
@@ -1180,6 +1227,20 @@ def test_remote_separator_is_an_unknown_key(tmp_path, capsys, command,
     assert run(tmp_path, command, cfg) == 2
     assert capsys.readouterr().err.startswith(
         f"tokenchain: config.{section}.separator: unknown key")
+
+
+@pytest.mark.parametrize("command,section", [("build", "oracle"),
+                                             ("estimate", "estimator")])
+def test_remote_timeout_past_the_socket_range_exits_2(tmp_path, capsys,
+                                                      command, section):
+    # a socket's timeout overflows before it connects, so no endpoint runs
+    remote = {"kind": "remote", "endpoint": "http://127.0.0.1:9",
+              "timeout_ms": 10**30}
+    cfg = (dict(BUILD_CFG, oracle=remote) if command == "build" else
+           {"chain": CHAIN3, "estimator": remote, "n_list": [20]})
+    assert run(tmp_path, command, cfg) == 2
+    assert capsys.readouterr().err.startswith(
+        f"tokenchain: config.{section}.timeout_ms must be at most ")
 
 
 def test_estimate_takes_integral_float_context_lengths(tmp_path):

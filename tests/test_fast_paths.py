@@ -54,7 +54,7 @@ from tokenchain.spectral import (
     mixing_bytes,
     stationary,
 )
-from tokenchain.states import VocabSpec, enumerate_states
+from tokenchain.states import VocabSpec
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +570,7 @@ def first_repeat(Q, window, n_max):
 
 def random_logit_chain(T, K, seed):
     spec = VocabSpec(T, K)
-    return build_qf(RandomLogitOracle(enumerate_states(spec), seed=seed), spec)
+    return build_qf(RandomLogitOracle(spec, seed=seed), spec)
 
 
 def counted_profile(monkeypatch, *args, **kwargs):
@@ -733,7 +733,7 @@ def cyclic_table(seed, T, K, period):
 
 def slow_table(T, K, seed, temperature):
     spec = VocabSpec(T, K)
-    return build_qf(RandomLogitOracle(enumerate_states(spec), seed=seed,
+    return build_qf(RandomLogitOracle(spec, seed=seed,
                                       scale=2.0, temperature=temperature), spec)
 
 

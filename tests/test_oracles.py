@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -9,10 +10,10 @@ from tokenchain.cli import main
 from tokenchain.oracles import (
     ChainOracle, NgramOracle, OracleError, RandomLogitOracle, ToyModel,
     ToyModelConfig, TrainingDivergedError, UniformOracle, apply_temperature,
-    fit_ngram, parity_sequence, train_toy, validate_distribution,
+    fit_ngram, parity_sequence, toy_bytes, train_toy, validate_distribution,
     windowed_examples,
 )
-from tokenchain.states import VocabSpec, enumerate_states
+from tokenchain.states import VocabSpec
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +122,7 @@ def test_uniform_oracle():
 
 
 def test_random_logit_oracle_is_deterministic_and_valid():
-    space = enumerate_states(VocabSpec(2, 3))
+    space = VocabSpec(2, 3)
     a = RandomLogitOracle(space, seed=3)
     b = RandomLogitOracle(space, seed=3)
     for state in space:
@@ -130,7 +131,7 @@ def test_random_logit_oracle_is_deterministic_and_valid():
 
 
 def test_with_temperature_shares_frozen_logits():
-    space = enumerate_states(VocabSpec(2, 3))
+    space = VocabSpec(2, 3)
     base = RandomLogitOracle(space, seed=1)
     hot = base.with_temperature(1e6)
     assert hot.logits is base.logits
@@ -329,6 +330,21 @@ def test_train_toy_divergence_is_reported():
         train_toy(examples, ToyModelConfig(learning_rate=1e308, epochs=2))
 
 
+@pytest.mark.parametrize("n_digits,K", [(3000, 3), (600, 16)])
+def test_toy_bytes_covers_the_parity_pipeline(n_digits, K):
+    config = ToyModelConfig(context_length=K, epochs=1)
+    # a first run loads what training loads once a process
+    train_toy(windowed_examples(parity_sequence(K + 2), K), config, n_tokens=2)
+    tracemalloc.start()
+    try:
+        dataset = windowed_examples(parity_sequence(n_digits), K)
+        train_toy(dataset, config, n_tokens=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= toy_bytes(n_digits, K)
+
+
 def test_toy_config_validation():
     with pytest.raises(ValueError):
         ToyModelConfig(epochs=0)
@@ -339,7 +355,7 @@ def test_toy_config_validation():
 @pytest.mark.parametrize("tau", [0.1, 1.0, 3.0])
 @pytest.mark.parametrize("T,K", [(2, 4), (3, 3), (8, 2)])
 def test_query_many_equals_stacked_query(T, K, tau):
-    space = enumerate_states(VocabSpec(T, K))
+    space = VocabSpec(T, K)
     chain = np.random.default_rng(1).dirichlet(np.ones(T), size=T)
     oracles = [
         RandomLogitOracle(space, seed=4, scale=2.0).with_temperature(tau),
@@ -351,8 +367,21 @@ def test_query_many_equals_stacked_query(T, K, tau):
         assert np.array_equal(oracle.query_many(space), stacked)
 
 
+@pytest.mark.parametrize("T,K", [(2, 3), (3, 2)])
+def test_query_many_on_an_array_of_contexts_equals_stacked_query(T, K):
+    """An ndarray of contexts is answered row by row, as any iterable is:
+    a spec compares with it only after it is known to be a spec."""
+    spec = VocabSpec(T, K)
+    contexts = np.array(list(spec)[spec.n_transient:])
+    chain = np.random.default_rng(2).dirichlet(np.ones(T), size=T)
+    for oracle in (RandomLogitOracle(spec, seed=6, scale=2.0),
+                   UniformOracle(T), ChainOracle(chain)):
+        stacked = np.array([oracle.query(c) for c in contexts])
+        assert np.array_equal(oracle.query_many(contexts), stacked)
+
+
 def test_random_logit_query_many_on_a_wider_window_truncates_contexts():
-    oracle = RandomLogitOracle(enumerate_states(VocabSpec(2, 2)), seed=3)
-    space = enumerate_states(VocabSpec(2, 4))
+    oracle = RandomLogitOracle(VocabSpec(2, 2), seed=3)
+    space = VocabSpec(2, 4)
     stacked = np.array([oracle.query(space[i]) for i in range(len(space))])
     assert np.array_equal(oracle.query_many(space), stacked)

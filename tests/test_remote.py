@@ -207,6 +207,11 @@ def test_config_validation():
         RemoteOracleConfig("http://x", ("a", "a"))
     with pytest.raises(ValueError):
         RemoteOracleConfig("http://x", ("a", "b"), timeout_ms=0)
+    # a socket's timeout overflows past threading.TIMEOUT_MAX seconds
+    with pytest.raises(ValueError, match="timeout_ms must be at most"):
+        RemoteOracleConfig("http://x", ("a", "b"), timeout_ms=10**13)
+    assert RemoteOracleConfig("http://x", ("a", "b"),
+                              timeout_ms=10**12).timeout_ms == 10**12
     with pytest.raises(ValueError):
         RemoteOracleConfig("http://x", ("a", "b"), max_inflight=0)
     cfg = RemoteOracleConfig("http://x", ["0", "1"])
@@ -887,7 +892,7 @@ def test_batch_holds_one_gate_slot():
 
 
 class ChainRows:
-    """An oracle that answers a StateSpace with the given rows."""
+    """An oracle that answers a VocabSpec with the given rows."""
 
     def __init__(self, rows):
         self.rows = rows
@@ -898,7 +903,7 @@ class ChainRows:
 
 def test_remote_build_against_the_mock_opens_one_connection(monkeypatch):
     from tokenchain.chains import build_qf
-    from tokenchain.states import VocabSpec, enumerate_states
+    from tokenchain.states import VocabSpec
 
     opened = []
     connect = socket.create_connection
@@ -911,7 +916,7 @@ def test_remote_build_against_the_mock_opens_one_connection(monkeypatch):
         oracle.close()
         assert len(opened) == 1
         alone = RemoteOracle(config_for(server.url))
-        rows = np.array([alone.query(s) for s in enumerate_states(spec)])
+        rows = np.array([alone.query(s) for s in spec])
         alone.close()
     assert_array_equal(build_qf(ChainRows(rows), spec).dense(), matrix.dense())
 

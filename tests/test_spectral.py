@@ -18,7 +18,7 @@ from tokenchain.spectral import (
     DEFAULT_T_CAP, convergence_profile, doeblin_epsilon, envelope,
     mixing_report, stationary, sweep_temperature,
 )
-from tokenchain.states import VocabSpec, enumerate_states
+from tokenchain.states import VocabSpec
 
 from test_cli import read_csv, run
 from test_estimation import _traced_peak
@@ -83,8 +83,7 @@ def test_stationary_reports_nonconvergence():
 
 def test_classify_sequence_chain_is_aperiodic_unichain():
     spec = VocabSpec(2, 3)
-    space = enumerate_states(spec)
-    Q = build_qf(RandomLogitOracle(space, seed=2), spec)
+    Q = build_qf(RandomLogitOracle(spec, seed=2), spec)
     report = classify_states(Q)
     assert report.is_unichain
     assert report.aperiodic
@@ -157,7 +156,7 @@ def _referee_inputs():
     # sequence chains with zero entries: one-hot rows, a cycle of
     # alternating tokens (period 2) and one absorbing class per token
     spec = VocabSpec(2, 3)
-    yield build_qf(RandomLogitOracle(enumerate_states(spec), seed=5,
+    yield build_qf(RandomLogitOracle(spec, seed=5,
                                      scale=1e308), spec)
     for T, K in [(2, 1), (2, 4), (3, 3)]:
         flip = np.roll(np.eye(T), 1, axis=1)
@@ -204,10 +203,9 @@ def least_path_product(oracle, spec):
     """min over full-length states u, v of the oracle's probabilities
     multiplied, left to right from 1, along the K steps that append v's
     tokens to u; 256 rows u at a time."""
-    space = enumerate_states(spec)
     T, K = spec.n_tokens, spec.context_window
     n = T**K
-    probs = oracle.query_many(space)[space.n_transient:]
+    probs = oracle.query_many(spec)[spec.n_transient:]
     tokens = [np.arange(n) // T**(K - 1 - j) % T for j in range(K)]
     best = math.inf
     for lo in range(0, n, 256):
@@ -222,8 +220,7 @@ def least_path_product(oracle, spec):
 
 def test_epsilon_never_makes_the_full_chain_dense(monkeypatch):
     spec = VocabSpec(2, 6)
-    space = enumerate_states(spec)
-    oracle = RandomLogitOracle(space, seed=3, scale=2.0)
+    oracle = RandomLogitOracle(spec, seed=3, scale=2.0)
     Q = build_qf(oracle, spec)
     expected = least_path_product(oracle, spec)
 
@@ -238,8 +235,7 @@ def test_epsilon_never_makes_the_full_chain_dense(monkeypatch):
                                      (2, 11, 0.3)])
 def test_epsilon_is_the_least_path_product(T, K, tau):
     spec = VocabSpec(T, K)
-    space = enumerate_states(spec)
-    oracle = RandomLogitOracle(space, seed=7, scale=2.0, temperature=tau)
+    oracle = RandomLogitOracle(spec, seed=7, scale=2.0, temperature=tau)
     Q = build_qf(oracle, spec)
     eps = doeblin_epsilon(Q)
     assert eps == least_path_product(oracle, spec)
@@ -266,8 +262,7 @@ def test_profile_uniform_two_state_chain_is_exact():
 
 def test_profile_runs_on_full_chain_and_recurrent_block():
     spec = VocabSpec(2, 3)
-    space = enumerate_states(spec)
-    Q = build_qf(RandomLogitOracle(space, seed=0), spec)
+    Q = build_qf(RandomLogitOracle(spec, seed=0), spec)
     full = convergence_profile(Q, n_max=200)
     assert 0 < full.epsilon <= 0.5
     assert len(full.empirical_curve) == 200 - 3 + 1
@@ -338,7 +333,7 @@ def test_envelope_is_the_profile_bound_to_the_bit():
     every host."""
     for seed in range(5):
         spec = VocabSpec(2, 3)
-        Q = build_qf(RandomLogitOracle(enumerate_states(spec), seed=seed),
+        Q = build_qf(RandomLogitOracle(spec, seed=seed),
                      spec)
         profile = convergence_profile(Q, n_max=600)
         n = np.array([k for k, _ in profile.bound_curve])
@@ -440,8 +435,7 @@ def test_mixing_csv_renders_infinity(tmp_path):
 
 def test_sweep_temperature_epsilon_nondecreasing(tmp_path):
     spec = VocabSpec(2, 2)
-    space = enumerate_states(spec)
-    oracle = RandomLogitOracle(space, seed=4)
+    oracle = RandomLogitOracle(spec, seed=4)
     temperatures = [0.25, 0.5, 1.0, 2.0, 4.0]
     points = sweep_temperature(oracle, spec, temperatures)
     eps = [p.epsilon for p in points]
@@ -573,8 +567,7 @@ def test_stationary_doubling_matches_the_loop(seed, n, kind, switch,
 
 def test_stationary_loop_only_above_the_powers_budget(monkeypatch):
     spec = VocabSpec(2, 3)
-    space = enumerate_states(spec)
-    Q = build_qf(RandomLogitOracle(space, seed=0, scale=2.0,
+    Q = build_qf(RandomLogitOracle(spec, seed=0, scale=2.0,
                                    temperature=0.3), spec)
     doubled = stationary(Q)
     assert doubled.iterations > spectral._switch_step(

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tokenchain.states import VocabSpec, enumerate_states, successors
+from tokenchain.states import VocabSpec, successors
 
 
 def brute_force_states(T, K):
@@ -29,13 +29,13 @@ def test_spec_validation():
 
 
 def test_enumeration_order_length_major_then_numeric():
-    space = enumerate_states(VocabSpec(2, 2))
+    space = VocabSpec(2, 2)
     assert list(space) == [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 @pytest.mark.parametrize("T,K", [(2, 1), (2, 4), (3, 3), (3, 4)])
 def test_index_roundtrip_is_identity(T, K):
-    space = enumerate_states(VocabSpec(T, K))
+    space = VocabSpec(T, K)
     assert len(space) == VocabSpec(T, K).state_count
     for i, state in enumerate(space):
         assert space.index(state) == i
@@ -43,7 +43,7 @@ def test_index_roundtrip_is_identity(T, K):
 
 
 def test_index_rejects_bad_sequences():
-    space = enumerate_states(VocabSpec(2, 3))
+    space = VocabSpec(2, 3)
     with pytest.raises(ValueError):
         space.index(())
     with pytest.raises(ValueError):
@@ -54,7 +54,33 @@ def test_index_rejects_bad_sequences():
 
 def test_state_cap_error_names_requirement():
     with pytest.raises(ValueError, match="16777216|states"):
-        enumerate_states(VocabSpec(2, 30))
+        VocabSpec(2, 30)
+
+
+def test_state_cap_admits_the_largest_binary_window():
+    assert VocabSpec(2, 23).state_count == 16777214
+    with pytest.raises(ValueError, match="33554430 states, above the cap "
+                                         "of 16777216"):
+        VocabSpec(2, 24)
+
+
+@pytest.mark.parametrize("T,K", [(3, 20_000), (2, 65), (1 << 25, 1)])
+def test_a_huge_space_is_refused_without_its_count(T, K):
+    with pytest.raises(ValueError, match=rf"needs at least {T}\^{K} states, "
+                                         "above the cap of 16777216"):
+        VocabSpec(T, K)
+
+
+@pytest.mark.parametrize("T", [2, 3, 4])
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_spec_numbers_its_states_in_length_major_product_order(T, K):
+    spec = VocabSpec(T, K)
+    states = [state for length in range(1, K + 1)
+              for state in itertools.product(range(T), repeat=length)]
+    assert list(spec) == states
+    assert [spec[i] for i in range(len(states))] == states
+    assert [spec.index(state) for state in states] == list(range(len(states)))
+    assert spec.n_transient == len(states) - T**K
 
 
 def test_successors_append_below_window():
@@ -70,7 +96,7 @@ def test_successors_shift_at_window():
 @pytest.mark.parametrize("T,K", [(2, 3), (3, 2)])
 def test_successor_count_is_vocab_size(T, K):
     spec = VocabSpec(T, K)
-    for state in enumerate_states(spec):
+    for state in spec:
         assert len(successors(state, spec)) == T
 
 
@@ -96,17 +122,16 @@ def test_incompatibility_examples():
 def test_incompatible_iff_not_a_successor(T, K):
     """Exhaustive agreement between the pair rule and the successor sets."""
     spec = VocabSpec(T, K)
-    space = enumerate_states(spec)
-    for u in space:
+    for u in spec:
         succ = set(successors(u, spec))
-        for v in space:
+        for v in spec:
             assert is_incompatible(u, v, K) == (v not in succ)
 
 
 @pytest.mark.parametrize("T,K", [(2, 3), (2, 4), (3, 2), (3, 4), (4, 4)])
 def test_compatible_pair_count_closed_form(T, K):
     spec = VocabSpec(T, K)
-    pairs = {(u, v) for u in enumerate_states(spec)
+    pairs = {(u, v) for u in spec
              for v in successors(u, spec)}
     assert len(pairs) == T * T * (T**K - 1) // (T - 1)
 
@@ -115,17 +140,16 @@ def test_compatible_pair_count_closed_form(T, K):
 @given(st.integers(2, 4), st.integers(1, 5))
 def test_closed_form_index_math_matches_brute_force(T, K):
     spec = VocabSpec(T, K)
-    space = enumerate_states(spec)
     states = brute_force_states(T, K)
     where = {state: i for i, state in enumerate(states)}
-    assert len(space) == len(states)
-    assert list(space) == states
-    assert [space[i] for i in range(len(states))] == states
-    assert space[-1] == states[-1]
+    assert len(spec) == len(states)
+    assert list(spec) == states
+    assert [spec[i] for i in range(len(states))] == states
+    assert spec[-1] == states[-1]
     with pytest.raises(IndexError):
-        space[len(states)]
-    assert [space.index(state) for state in states] == list(range(len(states)))
-    table = space.successor_table()
+        spec[len(states)]
+    assert [spec.index(state) for state in states] == list(range(len(states)))
+    table = spec.successor_table()
     assert table.shape == (len(states), T)
     assert table.tolist() == [[where[v] for v in successors(u, spec)]
                               for u in states]

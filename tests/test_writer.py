@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from tokenchain import cli
 from tokenchain.chains import TransitionMatrix, build_qf
 from tokenchain.oracles import RandomLogitOracle
-from tokenchain.states import VocabSpec, enumerate_states, successors
+from tokenchain.states import VocabSpec, successors
 
 CONFIG = {"n_tokens": 2, "context_window": 1, "oracle": {"kind": "uniform"}}
 
@@ -73,9 +73,9 @@ def tables(draw):
 
 def table_triplets(matrix):
     """The nonzero triplets of a table, each column found by sequence."""
-    space = enumerate_states(matrix.spec)
-    return [[i, space.index(v), float(p)] for i in range(len(space))
-            for v, p in zip(successors(space[i], matrix.spec), matrix.probs[i])
+    spec = matrix.spec
+    return [[i, spec.index(v), float(p)] for i in range(len(spec))
+            for v, p in zip(successors(spec[i], spec), matrix.probs[i])
             if p != 0.0]
 
 
@@ -155,8 +155,7 @@ def test_matrix_write_holds_a_chunk_not_the_file(tmp_path):
     """The writer holds O(TRIPLET_CHUNK) bytes, its triplet columns
     included, where json.dumps held O(file) and the columns O(nnz)."""
     spec = VocabSpec(2, 14)
-    space = enumerate_states(spec)
-    matrix = build_qf(RandomLogitOracle(space, seed=0), spec)
+    matrix = build_qf(RandomLogitOracle(spec, seed=0), spec)
     path = tmp_path / "matrix.json"
     tracemalloc.start()
     try:
