@@ -4,9 +4,10 @@ Querying an oracle on every sequence state yields a row-stochastic matrix
 with at most T nonzeros a row: the only reachable targets of a state are
 its T one-step successors, so a fraction (T - 1)/(T^K - 1) of the entries
 can be nonzero.  Such a chain is held as its (n, T) next-token table and
-reached through the closed-form successor rule.  States shorter than the
-context window are transient (the sequence keeps growing) and the T^K
-full-length states form the closed trailing block.
+reached through the closed-form successor rule; a d-state chain is the
+table of d tokens at K = 1.  States shorter than the context window are
+transient (the sequence keeps growing) and the T^K full-length states
+form the closed trailing block.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .oracles import SUM_TOL, OracleError
 
 ROW_REPAIR_TOL = 1e-6
 
-# the CLI's cap on the dense arrays a command may hold, and the cap on a
-# sequence chain's dense n x n array
+# the CLI's cap on the dense arrays a command may hold, and on `dense()`
 DENSE_BLOCK_CAP_BYTES = 1 << 31
 
 
@@ -32,36 +32,36 @@ class StructureError(Exception):
 
 @dataclass
 class TransitionMatrix:
-    """Row-stochastic matrix, held as a next-token table or densely.
-
-    A sequence chain (with the ``spec`` of its vocabulary T and window K,
-    as `build_qf` makes it) holds in ``probs`` its (n, T) next-token
-    table: entry (i, t) is the probability of the t-th state of
-    ``spec.successor_table()`` row i, and the states shorter than K,
-    ``[0, n_transient)``, are transient.  Any other chain holds a dense
-    (d, d) ndarray, with none marked transient.  ``dense()`` refuses a
-    table's (n, n) above DENSE_BLOCK_CAP_BYTES.
+    """Row-stochastic matrix held as the (n, T) next-token table of its
+    ``spec`` (T tokens, window K): entry (i, t) is the probability of the
+    t-th state of ``spec.successor_table()`` row i, and the states shorter
+    than K, ``[0, n_transient)``, are transient.  Made without a spec, a
+    square (d, d) array is the table of VocabSpec(d, 1), the matrix itself.
+    ``dense()`` refuses an (n, n) above DENSE_BLOCK_CAP_BYTES.
     """
 
     probs: np.ndarray
     meta: dict = field(default_factory=dict)
-    spec: VocabSpec | None = None
+    spec: VocabSpec = None
+
+    def __post_init__(self):
+        if not isinstance(self.spec, VocabSpec):
+            self.probs = P = np.asarray(self.probs, dtype=float)
+            if P.ndim != 2 or P.shape[0] != P.shape[1]:
+                raise ValueError(f"need a square matrix, got shape {P.shape}")
+            self.spec = VocabSpec(len(P), 1)
 
     @property
     def n_states(self) -> int:
         return self.probs.shape[0]
 
     @property
-    def is_table(self) -> bool:
-        return self.spec is not None
-
-    @property
     def n_transient(self) -> int:
-        return self.spec.n_transient if self.is_table else 0
+        return self.spec.n_transient
 
     def dense(self) -> np.ndarray:
-        if not self.is_table:
-            return np.asarray(self.probs, dtype=float)
+        if self.spec.context_window == 1:
+            return self.probs
         n = self.n_states
         if n * n * 8 > DENSE_BLOCK_CAP_BYTES:
             raise MemoryError(
@@ -77,41 +77,39 @@ class TransitionMatrix:
 
     @classmethod
     def of(cls, Q) -> "TransitionMatrix":
-        """``Q`` itself if it is a TransitionMatrix; otherwise ``Q``, an
-        array or nested lists, as a dense chain."""
-        if isinstance(Q, cls):
-            return Q
-        return cls(np.asarray(Q, dtype=float))
+        """``Q`` itself if it is a TransitionMatrix; otherwise ``Q``, a
+        square array or nested lists, as the table of VocabSpec(d, 1)."""
+        return Q if isinstance(Q, cls) else cls(Q)
 
     def triplet_columns(self, start=0, stop=None):
         """The nonzero entries of rows [start, stop), by default all of
         them, as (row, col, value) arrays in row-major order."""
         block = self.probs[start:stop]
         at = np.flatnonzero(block != 0.0)
-        rows, cols = start + at // block.shape[1], at % block.shape[1]
-        if self.is_table:
-            cols = self.spec.successor_table(start, stop).ravel()[at]
-        return rows, cols, block.ravel()[at]
+        cols = self.spec.successor_table(start, stop).ravel()[at]
+        return start + at // block.shape[1], cols, block.ravel()[at]
 
     def left_product(self):
         """The map x -> x Q, into ``out`` if given.  Entry j of x Q is
         summed from 0.0 over the predecessors of j in increasing index
-        order, however the chain is held: iterates repeat to the bit."""
+        order: iterates repeat to the bit.  At K = 1 every state precedes
+        every state, so one bincount over the nonzeros beats the block
+        step, which would loop over d blocks."""
         n = self.n_states
-        if not self.is_table:
+        T, K = self.spec.n_tokens, self.spec.context_window
+        if K == 1:
             rows, cols, values = self.triplet_columns()
 
             def step(x, out=None):
                 y = np.bincount(cols, weights=x[rows] * values, minlength=n)
                 return y if out is None else np.copyto(out, y) or out
             return step
-        T, K = self.spec.n_tokens, self.spec.context_window
         n_t, m = self.n_transient, T ** (K - 1)
         # state i < n_t - m moves to T + i T + t; the full-length state
-        # n_t + r T + t has the predecessors n_t - m + r (if K > 1) and
-        # n_t + a m + r for a < T: the m-row blocks from `first` on.  + 0.0
-        # turns a stored -0.0 into 0.0, as a sum from 0.0 does.
-        first = n_t - m if K > 1 else 0
+        # n_t + r T + t has the predecessors n_t - m + r and n_t + a m + r
+        # for a < T: the m-row blocks from `first` on.  + 0.0 turns a
+        # stored -0.0 into 0.0, as a sum from 0.0 does.
+        first = n_t - m
         PT = np.ascontiguousarray(self.probs.T) + 0.0
         head, body = PT[:, :first], PT[:, first:]
         tail = np.empty((T, n - first))
@@ -187,11 +185,10 @@ def validate_structure(Q: TransitionMatrix, spec: VocabSpec) -> StructureReport:
     """Check the row sums and transient block of the table of ``spec``'s
     chain; any other matrix is a ValueError.
 
-    The report records the exact nonzero count against the closed form
-    T^2 (T^K - 1)/(T - 1), the nonzero proportion as an exact rational,
-    and the smallest power at which the transient-to-transient block
-    vanishes.  A table's columns are its successors, so its pattern
-    always holds.
+    The report records the exact nonzero count against its closed form
+    T n, the nonzero proportion as an exact rational, and the smallest
+    power at which the transient-to-transient block vanishes.  A table's
+    columns are its successors, so its pattern always holds.
     """
     n = Q.n_states
     if n != spec.state_count or Q.spec != spec:
@@ -211,7 +208,7 @@ def validate_structure(Q: TransitionMatrix, spec: VocabSpec) -> StructureReport:
         n_states=n,
         nonzero_count=nonzeros,
         nonzero_proportion=Fraction(nonzeros, n * n),
-        expected_nonzero_count=T * T * (T**K - 1) // (T - 1),
+        expected_nonzero_count=T * n,
         row_sum_max_error=row_err,
         block_pattern_ok=True,
         nilpotency_index=nilpotency,

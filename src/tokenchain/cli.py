@@ -49,7 +49,7 @@ from .estimation import (
     sample_trajectory,
     start_distribution,
 )
-from .generators import ChainSpec, build_chain
+from .generators import ChainSpec, build_chain, process_bytes
 from .bounds import (
     DEFAULT_DELTA,
     ModelCard,
@@ -64,6 +64,7 @@ from .bounds import (
 )
 from .oracles import (
     ChainOracle,
+    PARITY_DIGITS,
     OracleError,
     RandomLogitOracle,
     ToyModelConfig,
@@ -330,8 +331,8 @@ _ESTIMATOR_FIELDS = {
 _KIND_REQUIRED = ("rows", "endpoint")
 # ChainSpec's fields; a wrong type would surface inside build_chain
 _CHAIN_FIELDS = {"kind": _STR, "d": _INT, "seed": _SEED, "p_min": _NUM,
-                 "eta": _NUM, "rim_eps": _NUM, "n_samples": _NUM,
-                 "tau": _LIST, "process": _DICT}
+                 "eta": _NUM, "rim_eps": _NUM, "tau": _LIST, "process": _DICT,
+                 "n_samples": _is(int, at_least=2)}
 _CARD_FIELDS = {"name": _STR, "n_train": _INT, "n_tokens": _INT,
                 "embed_dim": _INT}
 
@@ -380,12 +381,13 @@ def _toy_model(cfg, context_length, seed, path):
     with _library_errors(path, sep="."):
         model_config = ToyModelConfig(context_length=context_length, **{
             "seed": seed, **_set(cfg, _TOY_FIELDS)})
-    if "n_digits" in cfg:
-        _check_dense(f"{path}.n_digits", f"training on {cfg['n_digits']} "
-                     "digits", toy_bytes(cfg["n_digits"], context_length))
+    n_digits = cfg.get("n_digits", PARITY_DIGITS)
+    what, E = f"training on {n_digits} digits", model_config.embedding_dim
+    _check_dense(f"{path}.n_digits", what, toy_bytes(n_digits, context_length))
+    _check_dense(f"{path}.embedding_dim", f"{what} at width {E}",
+                 toy_bytes(n_digits, context_length, E))
     with _library_errors(path):
-        dataset = windowed_examples(
-            parity_sequence(**_set(cfg, ("n_digits",))), context_length)
+        dataset = windowed_examples(parity_sequence(n_digits), context_length)
     return train_toy(dataset, model_config, n_tokens=2), dataset
 
 
@@ -438,6 +440,9 @@ def _chain_spec(config, path="config.chain") -> ChainSpec:
         spec = ChainSpec.from_dict(config["chain"])
     _checked(config["chain"], _CHAIN_FIELDS, path)
     _check_dense(f"{path}.d", f"a chain of {spec.d} states", 8 * spec.d ** 2)
+    if spec.kind == "discretized_process":
+        _check_dense(f"{path}.n_samples", f"a series of {spec.n_samples} "
+                     "samples", process_bytes(spec.d, spec.n_samples))
     return spec
 
 

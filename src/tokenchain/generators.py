@@ -1,8 +1,7 @@
 """Ground-truth chain families and discretized stochastic processes.
 
-Every constructor returns a dense row-stochastic TransitionMatrix with no
-transient block; these are the data-generating chains for the estimation
-experiments, not sequence-state chains.
+Every constructor returns a d-state chain, the K = 1 table of d tokens:
+the data-generating chains of the estimation experiments.
 """
 
 from __future__ import annotations
@@ -190,6 +189,11 @@ def discretize(series, d):
     edges = np.linspace(lo, hi, d + 1)
     states = np.digitize(series, edges[1:-1], right=True)
     return Trajectory(states=states.astype(np.int64))
+
+
+def process_bytes(d, n_samples) -> int:
+    """Bytes a discretized_process build may hold: 40 a sample, 32 d^2."""
+    return 40 * n_samples + 32 * d * d
 
 
 @dataclass

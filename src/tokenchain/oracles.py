@@ -17,6 +17,7 @@ import numpy as np
 from .states import VocabSpec, state_path
 
 SUM_TOL = 1e-9
+PARITY_DIGITS = 40  # the parity task's default sequence length
 
 
 class OracleError(Exception):
@@ -112,11 +113,8 @@ class ChainOracle(Oracle):
 
     def __init__(self, matrix, name="chain"):
         from .chains import TransitionMatrix  # chains imports this module
-        rows = TransitionMatrix.of(matrix).dense()
-        if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
-            raise ValueError(f"need a square matrix, got shape {rows.shape}")
-        self.rows = rows
-        self.n_symbols = rows.shape[0]
+        self.rows = TransitionMatrix.of(matrix).dense()
+        self.n_symbols = self.rows.shape[0]
         self.name = name
 
     def _distribution(self, context):
@@ -353,11 +351,13 @@ class ToyModel(Oracle):
         return apply_temperature(self.logits(context), self.config.temperature)
 
 
-def toy_bytes(n_digits, context_length) -> int:
-    """Bytes that training on the windows of ``parity_sequence(n_digits)``
-    may hold at once: per window its tuples, encoding and row views, which
-    peak at 0.6-4 KB for windows of 1-23 under tracemalloc."""
-    return (512 + 192 * context_length) * n_digits + (1 << 16)
+def toy_bytes(n_digits, context_length, embedding_dim=0) -> int:
+    """Bytes that training a binary toy of width E on the windows of
+    ``parity_sequence(n_digits)`` may hold at once: 0.6-4 KB a window for
+    K of 1-23 under tracemalloc, 16 an entry of the (3K, E) w_in and its
+    draw, and 48 a unit of width for the (E+1, 2) w_ob, its draw and dW."""
+    weights = 16 * embedding_dim * (3 * context_length + 3)
+    return (512 + 192 * context_length) * n_digits + weights + (1 << 16)
 
 
 def train_toy(dataset, config: ToyModelConfig, n_tokens=None) -> ToyModel:
@@ -434,7 +434,7 @@ def train_toy(dataset, config: ToyModelConfig, n_tokens=None) -> ToyModel:
 # Parity task: next digit = parity of the previous three
 # ---------------------------------------------------------------------------
 
-def parity_sequence(n_digits=40, start=(0, 0, 1)):
+def parity_sequence(n_digits=PARITY_DIGITS, start=(0, 0, 1)):
     """Binary sequence where each digit past the seed is the parity of the
     previous three (0 if their sum is even, 1 otherwise)."""
     seq = list(start)

@@ -2,7 +2,7 @@
 
 Stationary distributions by power iteration, communicating-class and period
 structure, the convergence envelope driven by the minimum entry of a K-step
-power (a least path product on a sequence chain), and total-variation
+power (a least path product over the table), and total-variation
 mixing times down to the minimized constant of the in-context bound.
 """
 
@@ -96,8 +96,8 @@ def classify_states(Q) -> MixingReport:
     states a pivot reaches are a closed class if all reach it back, else
     the pivot moves to the deepest one that does not; what reaches a
     closed class is transient.  A period is the gcd of level differences
-    along the class's edges.  On a sequence chain only the full-length
-    block is searched: shorter states are transient by construction.
+    along the class's edges.  Only the full-length block is searched:
+    shorter states are transient by construction.
     """
     Q = TransitionMatrix.of(Q)
     n, base = Q.n_states, Q.n_transient
@@ -180,9 +180,7 @@ def stationary(Q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         classification = classify_states(Q)
     window = max(1, classification.period)
     step = Q.left_product()
-    # the entries a step reads: a table's all, a dense chain's nonzeros
-    stored = Q.probs.size if Q.is_table else Q.nonzero_count()
-    switch = _switch_step(n, stored, window, max_iter)
+    switch = _switch_step(n, Q.nonzero_count(), window, max_iter)
     # a ring of the last R iterates, iterate t in row t % R; a pass's steps
     # are checked at once, a step below the window against a row of NaN
     R = window + max(1, min(CHECK_STEPS, CHECK_BYTES // (8 * n)))
@@ -291,16 +289,11 @@ def _doubling_search(start, powers, measure, threshold, cap):
 
 
 def doeblin_epsilon(Q) -> float:
-    """Minimum entry of the recurrent block of Q^window, the window being
-    the chain's context window K, or 1 for a dense chain.
-
-    On a sequence chain (held as its next-token table) each entry is the
-    product along the one K-step path, and the least such product is
-    found, bit for bit, in O(K T^(K+1)) with no dense block.
-    """
+    """Minimum entry of the recurrent block of Q^K, K the chain's window:
+    each entry is the product along the one K-step path, and the least
+    such product is found, bit for bit, in O(K T^(K+1)) with no dense
+    block.  At K = 1 it is the least entry of the table."""
     Q = TransitionMatrix.of(Q)
-    if not Q.is_table:
-        return float(Q.dense().min())
     # u = a T^(K-1) + r appending t moves to r T + t: a pass carries f(v),
     # the least product (from 1, left to right) over the paths ending at v,
     # one step on, exactly, as rounding is monotone on nonnegative floats.
@@ -314,10 +307,10 @@ def doeblin_epsilon(Q) -> float:
 
 
 def envelope(epsilon, window, n):
-    """(1 - 2 eps)^(floor(n/window) - 1), elementwise over steps n, by
-    Python's float pow: numpy's vectorized ** rounds some differently.
-    Below the window, eps = 1/2 gives the vacuous bound math.inf."""
-    base = 1.0 - 2.0 * float(epsilon)
+    """max(1 - 2 eps, 0)^(floor(n/window) - 1), elementwise over steps n,
+    by Python's float pow (numpy's ** rounds some differently); a chain of
+    one state alone has eps > 1/2.  Below the window, a base 0 gives inf."""
+    base = max(1.0 - 2.0 * float(epsilon), 0.0)
     return np.array([base ** e if base or e >= 0 else math.inf
                      for e in (np.ravel(n) // window - 1).tolist()])
 
@@ -344,12 +337,12 @@ def _polish_fixpoint(v, D):
 def convergence_profile(Q, n_max=DEFAULT_N_MAX, pi=None) -> ConvergenceProfile:
     """Both sides of the geometric convergence envelope for n = window..n_max.
 
-    The window is a sequence chain's context window K, or 1 for a dense
-    chain; on a sequence chain the deviation runs over every state, with
-    the stationary vector zero on transient entries.  The rate constant
-    is `doeblin_epsilon`'s, and a zero constant is reported as a vacuous
-    bound rather than an error.  Steps where a nonvacuous bound is
-    exceeded by more than 1e-12 are counted in ``violations``.
+    The window is the chain's context window K; the deviation runs over
+    every state, with the stationary vector zero on transient entries.
+    The rate constant is `doeblin_epsilon`'s, and a zero constant is
+    reported as a vacuous bound rather than an error.  Steps where a
+    nonvacuous bound is exceeded by more than 1e-12 are counted in
+    ``violations``.
 
     The iterate Q^n often repeats exactly (a float fixed point or a short
     cycle).  A repeat of a fingerprint of every entry's bits, at steps m
@@ -360,7 +353,7 @@ def convergence_profile(Q, n_max=DEFAULT_N_MAX, pi=None) -> ConvergenceProfile:
     """
     Q = TransitionMatrix.of(Q)
     D = Q.dense()
-    window = Q.spec.context_window if Q.is_table else 1
+    window = Q.spec.context_window
     if n_max < window:
         raise ValueError(f"n_max={n_max} is below the window {window}")
     eps = doeblin_epsilon(Q)

@@ -25,7 +25,8 @@ class VocabSpec:
     by length, then by base-T value.  The length-L sequence of value v
     sits at index o_L + v, o_L = T(T^(L-1) - 1)/(T - 1) counting the
     shorter ones, so the transient states (shorter than K) lead and the
-    T^K full-length ones trail.  A space above STATE_CAP states is refused.
+    T^K full-length ones trail.  One token (o_L = L - 1) is admitted at
+    K = 1 only.  A space above STATE_CAP states is refused.
     """
 
     n_tokens: int
@@ -33,7 +34,7 @@ class VocabSpec:
 
     def __post_init__(self):
         T, K = self.n_tokens, self.context_window
-        if T < 2:
+        if T < 2 and (T, K) != (1, 1):
             raise ValueError(f"n_tokens must be >= 2, got {T}")
         if K < 1:
             raise ValueError(f"context_window must be >= 1, got {K}")
@@ -46,7 +47,7 @@ class VocabSpec:
 
     def _offset(self, length) -> int:
         T = self.n_tokens
-        return T * (T ** (length - 1) - 1) // (T - 1)
+        return T * (T**(length - 1) - 1) // (T - 1) if T > 1 else length - 1
 
     @property
     def state_count(self) -> int:

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import tokenchain
@@ -67,3 +68,15 @@ def test_src_line_budget():
     lines = sum(path.read_bytes().count(b"\n")
                 for path in package.glob("*.py"))
     assert lines <= SRC_LINES
+
+
+def test_every_chain_has_one_layout():
+    """No module tells a dense chain from a table: every TransitionMatrix
+    is the next-token table of its VocabSpec."""
+    package = Path(tokenchain.__file__).parent
+    # the brackets keep this file from matching its own pattern
+    second_layout = re.compile(r"is_tab[l]e|spec is [N]one")
+    found = [f"{path.name}:{i}" for path in sorted(package.glob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if second_layout.search(line)]
+    assert found == []

@@ -9,9 +9,13 @@ import scipy.sparse as sp
 
 from tokenchain import chains, cli
 from tokenchain.chains import TransitionMatrix, build_qf, validate_structure
-from tokenchain.estimation import sample_trajectory
-from tokenchain.oracles import Oracle, OracleError, RandomLogitOracle, UniformOracle
-from tokenchain.spectral import doeblin_epsilon, stationary
+from tokenchain.estimation import frequentist_estimate, sample_trajectory
+from tokenchain.generators import (clique_rim, constrained_walk,
+                                   polygonal_walk, random_chain)
+from tokenchain.oracles import (ChainOracle, Oracle, OracleError,
+                                RandomLogitOracle, UniformOracle)
+from tokenchain.spectral import (classify_states, convergence_profile,
+                                 doeblin_epsilon, mixing_report, stationary)
 from tokenchain.states import VocabSpec, successors
 
 
@@ -144,7 +148,8 @@ def test_validation_refuses_a_dense_matrix_of_the_right_state_count():
     Q = build_qf(UniformOracle(2), spec)
     assert validate_structure(Q, spec).ok
     with pytest.raises(ValueError, match=r"a matrix of 14 states \(spec "
-                       r"None\) is not a chain of"):
+                       r"VocabSpec\(n_tokens=14, context_window=1\)\) is "
+                       r"not a chain of"):
         validate_structure(TransitionMatrix(Q.dense()), spec)
 
 
@@ -242,10 +247,10 @@ def test_dense_form_of_a_small_sequence_chain_is_under_the_cap(monkeypatch):
     assert TransitionMatrix(np.eye(14)).dense().shape == (14, 14)
 
 
-def test_a_dense_chain_is_not_a_table_whatever_its_meta():
+def test_a_dense_chain_is_the_k1_table_whatever_its_meta():
     rows = np.array([[0.5, 0.5], [0.25, 0.75]])
     Q = TransitionMatrix(rows, meta={"n_tokens": 2, "context_window": 3})
-    assert not Q.is_table and Q.spec is None
+    assert Q.spec == VocabSpec(2, 1) and Q.dense() is Q.probs
     npt.assert_allclose(stationary(Q).pi, [1 / 3, 2 / 3], rtol=1e-12)
     assert doeblin_epsilon(Q) == 0.25
     assert build_qf(UniformOracle(2), VocabSpec(2, 3)).spec == VocabSpec(2, 3)
@@ -253,8 +258,6 @@ def test_a_dense_chain_is_not_a_table_whatever_its_meta():
 
 def csr_of(Q):
     """Q as a CSR matrix that stores every table entry, zeros too."""
-    if not Q.is_table:
-        return sp.csr_matrix(Q.probs)
     n, T = Q.probs.shape
     return sp.csr_matrix((Q.probs.ravel(), Q.spec.successor_table().ravel(),
                           np.arange(0, n * T + 1, T)), shape=(n, n))
@@ -366,10 +369,83 @@ def test_of_wraps_lists_and_arrays():
     rows = [[0.25, 0.75], [1.0, 0.0]]
     for given in (rows, np.array(rows), np.array([[1, 0], [0, 1]])):
         Q = TransitionMatrix.of(given)
-        assert not Q.is_table and Q.probs.dtype == float
+        assert Q.spec == VocabSpec(2, 1) and Q.probs.dtype == float
         assert Q.n_transient == 0 and Q.meta == {}
 
 
 def test_of_returns_a_chain_unchanged():
     Q = build_qf(UniformOracle(2), VocabSpec(2, 3))
     assert TransitionMatrix.of(Q) is Q
+
+
+# ---------------------------------------------------------------------------
+# one layout: a d-state chain is the K = 1 table of VocabSpec(d, 1)
+# ---------------------------------------------------------------------------
+
+def test_a_square_array_gets_the_k1_spec_and_anything_else_is_refused():
+    Q = TransitionMatrix(np.eye(3, dtype=int))
+    assert Q.spec == VocabSpec(3, 1) and Q.probs.dtype == float
+    assert Q.n_transient == 0
+    for bad, shape in (([[0.5, 0.5]], r"\(1, 2\)"), ([1.0], r"\(1,\)"),
+                       (np.ones((2, 2, 2)), r"\(2, 2, 2\)")):
+        with pytest.raises(ValueError,
+                           match=f"need a square matrix, got shape {shape}"):
+            TransitionMatrix.of(bad)
+
+
+def test_the_one_state_chain_goes_through_every_analysis():
+    Q = TransitionMatrix.of([[1.0]])
+    assert Q.spec == VocabSpec(1, 1) and Q.dense() is Q.probs
+    report = classify_states(Q)
+    assert report.recurrent_classes == [[0]] and report.period == 1
+    result = stationary(Q)
+    assert result.pi.tolist() == [1.0] and result.converged
+    assert doeblin_epsilon(Q) == 1.0
+    profile = convergence_profile(Q, n_max=4)
+    assert profile.empirical_curve == [(n, 0.0) for n in range(1, 5)]
+    assert profile.violations == 0 and not profile.vacuous
+    assert mixing_report(Q).t_min == 0.0
+    assert sample_trajectory(Q, 0, 5).states.tolist() == [0] * 5
+    assert ChainOracle(Q).query_many(VocabSpec(1, 1)).tolist() == [[1.0]]
+    estimate = frequentist_estimate([0, 0, 0])
+    assert estimate.spec == VocabSpec(1, 1)
+    assert estimate.probs.tolist() == [[1.0]]
+
+
+def dense_chains():
+    yield random_chain(30, seed=4)
+    yield random_chain(12, p_min=0.01, seed=1)
+    yield constrained_walk(17)
+    yield polygonal_walk(7)
+    yield clique_rim(9, 0.1, [1, 0, 1])
+
+
+@pytest.mark.parametrize("Q", list(dense_chains()),
+                         ids=lambda Q: Q.meta["kind"])
+def test_a_dense_chain_is_read_as_its_k1_table(Q):
+    P = np.array(Q.probs)
+    d = len(P)
+    assert Q.spec == VocabSpec(d, 1) and Q.n_transient == 0
+    rows, cols = np.nonzero(P)
+    got = Q.triplet_columns()
+    assert [a.tolist() for a in got] == [rows.tolist(), cols.tolist(),
+                                         P[rows, cols].tolist()]
+    assert doeblin_epsilon(Q) == P.min()
+    step, x = Q.left_product(), np.full(d, 1.0 / d)
+    for _ in range(50):
+        y = np.zeros(d)
+        for i in range(d):  # each column summed over the rows in order
+            y = y + x[i] * P[i]
+        assert np.array_equal(step(x), y)
+        x = y / y.sum()
+
+
+@pytest.mark.parametrize("T,K", [(1, 1), *((T, K) for T in (2, 3, 4)
+                                             for K in (1, 2, 3, 4))])
+def test_expected_nonzero_count_is_t_times_the_state_count(T, K):
+    spec = VocabSpec(T, K)
+    report = validate_structure(build_qf(UniformOracle(T), spec), spec)
+    assert report.expected_nonzero_count == T * spec.state_count
+    assert report.nonzero_count == report.expected_nonzero_count
+    if T > 1:
+        assert report.expected_nonzero_count == T * T * (T**K - 1) // (T - 1)

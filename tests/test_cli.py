@@ -367,6 +367,92 @@ def test_a_parity_dataset_past_the_cap_exits_2_before_it_is_made(
 
 
 @pytest.mark.parametrize("command,cfg,path", [
+    ("train-toy", {"embedding_dim": 10**9, "epochs": 1}, "config"),
+    ("build", dict(BUILD_CFG, oracle={"kind": "parity_toy",
+                                      "embedding_dim": 10**9}),
+     "config.oracle"),
+    ("sweep-temperature", dict(BUILD_CFG, temperatures=[1.0], oracle={
+        "kind": "parity_toy", "n_digits": 100, "embedding_dim": 10**8}),
+     "config.oracle"),
+])
+def test_a_toy_past_the_cap_exits_2_before_training(
+        tmp_path, capsys, monkeypatch, command, cfg, path):
+    def no_training(*args, **kwargs):
+        raise AssertionError("the weights must be admitted first")
+
+    monkeypatch.setattr(cli, "train_toy", no_training)
+    assert run(tmp_path, command, cfg) == 2
+    err = capsys.readouterr().err
+    n_digits = cfg.get("oracle", cfg).get("n_digits", 40)
+    width = cfg.get("oracle", cfg)["embedding_dim"]
+    assert err.startswith(f"tokenchain: {path}.embedding_dim: training on "
+                          f"{n_digits} digits at width {width} needs ")
+    assert err.endswith(f"above the cap of {cli.DENSE_BLOCK_CAP_BYTES}\n")
+
+
+@pytest.mark.parametrize("n_samples,message", [
+    (1e12, "expected int, got float"),
+    (2.5, "expected int, got float"),
+    (1, "must be >= 2, got 1"),
+    (10**12, "a series of 1000000000000 samples needs 40000000000288 bytes, "
+     f"above the cap of {cli.DENSE_BLOCK_CAP_BYTES}"),
+])
+@pytest.mark.parametrize("command,extra", [
+    ("generate", {}),
+    ("analyze", {}),
+    ("estimate", {"estimator": {"kind": "frequentist"}, "n_list": [10, 20]}),
+])
+def test_a_process_sample_count_is_an_admitted_integer(
+        tmp_path, capsys, monkeypatch, n_samples, message, command, extra):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("the sample count must be admitted first")
+
+    monkeypatch.setattr(cli, "build_chain", no_chain)
+    cfg = {"chain": {"kind": "discretized_process", "d": 3,
+                     "n_samples": n_samples, "process": {"kind": "brownian"}},
+           **extra}
+    assert run(tmp_path, command, cfg) == 2
+    assert capsys.readouterr().err == (
+        f"tokenchain: config.chain.n_samples: {message}\n")
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("build", {"n_tokens": 1, "context_window": 1,
+               "oracle": {"kind": "uniform"}}),
+    ("analyze", {"n_tokens": 1, "context_window": 1, "n_max": 5,
+                 "oracle": {"kind": "uniform"}}),
+    ("sweep-temperature", {"n_tokens": 1, "context_window": 1,
+                           "oracle": {"kind": "random_logits"},
+                           "temperatures": [0.5, 2]}),
+])
+def test_one_token_at_window_1_is_the_one_state_chain(tmp_path, capsys,
+                                                      command, cfg):
+    assert run(tmp_path, command, cfg) == 0
+    out = capsys.readouterr().out
+    if command == "build":
+        assert out == "built 1 states, 1 nonzeros (proportion 1)\n"
+        assert read_json(tmp_path, "out", "matrix.json")["matrix"] == {
+            "n": 1, "triplets": [[0, 0, 1.0]],
+            "blocks": {"transient": [0, 0], "recurrent": [0, 1]}}
+        structure = read_json(tmp_path, "out", "structure.json")["structure"]
+        assert structure["expected_nonzero_count"] == 1 and structure["ok"]
+    elif command == "analyze":
+        assert out == "analyzed 1 states: epsilon=1.0, t_min=0.0\n"
+        analysis = read_json(tmp_path, "out", "analysis.json")["analysis"]
+        assert analysis["recurrent_classes"] == [[0]]
+        assert analysis["envelope_violations"] == 0
+        assert read_csv(tmp_path, "out", "stationary.csv")[1] == [
+            "state,probability", "0,1.0"]
+        assert read_csv(tmp_path, "out", "profile.csv")[1] == [
+            "n,empirical,bound", "1,0.0,1.0",
+            *(f"{n},0.0,0.0" for n in range(2, 6))]
+    else:
+        assert read_csv(tmp_path, "out", "sweep.csv")[1] == [
+            "temperature,epsilon,iterations,converged",
+            "0.5,1.0,1,true", "2.0,1.0,1,true"]
+
+
+@pytest.mark.parametrize("command,cfg,path", [
     ("train-toy", {"learning_rate": float("inf")}, "config"),
     ("build", dict(BUILD_CFG, oracle={"kind": "parity_toy",
                                       "learning_rate": float("inf")}),

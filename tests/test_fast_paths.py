@@ -526,7 +526,7 @@ def test_one_state_risks_match_per_step_scoring(d, n, risk, div):
 def loop_profile(Q, n_max=DEFAULT_N_MAX, pi=None) -> ConvergenceProfile:
     Q = TransitionMatrix.of(Q)
     D = Q.dense()
-    window = Q.spec.context_window if Q.is_table else 1
+    window = Q.spec.context_window
     if n_max < window:
         raise ValueError(f"n_max={n_max} is below the window {window}")
     eps = doeblin_epsilon(Q)
@@ -670,8 +670,8 @@ def loop_stationary(Q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         classification = classify_states(Q)
     window = max(1, classification.period)
     step = Q.left_product()
-    # the entries a step reads: a table's all, a dense chain's nonzeros
-    stored = Q.probs.size if Q.is_table else Q.nonzero_count()
+    # the entries a K = 1 step reads
+    stored = Q.nonzero_count()
     pi = np.full(n, 1.0 / n)
     history = deque([pi], maxlen=window + 1)
     diff = np.empty(n)

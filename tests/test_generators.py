@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from tokenchain.generators import (
     ChainSpec, build_chain, clique_rim, constrained_walk, discretize,
-    polygonal_walk, random_chain, simulate_process,
+    polygonal_walk, process_bytes, random_chain, simulate_process,
 )
 from tokenchain.spectral import classify_states
 
@@ -309,3 +310,22 @@ def test_build_chain_validation():
         built({"d": 3})
     with pytest.raises(ValueError):
         built({"kind": "discretized_process", "d": 3, "process": {}})
+
+
+@pytest.mark.parametrize("kind,n,d", [
+    ("gbm", 200_000, 3), ("brownian", 200_000, 200),
+    ("uncorrelated_gaussian", 100_000, 50), ("uncorrelated_uniform", 100_000, 3),
+    ("correlated_gaussian", 20_000, 3),
+])
+def test_process_bytes_covers_a_discretized_build(kind, n, d):
+    spec = ChainSpec(kind="discretized_process", d=d, n_samples=n,
+                     process={"kind": kind})
+    build_chain(ChainSpec(kind="discretized_process", d=d, n_samples=100,
+                          process={"kind": kind}))
+    tracemalloc.start()
+    try:
+        build_chain(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 16 * n < peak <= process_bytes(d, n)

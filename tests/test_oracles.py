@@ -330,6 +330,23 @@ def test_train_toy_divergence_is_reported():
         train_toy(examples, ToyModelConfig(learning_rate=1e308, epochs=2))
 
 
+@pytest.mark.parametrize("width,K", [(40_000, 1), (200_000, 3)])
+def test_toy_bytes_covers_the_weights(width, K):
+    config = ToyModelConfig(context_length=K, embedding_dim=width, epochs=1)
+    dataset = windowed_examples(parity_sequence(40), K)
+    # a first run loads what training loads once a process
+    train_toy(windowed_examples(parity_sequence(K + 2), K),
+              ToyModelConfig(context_length=K, epochs=1), n_tokens=2)
+    tracemalloc.start()
+    try:
+        train_toy(dataset, config, n_tokens=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the weights set the peak: 8 bytes an entry of w_in at least
+    assert 24 * K * width < peak <= toy_bytes(40, K, width)
+
+
 @pytest.mark.parametrize("n_digits,K", [(3000, 3), (600, 16)])
 def test_toy_bytes_covers_the_parity_pipeline(n_digits, K):
     config = ToyModelConfig(context_length=K, epochs=1)
