@@ -8,6 +8,7 @@ and sums their integer tail counts, so results match at any worker count.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -348,6 +349,13 @@ class TailReport:
         return all(row.ok for row in self.checks)
 
 
+@functools.lru_cache(maxsize=1)  # kept for the next batch, which repeats it
+def _edge_words(n, first, last, start):
+    """Word offsets from ``start`` and shifts of n-coin row edges [first, last)."""
+    bits = np.arange(first, last, dtype=np.uint64) * np.uint64(n)
+    return (bits >> np.uint64(6)).astype(np.intp) - start, bits & np.uint64(63)
+
+
 def _coin_counts(n, rng, size):
     """Heads per row of ``size`` rows of ``n`` fair coins, one coin per bit
     of rng's raw PCG64 stream: row r is bits r*n to (r+1)*n - 1, and bit j
@@ -370,15 +378,14 @@ def _coin_counts(n, rng, size):
         ends += carried
         # the edges before the block's end, bit 64 * (start + words.size)
         last = min(size + 1, -(-64 * (start + words.size) // n))
-        bits = np.arange(first, last, dtype=np.uint64) * np.uint64(n)
-        at = (bits >> np.uint64(6)).astype(np.intp) - start
+        at, shift = _edge_words(n, first, last, start)
         part = np.take(words, at)
-        part >>= bits & np.uint64(63)
+        part >>= shift
         heads = counts[first - 1:last - 1]
         np.take(ends, at, out=heads, mode="clip")  # "raise" buffers out
         heads -= np.bitwise_count(part)
         carried, first = ends[-1], last
-        del words, ends, bits, at, part  # before the next block is drawn
+        del words, ends, part  # before the next block is drawn
     counts[first - 1:] = carried  # an edge at the stream's very end
     # ufuncs read an overlapping operand as it was: end less start edge
     counts[1:] -= counts[:-1]
@@ -393,9 +400,11 @@ def _head_share(n, counts):
 def coin_check_bytes(n, n_samples) -> int:
     """Bytes a check of the mean of ``n`` coins holds at once: c; a
     _coin_counts block of W <= COIN_BLOCK raw words with their popcount
-    prefix, and its E <= 64 W / n + 1 row edges with their bit, word offset,
-    partial word and shift (8 bytes apiece); a batch's counts, values,
-    deviations and flags (25 bytes each); and 24 KiB for mc_verify's own."""
+    prefix, and its E <= 64 W / n + 1 row edges' word offsets, shifts,
+    partial words and popcounts, 8 bytes apiece (the last block's offsets
+    and shifts, kept, fit where the values below come after the draw); a
+    batch's counts, values, deviations and flags (25 bytes each); and 24
+    KiB for mc_verify's own."""
     batch = min(n_samples, MC_BATCH)
     words = min(COIN_BLOCK, -(-batch * n // 64))
     edges = min(batch, 64 * words // n + 1)

@@ -34,7 +34,7 @@ class StructureError(Exception):
 class TransitionMatrix:
     """Row-stochastic matrix held as the (n, T) next-token table of its
     ``spec`` (T tokens, window K): entry (i, t) is the probability of the
-    t-th state of ``spec.successor_table()`` row i, and the states shorter
+    state ``spec.first_successors()[i] + t``, and the states shorter
     than K, ``[0, n_transient)``, are transient.  Made without a spec, a
     square (d, d) array is the table of VocabSpec(d, 1), the matrix itself.
     ``dense()`` refuses an (n, n) above DENSE_BLOCK_CAP_BYTES.
@@ -85,9 +85,9 @@ class TransitionMatrix:
         """The nonzero entries of rows [start, stop), by default all of
         them, as (row, col, value) arrays in row-major order."""
         block = self.probs[start:stop]
-        at = np.flatnonzero(block != 0.0)
-        cols = self.spec.successor_table(start, stop).ravel()[at]
-        return start + at // block.shape[1], cols, block.ravel()[at]
+        rows, t = np.divmod(np.flatnonzero(block != 0.0), block.shape[1])
+        cols = self.spec.first_successors(start, stop)[rows] + t
+        return start + rows, cols, block[rows, t]
 
     def left_product(self):
         """The map x -> x Q, into ``out`` if given.  Entry j of x Q is

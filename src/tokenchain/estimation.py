@@ -21,12 +21,9 @@ from .oracles import SUM_TOL, ChainOracle, fit_ngram, smoothing, window_groups
 from .states import state_path
 
 SAMPLE_BLOCK = 1 << 16
-# paths of d^3 + RANK_MIN_STEPS states or more, over at most this many,
-# step by rank lookup in a table of ~d^3 list entries (0.9 MB at 48)
-RANK_ROWS_MAX_STATES = 48
-RANK_MIN_STEPS = 256
-# else, up to this many states the sampler bisects rows held as Python
-# lists, at 32 bytes an entry; above it, in place in numpy
+# the most entries a sampler's rank table, and its jump table, may hold:
+# enough for the ranks of any chain of up to 50 states
+JUMP_ENTRIES = 1 << 17
 LIST_ROWS_MAX_STATES = 64
 
 
@@ -61,75 +58,110 @@ def start_distribution(start, d):
     return p
 
 
-def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
-    """Sample an n-state path from a start state, distribution or None.
+class PathSampler:
+    """A chain's checked cumulative rows and the tables that step its
+    paths, built once for ``steps`` draws in all.  A draw's rank r < R
+    among the rows' positive breakpoints sends s to ``ranks[s R + r]``
+    (Chen and Asau's indexed search); L ranks fold into c = sum of r_i
+    R^(L - i), and ``jump[x][c]``, made by L - 1 integer gathers, is the
+    state L steps on.  L is the largest with d R^L <= min(JUMP_ENTRIES,
+    steps); at L = 0 paths bisect the rows, as lists (32 bytes an entry)
+    up to LIST_ROWS_MAX_STATES states, else in numpy."""
 
-    Step k moves to the first state whose cumulative row entry exceeds
-    the k-th uniform draw (the last state if none does).  On a long path
-    a block of draws is ranked among all rows' breakpoints by one
-    ``searchsorted``, and a step looks up its row's answer to the rank
-    (Chen and Asau's indexed search); otherwise a step bisects its row,
-    as a Python list made on the first visit, or as the numpy row.
-    """
-    rows = TransitionMatrix.of(Q).dense()
-    d = rows.shape[0]
+    def __init__(self, Q, steps):
+        self.rows = rows = TransitionMatrix.of(Q).dense()
+        self.d = d = rows.shape[0]
+        self.cum = cum = np.cumsum(rows, axis=1)
+        # a NaN fails the sign test, an infinity the sum test
+        if not (rows.min() >= 0
+                and np.abs(cum[:, -1] - 1.0).max() <= SUM_TOL):
+            raise ValueError("every row must be a distribution: finite, "
+                             f"nonnegative and summing to 1 within {SUM_TOL}")
+        bound, self.L = min(JUMP_ENTRIES, steps), 0
+        if 2 * d <= bound and np.count_nonzero(rows) <= bound:  # R >= 2
+            self.cuts = np.unique(cum[rows > 0])
+            while d * (self.cuts.size + 1) ** (self.L + 1) <= bound:
+                self.L += 1
+        # a draw past a row's last breakpoint takes the last state
+        cum[:, -1] = np.inf
+        self.lists = [None] * d if d <= LIST_ROWS_MAX_STATES else cum
+        if self.L:
+            edges = np.concatenate(([0.0], self.cuts))
+            jump = rank = np.array([row.searchsorted(edges, "right")
+                                    for row in cum])
+            for _ in range(self.L - 1):
+                jump = rank[jump].reshape(d, -1)
+            self.ranks, self.jump = rank.ravel(), jump.tolist()
+
+    def _step(self, x, block, path):
+        """Step ``path`` by the draws of ``block`` from state x; the last."""
+        states, L = [], self.L
+        step = states.append
+        if not L:
+            lists = self.lists
+            for u in block.tolist():
+                row = lists[x]
+                if row is None:
+                    row = lists[x] = self.cum[x].tolist()
+                x = bisect_right(row, u)
+                step(x)
+            path[:] = states
+            return x
+        R, ranks = self.cuts.size + 1, self.ranks
+        drawn = np.searchsorted(self.cuts, block, side="right")
+        whole = drawn.size // L * L
+        codes = drawn[:whole].reshape(-1, L)
+        first, jump, folded = x, self.jump, codes[:, 0]
+        for i in range(1, L):
+            folded = folded * R + codes[:, i]
+        for c in folded.tolist():
+            x = jump[x][c]
+            step(x)
+        # the states inside each code, stepped on from the state before it
+        seg = path[:whole].reshape(-1, L)
+        seg[:, -1] = np.fromiter(states, np.int64, len(states))
+        y = np.concatenate(([first], seg[:-1, -1]))
+        for i in range(L - 1):
+            y = seg[:, i] = ranks[y * R + codes[:, i]]
+        for k in range(whole, drawn.size):  # fewer than L draws left
+            x = path[k] = ranks[x * R + drawn[k]]
+        return x
+
+
+def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
+    """Sample an n-state path from a start state, distribution or None:
+    step k moves to the first state whose cumulative row entry exceeds
+    the k-th uniform draw (the last state if none does), by the tables of
+    ``Q`` if it is a PathSampler, else of one built for this path."""
     if n < 1:
         raise ValueError(f"need at least one state, got n={n}")
-    x = start_distribution(start, d)
+    sampler = Q if isinstance(Q, PathSampler) else PathSampler(Q, n - 1)
+    x = start_distribution(start, sampler.d)
     rng = np.random.default_rng(seed)
     if not isinstance(x, int):
-        x = min(int(np.searchsorted(np.cumsum(x), rng.random(), side="right")), d - 1)
-    cum = np.cumsum(rows, axis=1)
-    # a NaN fails the sign test, an infinity the sum test
-    if not (rows.min() >= 0
-            and np.abs(cum[:, -1] - 1.0).max() <= SUM_TOL):
-        raise ValueError("every row must be a distribution: finite, "
-                         f"nonnegative and summing to 1 within {SUM_TOL}")
-    table = [None] * d if d <= LIST_ROWS_MAX_STATES else cum
-    last = d - 1
-    ranked = d <= RANK_ROWS_MAX_STATES and n >= d ** 3 + RANK_MIN_STEPS
-    if ranked:
-        # a draw of rank r lies in [edges[r - 1], edges[r]): in row s it
-        # passes exactly the breakpoints up to edges[r - 1]
-        edges = np.unique(cum)
-        table = [[0, *np.minimum(np.searchsorted(row, edges, side="right"),
-                                 last).tolist()] for row in cum]
+        x = min(int(np.searchsorted(np.cumsum(x), rng.random(), side="right")),
+                sampler.d - 1)
     out = np.empty(n, dtype=np.int64)
     out[0] = x
     draws = rng.random(n - 1)
     # draws become Python objects a block at a time, to hold O(n) bytes
     for a in range(0, n - 1, SAMPLE_BLOCK):
-        block = draws[a:a + SAMPLE_BLOCK]
-        path = []
-        step = path.append
-        if ranked:
-            for r in np.searchsorted(edges, block, side="right").tolist():
-                x = table[x][r]
-                step(x)
-        else:
-            for u in block.tolist():
-                row = table[x]
-                if row is None:
-                    row = table[x] = cum[x].tolist()
-                x = bisect_right(row, u)
-                if x > last:
-                    x = last
-                step(x)
-        out[a + 1:a + 1 + len(path)] = path
+        x = sampler._step(x, draws[a:a + SAMPLE_BLOCK],
+                          out[a + 1:a + 1 + SAMPLE_BLOCK])
     return Trajectory(states=out)
 
 
 def sample_bytes(d, n) -> int:
     """At most the bytes `sample_trajectory` holds for an n-state path over
     d states: 16 a step for the path and its draws; 80 apiece for a block
-    of up to SAMPLE_BLOCK draws or ranks as Python objects with their
-    states; 8 d^2 + 64 d for the cumulative rows and a vector a row; up
-    to LIST_ROWS_MAX_STATES states, 32 d^2 for the list rows (or the rank
-    table's breakpoints and temporaries); and up to RANK_ROWS_MAX_STATES
-    states, 8 d^3 for the rank table."""
-    return (16 * n + 80 * min(n, SAMPLE_BLOCK) + 8 * d * d + 64 * d
+    of up to SAMPLE_BLOCK draws or codes as Python objects with their
+    states; 9 d^2 + 64 d for the cumulative rows, nonzero mask and a
+    vector a row; up to LIST_ROWS_MAX_STATES states, 32 d^2 for the list
+    rows; and 32 bytes (64 above 256 states, as Python ints) an entry of
+    the tables, which hold at most JUMP_ENTRIES each."""
+    return (16 * n + 80 * min(n, SAMPLE_BLOCK) + 9 * d * d + 64 * d
             + 32 * d * d * (d <= LIST_ROWS_MAX_STATES)
-            + 8 * d ** 3 * (d <= RANK_ROWS_MAX_STATES))
+            + 32 * JUMP_ENTRIES * (1 + (d > 256)))
 
 
 def replicate_bytes(d, n) -> int:
@@ -303,18 +335,19 @@ _METRICS = {"tv": tv_risk, "kl": kl_risk}
 
 
 def _one_replicate(args):
-    rows, predictor, n, seed_seq, metric, start = args
-    traj = sample_trajectory(rows, start, n, seed=seed_seq)
+    sampler, predictor, n, seed_seq, metric, start = args
+    traj = sample_trajectory(sampler, start, n, seed=seed_seq)
     oracle = predictor.fit(traj) if hasattr(predictor, "fit") else predictor
-    return _METRICS[metric](rows, oracle, traj)
+    return _METRICS[metric](sampler.rows, oracle, traj)
 
 
 def _replicates(args):
-    """The risks of the replicates numbered in ``stripe``: number k is
-    replicate k % reps at context length n_list[k // reps]."""
+    """The risks of the replicates numbered in ``stripe``, all sampled by
+    one PathSampler: k is replicate k % reps at length n_list[k // reps]."""
     rows, predictor, n_list, reps, seed, metric, start, stripe = args
+    sampler = PathSampler(rows, sum(n_list[k // reps] - 1 for k in stripe))
     return np.fromiter((_one_replicate(
-        (rows, predictor, n_list[k // reps], [seed, k // reps, k % reps],
+        (sampler, predictor, n_list[k // reps], [seed, k // reps, k % reps],
          metric, start)) for k in stripe), float, len(stripe))
 
 

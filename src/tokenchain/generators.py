@@ -165,8 +165,8 @@ def simulate_process(kind, n, seed=0, **params) -> np.ndarray:
     if kind not in _SIMULATORS:
         raise ValueError(f"unknown process kind {kind!r}, "
                          f"expected one of {tuple(_SIMULATORS)}")
-    if n < 1:
-        raise ValueError(f"need at least one sample, got n={n}")
+    if not (n >= 1 and n % 1 == 0):  # NaN fails too; 2.5 is not 2
+        raise ValueError(f"need a whole number of samples >= 1, got n={n!r}")
     return _SIMULATORS[kind](np.random.default_rng(seed), int(n), **params)
 
 

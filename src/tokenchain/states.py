@@ -87,10 +87,10 @@ class VocabSpec:
             value = value * T + t
         return self._offset(len(tokens)) + value
 
-    def successor_table(self, start=0, stop=None) -> np.ndarray:
-        """(n, T) int64 array whose row i lists the indices of
-        ``successors(spec[i])``, ascending in the appended token; or its
-        rows [start, stop), made alone.
+    def first_successors(self, start=0, stop=None) -> np.ndarray:
+        """int64 array of the index of ``successors(spec[i])[0]`` for the
+        states i in [start, stop), by default all of them; the others are
+        the next T - 1 indices, ascending in the appended token.
 
         State o_L + v keeps its last h = min(L, K - 1) tokens, v mod T^h,
         and appends t: its successors are o_{h+1} + (v mod T^h) T + t.
@@ -100,8 +100,7 @@ class VocabSpec:
         T, K = self.n_tokens, self.context_window
         i = np.arange(*slice(start, stop).indices(len(self)), dtype=np.int64)
         n_t = self.n_transient
-        first = np.where(i < n_t, T + i * T, n_t + (i - n_t) % T**(K - 1) * T)
-        return first[:, None] + np.arange(T)
+        return np.where(i < n_t, T + i * T, n_t + (i - n_t) % T**(K - 1) * T)
 
 
 def state_path(path) -> np.ndarray:

@@ -1112,14 +1112,16 @@ COUNTED = {"config.mc.n": "coins"}
     # mixing_bytes(14, 10_000): 8 * 14^2 * (14 + 6)
     ("analyze", BUILD_CFG, "config.n_tokens/context_window", 14, 31_360),
     # sample_bytes(3, 400): 16 bytes a step, a block of 400 Python objects
-    # at 80 bytes, the cumulative rows, a vector a row, the list rows and
-    # the rank table: 16 * 400 + 80 * 400 + 8 * 9 + 64 * 3 + 32 * 9 + 8 * 27
+    # at 80 bytes, the cumulative rows and nonzero mask, a vector a row, the
+    # list rows and 32 bytes for each of the tables' 2^17 entries:
+    # 16 * 400 + 80 * 400 + 9 * 9 + 64 * 3 + 32 * 9 + 32 * 2^17
     ("generate", {"chain": CHAIN3, "sample": {"length": 400}},
-     "config.sample.length", 400, 39_168),
+     "config.sample.length", 400, 4_233_265),
     # replicate_bytes(3, 60): sample_bytes(3, 60), the risk pass at 80 bytes
-    # a step and a frequentist fit at 32 bytes an entry: 6,528 + 80 * 60 + 32 * 9
+    # a step and a frequentist fit at 32 bytes an entry:
+    # 4,200,625 + 80 * 60 + 32 * 9
     ("estimate", {"chain": CHAIN3, "estimator": FREQ,
-                  "n_list": [10, 20, 60]}, "config.n_list[2]", 60, 11_616),
+                  "n_list": [10, 20, 60]}, "config.n_list[2]", 60, 4_205_713),
     # c, a block of the batch's 1,000 coins in 16 raw words and their
     # prefix, 32 bytes per row edge, 25 per sample of the batch and 24 KiB
     # of fixed overhead: 8 * 10 + 16 * 16 + 8 + 32 * 101 + 25 * 100 + 24,576
@@ -1167,10 +1169,10 @@ def test_estimate_over_curve_cap_exits_2_naming_reps(tmp_path, capsys,
     cfg = {"chain": CHAIN3, "estimator": FREQ, "n_list": [10, 20, 60],
            "reps": 10 ** 8}
     assert run(tmp_path, "estimate", cfg) == 2
-    # replicate_bytes(3, 60) + curve_bytes(3, 10^8): 11,616 + 16 * 4 * 10^8
+    # replicate_bytes(3, 60) + curve_bytes(3, 10^8): 4,205,713 + 16 * 4 * 10^8
     assert capsys.readouterr().err == (
         "tokenchain: config.reps: a curve of 100000000 replicates at each "
-        "of 3 lengths needs 6400011616 bytes, above the cap of 2147483648\n")
+        "of 3 lengths needs 6404205713 bytes, above the cap of 2147483648\n")
     assert not any((tmp_path / "out").iterdir())
 
 

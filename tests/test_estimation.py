@@ -13,7 +13,9 @@ from tokenchain.estimation import (
     fit_power_law, frequentist_estimate, icl_risk_curve, kl_divergence,
     kl_risk, sample_trajectory, tv_distance, tv_risk,
 )
-from tokenchain.generators import random_chain
+from tokenchain.generators import (
+    ChainSpec, build_chain, constrained_walk, random_chain,
+)
 from tokenchain.oracles import ChainOracle, Oracle, UniformOracle
 
 from test_cli import ESTIMATE_CFG, read_csv, read_json, run
@@ -90,17 +92,35 @@ def _traced_peak(fn):
     *itertools.product((3, 16, 48, 64, 65, 200), (300, 3_000, 30_000)),
     (3, 10 ** 6), (48, 10 ** 6)])
 def test_sampler_and_replicate_peaks_within_their_counts(d, n):
-    """Each path of the sampler (the rank table at d <= 48 on long paths,
-    list rows up to 64 states, numpy rows above) and one frequentist
-    replicate stay within the bytes the CLI admits them by; at 10^6 steps
-    the sampler alone, as a replicate's count has 80 bytes a step spare."""
+    """Each path of the sampler (rank and jump tables on long enough paths
+    up to 50 states, list rows up to 64 states, numpy rows above) and one
+    frequentist replicate as a curve runs it, its sampler built for a
+    whole curve's draws, stay within the bytes the CLI admits them by; at
+    10^6 steps the sampler alone, as a replicate's count has 80 bytes a
+    step spare."""
     rows = random_chain(d, seed=d).dense()
     sample = _traced_peak(lambda: sample_trajectory(rows, None, n, seed=1))
     assert sample <= estimation.sample_bytes(d, n)
     if n < 10 ** 6:
         replicate = _traced_peak(lambda: estimation._one_replicate(
-            (rows, FrequentistEstimator(d), n, [1, 0, 0], "tv", None)))
+            (estimation.PathSampler(rows, 10 ** 7), FrequentistEstimator(d),
+             n, [1, 0, 0], "tv", None)))
         assert replicate <= estimation.replicate_bytes(d, n)
+
+
+@pytest.mark.parametrize("d,n", [(100, 3_000), (300, 300), (300, 30_000),
+                                 (1_000, 30_000)])
+def test_sparse_tables_within_their_counts(d, n):
+    """A walk's few nonzeros a row give tables above 50 states, whose
+    entries above 256 states are Python ints of their own."""
+    rows = constrained_walk(d).dense()
+    assert estimation.PathSampler(rows, 10 ** 7).L >= 4
+    sample = _traced_peak(lambda: sample_trajectory(rows, None, n, seed=1))
+    assert sample <= estimation.sample_bytes(d, n)
+    replicate = _traced_peak(lambda: estimation._one_replicate(
+        (estimation.PathSampler(rows, 10 ** 7), FrequentistEstimator(d), n,
+         [1, 0, 0], "tv", None)))
+    assert replicate <= estimation.replicate_bytes(d, n)
 
 
 @pytest.mark.parametrize("alpha", [math.inf, math.nan, -1.0])
@@ -359,6 +379,42 @@ def test_curve_stripes_match_serial_at_every_job_count(pools):
         striped = icl_risk_curve(Q, FrequentistEstimator(3), jobs=jobs, **kw)
         assert striped.points == serial.points
     assert pools == [2, 4, 6, 6]
+
+
+def test_a_curve_builds_one_sampler_per_stripe(monkeypatch, pools):
+    """Each stripe builds its sampler's tables once, for all of its draws,
+    and every replicate of the stripe steps through them."""
+    built = []
+
+    class Counted(estimation.PathSampler):
+        def __init__(self, Q, steps):
+            built.append(steps)
+            super().__init__(Q, steps)
+
+    monkeypatch.setattr(estimation, "PathSampler", Counted)
+    Q = random_chain(3, seed=8)
+    kw = dict(n_list=[40, 80], reps=3, seed=2)
+    serial = icl_risk_curve(Q, FrequentistEstimator(3), jobs=1, **kw)
+    assert built == [3 * 39 + 3 * 79]
+    # stripe 0 holds replicates 0, 2 and 4, at 40, 40 and 80 states
+    striped = icl_risk_curve(Q, FrequentistEstimator(3), jobs=2, **kw)
+    assert built[1:] == [39 + 39 + 79, 39 + 79 + 79]
+    assert striped.points == serial.points
+
+
+def test_estimate_writes_the_same_risks_at_jobs_1_and_2(tmp_path):
+    """Two worker processes, each with its own sampler, write the bytes
+    one process does: the one sampler serves 22,194 draws and steps four
+    a lookup, a stripe's serves 11,097 and steps three."""
+    cfg = dict(ESTIMATE_CFG, n_list=[100, 1000, 10000], reps=2)
+    rows = build_chain(ChainSpec(**cfg["chain"])).dense()
+    assert [estimation.PathSampler(rows, steps).L
+            for steps in (22_194, 11_097)] == [4, 3]
+    for jobs in (1, 2):
+        assert run(tmp_path, "estimate", cfg, out=f"j{jobs}", jobs=jobs) == 0
+    for name in ("risk.csv", "fit.json"):
+        assert (tmp_path / "j1" / name).read_bytes() == \
+            (tmp_path / "j2" / name).read_bytes()
 
 
 def test_cli_jobs_are_bounded_by_the_cpu_count(tmp_path, monkeypatch, pools):

@@ -204,34 +204,49 @@ def no_bisect(*args):
     raise AssertionError("a ranked path bisects no row")
 
 
-def ranked(patch, block=None):
-    """Every path steps by rank lookup, up to 70 states."""
-    patch.setattr(estimation, "RANK_ROWS_MAX_STATES", 70)
-    patch.setattr(estimation, "RANK_MIN_STEPS", -70 ** 3)
+def jumping(patch, rows, L):
+    """A sampler of ``rows`` that steps L draws a lookup: the table cap
+    is patched to d R^L, and the sampler built for many paths."""
+    cum = np.cumsum(rows, axis=1)
+    R = np.unique(cum[rows > 0]).size + 1
+    patch.setattr(estimation, "JUMP_ENTRIES", len(rows) * R ** L)
     patch.setattr(estimation, "bisect_right", no_bisect)
-    if block is not None:
-        patch.setattr(estimation, "SAMPLE_BLOCK", block)
+    sampler = estimation.PathSampler(rows, 10 ** 9)
+    assert sampler.L == L
+    return sampler
 
 
 @st.composite
 def ranked_cases(draw):
-    # on both sides of LIST_ROWS_MAX_STATES
-    d = draw(st.integers(1, 70))
+    # on both sides of LIST_ROWS_MAX_STATES, and few enough states for
+    # several draws a lookup
+    d = draw(st.one_of(st.integers(1, 5), st.integers(1, 70)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = random_rows(rng, d, draw(st.sampled_from([0.1, 0.5, 1.0])))
+    # L from 1 to 5, as far as a table of 2^18 entries goes
+    R = np.unique(np.cumsum(rows, axis=1)[rows > 0]).size + 1
+    L = max(1, min(draw(st.integers(1, 5)),
+                   int(math.log(2 ** 18 / d) / math.log(R))))
+    while L > 1 and d * R ** L > 2 ** 18:  # the float log rounded up
+        L -= 1
     start = draw(st.one_of(st.none(), st.integers(0, d - 1)))
     block = draw(st.sampled_from([1, 7, 64]))
-    n = draw(st.sampled_from([1, 2, block, block + 1, 3 * block + 2, 300]))
-    return rows, start, n, draw(st.integers(0, 2**64 - 1)), block
+    # whole codes, one draw short of them and one over, within a block
+    # and across blocks
+    k = draw(st.integers(1, 90))
+    n = draw(st.sampled_from([1, 2, L * k, L * k + 1, L * k + 2, block + 1,
+                              3 * block + 2, 300]))
+    return rows, start, n, draw(st.integers(0, 2**64 - 1)), block, L
 
 
 @settings(max_examples=150, deadline=None)
 @given(ranked_cases())
 def test_rank_lookup_matches_the_bisect_loop(case):
-    rows, start, n, seed, block = case
+    rows, start, n, seed, block, L = case
     with pytest.MonkeyPatch.context() as patch:
-        ranked(patch, block)
-        fast = sample_trajectory(rows, start, n, seed=seed).states
+        patch.setattr(estimation, "SAMPLE_BLOCK", block)
+        sampler = jumping(patch, rows, L)
+        fast = sample_trajectory(sampler, start, n, seed=seed).states
     np.testing.assert_array_equal(fast, bisect_sample(rows, start, n, seed))
 
 
@@ -257,7 +272,8 @@ EDGE_ROWS = np.array([[0.25, 0.0, 0.5, 0.25], [0.0, 0.0, 1.0, 0.0],
 def test_rank_lookup_on_and_beside_breakpoints(block, extra):
     """Draws of 0, of every breakpoint and of each one's float neighbours,
     shuffled so that every row meets them, over paths that end just
-    before, on and after a block edge."""
+    before, on and after a block edge, stepped 1 to 5 draws a lookup:
+    the leftover draws of a block number 0 to L - 1."""
     cum = np.unique(np.cumsum(EDGE_ROWS, axis=1))
     assert cum[-2] < 1.0 and cum.size < 12
     near = np.concatenate(([0.0], cum, np.nextafter(cum, 0.0),
@@ -266,14 +282,21 @@ def test_rank_lookup_on_and_beside_breakpoints(block, extra):
     n = (block if block > 400 else 60 * block) + extra
     draws = near[np.random.default_rng(0).permutation(
         np.resize(np.arange(near.size), n - 1))]
+    slow = bisect_sample(EDGE_ROWS, 0, n, ScriptedDraws(draws))
+    assert np.bincount(slow, minlength=4).min() > 0
+    for L in range(1, 6):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimation, "SAMPLE_BLOCK", block)
+            fast = sample_trajectory(jumping(patch, EDGE_ROWS, L), 0, n,
+                                     seed=ScriptedDraws(draws)).states
+        np.testing.assert_array_equal(fast, slow)
+    # a sampler built for this path alone takes the same steps
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(estimation, "SAMPLE_BLOCK", block)
         patch.setattr(estimation, "bisect_right", no_bisect)
         fast = sample_trajectory(EDGE_ROWS, 0, n,
                                  seed=ScriptedDraws(draws)).states
-    slow = bisect_sample(EDGE_ROWS, 0, n, ScriptedDraws(draws))
     np.testing.assert_array_equal(fast, slow)
-    assert np.bincount(slow, minlength=4).min() > 0
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (3, 1000), (7, 50),

@@ -329,3 +329,15 @@ def test_process_bytes_covers_a_discretized_build(kind, n, d):
     finally:
         tracemalloc.stop()
     assert 16 * n < peak <= process_bytes(d, n)
+
+
+@pytest.mark.parametrize("n", [2.5, 1e3 + 0.5, math.nan, math.inf, 0, -3])
+def test_library_refuses_a_sample_count_that_is_not_a_whole_number(n):
+    """2.5 samples are not silently 2: the library refuses the count
+    before any draw, as the CLI does."""
+    spec = ChainSpec(kind="discretized_process", d=2, n_samples=n,
+                     process={"kind": "brownian"})
+    with pytest.raises(ValueError, match="whole number of samples"):
+        build_chain(spec)
+    with pytest.raises(ValueError, match="whole number of samples"):
+        simulate_process("brownian", n)

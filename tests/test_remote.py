@@ -977,13 +977,15 @@ def test_remote_risk_pass_peak_within_the_replicate_count():
     try:
         oracle = RemoteOracle(config_for(server.stdout.readline().strip()))
         rows, n = random_chain(3, seed=4).dense(), 5_000
-        # an untraced warm-up on the same paths of the sampler (the rank
-        # table from 283 steps) and of the client
-        estimation._one_replicate((rows, oracle, 300, [1, 0, 0], "tv", None))
+        # an untraced warm-up on the same paths of the sampler (built for a
+        # curve's draws, as a stripe builds it) and of the client
+        estimation._one_replicate((estimation.PathSampler(rows, 10 ** 7),
+                                   oracle, 300, [1, 0, 0], "tv", None))
         tracemalloc.start()
         try:
             risk = estimation._one_replicate(
-                (rows, oracle, n, [1, 0, 0], "tv", None))
+                (estimation.PathSampler(rows, 10 ** 7), oracle, n, [1, 0, 0],
+                 "tv", None))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

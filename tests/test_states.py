@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -149,7 +150,7 @@ def test_closed_form_index_math_matches_brute_force(T, K):
     with pytest.raises(IndexError):
         spec[len(states)]
     assert [spec.index(state) for state in states] == list(range(len(states)))
-    table = spec.successor_table()
+    table = spec.first_successors()[:, None] + np.arange(T)
     assert table.shape == (len(states), T)
     assert table.tolist() == [[where[v] for v in successors(u, spec)]
                               for u in states]
@@ -159,7 +160,7 @@ def test_one_token_is_admitted_at_window_1_only():
     spec = VocabSpec(1, 1)
     assert spec.state_count == len(spec) == 1 and spec.n_transient == 0
     assert list(spec) == [(0,)] and spec[0] == (0,) and spec.index((0,)) == 0
-    assert spec.successor_table().tolist() == [[0]]
+    assert spec.first_successors().tolist() == [0]
     for T, K in ((1, 2), (1, 3), (0, 1), (-1, 1)):
         with pytest.raises(ValueError, match=f"n_tokens must be >= 2, got {T}"):
             VocabSpec(T, K)
