@@ -8,7 +8,6 @@ and sums their integer tail counts, so results match at any worker count.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import warnings
@@ -349,13 +348,6 @@ class TailReport:
         return all(row.ok for row in self.checks)
 
 
-@functools.lru_cache(maxsize=1)  # kept for the next batch, which repeats it
-def _edge_words(n, first, last, start):
-    """Word offsets from ``start`` and shifts of n-coin row edges [first, last)."""
-    bits = np.arange(first, last, dtype=np.uint64) * np.uint64(n)
-    return (bits >> np.uint64(6)).astype(np.intp) - start, bits & np.uint64(63)
-
-
 def _coin_counts(n, rng, size):
     """Heads per row of ``size`` rows of ``n`` fair coins, one coin per bit
     of rng's raw PCG64 stream: row r is bits r*n to (r+1)*n - 1, and bit j
@@ -378,14 +370,15 @@ def _coin_counts(n, rng, size):
         ends += carried
         # the edges before the block's end, bit 64 * (start + words.size)
         last = min(size + 1, -(-64 * (start + words.size) // n))
-        at, shift = _edge_words(n, first, last, start)
+        bits = np.arange(first, last, dtype=np.uint64) * np.uint64(n)
+        at = (bits >> np.uint64(6)).astype(np.intp) - start
         part = np.take(words, at)
-        part >>= shift
+        part >>= bits & np.uint64(63)
         heads = counts[first - 1:last - 1]
         np.take(ends, at, out=heads, mode="clip")  # "raise" buffers out
         heads -= np.bitwise_count(part)
         carried, first = ends[-1], last
-        del words, ends, part  # before the next block is drawn
+        del words, ends, bits, at, part  # before the next block is drawn
     counts[first - 1:] = carried  # an edge at the stream's very end
     # ufuncs read an overlapping operand as it was: end less start edge
     counts[1:] -= counts[:-1]
@@ -400,11 +393,9 @@ def _head_share(n, counts):
 def coin_check_bytes(n, n_samples) -> int:
     """Bytes a check of the mean of ``n`` coins holds at once: c; a
     _coin_counts block of W <= COIN_BLOCK raw words with their popcount
-    prefix, and its E <= 64 W / n + 1 row edges' word offsets, shifts,
-    partial words and popcounts, 8 bytes apiece (the last block's offsets
-    and shifts, kept, fit where the values below come after the draw); a
-    batch's counts, values, deviations and flags (25 bytes each); and 24
-    KiB for mc_verify's own."""
+    prefix, and its E <= 64 W / n + 1 row edges with their bit, word offset,
+    partial word and shift (8 bytes apiece); a batch's counts, values,
+    deviations and flags (25 bytes each); and 24 KiB for mc_verify's own."""
     batch = min(n_samples, MC_BATCH)
     words = min(COIN_BLOCK, -(-batch * n // 64))
     edges = min(batch, 64 * words // n + 1)
@@ -491,12 +482,10 @@ class LogRatioReport:
 def log_ratio_checks(p, q) -> LogRatioReport:
     """Verify tv <= sqrt(2B), kl <= B, hellinger_sq <= 2B where B is the
     worst absolute log ratio of the two distributions."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p = validate_distribution(p)
+    q = validate_distribution(q)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    validate_distribution(p)
-    validate_distribution(q)
     if p.min() <= 0.0 or q.min() <= 0.0:
         raise ValueError("both distributions must be strictly positive")
     bound = float(np.max(np.abs(np.log(p / q))))

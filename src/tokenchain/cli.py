@@ -455,15 +455,19 @@ def _start_vector(cfg, d, path):
         return start_distribution(start, d)
 
 
-def _sequence_chain(oracle, spec):
+def _sequence_chain(oracle, spec, out, config, seed):
     """The chain of ``oracle`` on ``spec`` and its structure.json payload,
-    once the structure is ok."""
+    once the structure is ok and both are written with matrix.json."""
     matrix = build_qf(oracle, spec)
     report = validate_structure(matrix, spec)
     if not report.ok:
         raise StructureError("; ".join(report.failures))
-    return matrix, {**asdict(report), "ok": report.ok,
-                    "nonzero_proportion": str(report.nonzero_proportion)}
+    structure = {**asdict(report), "ok": report.ok,
+                 "nonzero_proportion": str(report.nonzero_proportion)}
+    _write_json(out / "matrix.json", config, seed, {"matrix": matrix})
+    _write_json(out / "structure.json", config, seed,
+                {"structure": structure})
+    return matrix, structure
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +478,8 @@ def cmd_build(config, seed, out: Path, jobs: int) -> int:
     """build a sequence-state transition matrix from an oracle"""
     _checked(config, {**_VOCAB, "seed": _SEED}, required=_VOCAB)
     spec = _vocab_spec(config["n_tokens"], config["context_window"])
-    matrix, structure = _sequence_chain(
-        _oracle(config["oracle"], spec, seed), spec)
-    _write_json(out / "matrix.json", config, seed, {"matrix": matrix})
-    _write_json(out / "structure.json", config, seed,
-                {"structure": structure})
+    structure = _sequence_chain(_oracle(config["oracle"], spec, seed), spec,
+                                out, config, seed)[1]
     print("built {n_states} states, {nonzero_count} nonzeros (proportion "
           "{nonzero_proportion})".format(**structure))
     return 0
@@ -604,12 +605,11 @@ def cmd_generate(config, seed, out: Path, jobs: int) -> int:
                      sample_bytes(chain.d, length))
     with _library_errors("config.chain"):
         matrix = build_chain(chain)
-    if sample is not None:
-        traj = sample_trajectory(matrix, start, length,
-                                 seed=sample.get("seed", seed))
     _write_json(out / "matrix.json", config, seed,
                 {"matrix": matrix, "meta": matrix.meta})
     if sample is not None:
+        traj = sample_trajectory(matrix, start, length,
+                                 seed=sample.get("seed", seed))
         _write_csv(out / "trajectory.csv", config, seed,
                    _trajectory_blocks(traj.states))
     print(f"generated {matrix.n_states}-state chain "
@@ -747,7 +747,7 @@ def cmd_train_toy(config, seed, out: Path, jobs: int) -> int:
                                 ToyModelConfig.context_length)
     spec = _vocab_spec(2, context_length, "config.context_length")
     model, dataset = _toy_model(config, context_length, seed, "config")
-    matrix, structure = _sequence_chain(model, spec)
+    matrix = _sequence_chain(model, spec, out, config, seed)[0]
     stat = stationary(matrix, **_set(config, _SOLVER))
 
     seen = {context for context, _ in dataset}
@@ -764,9 +764,6 @@ def cmd_train_toy(config, seed, out: Path, jobs: int) -> int:
         "config": asdict(model.config), "n_tokens": model.n_tokens,
         "w_in": model.w_in.tolist(), "w_out": model.w_out.tolist(),
         "bias": model.bias.tolist()}})
-    _write_json(out / "matrix.json", config, seed, {"matrix": matrix})
-    _write_json(out / "structure.json", config, seed,
-                {"structure": structure})
     _write_csv(out / "loss.csv", config, seed, _csv(
         "epoch,loss", enumerate(map(float, model.loss_history))))
     _write_json(out / "parity.json", config, seed, {"parity": {

@@ -24,6 +24,8 @@ SAMPLE_BLOCK = 1 << 16
 # the most entries a sampler's rank table, and its jump table, may hold:
 # enough for the ranks of any chain of up to 50 states
 JUMP_ENTRIES = 1 << 17
+# fewer draws bisect faster than the tables step them (crossover 100-200)
+JUMP_MIN_DRAWS = 128
 LIST_ROWS_MAX_STATES = 64
 
 
@@ -65,8 +67,9 @@ class PathSampler:
     (Chen and Asau's indexed search); L ranks fold into c = sum of r_i
     R^(L - i), and ``jump[x][c]``, made by L - 1 integer gathers, is the
     state L steps on.  L is the largest with d R^L <= min(JUMP_ENTRIES,
-    steps); at L = 0 paths bisect the rows, as lists (32 bytes an entry)
-    up to LIST_ROWS_MAX_STATES states, else in numpy."""
+    steps), or 0 below JUMP_MIN_DRAWS steps.  At L = 0, and on blocks of
+    fewer draws, paths bisect the rows, as lists (32 bytes an entry) up
+    to LIST_ROWS_MAX_STATES states, else in numpy."""
 
     def __init__(self, Q, steps):
         self.rows = rows = TransitionMatrix.of(Q).dense()
@@ -78,7 +81,7 @@ class PathSampler:
             raise ValueError("every row must be a distribution: finite, "
                              f"nonnegative and summing to 1 within {SUM_TOL}")
         bound, self.L = min(JUMP_ENTRIES, steps), 0
-        if 2 * d <= bound and np.count_nonzero(rows) <= bound:  # R >= 2
+        if steps >= JUMP_MIN_DRAWS and np.count_nonzero(rows) <= bound:
             self.cuts = np.unique(cum[rows > 0])
             while d * (self.cuts.size + 1) ** (self.L + 1) <= bound:
                 self.L += 1
@@ -97,7 +100,7 @@ class PathSampler:
         """Step ``path`` by the draws of ``block`` from state x; the last."""
         states, L = [], self.L
         step = states.append
-        if not L:
+        if not L or block.size < JUMP_MIN_DRAWS:
             lists = self.lists
             for u in block.tolist():
                 row = lists[x]
@@ -139,8 +142,7 @@ def sample_trajectory(Q, start, n, seed=0) -> Trajectory:
     x = start_distribution(start, sampler.d)
     rng = np.random.default_rng(seed)
     if not isinstance(x, int):
-        x = min(int(np.searchsorted(np.cumsum(x), rng.random(), side="right")),
-                sampler.d - 1)
+        x = int(np.searchsorted(np.cumsum(x)[:-1], rng.random(), side="right"))
     out = np.empty(n, dtype=np.int64)
     out[0] = x
     draws = rng.random(n - 1)
@@ -334,21 +336,18 @@ class RiskCurve:
 _METRICS = {"tv": tv_risk, "kl": kl_risk}
 
 
-def _one_replicate(args):
-    sampler, predictor, n, seed_seq, metric, start = args
-    traj = sample_trajectory(sampler, start, n, seed=seed_seq)
-    oracle = predictor.fit(traj) if hasattr(predictor, "fit") else predictor
-    return _METRICS[metric](sampler.rows, oracle, traj)
-
-
 def _replicates(args):
     """The risks of the replicates numbered in ``stripe``, all sampled by
     one PathSampler: k is replicate k % reps at length n_list[k // reps]."""
-    rows, predictor, n_list, reps, seed, metric, start, stripe = args
-    sampler = PathSampler(rows, sum(n_list[k // reps] - 1 for k in stripe))
-    return np.fromiter((_one_replicate(
-        (sampler, predictor, n_list[k // reps], [seed, k // reps, k % reps],
-         metric, start)) for k in stripe), float, len(stripe))
+    Q, predictor, n_list, reps, seed, metric, start, stripe = args
+    sampler = PathSampler(Q, sum(n_list[k // reps] - 1 for k in stripe))
+    risks = np.empty(len(stripe))
+    for i, k in enumerate(stripe):
+        traj = sample_trajectory(sampler, start, n_list[k // reps],
+                                 seed=[seed, k // reps, k % reps])
+        fit = predictor.fit(traj) if hasattr(predictor, "fit") else predictor
+        risks[i] = _METRICS[metric](sampler.rows, fit, traj)
+    return risks
 
 
 def map_jobs(fn, args, count, jobs) -> list:
@@ -404,9 +403,8 @@ def icl_risk_curve(Q_true, predictor, n_list, reps, seed=0, metric="tv",
     ones and no per-replicate task is ever built.
     """
     n_list = curve_settings(n_list, reps, metric)
-    rows = TransitionMatrix.of(Q_true).dense()
     count = len(n_list) * reps
-    parts = map_jobs(_replicates, (rows, predictor, n_list, reps, seed,
+    parts = map_jobs(_replicates, (Q_true, predictor, n_list, reps, seed,
                                    metric, start), count, jobs)
     risks = np.empty(count)
     for j, part in enumerate(parts):

@@ -33,7 +33,7 @@ PUBLIC_API = [
 
 # The newline count of src/tokenchain/*.py, as `wc -l` reports it.  The
 # library should shrink, not grow: raising this pin is a recorded change.
-SRC_LINES = 3936
+SRC_LINES = 3920
 
 
 def test_public_names_are_pinned():

@@ -88,6 +88,20 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def replicate_peak(rows, n):
+    """The traced peak of one frequentist replicate of n states, run as a
+    curve's stripe runs it, with its sampler built for 10^7 draws."""
+    class Curve(estimation.PathSampler):
+        def __init__(self, Q, steps):
+            super().__init__(Q, 10 ** 7)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "PathSampler", Curve)
+        return _traced_peak(lambda: estimation._replicates(
+            (rows, FrequentistEstimator(len(rows)), [n], 1, 1, "tv", None,
+             range(1))))
+
+
 @pytest.mark.parametrize("d,n", [
     *itertools.product((3, 16, 48, 64, 65, 200), (300, 3_000, 30_000)),
     (3, 10 ** 6), (48, 10 ** 6)])
@@ -102,10 +116,7 @@ def test_sampler_and_replicate_peaks_within_their_counts(d, n):
     sample = _traced_peak(lambda: sample_trajectory(rows, None, n, seed=1))
     assert sample <= estimation.sample_bytes(d, n)
     if n < 10 ** 6:
-        replicate = _traced_peak(lambda: estimation._one_replicate(
-            (estimation.PathSampler(rows, 10 ** 7), FrequentistEstimator(d),
-             n, [1, 0, 0], "tv", None)))
-        assert replicate <= estimation.replicate_bytes(d, n)
+        assert replicate_peak(rows, n) <= estimation.replicate_bytes(d, n)
 
 
 @pytest.mark.parametrize("d,n", [(100, 3_000), (300, 300), (300, 30_000),
@@ -117,10 +128,7 @@ def test_sparse_tables_within_their_counts(d, n):
     assert estimation.PathSampler(rows, 10 ** 7).L >= 4
     sample = _traced_peak(lambda: sample_trajectory(rows, None, n, seed=1))
     assert sample <= estimation.sample_bytes(d, n)
-    replicate = _traced_peak(lambda: estimation._one_replicate(
-        (estimation.PathSampler(rows, 10 ** 7), FrequentistEstimator(d), n,
-         [1, 0, 0], "tv", None)))
-    assert replicate <= estimation.replicate_bytes(d, n)
+    assert replicate_peak(rows, n) <= estimation.replicate_bytes(d, n)
 
 
 @pytest.mark.parametrize("alpha", [math.inf, math.nan, -1.0])

@@ -206,10 +206,12 @@ def no_bisect(*args):
 
 def jumping(patch, rows, L):
     """A sampler of ``rows`` that steps L draws a lookup: the table cap
-    is patched to d R^L, and the sampler built for many paths."""
+    is patched to d R^L, and the sampler built for many paths, which take
+    its tables on blocks of any length."""
     cum = np.cumsum(rows, axis=1)
     R = np.unique(cum[rows > 0]).size + 1
     patch.setattr(estimation, "JUMP_ENTRIES", len(rows) * R ** L)
+    patch.setattr(estimation, "JUMP_MIN_DRAWS", 1)
     patch.setattr(estimation, "bisect_right", no_bisect)
     sampler = estimation.PathSampler(rows, 10 ** 9)
     assert sampler.L == L
@@ -290,13 +292,38 @@ def test_rank_lookup_on_and_beside_breakpoints(block, extra):
             fast = sample_trajectory(jumping(patch, EDGE_ROWS, L), 0, n,
                                      seed=ScriptedDraws(draws)).states
         np.testing.assert_array_equal(fast, slow)
-    # a sampler built for this path alone takes the same steps
+    # a sampler built for this path alone takes the same steps, by its
+    # tables on the long blocks and by bisection on the short ones
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(estimation, "SAMPLE_BLOCK", block)
-        patch.setattr(estimation, "bisect_right", no_bisect)
         fast = sample_trajectory(EDGE_ROWS, 0, n,
                                  seed=ScriptedDraws(draws)).states
     np.testing.assert_array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("n,block,bisected", [
+    (2, 10 ** 6, 1), (128, 10 ** 6, 127), (129, 10 ** 6, 0),
+    (300, 200, 99), (328, 200, 127), (329, 200, 0), (400, 130, 9)])
+def test_short_blocks_bisect(n, block, bisected):
+    """Blocks of fewer than JUMP_MIN_DRAWS draws bisect the rows, even on
+    a sampler with tables, and the path is the same; a sampler built for
+    fewer draws has no tables."""
+    assert estimation.JUMP_MIN_DRAWS == 128
+    assert estimation.PathSampler(EDGE_ROWS, 127).L == 0
+    sampler = estimation.PathSampler(EDGE_ROWS, 10 ** 6)
+    assert sampler.L >= 3
+    calls = []
+
+    def counted(row, u):
+        calls.append(u)
+        return bisect_right(row, u)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "SAMPLE_BLOCK", block)
+        patch.setattr(estimation, "bisect_right", counted)
+        fast = sample_trajectory(sampler, 1, n, seed=n).states
+    assert len(calls) == bisected
+    np.testing.assert_array_equal(fast, bisect_sample(EDGE_ROWS, 1, n, n))
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (3, 1000), (7, 50),

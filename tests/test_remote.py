@@ -977,18 +977,26 @@ def test_remote_risk_pass_peak_within_the_replicate_count():
     try:
         oracle = RemoteOracle(config_for(server.stdout.readline().strip()))
         rows, n = random_chain(3, seed=4).dense(), 5_000
-        # an untraced warm-up on the same paths of the sampler (built for a
-        # curve's draws, as a stripe builds it) and of the client
-        estimation._one_replicate((estimation.PathSampler(rows, 10 ** 7),
-                                   oracle, 300, [1, 0, 0], "tv", None))
-        tracemalloc.start()
-        try:
-            risk = estimation._one_replicate(
-                (estimation.PathSampler(rows, 10 ** 7), oracle, n, [1, 0, 0],
-                 "tv", None))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        class Curve(estimation.PathSampler):  # built for a curve's draws
+            def __init__(self, Q, steps):
+                super().__init__(Q, 10 ** 7)
+
+        def replicate(n):  # replicate 0 of a one-point curve at length n
+            return estimation._replicates(
+                (rows, oracle, [n], 1, 1, "tv", None, range(1)))[0]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimation, "PathSampler", Curve)
+            # an untraced warm-up on the same paths of the sampler and of
+            # the client
+            replicate(300)
+            tracemalloc.start()
+            try:
+                risk = replicate(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         oracle.close()
     finally:
         server.terminate()
