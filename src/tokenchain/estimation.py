@@ -24,7 +24,7 @@ SAMPLE_BLOCK = 1 << 16
 # the most entries a sampler's rank table, and its jump table, may hold:
 # enough for the ranks of any chain of up to 50 states
 JUMP_ENTRIES = 1 << 17
-# fewer draws bisect faster than the tables step them (crossover 100-200)
+# blocks of fewer draws bisect; a sampler for under 4x as many has no tables
 JUMP_MIN_DRAWS = 128
 LIST_ROWS_MAX_STATES = 64
 
@@ -67,9 +67,9 @@ class PathSampler:
     (Chen and Asau's indexed search); L ranks fold into c = sum of r_i
     R^(L - i), and ``jump[x][c]``, made by L - 1 integer gathers, is the
     state L steps on.  L is the largest with d R^L <= min(JUMP_ENTRIES,
-    steps), or 0 below JUMP_MIN_DRAWS steps.  At L = 0, and on blocks of
-    fewer draws, paths bisect the rows, as lists (32 bytes an entry) up
-    to LIST_ROWS_MAX_STATES states, else in numpy."""
+    steps), or 0 below 4 JUMP_MIN_DRAWS steps.  At L = 0, and on blocks
+    of fewer than JUMP_MIN_DRAWS, paths bisect the rows, as lists (32
+    bytes an entry) up to LIST_ROWS_MAX_STATES states, else in numpy."""
 
     def __init__(self, Q, steps):
         self.rows = rows = TransitionMatrix.of(Q).dense()
@@ -81,7 +81,7 @@ class PathSampler:
             raise ValueError("every row must be a distribution: finite, "
                              f"nonnegative and summing to 1 within {SUM_TOL}")
         bound, self.L = min(JUMP_ENTRIES, steps), 0
-        if steps >= JUMP_MIN_DRAWS and np.count_nonzero(rows) <= bound:
+        if steps >= 4 * JUMP_MIN_DRAWS and np.count_nonzero(rows) <= bound:
             self.cuts = np.unique(cum[rows > 0])
             while d * (self.cuts.size + 1) ** (self.L + 1) <= bound:
                 self.L += 1

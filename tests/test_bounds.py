@@ -28,6 +28,7 @@ from tokenchain.bounds import (
     pretrain_constant,
     sample_complexity,
 )
+from tokenchain.oracles import OracleError
 
 
 def pretrain(**kw):
@@ -409,6 +410,16 @@ def test_log_ratio_rejects_zeros_and_shape():
         log_ratio_checks([0.5, 0.5], [1.0, 0.0])
     with pytest.raises(ValueError):
         log_ratio_checks([0.5, 0.5], [0.2, 0.3, 0.5])
+
+
+@pytest.mark.parametrize("p,q,message", [
+    ([0.6, 0.6], [0.5, 0.5], "sum to 1.2"),
+    ([0.5, 0.5], [0.5, 0.4], "sum to 0.9"),
+    ([1.5, -0.5], [0.5, 0.5], "negative or NaN"),
+    ([[0.5, 0.5]], [[0.5, 0.5]], "expected a vector")])
+def test_log_ratio_refuses_what_is_no_distribution(p, q, message):
+    with pytest.raises(OracleError, match=message):
+        log_ratio_checks(p, q)
 
 
 def test_log_ratio_fuzz_never_fails():

@@ -307,9 +307,10 @@ def test_rank_lookup_on_and_beside_breakpoints(block, extra):
 def test_short_blocks_bisect(n, block, bisected):
     """Blocks of fewer than JUMP_MIN_DRAWS draws bisect the rows, even on
     a sampler with tables, and the path is the same; a sampler built for
-    fewer draws has no tables."""
+    fewer than four times as many draws has no tables."""
     assert estimation.JUMP_MIN_DRAWS == 128
-    assert estimation.PathSampler(EDGE_ROWS, 127).L == 0
+    assert estimation.PathSampler(EDGE_ROWS, 511).L == 0
+    assert estimation.PathSampler(EDGE_ROWS, 512).L == 2
     sampler = estimation.PathSampler(EDGE_ROWS, 10 ** 6)
     assert sampler.L >= 3
     calls = []
@@ -324,6 +325,29 @@ def test_short_blocks_bisect(n, block, bisected):
         fast = sample_trajectory(sampler, 1, n, seed=n).states
     assert len(calls) == bisected
     np.testing.assert_array_equal(fast, bisect_sample(EDGE_ROWS, 1, n, n))
+
+
+class TopDraw(np.random.Generator):
+    """A generator whose one draw is 1 - 2^-53, and whose arrays are 0."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+
+    def random(self, size=None):
+        return 1.0 - 2.0 ** -53 if size is None else np.zeros(size)
+
+
+def test_a_start_draw_past_the_vector_sum_takes_the_last_state():
+    """A start vector may sum to a little under 1; a draw at or past its
+    sum starts the path at the last state, as a row's does."""
+    rows = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
+    start = np.array([0.25, 0.25, 0.5 - 2.0 ** -53])
+    assert np.cumsum(start)[-1] == 1.0 - 2.0 ** -53
+    for n in (1, 3):
+        path = sample_trajectory(rows, start, n, seed=TopDraw()).states
+        assert path[0] == 2
+        np.testing.assert_array_equal(
+            path, bisect_sample(rows, start, n, TopDraw()))
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (3, 1000), (7, 50),
