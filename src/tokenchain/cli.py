@@ -457,7 +457,7 @@ def _start_vector(cfg, d, path):
 
 def _sequence_chain(oracle, spec, out, config, seed):
     """The chain of ``oracle`` on ``spec`` and its structure.json payload,
-    once the structure is ok and both are written with matrix.json."""
+    written into ``out`` with matrix.json once the structure is ok."""
     matrix = build_qf(oracle, spec)
     report = validate_structure(matrix, spec)
     if not report.ok:
